@@ -42,7 +42,7 @@ pub fn intra_layer_skew(
     k: usize,
     layer: usize,
 ) -> Option<Duration> {
-    defs::worst_intra_layer(g, layer, time_at(trace, k))
+    defs::worst_intra_layer(g.base().csr(), layer, time_at(trace, k))
 }
 
 /// Inter-layer local skew `L_{ℓ,ℓ+1}`: worst
@@ -57,7 +57,13 @@ pub fn inter_layer_skew(
     if k + 1 >= trace.pulses() {
         return None;
     }
-    defs::worst_inter_layer(g, layer, time_at(trace, k + 1), time_at(trace, k))
+    defs::worst_inter_layer(
+        g.base().csr(),
+        g.layer_count(),
+        layer,
+        time_at(trace, k + 1),
+        time_at(trace, k),
+    )
 }
 
 /// The maximum intra-layer skew over all layers and the given pulses —
@@ -109,7 +115,7 @@ pub fn global_skew(
     k: usize,
     layer: usize,
 ) -> Option<Duration> {
-    defs::layer_spread(g, layer, time_at(trace, k))
+    defs::layer_spread(g.width(), layer, time_at(trace, k))
 }
 
 /// Per-layer intra-layer skew series for one pulse (a "figure" series:

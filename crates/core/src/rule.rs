@@ -31,12 +31,64 @@
 //! This module evaluates that temporal process in closed form: reception
 //! events are swept in local-time order and the earliest exit instant is
 //! computed exactly, which is possible because hardware clocks are affine
-//! within an iteration.
+//! within an iteration. The sweep runs once per node and pulse, so it
+//! sorts its events in a stack buffer and allocates nothing for
+//! in-degrees up to `INLINE_EVENTS`.
 
 use crate::{correction, CorrectionConfig, Params};
 use trix_sim::PulseRule;
 use trix_time::{AffineClock, Clock, Duration, LocalTime, Time};
 use trix_topology::NodeId;
+
+/// Receptions (own plus neighbors) a decision sweeps from a stack buffer.
+/// This covers the paper grid (in-degree ≤ 4), tori (5) and hypercubes up
+/// to dimension 15; larger arrival sets, such as supernode hubs, spill
+/// into one heap buffer and run the same sweep.
+const INLINE_EVENTS: usize = 16;
+
+/// One reception of the receive loop, at its local time.
+#[derive(Clone, Copy)]
+enum Ev {
+    Own(LocalTime),
+    Neighbor(LocalTime),
+}
+
+impl Ev {
+    #[inline]
+    fn at(self) -> LocalTime {
+        match self {
+            Ev::Own(h) | Ev::Neighbor(h) => h,
+        }
+    }
+}
+
+/// Writes the receptions into `buf` in local-time order and returns them.
+///
+/// An insertion sort under `LocalTime`'s total order that shifts only
+/// strictly later events, so it is stable: on a tie the own reception
+/// comes first and neighbors keep slot order, as a stable sort of
+/// `own, neighbors…` would leave them.
+fn sort_events(
+    buf: &mut [Ev],
+    own: Option<LocalTime>,
+    neighbors: impl Iterator<Item = Option<LocalTime>>,
+) -> &[Ev] {
+    let mut len = 0;
+    if let Some(h) = own {
+        buf[0] = Ev::Own(h);
+        len = 1;
+    }
+    for h in neighbors.flatten() {
+        let mut j = len;
+        while j > 0 && buf[j - 1].at() > h {
+            buf[j] = buf[j - 1];
+            j -= 1;
+        }
+        buf[j] = Ev::Neighbor(h);
+        len += 1;
+    }
+    &buf[..len]
+}
 
 /// The Gradient TRIX forwarding rule (Algorithm 3 semantics).
 ///
@@ -158,36 +210,48 @@ impl GradientTrixRule {
         own: Option<LocalTime>,
         neighbors: &[Option<LocalTime>],
     ) -> Option<Decision> {
+        self.decide_from(own, neighbors.iter().copied())
+    }
+
+    /// [`decide`](Self::decide) over neighbor receptions produced on the
+    /// fly, so that [`PulseRule::pulse_time`] converts each arrival to
+    /// local time straight into the event buffer.
+    fn decide_from(
+        &self,
+        own: Option<LocalTime>,
+        neighbors: impl ExactSizeIterator<Item = Option<LocalTime>>,
+    ) -> Option<Decision> {
+        let total_neighbors = neighbors.len();
+        let mut inline = [Ev::Own(LocalTime::ZERO); INLINE_EVENTS];
+        let mut spill = Vec::new();
+        let buf = if total_neighbors < INLINE_EVENTS {
+            &mut inline[..]
+        } else {
+            spill.resize(1 + total_neighbors, Ev::Own(LocalTime::ZERO));
+            &mut spill[..]
+        };
+        self.sweep(sort_events(buf, own, neighbors), total_neighbors)
+    }
+
+    /// The receive loop over `events`, sorted by local time, from a
+    /// node with `total_neighbors` neighbor slots.
+    fn sweep(&self, events: &[Ev], total_neighbors: usize) -> Option<Decision> {
         let kappa = self.params.kappa();
         let lambda_minus_d = self.params.lambda() - self.params.d();
         let theta_kappa = self.params.theta_kappa();
+        // Operands of the two deadline terms, fixed for the whole sweep.
+        let kappa_3_2 = kappa * 1.5;
+        let kappa_2 = kappa * 2.0;
+        let wait_window = (2.0 * self.skew_estimate + self.params.u()) * self.params.theta();
 
-        // Sweep reception events in local-time order.
-        #[derive(Clone, Copy)]
-        enum Ev {
-            Own(LocalTime),
-            Neighbor(LocalTime),
-        }
-        let mut events: Vec<Ev> = Vec::with_capacity(1 + neighbors.len());
-        if let Some(h) = own {
-            events.push(Ev::Own(h));
-        }
-        for h in neighbors.iter().flatten() {
-            events.push(Ev::Neighbor(*h));
-        }
-        events.sort_by_key(|e| match *e {
-            Ev::Own(h) | Ev::Neighbor(h) => h,
-        });
-
-        let total_neighbors = neighbors.len();
         let mut h_own: Option<LocalTime> = None;
         let mut h_min: Option<LocalTime> = None;
         let mut h_max_running: Option<LocalTime> = None;
         let mut heard_neighbors = 0usize;
 
         let mut exit: Option<(LocalTime, Option<LocalTime>, Option<LocalTime>)> = None;
-        for idx in 0..events.len() {
-            let event_local = match events[idx] {
+        for (idx, &event) in events.iter().enumerate() {
+            let event_local = match event {
                 Ev::Own(h) => {
                     h_own = Some(h);
                     h
@@ -207,9 +271,8 @@ impl GradientTrixRule {
             } else {
                 None
             };
-            let term1 = h_max_known.map(|m| m + kappa * 1.5 + theta_kappa);
-            let wait_window = (2.0 * self.skew_estimate + self.params.u()) * self.params.theta();
-            let term2 = h_own.map(|o| o.max(hmin) + wait_window + kappa * 2.0);
+            let term1 = h_max_known.map(|m| m + kappa_3_2 + theta_kappa);
+            let term2 = h_own.map(|o| o.max(hmin) + wait_window + kappa_2);
             let threshold = match (term1, term2) {
                 (Some(a), Some(b)) => a.min(b),
                 (Some(a), None) => a,
@@ -221,10 +284,7 @@ impl GradientTrixRule {
             // candidate exit time, process it first — it may change the
             // snapshot the decision is based on.
             if let Some(next) = events.get(idx + 1) {
-                let next_local = match *next {
-                    Ev::Own(h) | Ev::Neighbor(h) => h,
-                };
-                if next_local <= candidate {
+                if next.at() <= candidate {
                     continue;
                 }
             }
@@ -247,7 +307,7 @@ impl GradientTrixRule {
                 // Own predecessor missing: fire off the last neighbor.
                 let h_max =
                     h_max_at_exit.expect("deadline exit without H_own requires H_max known");
-                let pulse_local = h_max + kappa * 1.5 + lambda_minus_d;
+                let pulse_local = h_max + kappa_3_2 + lambda_minus_d;
                 Decision {
                     exit: ExitKind::OwnMissing,
                     exit_local,
@@ -284,11 +344,8 @@ impl PulseRule for GradientTrixRule {
         clock: &AffineClock,
     ) -> Option<Time> {
         let own_local = own.map(|t| clock.local_at(t));
-        let neighbor_locals: Vec<Option<LocalTime>> = neighbors
-            .iter()
-            .map(|t| t.map(|t| clock.local_at(t)))
-            .collect();
-        let decision = self.decide(own_local, &neighbor_locals)?;
+        let neighbor_locals = neighbors.iter().map(|t| t.map(|t| clock.local_at(t)));
+        let decision = self.decide_from(own_local, neighbor_locals)?;
         if decision.exit == ExitKind::Starved {
             return None;
         }

@@ -1,13 +1,173 @@
 //! Property tests for the decision procedure beyond the root-level suite:
-//! discretization quality, robust-rule reduction, and decision
-//! monotonicity.
+//! discretization quality, robust-rule reduction, decision monotonicity,
+//! and bit equality with a reference implementation of the receive loop.
 
 use proptest::prelude::*;
-use trix_core::{discrete_delta, GradientTrixRule, Params, RobustRule, SimplifiedRule};
-use trix_time::{Duration, LocalTime};
+use trix_core::{
+    correction, discrete_delta, Decision, ExitKind, GradientTrixRule, Params, RobustRule,
+    SimplifiedRule,
+};
+use trix_sim::PulseRule;
+use trix_time::{AffineClock, Clock, Duration, LocalTime, Time};
+use trix_topology::NodeId;
 
 fn params() -> Params {
     Params::with_standard_lambda(Duration::from(2000.0), Duration::from(1.0), 1.0001)
+}
+
+/// Reference Algorithm 3 decision: the receive loop as first written,
+/// collecting the receptions into a `Vec` and ordering them with the
+/// standard library's stable sort. `GradientTrixRule::decide` sorts in a
+/// stack buffer instead and must agree with this bit for bit.
+fn reference_decide(
+    rule: &GradientTrixRule,
+    own: Option<LocalTime>,
+    neighbors: &[Option<LocalTime>],
+) -> Option<Decision> {
+    let params = rule.params();
+    let kappa = params.kappa();
+    let lambda_minus_d = params.lambda() - params.d();
+    let theta_kappa = params.theta_kappa();
+
+    // Sweep reception events in local-time order.
+    #[derive(Clone, Copy)]
+    enum Ev {
+        Own(LocalTime),
+        Neighbor(LocalTime),
+    }
+    let mut events: Vec<Ev> = Vec::with_capacity(1 + neighbors.len());
+    if let Some(h) = own {
+        events.push(Ev::Own(h));
+    }
+    for h in neighbors.iter().flatten() {
+        events.push(Ev::Neighbor(*h));
+    }
+    events.sort_by_key(|e| match *e {
+        Ev::Own(h) | Ev::Neighbor(h) => h,
+    });
+
+    let total_neighbors = neighbors.len();
+    let mut h_own: Option<LocalTime> = None;
+    let mut h_min: Option<LocalTime> = None;
+    let mut h_max_running: Option<LocalTime> = None;
+    let mut heard_neighbors = 0usize;
+
+    let mut exit: Option<(LocalTime, Option<LocalTime>, Option<LocalTime>)> = None;
+    for idx in 0..events.len() {
+        let event_local = match events[idx] {
+            Ev::Own(h) => {
+                h_own = Some(h);
+                h
+            }
+            Ev::Neighbor(h) => {
+                heard_neighbors += 1;
+                if h_min.is_none() {
+                    h_min = Some(h);
+                }
+                h_max_running = Some(h_max_running.map_or(h, |m: LocalTime| m.max(h)));
+                h
+            }
+        };
+        let Some(hmin) = h_min else { continue };
+        let h_max_known = if heard_neighbors == total_neighbors {
+            h_max_running
+        } else {
+            None
+        };
+        let term1 = h_max_known.map(|m| m + kappa * 1.5 + theta_kappa);
+        let wait_window = (2.0 * rule.skew_estimate() + params.u()) * params.theta();
+        let term2 = h_own.map(|o| o.max(hmin) + wait_window + kappa * 2.0);
+        let threshold = match (term1, term2) {
+            (Some(a), Some(b)) => a.min(b),
+            (Some(a), None) => a,
+            (None, Some(b)) => b,
+            (None, None) => continue,
+        };
+        let candidate = event_local.max(threshold);
+        // If another reception happens before (or exactly at) the
+        // candidate exit time, process it first — it may change the
+        // snapshot the decision is based on.
+        if let Some(next) = events.get(idx + 1) {
+            let next_local = match *next {
+                Ev::Own(h) | Ev::Neighbor(h) => h,
+            };
+            if next_local <= candidate {
+                continue;
+            }
+        }
+        exit = Some((candidate, h_own, h_max_known));
+        break;
+    }
+
+    let Some((exit_local, own_at_exit, h_max_at_exit)) = exit else {
+        return Some(Decision {
+            exit: ExitKind::Starved,
+            exit_local: LocalTime::INFINITY,
+            correction: None,
+            pulse_local: LocalTime::INFINITY,
+        });
+    };
+    let h_min = h_min.expect("exit requires at least one neighbor heard");
+
+    let decision = match own_at_exit {
+        None => {
+            // Own predecessor missing: fire off the last neighbor.
+            let h_max = h_max_at_exit.expect("deadline exit without H_own requires H_max known");
+            let pulse_local = h_max + kappa * 1.5 + lambda_minus_d;
+            Decision {
+                exit: ExitKind::OwnMissing,
+                exit_local,
+                correction: None,
+                pulse_local: pulse_local.max(exit_local),
+            }
+        }
+        Some(h_own) => {
+            let c = correction(params, h_own, h_min, h_max_at_exit, rule.config());
+            let pulse_local = h_own + lambda_minus_d - c;
+            Decision {
+                exit: if h_max_at_exit.is_some() {
+                    ExitKind::Complete
+                } else {
+                    ExitKind::NeighborMissing
+                },
+                exit_local,
+                correction: Some(c),
+                pulse_local: pulse_local.max(exit_local),
+            }
+        }
+    };
+    Some(decision)
+}
+
+/// Every field of a decision, floats by their bits.
+fn decision_bits(d: Option<Decision>) -> Option<(ExitKind, u64, Option<u64>, u64)> {
+    d.map(|d| {
+        (
+            d.exit,
+            d.exit_local.as_f64().to_bits(),
+            d.correction.map(|c| c.as_f64().to_bits()),
+            d.pulse_local.as_f64().to_bits(),
+        )
+    })
+}
+
+/// `PulseRule::pulse_time` computed through the reference decision.
+fn reference_pulse_time(
+    rule: &GradientTrixRule,
+    own: Option<Time>,
+    neighbors: &[Option<Time>],
+    clock: &AffineClock,
+) -> Option<Time> {
+    let own_local = own.map(|t| clock.local_at(t));
+    let neighbor_locals: Vec<Option<LocalTime>> = neighbors
+        .iter()
+        .map(|t| t.map(|t| clock.local_at(t)))
+        .collect();
+    let decision = reference_decide(rule, own_local, &neighbor_locals)?;
+    if decision.exit == ExitKind::Starved {
+        return None;
+    }
+    Some(clock.real_at(decision.pulse_local))
 }
 
 proptest! {
@@ -109,5 +269,60 @@ proptest! {
             .pulse_local;
         prop_assert!(after >= before - Duration::from(1e-9),
             "own later by {} but pulse moved from {:?} to {:?}", bump, before, after);
+    }
+
+    /// The stack-buffered decision agrees bit for bit with the reference
+    /// on every prefix of an arrival set of up to 20 neighbors, so each
+    /// case crosses the inline capacity. Times sit on a κ/4 lattice (at
+    /// four random origins, which vary the rounding), so own/neighbor and
+    /// neighbor/neighbor ties occur; the own reception may also come
+    /// after every deadline; up to three neighbor slots are missing.
+    /// `pulse_time` agrees too, under a random affine clock.
+    #[test]
+    fn decide_matches_the_reference_bit_for_bit(
+        own in proptest::option::of(0u32..96),
+        times in proptest::collection::vec(0u32..48, 0..=20),
+        holes in proptest::collection::vec(0usize..20, 0..4),
+        origins in proptest::collection::vec(-1e4f64..1e4, 4),
+        estimate_quarters in 1u32..64,
+        rate in 1.0f64..1.0001,
+        offset in -1e3f64..1e3,
+    ) {
+        let p = params();
+        let quarter = p.kappa().as_f64() / 4.0;
+        let clock = AffineClock::with_rate_and_offset(rate, offset);
+        let slots: Vec<Option<u32>> = times
+            .iter()
+            .enumerate()
+            .map(|(i, &q)| (!holes.contains(&i)).then_some(q))
+            .collect();
+        let rules = [
+            GradientTrixRule::new(p),
+            GradientTrixRule::new(p)
+                .with_skew_estimate(Duration::from(estimate_quarters as f64 * quarter)),
+        ];
+        for (origin, rule) in origins.iter().flat_map(|o| rules.iter().map(move |r| (o, r))) {
+            let at = |q: u32| origin + q as f64 * quarter;
+            let own_local = own.map(|q| LocalTime::from(at(q)));
+            let own_real = own.map(|q| Time::from(at(q)));
+            let locals: Vec<Option<LocalTime>> =
+                slots.iter().map(|s| s.map(|q| LocalTime::from(at(q)))).collect();
+            let reals: Vec<Option<Time>> =
+                slots.iter().map(|s| s.map(|q| Time::from(at(q)))).collect();
+            for n in 0..=slots.len() {
+                prop_assert_eq!(
+                    decision_bits(rule.decide(own_local, &locals[..n])),
+                    decision_bits(reference_decide(rule, own_local, &locals[..n])),
+                    "own {:?}, neighbors {:?}", own, &slots[..n]
+                );
+                prop_assert_eq!(
+                    rule.pulse_time(NodeId::new(0, 1), 0, own_real, &reals[..n], &clock)
+                        .map(|t| t.as_f64().to_bits()),
+                    reference_pulse_time(rule, own_real, &reals[..n], &clock)
+                        .map(|t| t.as_f64().to_bits()),
+                    "own {:?}, neighbors {:?}, clock {:?}", own, &slots[..n], clock
+                );
+            }
+        }
     }
 }

@@ -22,7 +22,7 @@
 use crate::streaming::{Histogram, RunningStat};
 use trix_sim::Observer;
 use trix_time::Time;
-use trix_topology::{LayeredGraph, NodeId};
+use trix_topology::{CsrGraph, LayeredGraph, NodeId};
 
 /// Plain-data snapshot of a completed [`FaultClassSkew`] run: one
 /// max/mean/sample-count triple per fault class.
@@ -82,7 +82,11 @@ impl FaultClassStats {
 /// healthy and the healthy aggregate equals the plain intra-layer fold.
 #[derive(Clone, Debug)]
 pub struct FaultClassSkew {
-    g: LayeredGraph,
+    /// The base graph's adjacency (not `BaseGraph`'s distance matrix,
+    /// which the monitor never reads).
+    base: CsrGraph,
+    width: usize,
+    layer_count: usize,
     faulty: Vec<bool>,
     frontier: Vec<bool>,
     /// Pulse `cur_k` front, filling in.
@@ -106,7 +110,9 @@ impl FaultClassSkew {
         let n = g.node_count();
         let hist = Histogram::new(bin_width, bin_count);
         Self {
-            g: g.clone(),
+            base: g.base().csr().clone(),
+            width: g.width(),
+            layer_count: g.layer_count(),
             faulty: vec![false; n],
             frontier: vec![false; n],
             cur: vec![None; n],
@@ -120,19 +126,17 @@ impl FaultClassSkew {
 
     #[inline]
     fn index(&self, n: NodeId) -> usize {
-        n.layer as usize * self.g.width() + n.v as usize
+        n.layer as usize * self.width + n.v as usize
     }
 
     /// Finalizes the in-progress pulse: per layer, folds every intra
     /// edge's skew into its class's per-pulse maximum, then records.
     fn advance(&mut self) {
-        let g = &self.g;
-        let w = g.width();
         let mut frontier_max: Option<f64> = None;
         let mut healthy_max: Option<f64> = None;
-        for layer in 0..g.layer_count() {
-            let row = layer * w;
-            for (a, b) in g.base().edges() {
+        for layer in 0..self.layer_count {
+            let row = layer * self.width;
+            for (a, b) in self.base.edges() {
                 let (ia, ib) = (row + a, row + b);
                 if self.faulty[ia] || self.faulty[ib] {
                     continue;
@@ -194,8 +198,8 @@ impl FaultClassSkew {
             "merge requires both monitors to be finished"
         );
         assert_eq!(
-            (self.g.width(), self.g.layer_count()),
-            (other.g.width(), other.g.layer_count()),
+            (self.width, self.layer_count),
+            (other.width, other.layer_count),
             "graph shapes differ"
         );
         self.frontier_intra.merge(&other.frontier_intra);
@@ -229,15 +233,15 @@ impl Observer for FaultClassSkew {
         self.faulty[i] = true;
         self.frontier[i] = true;
         let (v, layer) = (node.v as usize, node.layer as usize);
-        let w = self.g.width();
+        let w = self.width;
         // Same-layer base neighbors border the fault.
-        for &u in self.g.base().neighbors(v) {
+        for &u in self.base.neighbors(v) {
             self.frontier[layer * w + u] = true;
         }
         // Grid successors consume its messages directly.
-        if layer + 1 < self.g.layer_count() {
+        if layer + 1 < self.layer_count {
             self.frontier[(layer + 1) * w + v] = true;
-            for &u in self.g.base().neighbors(v) {
+            for &u in self.base.neighbors(v) {
                 self.frontier[(layer + 1) * w + u] = true;
             }
         }

@@ -20,7 +20,7 @@
 use crate::defs;
 use trix_sim::Observer;
 use trix_time::{Duration, Time};
-use trix_topology::{LayeredGraph, NodeId};
+use trix_topology::{CsrGraph, LayeredGraph, NodeId};
 
 /// A fixed-bin histogram over non-negative samples.
 ///
@@ -252,7 +252,11 @@ impl SkewStats {
 /// `k` when the first `k+1` emission arrives.
 #[derive(Clone, Debug)]
 pub struct StreamingSkew {
-    g: LayeredGraph,
+    /// The base graph's adjacency: the skew folds read only this, the
+    /// width and the layer count, not `BaseGraph`'s distance matrix.
+    base: CsrGraph,
+    width: usize,
+    layer_count: usize,
     faulty: Vec<bool>,
     /// Pulse `cur_k − 1` front (all nodes).
     prev: Vec<Option<Time>>,
@@ -284,7 +288,9 @@ impl StreamingSkew {
         let n = g.node_count();
         let hist = Histogram::new(bin_width, bin_count);
         Self {
-            g: g.clone(),
+            base: g.base().csr().clone(),
+            width: g.width(),
+            layer_count: g.layer_count(),
             faulty: vec![false; n],
             prev: vec![None; n],
             cur: vec![None; n],
@@ -300,16 +306,16 @@ impl StreamingSkew {
 
     #[inline]
     fn index(&self, n: NodeId) -> usize {
-        n.layer as usize * self.g.width() + n.v as usize
+        n.layer as usize * self.width + n.v as usize
     }
 
     fn lookup<'a>(
         row: &'a [Option<Time>],
         faulty: &'a [bool],
-        g: &'a LayeredGraph,
+        width: usize,
     ) -> impl FnMut(NodeId) -> Option<Time> + 'a {
         move |n: NodeId| {
-            let i = n.layer as usize * g.width() + n.v as usize;
+            let i = n.layer as usize * width + n.v as usize;
             if faulty[i] {
                 None
             } else {
@@ -321,18 +327,16 @@ impl StreamingSkew {
     /// Finalizes the in-progress pulse: folds its per-pulse maxima into
     /// the running statistics and rotates the fronts.
     fn advance(&mut self) {
-        let g = &self.g;
+        let (base, width) = (&self.base, self.width);
+        let cur = || Self::lookup(&self.cur, &self.faulty, width);
         // Intra-layer: per-pulse maximum of L_ℓ over all layers.
         let mut intra: Option<Duration> = None;
         let mut global: Option<Duration> = None;
-        for layer in 0..g.layer_count() {
-            if let Some(s) =
-                defs::worst_intra_layer(g, layer, Self::lookup(&self.cur, &self.faulty, g))
-            {
+        for layer in 0..self.layer_count {
+            if let Some(s) = defs::worst_intra_layer(base, layer, cur()) {
                 intra = Some(intra.map_or(s, |w| w.max(s)));
             }
-            if let Some(s) = defs::layer_spread(g, layer, Self::lookup(&self.cur, &self.faulty, g))
-            {
+            if let Some(s) = defs::layer_spread(width, layer, cur()) {
                 global = Some(global.map_or(s, |w| w.max(s)));
             }
         }
@@ -346,12 +350,13 @@ impl StreamingSkew {
         // — `cur` holds the upper (k+1) times, `prev` the lower (k) ones.
         if self.cur_k > 0 {
             let mut inter: Option<Duration> = None;
-            for layer in 0..g.layer_count() {
+            for layer in 0..self.layer_count {
                 if let Some(s) = defs::worst_inter_layer(
-                    g,
+                    base,
+                    self.layer_count,
                     layer,
-                    Self::lookup(&self.cur, &self.faulty, g),
-                    Self::lookup(&self.prev, &self.faulty, g),
+                    cur(),
+                    Self::lookup(&self.prev, &self.faulty, width),
                 ) {
                     inter = Some(inter.map_or(s, |w| w.max(s)));
                 }
@@ -442,8 +447,8 @@ impl StreamingSkew {
             "merge requires both monitors to be finished"
         );
         assert_eq!(
-            (self.g.width(), self.g.layer_count()),
-            (other.g.width(), other.g.layer_count()),
+            (self.width, self.layer_count),
+            (other.width, other.layer_count),
             "graph shapes differ"
         );
         self.pulses += other.pulses;
@@ -505,12 +510,12 @@ impl Observer for StreamingSkew {
         }
         debug_assert!(!self.finished, "pulse after finish()");
         debug_assert!(k >= self.cur_k, "pulse emissions must be pulse-major");
-        debug_assert_eq!(row.len(), self.g.width(), "row is one full layer");
+        debug_assert_eq!(row.len(), self.width, "row is one full layer");
         while k > self.cur_k {
             self.advance();
         }
-        let base = layer as usize * self.g.width();
-        for (slot, t) in self.cur[base..base + row.len()].iter_mut().zip(row) {
+        let start = layer as usize * self.width;
+        for (slot, t) in self.cur[start..start + row.len()].iter_mut().zip(row) {
             if t.is_some() {
                 *slot = *t;
             }

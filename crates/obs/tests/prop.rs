@@ -152,10 +152,10 @@ fn batch_fold(g: &LayeredGraph, trace: &PulseTrace, pulses: usize) -> Batch {
         let mut intra: Option<Duration> = None;
         let mut global: Option<Duration> = None;
         for layer in 0..g.layer_count() {
-            if let Some(s) = defs::worst_intra_layer(g, layer, look(k)) {
+            if let Some(s) = defs::worst_intra_layer(g.base().csr(), layer, look(k)) {
                 intra = Some(intra.map_or(s, |w| w.max(s)));
             }
-            if let Some(s) = defs::layer_spread(g, layer, look(k)) {
+            if let Some(s) = defs::layer_spread(g.width(), layer, look(k)) {
                 global = Some(global.map_or(s, |w| w.max(s)));
             }
         }
@@ -169,7 +169,13 @@ fn batch_fold(g: &LayeredGraph, trace: &PulseTrace, pulses: usize) -> Batch {
         }
         if k + 1 < pulses {
             for layer in 0..g.layer_count() {
-                if let Some(s) = defs::worst_inter_layer(g, layer, look(k + 1), look(k)) {
+                if let Some(s) = defs::worst_inter_layer(
+                    g.base().csr(),
+                    g.layer_count(),
+                    layer,
+                    look(k + 1),
+                    look(k),
+                ) {
                     out.max_inter = out.max_inter.max(s);
                 }
             }
