@@ -11,8 +11,8 @@ use trix_core::{
 };
 use trix_obs::{DesSkew, PodSketch, StreamingSkew};
 use trix_sim::{
-    run_dataflow, run_dataflow_barrier, run_dataflow_observed, run_dataflow_parallel, CorrectSends,
-    Environment, EventQueue, NullObserver, Rng, StaticEnvironment,
+    run_dataflow, run_dataflow_observed, run_dataflow_parallel, CorrectSends, EventQueue,
+    NullObserver, Rng, StaticEnvironment,
 };
 use trix_time::{Duration, LocalTime, Time};
 use trix_topology::{BaseGraph, LayeredGraph};
@@ -317,18 +317,14 @@ fn bench_sketch_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-/// The intra-scenario parallel dataflow engines vs the serial streaming
+/// The intra-scenario parallel dataflow engine vs the serial streaming
 /// driver, on an `exp_scale`-shaped workload (square grid, streaming
-/// skew monitor, no trace): `serial` is `run_dataflow_observed`,
+/// skew monitor, no trace): `serial` is `run_dataflow_observed` and
 /// `frontier_N` is `run_dataflow_parallel` (the barrier-free frontier
-/// scheduler) with `N` fixed-chunk workers, and `barrier_N` is the
-/// superseded two-`Barrier`-per-layer baseline (`run_dataflow_barrier`)
-/// at the same worker counts. Outputs are bit-identical by construction
-/// (pinned by `crates/sim/tests/prop.rs`); only wall time may differ.
-/// On single-core hosts the threaded rows measure each engine's
-/// synchronization overhead (condvar publications vs 2·layers·pulses
-/// barrier rounds) rather than speedup — README §Parallel execution
-/// engine records both readings.
+/// scheduler) with `N` fixed-chunk workers. Outputs are bit-identical
+/// by construction (pinned by `crates/sim/tests/prop.rs`); only wall
+/// time may differ — README §Parallel execution engine records the
+/// readings.
 fn bench_dataflow_parallel(c: &mut Criterion) {
     let p = params();
     let width = 192;
@@ -341,53 +337,6 @@ fn bench_dataflow_parallel(c: &mut Criterion) {
     let mut group = c.benchmark_group("dataflow_parallel");
     group.sample_size(10);
     group.throughput(Throughput::Elements((g.node_count() * pulses) as u64));
-    group.bench_function("legacy_loop", |b| {
-        // The pre-CSR serial inner loop, kept as the measured baseline:
-        // re-derives `own_in_edge`/`neighbor_in_edge` and re-pushes the
-        // neighbor-arrival vector per node, and snapshots the clock per
-        // (node, pulse) instead of using the pulse-invariant cache.
-        b.iter(|| {
-            let mut skew = StreamingSkew::new(&g);
-            let mut prev: Vec<Option<Time>> = vec![None; g.width()];
-            let mut cur: Vec<Option<Time>> = vec![None; g.width()];
-            let mut neighbor_arrivals: Vec<Option<Time>> = Vec::new();
-            for k in 0..pulses {
-                for (v, slot) in prev.iter_mut().enumerate() {
-                    let t = trix_sim::Layer0Source::pulse_time(&layer0, k, v);
-                    *slot = Some(t);
-                    trix_sim::Observer::on_pulse(&mut skew, k, g.node(v, 0), t);
-                }
-                for layer in 1..g.layer_count() {
-                    for w in 0..g.width() {
-                        let target = g.node(w, layer);
-                        let own = prev[w].map(|t| t + env.delay(k, g.own_in_edge(target)));
-                        neighbor_arrivals.clear();
-                        for (slot, &x) in g.base().neighbors(w).iter().enumerate() {
-                            let arrival =
-                                prev[x].map(|t| t + env.delay(k, g.neighbor_in_edge(target, slot)));
-                            neighbor_arrivals.push(arrival);
-                        }
-                        let clock = env.clock(k, target);
-                        let t = trix_sim::PulseRule::pulse_time(
-                            &rule,
-                            target,
-                            k,
-                            own,
-                            &neighbor_arrivals,
-                            &clock,
-                        );
-                        cur[w] = t;
-                        if let Some(t) = t {
-                            trix_sim::Observer::on_pulse(&mut skew, k, target, t);
-                        }
-                    }
-                    std::mem::swap(&mut prev, &mut cur);
-                }
-            }
-            skew.finish();
-            black_box(skew.full_local_skew())
-        })
-    });
     group.bench_function("serial", |b| {
         b.iter(|| {
             let mut skew = StreamingSkew::new(&g);
@@ -401,23 +350,6 @@ fn bench_dataflow_parallel(c: &mut Criterion) {
             b.iter(|| {
                 let mut skew = StreamingSkew::new(&g);
                 run_dataflow_parallel(
-                    &g,
-                    &env,
-                    &layer0,
-                    &rule,
-                    &CorrectSends,
-                    pulses,
-                    threads,
-                    &mut skew,
-                );
-                skew.finish();
-                black_box(skew.full_local_skew())
-            })
-        });
-        group.bench_function(&format!("barrier_{threads}"), |b| {
-            b.iter(|| {
-                let mut skew = StreamingSkew::new(&g);
-                run_dataflow_barrier(
                     &g,
                     &env,
                     &layer0,

@@ -9,7 +9,6 @@
 //!                           [--out DIR] [--threads N] [--sim-threads M]
 //!                           [--seed S] [--json PATH] [--only EXPERIMENT]
 //!                           [--canonical] [--sketch-rank R]
-//!                           [--sketch-pipeline]
 //! ```
 //!
 //! * `--quick` runs reduced sizes (seconds instead of minutes); `--smoke`
@@ -36,16 +35,11 @@
 //!   skew statistics computed by `trix_obs::StreamingSkew` in `O(nodes)`
 //!   memory, recorded into the v2 benchmark JSON (`skew` objects).
 //! * `--only EXPERIMENT` restricts the sweep to one experiment's
-//!   scenarios (e.g. `--only exp_scale` for the CI scale gate).
+//!   scenarios (e.g. `--only exp_modes`).
 //! * `--sketch-rank R` overrides the POD-sketch rank of every
 //!   `exp_modes` point (default: the per-point rank axis, r ∈ {4, 16}).
 //!   Like the thread knobs it is workload-visible only inside
 //!   `exp_modes` — no other experiment consumes it.
-//! * `--sketch-pipeline` runs every `exp_modes` sketch on a dedicated
-//!   worker thread (`trix_obs::PipelinedSketch`) so the POD arithmetic
-//!   overlaps the simulation. Like the thread knobs it never changes
-//!   results — the worker replays the exact serial row stream — and CI
-//!   `cmp`s the canonical `BENCH_exp_modes.json` with it on and off.
 //! * `--canonical` zeroes the volatile wall-time fields in every written
 //!   JSON report, making files byte-comparable across runs and thread
 //!   counts.
@@ -57,7 +51,7 @@
 //! (naming the experiment), or `2` on CLI misuse.
 
 use std::process::ExitCode;
-use trix_bench::{all_scenarios_with_sketch_opts, suite, Scale, TraceMode};
+use trix_bench::{all_scenarios_with_sketch_rank, suite, Scale, TraceMode};
 
 struct Args {
     scale: Scale,
@@ -71,13 +65,11 @@ struct Args {
     only: Option<String>,
     canonical: bool,
     sketch_rank: Option<usize>,
-    sketch_pipeline: bool,
 }
 
 const USAGE: &str = "usage: gradient-trix-experiments [--quick | --smoke] [--no-trace] [--csv] \
                      [--out DIR] [--threads N] [--sim-threads M] [--seed S] \
-                     [--json PATH] [--only EXPERIMENT] [--canonical] [--sketch-rank R] \
-                     [--sketch-pipeline]";
+                     [--json PATH] [--only EXPERIMENT] [--canonical] [--sketch-rank R]";
 
 fn parse_args(args: &[String]) -> Result<Args, String> {
     let mut parsed = Args {
@@ -92,7 +84,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         only: None,
         canonical: false,
         sketch_rank: None,
-        sketch_pipeline: false,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -136,7 +127,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                 }
                 parsed.sketch_rank = Some(rank);
             }
-            "--sketch-pipeline" => parsed.sketch_pipeline = true,
             other => return Err(format!("unknown argument: {other}")),
         }
     }
@@ -193,13 +183,12 @@ fn main() -> ExitCode {
     let (threads, sim_threads) = trix_runner::resolve_thread_split(args.threads, args.sim_threads);
 
     let start = std::time::Instant::now();
-    let mut scenarios = all_scenarios_with_sketch_opts(
+    let mut scenarios = all_scenarios_with_sketch_rank(
         args.scale,
         args.seed,
         args.mode,
         sim_threads,
         args.sketch_rank,
-        args.sketch_pipeline,
     );
     if let Some(only) = &args.only {
         scenarios.retain(|s| s.experiment() == only);

@@ -27,8 +27,9 @@
 //! Each benchmark record is stamped with its churn descriptor (`churn`
 //! field, schema v8) — and, on the torus leg, its topology descriptor —
 //! so `BENCH_exp_churn.json` tracks the membership axis the way
-//! `BENCH_exp_fault_sweep.json` tracks the adversary axis. CI pins the
-//! file byte-identical across `--threads` and `--sim-threads` values.
+//! `BENCH_exp_fault_sweep.json` tracks the adversary axis.
+//! `tests/parallel_determinism.rs` pins the file byte-identical across
+//! `--threads` and `--sim-threads` values.
 
 use crate::common::{grid, merge_snapshots, standard_params, streaming_monitor};
 use crate::suite::{kv, Scenario, ScenarioResult};

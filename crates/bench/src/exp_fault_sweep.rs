@@ -27,8 +27,8 @@
 //! Each benchmark record is stamped with its campaign descriptor
 //! (`campaign` field, schema v4), so `BENCH_exp_fault_sweep.json`
 //! tracks the adversary axis the same way `BENCH_exp_scale.json` tracks
-//! the size axis. CI pins the file byte-identical across `--threads`
-//! and `--sim-threads` values.
+//! the size axis. `tests/parallel_determinism.rs` pins the file
+//! byte-identical across `--threads` and `--sim-threads` values.
 
 use crate::common::{grid, merge_snapshots, standard_params, streaming_monitor};
 use crate::suite::{kv, Scenario, ScenarioResult};

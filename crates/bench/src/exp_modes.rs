@@ -20,10 +20,12 @@
 //!
 //! Streaming-only in both trace modes (like `exp_scale`); each record
 //! ships its first seed's compressed sketch (basis + spectrum + error
-//! certificate) as the schema-v7 `sketch` object, and CI pins
-//! `BENCH_exp_modes.json` byte-identical across `--threads` and
-//! `--sim-threads` values — regression-diffing covers the actual
-//! dynamics, not just summary stats.
+//! certificate) as the schema-v7 `sketch` object, and
+//! `tests/parallel_determinism.rs` pins the canonical records
+//! byte-identical across `--threads` and `--sim-threads` values —
+//! regression-diffing covers the actual dynamics, not just summary
+//! stats. The sketch arithmetic runs on a [`PipelinedSketch`] worker
+//! thread, off the simulation's critical path.
 
 use crate::common::{
     grid, merge_snapshots, run_gradient_trix_streaming, run_gradient_trix_streaming_graph,
@@ -147,8 +149,7 @@ impl SweepPoint {
 
 /// Drives one point's workload once, streaming into `obs` — the single
 /// place the `(workload → engine, send model)` dispatch lives, so the
-/// sketch pass, the pipelined sketch pass, and the mode-probe pass all
-/// construct the identical run.
+/// sketch pass and the mode-probe pass construct the identical run.
 fn drive(
     point: &SweepPoint,
     g: &LayeredGraph,
@@ -195,29 +196,24 @@ fn drive(
     }
 }
 
-/// Runs both passes of one seed: sketch-building pass (inline or on the
-/// [`PipelinedSketch`] worker — bit-identical by contract, which the
-/// tests and the CI `cmp` gate verify), then the mode-probe measurement
-/// pass over the identical stream.
+/// Runs both passes of one seed: the sketch-building pass, with the
+/// sketch on the [`PipelinedSketch`] worker (bit-identical to an inline
+/// sketch by construction), then the mode-probe measurement pass over
+/// the identical stream.
 fn run_seed(
     point: &SweepPoint,
     g: &LayeredGraph,
     seed: u64,
     sim_threads: usize,
-    pipeline: bool,
 ) -> (SkewStats, PodSnapshot, ModeReport) {
     let p = standard_params();
     let mut skew = streaming_monitor(g, &p);
-    let mut sketch = if pipeline {
-        let piped = PipelinedSketch::spawn(PodSketch::new(g, point.rank));
-        let mut obs = (&mut skew, piped);
-        drive(point, g, seed, sim_threads, &mut obs);
-        obs.1.join()
-    } else {
-        let mut sketch = PodSketch::new(g, point.rank);
-        drive(point, g, seed, sim_threads, &mut (&mut skew, &mut sketch));
-        sketch
-    };
+    let mut obs = (
+        &mut skew,
+        PipelinedSketch::spawn(PodSketch::new(g, point.rank)),
+    );
+    drive(point, g, seed, sim_threads, &mut obs);
+    let mut sketch = obs.1.join();
     skew.finish();
     sketch.finish();
     let snap = sketch.snapshot();
@@ -247,21 +243,14 @@ const HEADERS: [&str; 12] = [
 
 /// Runs one sweep point: per seed, the two-pass sketch/probe workload
 /// with the `measured ≤ certified` oracle; the record ships the first
-/// seed's compressed sketch and its measured error. `pipeline` moves
-/// the sketch onto the [`PipelinedSketch`] worker — results are
-/// bit-identical either way (the CI gate `cmp`s the canonical JSON).
-pub fn run(
-    point: &SweepPoint,
-    seeds: &[u64],
-    sim_threads: usize,
-    pipeline: bool,
-) -> ScenarioResult {
+/// seed's compressed sketch and its measured error.
+pub fn run(point: &SweepPoint, seeds: &[u64], sim_threads: usize) -> ScenarioResult {
     let g = point.layered();
     let mut violations = Vec::new();
     let mut snaps: Vec<SkewStats> = Vec::new();
     let mut first: Option<(PodSnapshot, ModeReport)> = None;
     for &seed in seeds {
-        let (skew, snap, report) = run_seed(point, &g, seed, sim_threads, pipeline);
+        let (skew, snap, report) = run_seed(point, &g, seed, sim_threads);
         if report.rows != snap.rows {
             violations.push(format!(
                 "seed {seed}: probe consumed {} rows but the sketch folded {}",
@@ -374,16 +363,12 @@ pub fn points(scale: Scale, rank_override: Option<usize>) -> Vec<SweepPoint> {
 /// Streaming-only by construction, so the decomposition is identical in
 /// both trace modes; wave points stamp their campaign descriptor and
 /// family points their topology descriptor, and every point threads
-/// `--sim-threads` into the dataflow driver. `pipeline` (the
-/// `--sketch-pipeline` CLI knob) runs every point's sketch on the
-/// dedicated worker; it is deliberately *not* a record param, because
-/// the records must be byte-identical with it on or off.
+/// `--sim-threads` into the dataflow driver.
 pub fn scenarios(
     scale: Scale,
     base_seed: u64,
     sim_threads: usize,
     rank_override: Option<usize>,
-    pipeline: bool,
 ) -> Vec<Scenario> {
     points(scale, rank_override)
         .into_iter()
@@ -403,7 +388,7 @@ pub fn scenarios(
                     kv("pulses", point.pulses),
                 ],
                 &seeds,
-                move || run(&point, &job_seeds, sim_threads, pipeline),
+                move || run(&point, &job_seeds, sim_threads),
             )
             .with_sim_threads(sim_threads);
             match point.workload {
@@ -443,7 +428,7 @@ mod tests {
     #[test]
     fn every_smoke_point_passes_the_certificate_oracle() {
         for point in points(Scale::Smoke, None) {
-            let result = run(&point, &[3], 1, false);
+            let result = run(&point, &[3], 1);
             assert!(
                 result.violations.is_empty(),
                 "{}: {:?}",
@@ -461,7 +446,7 @@ mod tests {
 
     /// The sketch — not just the skew stats — is bit-identical for every
     /// `--sim-threads` value: the schema-v7 leg of the determinism
-    /// contract CI pins via canonical-JSON `cmp`.
+    /// contract `tests/parallel_determinism.rs` pins suite-wide.
     #[test]
     fn sim_threads_do_not_change_the_sketch() {
         for point in [
@@ -469,9 +454,9 @@ mod tests {
             points(Scale::Smoke, None)[2],
             points(Scale::Smoke, None)[3],
         ] {
-            let serial = run(&point, &[5, 6], 1, false);
+            let serial = run(&point, &[5, 6], 1);
             for sim_threads in [2, 4] {
-                let sharded = run(&point, &[5, 6], sim_threads, false);
+                let sharded = run(&point, &[5, 6], sim_threads);
                 assert_eq!(
                     serial.sketch,
                     sharded.sketch,
@@ -504,39 +489,8 @@ mod tests {
         for point in points(Scale::Smoke, Some(7)) {
             assert_eq!(point.rank, 7);
         }
-        for s in scenarios(Scale::Smoke, 0, 1, None, false) {
+        for s in scenarios(Scale::Smoke, 0, 1, None) {
             assert_eq!(s.experiment(), "exp_modes");
-        }
-    }
-
-    /// Handing the sketch to the [`PipelinedSketch`] worker changes
-    /// nothing in the results — sketch, skew, table, all bit-identical —
-    /// for serial and sharded engines alike. This is the in-repo leg of
-    /// the CI gate that `cmp`s canonical `BENCH_exp_modes.json` with
-    /// `--sketch-pipeline` on vs. off.
-    #[test]
-    fn sketch_pipelining_does_not_change_the_record() {
-        for point in [
-            points(Scale::Smoke, None)[1], // grid r=16: heaviest sketch
-            points(Scale::Smoke, None)[2], // wave: faulty positions ride along
-            points(Scale::Smoke, None)[4], // supernode: graph-family leg
-        ] {
-            for sim_threads in [1, 2] {
-                let inline = run(&point, &[5, 6], sim_threads, false);
-                let piped = run(&point, &[5, 6], sim_threads, true);
-                assert_eq!(
-                    inline.sketch,
-                    piped.sketch,
-                    "{} sim_threads = {sim_threads}",
-                    point.label()
-                );
-                assert_eq!(inline.skew, piped.skew);
-                assert_eq!(
-                    crate::suite::table_fingerprint(&inline.table),
-                    crate::suite::table_fingerprint(&piped.table)
-                );
-                assert!(inline.violations.is_empty() && piped.violations.is_empty());
-            }
         }
     }
 

@@ -18,8 +18,8 @@
 //!
 //! The streaming statistics land in the scenario's benchmark record
 //! (`skew` object, schema v2), so `BENCH_exp_scale.json` tracks the
-//! scaling trajectory; CI pins its byte-identity across `--threads`
-//! values.
+//! scaling trajectory; `tests/parallel_determinism.rs` pins its
+//! byte-identity across `--threads` and `--sim-threads` values.
 
 use crate::common::{streaming_grid, streaming_skew_result_observed};
 use crate::suite::{kv, Scenario, ScenarioResult};

@@ -21,11 +21,11 @@
 //!
 //! Streaming-only in both trace modes (like `exp_scale` and
 //! `exp_fault_sweep`); each benchmark record is stamped with its
-//! versioned topology descriptor (`topology` field, schema v6), and CI
-//! pins `BENCH_exp_topology.json` byte-identical across `--threads` and
-//! `--sim-threads` values. `tests/streaming_equivalence.rs` replays the
-//! records through the full-trace path via [`point_from_params`] and
-//! [`layered`].
+//! versioned topology descriptor (`topology` field, schema v6), and
+//! `tests/parallel_determinism.rs` pins `BENCH_exp_topology.json`
+//! byte-identical across `--threads` and `--sim-threads` values.
+//! `tests/streaming_equivalence.rs` replays the records through the
+//! full-trace path via [`point_from_params`] and [`layered`].
 
 use crate::common::{
     merge_snapshots, run_gradient_trix_streaming_graph, standard_params, streaming_monitor,

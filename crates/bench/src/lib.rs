@@ -138,24 +138,6 @@ pub fn all_scenarios_with_sketch_rank(
     sim_threads: usize,
     sketch_rank: Option<usize>,
 ) -> Vec<Scenario> {
-    all_scenarios_with_sketch_opts(scale, base_seed, mode, sim_threads, sketch_rank, false)
-}
-
-/// [`all_scenarios_with_sketch_rank`] plus the `--sketch-pipeline`
-/// knob: `sketch_pipeline` runs every `exp_modes` sketch on the
-/// dedicated [`trix_obs::PipelinedSketch`] worker instead of inline on
-/// the observer thread. Results are byte-identical either way — the
-/// worker replays the exact serial row stream — so, like `sim_threads`,
-/// the knob only trades wall time (CI `cmp`s the canonical JSON with it
-/// on and off).
-pub fn all_scenarios_with_sketch_opts(
-    scale: Scale,
-    base_seed: u64,
-    mode: TraceMode,
-    sim_threads: usize,
-    sketch_rank: Option<usize>,
-    sketch_pipeline: bool,
-) -> Vec<Scenario> {
     let mut scenarios = Vec::new();
     if mode == TraceMode::NoTrace {
         // Streaming twins: every experiment contributes its grid
@@ -204,7 +186,6 @@ pub fn all_scenarios_with_sketch_opts(
             base_seed,
             sim_threads,
             sketch_rank,
-            sketch_pipeline,
         ));
         // §23 Open-world churn sweep (streaming-only in both modes).
         scenarios.extend(exp_churn::scenarios(scale, base_seed, sim_threads));
@@ -258,7 +239,6 @@ pub fn all_scenarios_with_sketch_opts(
         base_seed,
         sim_threads,
         sketch_rank,
-        sketch_pipeline,
     ));
     // §23 Open-world churn sweep (streaming-only in both modes).
     scenarios.extend(exp_churn::scenarios(scale, base_seed, sim_threads));

@@ -14,8 +14,8 @@
 //! Membership is a pure function of `(seed, node, pulse)` plus the
 //! campaign's construction inputs — per-pulse flicker gating uses
 //! counter-based SplitMix64 hashing, never a mutable RNG — so a
-//! churn-driven run is bit-identical across the serial, barrier, and
-//! frontier drivers for every thread count, exactly like a fault
+//! churn-driven run is bit-identical across the serial and frontier
+//! drivers for every thread count, exactly like a fault
 //! campaign (pinned by the churn property tests in
 //! `crates/faults/tests/prop.rs` and the root `tests/determinism.rs`).
 //!

@@ -7,8 +7,8 @@ use trix_faults::{
     FaultSchedule,
 };
 use trix_sim::{
-    run_dataflow_barrier, run_dataflow_observed, run_dataflow_parallel, Environment, Observer,
-    OffsetLayer0, PulseRule, Rng, SequenceEnvironment, StaticEnvironment,
+    run_dataflow_observed, run_dataflow_parallel, Environment, Observer, OffsetLayer0, PulseRule,
+    Rng, SequenceEnvironment, StaticEnvironment,
 };
 use trix_time::{AffineClock, Duration, Time};
 use trix_topology::{BaseGraph, LayeredGraph, NodeId};
@@ -184,12 +184,11 @@ proptest! {
     /// time-varying campaign sharded across `--sim-threads` workers
     /// replays the serial driver's event stream bit for bit — over
     /// random densities, schedule mixes, topologies, worker counts, and
-    /// both static and per-pulse environments — through **both** sharded
-    /// engines (the frontier scheduler behind `run_dataflow_parallel`
-    /// and the legacy barrier baseline). (The sweep-level twin lives in
-    /// `tests/parallel_determinism.rs`; the campaign gating runs inside
-    /// `eval_layer_chunk`, shared by all drivers, which is what this
-    /// pins.)
+    /// both static and per-pulse environments — through the frontier
+    /// scheduler behind `run_dataflow_parallel`. (The sweep-level twin
+    /// lives in `tests/parallel_determinism.rs`; the campaign gating runs
+    /// inside `eval_layer_chunk`, shared by both drivers, which is what
+    /// this pins.)
     #[test]
     fn campaign_under_sim_threads_equals_serial(
         seed in any::<u64>(),
@@ -237,12 +236,7 @@ proptest! {
             run_dataflow_parallel(
                 g, env, layer0, &MaxPlus, campaign, pulses, threads, &mut frontier,
             );
-            let mut barrier = EventLog::default();
-            run_dataflow_barrier(
-                g, env, layer0, &MaxPlus, campaign, pulses, threads, &mut barrier,
-            );
             prop_assert_eq!(&serial, &frontier);
-            prop_assert_eq!(&serial, &barrier);
             Ok(())
         }
         if per_pulse {
@@ -254,10 +248,10 @@ proptest! {
 
     /// The churn determinism contract at the engine level: a churn
     /// campaign — random rate, random join/leave/rejoin/flicker mix —
-    /// masks the **same** membership through all three drivers, so the
-    /// serial, frontier, and barrier event streams are bit-identical
-    /// for every `--sim-threads` worker count in 1–4, and the emitted
-    /// set is exactly the campaign's member set at each pulse.
+    /// masks the **same** membership through both drivers, so the serial
+    /// and frontier event streams are bit-identical for every
+    /// `--sim-threads` worker count in 1–4, and the emitted set is
+    /// exactly the campaign's member set at each pulse.
     #[test]
     fn churn_under_sim_threads_equals_serial(
         seed in any::<u64>(),
@@ -292,14 +286,10 @@ proptest! {
         let layer0 = OffsetLayer0::synchronized(30.0, g.width());
         let mut serial = EventLog::default();
         let mut frontier = EventLog::default();
-        let mut barrier = EventLog::default();
         if per_pulse {
             run_dataflow_observed(&g, &seq_env, &layer0, &MaxPlus, &campaign, pulses, &mut serial);
             run_dataflow_parallel(
                 &g, &seq_env, &layer0, &MaxPlus, &campaign, pulses, threads, &mut frontier,
-            );
-            run_dataflow_barrier(
-                &g, &seq_env, &layer0, &MaxPlus, &campaign, pulses, threads, &mut barrier,
             );
         } else {
             run_dataflow_observed(
@@ -308,12 +298,8 @@ proptest! {
             run_dataflow_parallel(
                 &g, &static_env, &layer0, &MaxPlus, &campaign, pulses, threads, &mut frontier,
             );
-            run_dataflow_barrier(
-                &g, &static_env, &layer0, &MaxPlus, &campaign, pulses, threads, &mut barrier,
-            );
         }
         prop_assert_eq!(&serial, &frontier);
-        prop_assert_eq!(&serial, &barrier);
         // Masking semantics: no absent node ever emits, and on layer 0
         // (fed directly by the synchronized source, so the rule cannot
         // go silent on its own) the emitted set is *exactly* the member

@@ -26,8 +26,6 @@
 //!   Frobenius reconstruction-error bound and column-range `merge`; its
 //!   [`PodSnapshot`] (basis + spectrum + certificate) is the compressed
 //!   trace artifact benchmark records ship as schema v7.
-//! * [`FullTrace`] — the compatibility adapter reconstructing the classic
-//!   `PulseTrace`, so trace-based experiments ride the same driver.
 //! * [`FaultClassSkew`] — intra-layer skew partitioned by the
 //!   faulty/healthy frontier, the attribution monitor for fault
 //!   campaigns (`trix-faults`): how much skew lives next to the faults
@@ -37,11 +35,11 @@
 //! `(StreamingSkew, TraceRing)`), and everything is deterministic: the
 //! sweep runner's bit-reproducibility across `--threads` extends to all
 //! streamed statistics. None of these monitors needs to be thread-safe:
-//! every dataflow engine — including the barrier-free frontier
-//! scheduler behind `trix_sim::run_dataflow_parallel` — flushes
-//! emissions on the calling thread in the serial `(k, layer, v)` order
-//! (whole rows through [`Observer::on_pulse_row`], whose default unpacks
-//! them element-wise), so observers see one stream with a fixed order
+//! both dataflow drivers — the serial one and the frontier scheduler
+//! behind `trix_sim::run_dataflow_parallel` — flush emissions on the
+//! calling thread in the serial `(k, layer, v)` order (whole rows
+//! through [`Observer::on_pulse_row`], whose default unpacks them
+//! element-wise), so observers see one stream with a fixed order
 //! regardless of `--sim-threads`. The one deliberate exception is
 //! [`PipelinedSketch`], which moves a [`PodSketch`]'s arithmetic off the
 //! critical path: the calling thread still *observes* inline and in
@@ -116,7 +114,6 @@
 mod attributed;
 pub mod defs;
 mod des_monitor;
-mod full;
 mod pipeline;
 mod ring;
 mod sketch;
@@ -124,7 +121,6 @@ mod streaming;
 
 pub use attributed::{FaultClassSkew, FaultClassStats};
 pub use des_monitor::DesSkew;
-pub use full::FullTrace;
 pub use pipeline::PipelinedSketch;
 pub use ring::{TraceEvent, TraceRing};
 pub use sketch::{PodSketch, PodSnapshot};

@@ -13,9 +13,8 @@
 //! channel; the worker replays the identical row stream into the wrapped
 //! sketch via the same [`Observer::on_pulse_row`] code path. Same
 //! stream, same code, same order — the finished sketch is byte-identical
-//! to observing inline (`BENCH_exp_modes.json` with the worker on vs.
-//! off is compared bit-for-bit in CI), it just finishes on another
-//! thread.
+//! to observing inline (pinned by this module's tests), it just finishes
+//! on another thread. `exp_modes` builds every sketch this way.
 //!
 //! The channel is bounded ([`PipelinedSketch::DEPTH`] rows) so memory
 //! stays `O(width)` and a slow sketch back-pressures the simulation
@@ -72,7 +71,7 @@ impl PipelinedSketch {
     /// Bound on in-flight rows: small enough that memory stays
     /// `O(width)`, deep enough that the simulation never stalls on a
     /// sketch that keeps up on average (the block flush is amortized
-    /// over `rank.max(8)` rows, so per-row cost is bursty).
+    /// over `(rank / 2).max(8)` rows, so per-row cost is bursty).
     pub const DEPTH: usize = 8;
 
     /// Moves `sketch` onto a dedicated worker thread and returns the
@@ -180,50 +179,50 @@ mod tests {
 
     /// The pipelined sketch is byte-identical to the inline one on the
     /// same row stream — including misfires and fronts that skip the
-    /// sketch entirely.
+    /// sketch entirely (all-`None` rows) — at a small rank and at the
+    /// production rank 16, where the 32 fronts span four block flushes.
     #[test]
     fn pipelined_matches_inline_bit_for_bit() {
-        let g = grid(7, 3);
-        let rows: Vec<Vec<Option<Time>>> = (0..25u64)
-            .map(|i| {
-                (0..7)
-                    .map(|v| {
-                        if (i + v) % 9 == 3 {
-                            None
-                        } else {
-                            Some(Time::from(5.0 * synth(i * 7 + v)))
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut inline = PodSketch::new(&g, 4);
-        let mut piped = PipelinedSketch::spawn(PodSketch::new(&g, 4));
-        for (i, row) in rows.iter().enumerate() {
-            let (k, layer) = (i / 3, (i % 3) as u32);
-            inline.on_pulse_row(k, layer, row);
-            piped.on_pulse_row(k, layer, row);
+        let layers = 4;
+        for (width, rank) in [(7u64, 4), (24, 16)] {
+            let g = grid(width as usize, layers);
+            let rows: Vec<Vec<Option<Time>>> = (0..40u64)
+                .map(|i| {
+                    (0..width)
+                        .map(|v| {
+                            // Every fifth front is silent; the others
+                            // carry scattered misfires.
+                            if i % 5 == 4 || (i + v) % 9 == 3 {
+                                None
+                            } else {
+                                Some(Time::from(5.0 * synth(i * width + v)))
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let fronts = rows
+                .iter()
+                .filter(|r| r.iter().any(Option::is_some))
+                .count();
+            let mut inline = PodSketch::new(&g, rank);
+            let mut piped = PipelinedSketch::spawn(PodSketch::new(&g, rank));
+            for (i, row) in rows.iter().enumerate() {
+                let (k, layer) = (i / layers, (i % layers) as u32);
+                inline.on_pulse_row(k, layer, row);
+                piped.on_pulse_row(k, layer, row);
+            }
+            inline.finish();
+            let mut from_worker = piped.join();
+            from_worker.finish();
+            let (a, b) = (inline.snapshot(), from_worker.snapshot());
+            assert_eq!(a.rows, fronts as u64, "silent fronts must skip the sketch");
+            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a.basis), bits(&b.basis), "rank {rank}");
+            assert_eq!(bits(&a.singular_values), bits(&b.singular_values));
+            assert_eq!(a.error_bound.to_bits(), b.error_bound.to_bits());
+            assert_eq!(a.rows, b.rows);
         }
-        inline.finish();
-        let mut from_worker = piped.join();
-        from_worker.finish();
-        let (a, b) = (inline.snapshot(), from_worker.snapshot());
-        assert_eq!(
-            a.basis.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            b.basis.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-        );
-        assert_eq!(
-            a.singular_values
-                .iter()
-                .map(|x| x.to_bits())
-                .collect::<Vec<_>>(),
-            b.singular_values
-                .iter()
-                .map(|x| x.to_bits())
-                .collect::<Vec<_>>()
-        );
-        assert_eq!(a.error_bound.to_bits(), b.error_bound.to_bits());
-        assert_eq!(a.rows, b.rows);
     }
 
     /// Dropping without join() reaps the worker instead of leaking it.

@@ -48,10 +48,10 @@
 //!
 //! Both dataflow engines flush emissions on the calling thread in serial
 //! `(k, layer, v)` order, so a sketch observing a run is **byte-identical
-//! across the serial, barrier, and frontier engines for any
-//! `--sim-threads` value** — the same determinism leg every other
-//! observer lives under. Additionally, [`PodSketch::merge`] joins
-//! sketches of *adjacent column ranges* (built with
+//! across the serial and frontier engines for any `--sim-threads`
+//! value** — the same determinism leg every other observer lives under.
+//! Additionally, [`PodSketch::merge`] joins sketches of *adjacent column
+//! ranges* (built with
 //! [`PodSketch::for_columns`]): the parts' bases embed block-diagonally
 //! (they stay orthonormal because the supports are disjoint), the merged
 //! spectrum is the union of the parts' singular values truncated to

@@ -3,19 +3,17 @@
 //! environments, faults, and derived seeds.
 //!
 //! The batch side is recomputed here directly from the shared
-//! definitions in `trix_obs::defs` over a [`FullTrace`] recorded in the
+//! definitions in `trix_obs::defs` over a [`PulseTrace`] recorded in the
 //! *same run* (tuple observer), so the property isolates exactly the
 //! incremental front bookkeeping of [`StreamingSkew`]. The workspace-level
 //! `tests/streaming_equivalence.rs` additionally pins equality against
 //! `trix_analysis::skew` across the experiment suite.
 
 use proptest::prelude::*;
-use trix_obs::{
-    defs, DesSkew, FullTrace, Observer, PodSketch, PodSnapshot, StreamingSkew, TraceRing,
-};
+use trix_obs::{defs, DesSkew, Observer, PodSketch, PodSnapshot, StreamingSkew, TraceRing};
 use trix_sim::{
-    run_dataflow_barrier, run_dataflow_observed, run_dataflow_parallel, CorrectSends, OffsetLayer0,
-    PulseRule, PulseTrace, Rng, SendModel, StaticEnvironment,
+    run_dataflow_observed, run_dataflow_parallel, CorrectSends, OffsetLayer0, PulseRule,
+    PulseTrace, Rng, SendModel, StaticEnvironment,
 };
 use trix_time::{AffineClock, Duration, Time};
 use trix_topology::{BaseGraph, LayeredGraph, NodeId};
@@ -213,16 +211,16 @@ proptest! {
         let bad = g.node(rng.usize_below(g.width()), 1 + rng.usize_below(g.layer_count() - 1));
 
         // One run, two observers: the full trace and the streaming monitor.
-        let mut pair = (FullTrace::new(&g, pulses), StreamingSkew::new(&g));
+        let mut pair = (PulseTrace::new(&g, pulses), StreamingSkew::new(&g));
         if fault {
             run_dataflow_observed(&g, &env, &layer0, &MaxPlus, &Silence(bad), pulses, &mut pair);
         } else {
             run_dataflow_observed(&g, &env, &layer0, &MaxPlus, &CorrectSends, pulses, &mut pair);
         }
-        let (full, mut stream) = pair;
+        let (trace, mut stream) = pair;
         stream.finish();
 
-        let batch = batch_fold(&g, full.trace(), pulses);
+        let batch = batch_fold(&g, &trace, pulses);
         // Bit-identical folds — no tolerance.
         prop_assert_eq!(stream.max_intra_layer_skew(), batch.max_intra);
         prop_assert_eq!(stream.max_inter_layer_skew(), batch.max_inter);
@@ -366,7 +364,7 @@ proptest! {
         // One run, four observers: ground truth, the whole-stream
         // sketch, and the two column-range partials.
         let mut obs = (
-            FullTrace::new(&g, pulses),
+            PulseTrace::new(&g, pulses),
             (
                 PodSketch::new(&g, rank),
                 (
@@ -380,7 +378,7 @@ proptest! {
         } else {
             run_dataflow_observed(&g, &env, &layer0, &MaxPlus, &CorrectSends, pulses, &mut obs);
         }
-        let (full, (mut whole, (mut left, right))) = obs;
+        let (trace, (mut whole, (mut left, right))) = obs;
         let mut right = right;
         whole.finish();
         left.finish();
@@ -388,7 +386,7 @@ proptest! {
         left.merge(&right);
         let merged = left;
 
-        let rows = front_rows(&g, full.trace(), pulses);
+        let rows = front_rows(&g, &trace, pulses);
         let whole_snap = whole.snapshot();
         let merged_snap = merged.snapshot();
         prop_assert_eq!(merged_snap.cols, w);
@@ -442,9 +440,9 @@ proptest! {
     /// `on_pulse_row`, fanned out by the tuple forwarding impl) yields
     /// states bit-identical to the same run behind [`PerElement`]
     /// (default unpacking into `on_pulse`). Pins that the row fast
-    /// paths in `StreamingSkew`/`PodSketch` — and any added later —
-    /// are pure restatements of the element stream, including silent
-    /// (all-`None`) and partially-silent rows under faults.
+    /// paths in `PulseTrace`/`StreamingSkew`/`PodSketch` — and any added
+    /// later — are pure restatements of the element stream, including
+    /// silent (all-`None`) and partially-silent rows under faults.
     #[test]
     fn row_hook_equals_element_hook_for_every_observer(
         seed in any::<u64>(),
@@ -475,7 +473,7 @@ proptest! {
 
         let observers = || {
             (
-                StreamingSkew::new(&g),
+                (PulseTrace::new(&g, pulses), StreamingSkew::new(&g)),
                 (
                     PodSketch::new(&g, rank),
                     // DesSkew is broadcast-fed: the dataflow row stream
@@ -498,8 +496,14 @@ proptest! {
         let mut elem = PerElement(observers());
         drive(&mut elem);
 
-        let (mut skew_r, (mut pod_r, (ring_r, des_r))) = row;
-        let PerElement((mut skew_e, (mut pod_e, (ring_e, des_e)))) = elem;
+        let ((trace_r, mut skew_r), (mut pod_r, (ring_r, des_r))) = row;
+        let PerElement(((trace_e, mut skew_e), (mut pod_e, (ring_e, des_e)))) = elem;
+        for n in g.nodes() {
+            prop_assert_eq!(trace_r.is_faulty(n), trace_e.is_faulty(n));
+            for k in 0..pulses {
+                prop_assert_eq!(trace_r.time(k, n), trace_e.time(k, n), "k {} node {:?}", k, n);
+            }
+        }
         skew_r.finish();
         skew_e.finish();
         pod_r.finish();
@@ -525,10 +529,11 @@ proptest! {
         prop_assert_eq!(des_r.intra().count(), 0);
     }
 
-    /// Engine-independence of the sketch: serial, barrier, and frontier
-    /// engines at 1–4 `--sim-threads` produce bit-identical sketches
-    /// (basis, spectrum, and certificate compared via `to_bits`) — the
-    /// determinism leg the schema-v7 CI `cmp` gates rest on.
+    /// Engine-independence of the sketch: the serial and frontier engines
+    /// at 1–4 `--sim-threads` produce bit-identical sketches (basis,
+    /// spectrum, and certificate compared via `to_bits`) — the
+    /// determinism leg the schema-v7 `sketch` records rest on, which
+    /// `tests/parallel_determinism.rs` compares suite-wide.
     #[test]
     fn sketch_is_bit_deterministic_across_engines_and_thread_counts(
         seed in any::<u64>(),
@@ -551,19 +556,16 @@ proptest! {
         let layer0 = OffsetLayer0::new(25.0, offsets);
         let bad = g.node(rng.usize_below(g.width()), 1 + rng.usize_below(g.layer_count() - 1));
 
-        let run = |engine: usize, threads: usize| {
+        // `threads == 0` runs the serial driver, the reference.
+        let run = |threads: usize| {
             let mut sk = PodSketch::new(&g, rank);
-            match (fault, engine) {
+            match (fault, threads) {
                 (true, 0) => run_dataflow_observed(
                     &g, &env, &layer0, &MaxPlus, &Silence(bad), pulses, &mut sk),
-                (true, 1) => run_dataflow_barrier(
-                    &g, &env, &layer0, &MaxPlus, &Silence(bad), pulses, threads, &mut sk),
                 (true, _) => run_dataflow_parallel(
                     &g, &env, &layer0, &MaxPlus, &Silence(bad), pulses, threads, &mut sk),
                 (false, 0) => run_dataflow_observed(
                     &g, &env, &layer0, &MaxPlus, &CorrectSends, pulses, &mut sk),
-                (false, 1) => run_dataflow_barrier(
-                    &g, &env, &layer0, &MaxPlus, &CorrectSends, pulses, threads, &mut sk),
                 (false, _) => run_dataflow_parallel(
                     &g, &env, &layer0, &MaxPlus, &CorrectSends, pulses, threads, &mut sk),
             }
@@ -578,15 +580,9 @@ proptest! {
                 snap.rows,
             )
         };
-        let reference = bits(&run(0, 1));
-        for engine in [1usize, 2] {
-            for threads in 1usize..=4 {
-                let other = bits(&run(engine, threads));
-                prop_assert_eq!(
-                    &reference, &other,
-                    "engine {} threads {} diverged", engine, threads
-                );
-            }
+        let reference = bits(&run(0));
+        for threads in 1usize..=4 {
+            prop_assert_eq!(&reference, &bits(&run(threads)), "threads {} diverged", threads);
         }
     }
 }

@@ -50,7 +50,7 @@ use std::fmt::Write as _;
 ///   for scenarios that ran a `trix_obs::PodSketch` observer (`null`
 ///   otherwise). A pure function of the workload — deterministic across
 ///   `--threads` and `--sim-threads` — so [`BenchReport::canonicalized`]
-///   keeps it, and CI's byte-identity gates cover actual dynamics, not
+///   keeps it, and the byte-identity checks cover actual dynamics, not
 ///   just summary stats.
 /// * **8** — added the per-record `churn` field: the churn-campaign
 ///   descriptor of scenarios that ran under open-world membership churn
@@ -291,8 +291,8 @@ pub struct BenchRecord {
     /// Compressed POD sketch of the scenario's pulse-front matrix
     /// (schema v7), when the scenario ran a `PodSketch` observer.
     /// Deterministic workload output — survives
-    /// [`BenchReport::canonicalized`], extending CI's byte-identity
-    /// gates to the sketched dynamics.
+    /// [`BenchReport::canonicalized`], extending the byte-identity
+    /// checks to the sketched dynamics.
     pub sketch: Option<SketchSummary>,
     /// Wall-clock seconds the scenario took (volatile; excluded from
     /// determinism comparisons).
@@ -634,8 +634,8 @@ mod tests {
         assert_eq!(c.records[0].events, r.records[0].events);
         // Identical sweeps differing only in wall time, dataflow worker
         // count, or the machine's CPU stamp serialize equal after
-        // canonicalization — the contract behind CI's `--sim-threads
-        // {2,4}` vs serial `cmp` gates.
+        // canonicalization — the contract behind the canonical-JSON
+        // comparisons in `tests/parallel_determinism.rs`.
         let mut other = sample();
         other.records[0].wall_secs = 99.0;
         other.records[0].sim_threads = 1;

@@ -18,9 +18,6 @@
 //! exercised through the event-driven engine.
 
 use crate::{Environment, Observer};
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Barrier, Mutex, RwLock};
 use trix_time::{AffineClock, Time};
 use trix_topology::{EdgeId, InEdgeCsr, LayeredGraph, NodeId};
 
@@ -67,8 +64,8 @@ pub trait SendModel {
     /// a missing predecessor) and arrivals splice back in the moment
     /// this returns `true` again. The gate runs inside the shared
     /// `eval_layer_chunk` plus each driver's layer-0 derivation, so
-    /// membership epochs are bit-identical across the serial, barrier,
-    /// and frontier legs for every thread count.
+    /// membership epochs are bit-identical across the serial and
+    /// frontier drivers for every thread count.
     ///
     /// The default — everyone is always a member — preserves the exact
     /// closed-world semantics (and fingerprints) of every pre-churn
@@ -452,9 +449,8 @@ fn resolve_threads(threads: usize) -> usize {
 /// The calling thread trails the workers as a dedicated flusher: it
 /// alone talks to the observer and the metrics counter, in the serial
 /// driver's `(k, layer, v)` order, so `trix_sim::metrics::total()` and
-/// the emission stream match a serial run exactly. (The superseded
-/// barrier engine is retained as [`run_dataflow_barrier`] — a measured
-/// baseline and differential-testing oracle.)
+/// the emission stream match a serial run exactly; the serial driver is
+/// the differential-testing oracle for this one.
 ///
 /// `threads == 0` means one *compute* worker per available CPU,
 /// resolved once per process through [`crate::detected_parallelism`].
@@ -493,204 +489,6 @@ pub fn run_dataflow_parallel(
         }
     }
     crate::frontier::run_frontier(g, env, layer0, rule, sends, pulses, workers, obs);
-}
-
-/// The superseded two-`Barrier`-per-layer parallel driver, retained as a
-/// measured baseline and differential-testing oracle for the frontier
-/// engine behind [`run_dataflow_parallel`].
-///
-/// Same contract as [`run_dataflow_parallel`] — bit-identical output for
-/// every thread count, metrics and emissions on the calling thread — but
-/// every layer costs two global barrier rounds, so wall time scales with
-/// `layer_count × 2` barrier waits and one straggler chunk stalls every
-/// worker. The `dataflow_parallel` criterion group benchmarks the two
-/// engines side by side, and the engine-level property tests assert
-/// three-way bit-identity (serial / barrier / frontier).
-///
-/// # Panics
-///
-/// As [`run_dataflow_parallel`]: a panic on any worker re-raises on the
-/// calling thread (here via abort flags re-checked after each barrier,
-/// since `std::sync::Barrier` has no poisoning).
-#[allow(clippy::too_many_arguments)] // the serial driver's signature + the thread knob
-pub fn run_dataflow_barrier(
-    g: &LayeredGraph,
-    env: &(impl Environment + Sync),
-    layer0: &(impl Layer0Source + Sync),
-    rule: &(impl PulseRule + Sync),
-    sends: &(impl SendModel + Sync),
-    pulses: usize,
-    threads: usize,
-    obs: &mut impl Observer,
-) {
-    // Plan against the derived layering (any family generator's base
-    // graph), not an assumed grid shape.
-    let layout = trix_topology::LayeredView::of(g);
-    let width = layout.max_width();
-    let workers = resolve_threads(threads).min(width);
-    if workers <= 1 || layout.layer_count() <= 1 || pulses == 0 {
-        run_dataflow_observed(g, env, layer0, rule, sends, pulses, obs);
-        return;
-    }
-    for n in g.nodes() {
-        if sends.is_faulty(n) {
-            obs.on_faulty(n);
-        }
-    }
-    let csr = g.in_edge_csr();
-    let clocks = env.pulse_invariant_clocks();
-    // Fixed contiguous column chunks; worker `c` owns `bounds[c]`. The
-    // partition never influences results (each column is a pure function
-    // of the previous row), only load balance. The view's partition tiles
-    // `0..width` exactly with no empty chunks, so the pool is sized by
-    // the partition it returns (ceil chunking can need fewer workers
-    // than requested: width 5 over 4 workers → 3 chunks of 2).
-    let bounds = layout.chunks(workers);
-    let workers = bounds.len();
-    // The published layer-(ℓ−1) row. Workers hold read locks while
-    // evaluating; the driver takes the write lock only between the
-    // "chunks done" and "row published" barriers, when every worker is
-    // parked — the locks never contend, they just prove disjointness to
-    // the borrow checker (this crate forbids unsafe code).
-    let prev: RwLock<Vec<Option<Time>>> = RwLock::new(vec![None; width]);
-    let outs: Vec<Mutex<Vec<Option<Time>>>> = bounds
-        .iter()
-        .map(|&(lo, hi)| Mutex::new(vec![None; hi - lo]))
-        .collect();
-    let barrier = Barrier::new(workers);
-    let layer_count = layout.layer_count();
-    // Panic containment. Every compute/publish phase runs under
-    // `catch_unwind`; the first payload is stashed here and `aborted` is
-    // raised in its place. All threads re-check the flag at the *same*
-    // post-barrier points — every store to it happens before one of the
-    // barriers, so after each barrier all participants read the same
-    // value and exit the protocol together; the payload is then re-raised
-    // on the calling thread. `AssertUnwindSafe` is sound because nothing
-    // protected by it is used after an abort.
-    let aborted = AtomicBool::new(false);
-    let panic_payload: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-    let report = |e: Box<dyn std::any::Any + Send>| {
-        let mut slot = panic_payload.lock().unwrap_or_else(|p| p.into_inner());
-        slot.get_or_insert(e);
-        aborted.store(true, Ordering::Release);
-    };
-    // Lock helpers that shrug off poisoning: a poisoned lock only means
-    // some thread panicked mid-phase, which `aborted` already handles.
-    let read_prev = || prev.read().unwrap_or_else(|p| p.into_inner());
-    let write_prev = || prev.write().unwrap_or_else(|p| p.into_inner());
-    let lock_out = |c: usize| outs[c].lock().unwrap_or_else(|p| p.into_inner());
-    std::thread::scope(|scope| {
-        for (c, &(lo, _)) in bounds.iter().enumerate().skip(1) {
-            let (barrier, csr, aborted, report) = (&barrier, &csr, &aborted, &report);
-            let (read_prev, lock_out) = (&read_prev, &lock_out);
-            scope.spawn(move || {
-                let mut scratch = Vec::with_capacity(csr.max_in_degree());
-                for k in 0..pulses {
-                    barrier.wait(); // layer-0 row published
-                    if aborted.load(Ordering::Acquire) {
-                        return;
-                    }
-                    for layer in 1..layer_count {
-                        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            let row = read_prev();
-                            let mut out = lock_out(c);
-                            eval_layer_chunk(
-                                g,
-                                env,
-                                rule,
-                                sends,
-                                csr,
-                                clocks,
-                                k,
-                                layer,
-                                lo,
-                                &row,
-                                &mut out,
-                                &mut scratch,
-                            );
-                        }));
-                        if let Err(e) = result {
-                            report(e);
-                        }
-                        barrier.wait(); // all chunks computed
-                        barrier.wait(); // driver published the row
-                        if aborted.load(Ordering::Acquire) {
-                            return;
-                        }
-                    }
-                }
-            });
-        }
-        // The calling thread doubles as worker 0 and as the driver that
-        // owns every observer emission.
-        let (lo0, _) = bounds[0];
-        let mut scratch = Vec::with_capacity(csr.max_in_degree());
-        'run: for k in 0..pulses {
-            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                let mut row = write_prev();
-                for (v, slot) in row.iter_mut().enumerate() {
-                    *slot = sends
-                        .is_member(NodeId::new(v as u32, 0), k)
-                        .then(|| layer0.pulse_time(k, v));
-                }
-                obs.on_pulse_row(k, 0, &row[..]);
-            }));
-            if let Err(e) = result {
-                report(e);
-            }
-            barrier.wait(); // layer-0 row published
-            if aborted.load(Ordering::Acquire) {
-                break 'run;
-            }
-            for layer in 1..layer_count {
-                let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    let row = read_prev();
-                    let mut out = lock_out(0);
-                    eval_layer_chunk(
-                        g,
-                        env,
-                        rule,
-                        sends,
-                        &csr,
-                        clocks,
-                        k,
-                        layer,
-                        lo0,
-                        &row,
-                        &mut out,
-                        &mut scratch,
-                    );
-                }));
-                if let Err(e) = result {
-                    report(e);
-                }
-                barrier.wait(); // all chunks computed
-                if !aborted.load(Ordering::Acquire) {
-                    let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        let mut row = write_prev();
-                        for (c, &(lo, hi)) in bounds.iter().enumerate() {
-                            row[lo..hi].copy_from_slice(&lock_out(c));
-                        }
-                        crate::metrics::bump(width as u64);
-                        obs.on_pulse_row(k, layer as u32, &row[..]);
-                    }));
-                    if let Err(e) = result {
-                        report(e);
-                    }
-                }
-                barrier.wait(); // row published
-                if aborted.load(Ordering::Acquire) {
-                    break 'run;
-                }
-            }
-        }
-    });
-    if let Some(payload) = panic_payload
-        .into_inner()
-        .unwrap_or_else(|p| p.into_inner())
-    {
-        std::panic::resume_unwind(payload);
-    }
 }
 
 #[cfg(test)]
@@ -904,8 +702,7 @@ mod tests {
 
     /// A panic inside a worker's rule evaluation must re-raise on the
     /// calling thread (as the serial engine would), not deadlock the
-    /// barrier protocol — `std::sync::Barrier` has no poisoning, so this
-    /// pins the abort-flag shutdown path.
+    /// frontier protocol — this pins the abort-flag shutdown path.
     #[test]
     #[should_panic(expected = "rule exploded")]
     fn worker_panic_propagates_instead_of_deadlocking() {

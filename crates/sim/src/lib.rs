@@ -45,8 +45,8 @@ mod observer;
 mod rng;
 
 pub use dataflow::{
-    run_dataflow, run_dataflow_barrier, run_dataflow_observed, run_dataflow_parallel, CorrectSends,
-    Layer0Source, OffsetLayer0, PulseRule, PulseTrace, SendModel,
+    run_dataflow, run_dataflow_observed, run_dataflow_parallel, CorrectSends, Layer0Source,
+    OffsetLayer0, PulseRule, PulseTrace, SendModel,
 };
 pub use des::{Broadcast, Des, EventQueue, Link, Node, NodeApi};
 pub use env::{Environment, PerPulseEnvironment, SequenceEnvironment, StaticEnvironment};

@@ -5,18 +5,18 @@
 //! `O(nodes × pulses)`. The [`Observer`] trait inverts that: the engines
 //! push each pulse emission to the observer as it happens, and observers
 //! decide what to retain — a full trace, `O(nodes)` streaming statistics,
-//! or a bounded ring of recent events. The `trix-obs` crate provides the
-//! standard implementations (`StreamingSkew`, `TraceRing`, `FullTrace`);
-//! this module only defines the hook surface, which must live next to the
-//! engines to keep the crate DAG acyclic (`trix-obs` depends on
-//! `trix-sim`).
+//! or a bounded ring of recent events. [`crate::PulseTrace`] is the
+//! full-trace observer; the `trix-obs` crate provides the streaming ones
+//! (`StreamingSkew`, `TraceRing`, `PodSketch`). This module only defines
+//! the hook surface, which must live next to the engines to keep the
+//! crate DAG acyclic (`trix-obs` depends on `trix-sim`).
 //!
 //! Both engines report here:
 //!
-//! * the dataflow executors ([`crate::run_dataflow_observed`] and the
-//!   parallel drivers) call [`Observer::on_pulse_row`] with each whole
-//!   published layer row, one call per `(k, layer)` step in
-//!   deterministic serial order, after announcing faulty positions via
+//! * the dataflow executors ([`crate::run_dataflow_observed`] and
+//!   [`crate::run_dataflow_parallel`]) call [`Observer::on_pulse_row`]
+//!   with each whole published layer row, one call per `(k, layer)` step
+//!   in deterministic serial order, after announcing faulty positions via
 //!   [`Observer::on_faulty`]; the default `on_pulse_row` unpacks the row
 //!   into per-element [`Observer::on_pulse`] calls in ascending `v`
 //!   order, so element-level observers see the classic
@@ -56,8 +56,8 @@ pub trait Observer {
 
     /// One whole published layer row: `row[v]` is the nominal time of
     /// node `(v, layer)` in iteration `k`, `None` where the rule
-    /// misfired. All three dataflow engines emit through this hook, one
-    /// call per `(k, layer)` step, in the serial step order.
+    /// misfired. Both dataflow drivers emit through this hook, one call
+    /// per `(k, layer)` step, in the serial step order.
     ///
     /// The default forwards each `Some` entry to [`Observer::on_pulse`]
     /// in ascending `v` order — exactly the per-element stream the

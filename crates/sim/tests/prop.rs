@@ -2,9 +2,9 @@
 
 use proptest::prelude::*;
 use trix_sim::{
-    run_dataflow_barrier, run_dataflow_observed, run_dataflow_parallel, CorrectSends, Des,
-    Environment, Link, Node, NodeApi, Observer, OffsetLayer0, PulseRule, Rng, SendModel,
-    SequenceEnvironment, StaticEnvironment,
+    run_dataflow_observed, run_dataflow_parallel, CorrectSends, Des, Environment, Link, Node,
+    NodeApi, Observer, OffsetLayer0, PulseRule, Rng, SendModel, SequenceEnvironment,
+    StaticEnvironment,
 };
 use trix_time::{AffineClock, Duration, Time};
 use trix_topology::{BaseGraph, EdgeId, LayeredGraph, NodeId};
@@ -129,13 +129,12 @@ proptest! {
         prop_assert!((fired - dh / rate).abs() < 1e-9);
     }
 
-    /// The parallel dataflow engines' determinism contract: for random
+    /// The parallel dataflow engine's determinism contract: for random
     /// topologies, environments (static and per-pulse), send models, and
-    /// 1–4 workers, **both** sharded drivers — the frontier engine
-    /// behind `run_dataflow_parallel` and the legacy barrier baseline —
-    /// replay the serial driver's observer stream **bit for bit** — same
+    /// 1–4 workers, the frontier engine behind `run_dataflow_parallel`
+    /// replays the serial driver's observer stream **bit for bit** — same
     /// events, same `(k, layer, v)` order, same `f64` bit patterns — and
-    /// book the same simulated-event totals.
+    /// books the same simulated-event totals.
     #[test]
     fn parallel_dataflow_is_bit_identical_to_serial(
         seed in any::<u64>(),
@@ -167,34 +166,6 @@ proptest! {
         let layer0 = OffsetLayer0::new(25.0, offsets);
         let bad = g.node(rng.usize_below(g.width()), 1 + rng.usize_below(g.layer_count() - 1));
 
-        enum Engine {
-            Serial,
-            Frontier(usize),
-            Barrier(usize),
-        }
-        fn run(
-            g: &LayeredGraph,
-            env: &(impl Environment + Sync),
-            layer0: &OffsetLayer0,
-            sends: &(impl SendModel + Sync),
-            pulses: usize,
-            engine: Engine,
-        ) -> (EventLog, u64) {
-            let mut log = EventLog::default();
-            trix_sim::metrics::reset();
-            match engine {
-                Engine::Serial => {
-                    run_dataflow_observed(g, env, layer0, &MaxPlus, sends, pulses, &mut log)
-                }
-                Engine::Frontier(n) => {
-                    run_dataflow_parallel(g, env, layer0, &MaxPlus, sends, pulses, n, &mut log)
-                }
-                Engine::Barrier(n) => {
-                    run_dataflow_barrier(g, env, layer0, &MaxPlus, sends, pulses, n, &mut log)
-                }
-            }
-            (log, trix_sim::metrics::total())
-        }
         fn compare(
             g: &LayeredGraph,
             env: &(impl Environment + Sync),
@@ -203,15 +174,15 @@ proptest! {
             pulses: usize,
             threads: usize,
         ) -> Result<(), TestCaseError> {
-            let (serial_log, serial_events) = run(g, env, layer0, sends, pulses, Engine::Serial);
-            let (frontier_log, frontier_events) =
-                run(g, env, layer0, sends, pulses, Engine::Frontier(threads));
-            let (barrier_log, barrier_events) =
-                run(g, env, layer0, sends, pulses, Engine::Barrier(threads));
-            prop_assert_eq!(&serial_log, &frontier_log);
-            prop_assert_eq!(serial_events, frontier_events);
-            prop_assert_eq!(&serial_log, &barrier_log);
-            prop_assert_eq!(serial_events, barrier_events);
+            let mut serial = EventLog::default();
+            trix_sim::metrics::reset();
+            run_dataflow_observed(g, env, layer0, &MaxPlus, sends, pulses, &mut serial);
+            let serial_events = trix_sim::metrics::total();
+            let mut frontier = EventLog::default();
+            trix_sim::metrics::reset();
+            run_dataflow_parallel(g, env, layer0, &MaxPlus, sends, pulses, threads, &mut frontier);
+            prop_assert_eq!(&serial, &frontier);
+            prop_assert_eq!(serial_events, trix_sim::metrics::total());
             Ok(())
         }
         match (per_pulse, fault) {
@@ -222,11 +193,10 @@ proptest! {
         }
     }
 
-    /// The same three-way bit-identity on non-grid family graphs: tori
-    /// and two-tier supernode overlays flow through the serial, frontier,
-    /// and barrier drivers with byte-identical observer streams — the
-    /// layering/chunking is derived from the graph (`LayeredView`), never
-    /// assumed square.
+    /// The same bit-identity on non-grid family graphs: tori and two-tier
+    /// supernode overlays flow through the serial and frontier drivers
+    /// with byte-identical observer streams — the layering/chunking is
+    /// derived from the graph (`LayeredView`), never assumed square.
     #[test]
     fn family_graphs_are_bit_identical_across_engines(
         seed in any::<u64>(),
@@ -273,14 +243,7 @@ proptest! {
                 &g, &env, &layer0, &MaxPlus, &silence, pulses, threads, &mut frontier,
             );
             prop_assert_eq!(trix_sim::metrics::total(), serial_events);
-            let mut barrier = EventLog::default();
-            trix_sim::metrics::reset();
-            run_dataflow_barrier(
-                &g, &env, &layer0, &MaxPlus, &silence, pulses, threads, &mut barrier,
-            );
-            prop_assert_eq!(trix_sim::metrics::total(), serial_events);
             prop_assert_eq!(&serial, &frontier);
-            prop_assert_eq!(&serial, &barrier);
         }
     }
 

@@ -7,22 +7,19 @@
 use trix_bench::{run_suite, Scale, TraceMode};
 use trix_runner::{Fnv, SweepRunner};
 
-/// FNV fingerprint of a sweep outcome: every table cell and every
-/// non-volatile record field (same harness as `tests/determinism.rs`,
-/// via [`trix_runner::Fnv`]).
-fn sweep_fingerprint(scale: Scale, base_seed: u64, threads: usize, mode: TraceMode) -> u64 {
-    sweep_fingerprint_sim(scale, base_seed, threads, mode, 1)
-}
-
-/// [`sweep_fingerprint`] with an explicit intra-scenario dataflow worker
-/// count (`--sim-threads`).
-fn sweep_fingerprint_sim(
+/// One sweep's comparable outputs: an FNV fingerprint of every table
+/// cell and every non-volatile record field (same harness as
+/// `tests/determinism.rs`, via [`trix_runner::Fnv`]), and the canonical
+/// JSON report, which additionally serializes the `skew`, `sketch` and
+/// `churn` objects — exactly the bytes the harness writes to each
+/// `BENCH_<experiment>.json` under `--canonical`.
+fn sweep(
     scale: Scale,
     base_seed: u64,
     threads: usize,
     mode: TraceMode,
     sim_threads: usize,
-) -> u64 {
+) -> (u64, String) {
     let outcome = run_suite(scale, base_seed, threads, mode, sim_threads);
     let mut h = Fnv::new();
     for table in &outcome.tables {
@@ -51,36 +48,43 @@ fn sweep_fingerprint_sim(
         h.write_str(record.campaign.as_deref().unwrap_or(""));
         h.write_str(record.topology.as_deref().unwrap_or(""));
     }
-    h.finish()
+    (h.finish(), outcome.report.canonicalized().to_json())
 }
 
-#[test]
-fn sharded_sweep_equals_serial_sweep() {
-    let serial = sweep_fingerprint(Scale::Smoke, 0xDE7E_2517, 1, TraceMode::Full);
-    let sharded = sweep_fingerprint(Scale::Smoke, 0xDE7E_2517, 4, TraceMode::Full);
+/// Asserts two sweeps are identical in fingerprint and canonical bytes
+/// (without dumping the multi-kilobyte JSON on failure).
+fn assert_same_sweep(reference: &(u64, String), other: &(u64, String), what: &str) {
     assert_eq!(
-        serial, sharded,
-        "4-thread sweep diverged from the serial sweep"
+        reference.0, other.0,
+        "{what}: table/record fingerprint diverged"
+    );
+    assert!(
+        reference.1 == other.1,
+        "{what}: canonical JSON report diverged"
     );
 }
 
 #[test]
+fn sharded_sweep_equals_serial_sweep() {
+    let serial = sweep(Scale::Smoke, 0xDE7E_2517, 1, TraceMode::Full, 1);
+    let sharded = sweep(Scale::Smoke, 0xDE7E_2517, 4, TraceMode::Full, 1);
+    assert_same_sweep(&serial, &sharded, "4-thread full-trace sweep vs serial");
+}
+
+#[test]
 fn sharded_sweep_is_stable_across_repeats_and_widths() {
-    let reference = sweep_fingerprint(Scale::Smoke, 1, 2, TraceMode::Full);
+    let reference = sweep(Scale::Smoke, 1, 2, TraceMode::Full, 1);
     for threads in [2, 8] {
-        assert_eq!(
-            reference,
-            sweep_fingerprint(Scale::Smoke, 1, threads, TraceMode::Full),
-            "thread count {threads} changed the sweep"
-        );
+        let other = sweep(Scale::Smoke, 1, threads, TraceMode::Full, 1);
+        assert_same_sweep(&reference, &other, &format!("thread count {threads}"));
     }
 }
 
 #[test]
 fn different_base_seeds_produce_different_sweeps() {
     assert_ne!(
-        sweep_fingerprint(Scale::Smoke, 1, 2, TraceMode::Full),
-        sweep_fingerprint(Scale::Smoke, 2, 2, TraceMode::Full),
+        sweep(Scale::Smoke, 1, 2, TraceMode::Full, 1).0,
+        sweep(Scale::Smoke, 2, 2, TraceMode::Full, 1).0,
         "base seed must reach the scenario seeds"
     );
 }
@@ -99,25 +103,20 @@ fn canonical_json_reports_are_byte_identical_across_thread_counts() {
 /// The tentpole determinism gate, at workspace level: sharding each
 /// scenario's dataflow layers across `--sim-threads` workers — alone and
 /// combined with scenario-level sharding — must not change one bit of
-/// any table cell or record (fingerprints cover every streamed
-/// statistic through the canonical JSON below).
+/// any table cell or canonical record, for every `--no-trace`
+/// experiment (`exp_scale`, `exp_fault_sweep`, `exp_topology`,
+/// `exp_modes`, `exp_churn` and the streaming twins) at once.
 #[test]
 fn sim_threads_sweep_equals_serial_sweep() {
-    let reference = sweep_fingerprint_sim(Scale::Smoke, 11, 1, TraceMode::NoTrace, 1);
-    for (threads, sim_threads) in [(1, 2), (1, 4), (4, 2), (2, 0)] {
-        assert_eq!(
-            reference,
-            sweep_fingerprint_sim(Scale::Smoke, 11, threads, TraceMode::NoTrace, sim_threads),
-            "threads {threads} × sim_threads {sim_threads} changed the sweep"
+    let reference = sweep(Scale::Smoke, 11, 1, TraceMode::NoTrace, 1);
+    for (threads, sim_threads) in [(1, 2), (1, 4), (4, 2), (2, 0), (4, 4)] {
+        let other = sweep(Scale::Smoke, 11, threads, TraceMode::NoTrace, sim_threads);
+        assert_same_sweep(
+            &reference,
+            &other,
+            &format!("threads {threads} × sim_threads {sim_threads}"),
         );
     }
-    let serial = run_suite(Scale::Smoke, 11, 1, TraceMode::NoTrace, 1)
-        .report
-        .canonicalized();
-    let sharded = run_suite(Scale::Smoke, 11, 4, TraceMode::NoTrace, 4)
-        .report
-        .canonicalized();
-    assert_eq!(serial.to_json(), sharded.to_json());
 }
 
 /// The `--no-trace` streaming suite is held to the same bar: sharding

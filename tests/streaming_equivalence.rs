@@ -11,8 +11,8 @@
 
 use gradient_trix::analysis::{global_skew, inter_layer_skew, intra_layer_skew};
 use gradient_trix::core::GradientTrixRule;
-use gradient_trix::obs::{FullTrace, PodSketch, SkewStats};
-use gradient_trix::sim::{CorrectSends, SendModel};
+use gradient_trix::obs::{PodSketch, SkewStats};
+use gradient_trix::sim::{CorrectSends, PulseTrace, SendModel};
 use gradient_trix::time::Time;
 use gradient_trix::topology::{LayeredGraph, NodeId};
 use trix_bench::common::{
@@ -52,11 +52,7 @@ fn post_hoc_graph_stats(
     post_hoc_stats_from_trace(g, pulses, &trace)
 }
 
-fn post_hoc_stats_from_trace(
-    g: &LayeredGraph,
-    pulses: usize,
-    trace: &gradient_trix::sim::PulseTrace,
-) -> SkewStats {
+fn post_hoc_stats_from_trace(g: &LayeredGraph, pulses: usize, trace: &PulseTrace) -> SkewStats {
     let p = standard_params();
     // The suite's standard monitor shape (κ/2 bins): recompute the
     // histogram the same way the observer bins per-pulse maxima.
@@ -248,12 +244,11 @@ fn sketch_certificate_holds_on_full_trace_grids() {
         (6, 5, 3, 8),
     ] {
         let g = grid(width, layers);
-        let mut pair = (FullTrace::new(&g, pulses), PodSketch::new(&g, rank));
+        let mut pair = (PulseTrace::new(&g, pulses), PodSketch::new(&g, rank));
         run_gradient_trix_streaming(&g, &p, &rule, &CorrectSends, pulses, 0xfeed, 1, &mut pair);
-        let (full, mut sketch) = pair;
+        let (trace, mut sketch) = pair;
         sketch.finish();
         let snap = sketch.snapshot();
-        let trace = full.into_trace();
 
         // Ground-truth pulse-front matrix, in the sketch's row order:
         // one row per (k, layer) front with ≥ 1 emission, misfires 0.0.
@@ -326,18 +321,26 @@ fn exp_scale_record_round_trips_schema_v8() {
     let sweep = outcome.report.filtered("exp_fault_sweep");
     assert!(!sweep.records.is_empty());
     assert!(sweep.records.iter().all(|r| r.campaign.is_some()));
-    assert!(sweep
-        .to_json()
-        .contains("\"campaign\": \"iid c=1.00 silent w=12\""));
+    let sweep_json = sweep.to_json();
+    assert!(sweep_json.contains("\"campaign\": \"iid c=1.00 silent w=12\""));
+    assert!(sweep_json.contains("\"campaign\": \"wave "));
     // Schema v6: grid experiments truthfully carry a null topology; the
     // family sweep stamps its versioned descriptors.
     assert!(json.contains("\"topology\": null"));
     let topo = outcome.report.filtered("exp_topology");
     assert!(!topo.records.is_empty());
     assert!(topo.records.iter().all(|r| r.topology.is_some()));
-    assert!(topo
-        .to_json()
-        .contains("\"topology\": \"v1 torus rows=3 cols=4 n=12 m=24 deg=4..4 D=3\""));
+    let topo_json = topo.to_json();
+    for family in [
+        "torus rows=3 cols=4 n=12 m=24 deg=4..4 D=3\"",
+        "hypercube ",
+        "supernode ",
+    ] {
+        assert!(
+            topo_json.contains(&format!("\"topology\": \"v1 {family}")),
+            "no {family} descriptor"
+        );
+    }
     // Schema v7: non-sketching experiments truthfully carry a null
     // sketch; every `exp_modes` record ships the compressed basis.
     assert!(json.contains("\"sketch\": null"));
