@@ -34,8 +34,9 @@
 //! adversary is actually doing) is exposed separately via
 //! [`FaultCampaign::active_set`] for the one-locality oracles.
 
+use crate::table::LayerTable;
 use crate::FaultBehavior;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use trix_sim::{splitmix64, SendModel};
 use trix_time::Time;
 use trix_topology::{LayeredGraph, NodeId};
@@ -136,6 +137,10 @@ impl FaultSchedule {
 /// A set of per-node [`FaultSchedule`]s — the time-varying adversary —
 /// usable directly as the [`SendModel`] of either dataflow driver.
 ///
+/// The schedules sit in a table sorted by position with an offset per
+/// layer, so a send from a node without a schedule (nearly every send
+/// at the paper's densities) is answered without hashing.
+///
 /// # Examples
 ///
 /// A minimal campaign: one node crashes for pulses 1–2 and recovers,
@@ -167,7 +172,7 @@ impl FaultSchedule {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct FaultCampaign {
-    schedules: HashMap<NodeId, FaultSchedule>,
+    schedules: LayerTable<FaultSchedule>,
     descriptor: String,
 }
 
@@ -277,14 +282,12 @@ impl FaultCampaign {
 
     /// The ever-faulty positions, sorted (deterministic iteration).
     pub fn faulty_nodes(&self) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> = self.schedules.keys().copied().collect();
-        nodes.sort();
-        nodes
+        self.schedules.keys().to_vec()
     }
 
     /// The node's schedule, if it has one.
     pub fn schedule(&self, node: NodeId) -> Option<&FaultSchedule> {
-        self.schedules.get(&node)
+        self.schedules.get(node)
     }
 
     /// The positions actively misbehaving at pulse `k` — what the
@@ -293,8 +296,8 @@ impl FaultCampaign {
     pub fn active_set(&self, k: usize) -> HashSet<NodeId> {
         self.schedules
             .iter()
-            .filter(|(n, s)| s.is_active(**n, k))
-            .map(|(n, _)| *n)
+            .filter(|(n, s)| s.is_active(*n, k))
+            .map(|(n, _)| n)
             .collect()
     }
 
@@ -302,7 +305,7 @@ impl FaultCampaign {
     pub fn active_count(&self, k: usize) -> usize {
         self.schedules
             .iter()
-            .filter(|(n, s)| s.is_active(**n, k))
+            .filter(|(n, s)| s.is_active(*n, k))
             .count()
     }
 
@@ -315,7 +318,7 @@ impl FaultCampaign {
     /// Whether every schedule has a static timing profile (only true for
     /// all-[`FaultSchedule::Always`] campaigns of static behaviors).
     pub fn all_static(&self) -> bool {
-        self.schedules.values().all(FaultSchedule::is_static)
+        self.schedules.values().iter().all(FaultSchedule::is_static)
     }
 }
 
@@ -327,14 +330,14 @@ impl SendModel for FaultCampaign {
         nominal: Option<Time>,
         target: NodeId,
     ) -> Option<Time> {
-        match self.schedules.get(&node) {
+        match self.schedules.get(node) {
             Some(schedule) => schedule.send_time(node, k, nominal, target),
             None => nominal,
         }
     }
 
     fn is_faulty(&self, node: NodeId) -> bool {
-        self.schedules.contains_key(&node)
+        self.schedules.contains_key(node)
     }
 }
 

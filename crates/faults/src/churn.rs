@@ -29,7 +29,7 @@
 //! streaming monitors already skip — so the skew envelope ranges over
 //! exactly the nodes present at each pulse.
 
-use std::collections::HashMap;
+use crate::table::LayerTable;
 use trix_sim::{splitmix64, SendModel};
 use trix_time::Time;
 use trix_topology::{LayeredGraph, NodeId};
@@ -125,7 +125,7 @@ impl ChurnSchedule {
 #[derive(Clone, Debug)]
 pub struct ChurnCampaign {
     default: ChurnSchedule,
-    overrides: HashMap<NodeId, ChurnSchedule>,
+    overrides: LayerTable<ChurnSchedule>,
     seed: u64,
     descriptor: String,
 }
@@ -191,7 +191,7 @@ impl ChurnCampaign {
 
     /// The schedule governing `node` (its override, or the default).
     pub fn schedule(&self, node: NodeId) -> &ChurnSchedule {
-        self.overrides.get(&node).unwrap_or(&self.default)
+        self.overrides.get(node).unwrap_or(&self.default)
     }
 
     /// Whether `node` is a member at pulse `k`.

@@ -51,6 +51,7 @@ mod churn;
 mod des_nodes;
 mod placement;
 mod send_model;
+mod table;
 
 pub use behavior::FaultBehavior;
 pub use campaign::{FaultCampaign, FaultSchedule};

@@ -16,19 +16,26 @@ use trix_topology::{LayeredGraph, NodeId};
 /// For every layer `ℓ` and base node `v`, at most one element of
 /// `{(v, ℓ)} ∪ {(w, ℓ) : w ∈ N(v)}` is faulty. This implies every node of
 /// layer `ℓ+1` has at most one faulty predecessor.
+///
+/// Two distinct nodes of a layer share a closed neighborhood exactly
+/// when their base distance is 1 or 2, so the check visits only each
+/// fault's same-layer 2-ball: its cost scales with the fault count, not
+/// the node count. Positions outside `g` lie in no neighborhood and are
+/// ignored.
 pub fn is_one_local(g: &LayeredGraph, faults: &HashSet<NodeId>) -> bool {
-    for layer in 0..g.layer_count() {
-        for v in 0..g.width() {
-            let mut count = usize::from(faults.contains(&g.node(v, layer)));
-            for &w in g.base().neighbors(v) {
-                count += usize::from(faults.contains(&g.node(w, layer)));
-                if count > 1 {
-                    return false;
-                }
-            }
+    let base = g.base();
+    let faulty = |w: usize, layer: u32| faults.contains(&NodeId::new(w as u32, layer));
+    faults.iter().all(|f| {
+        let (v, layer) = (f.v as usize, f.layer);
+        if v >= g.width() || layer as usize >= g.layer_count() {
+            return true;
         }
-    }
-    true
+        // Every other node within base distance 2 must be correct.
+        let clear = |w: usize| w == v || !faulty(w, layer);
+        base.neighbors(v)
+            .iter()
+            .all(|&w| clear(w) && base.neighbors(w).iter().all(|&x| clear(x)))
+    })
 }
 
 /// Samples each node of layers ≥ `min_layer` independently with
@@ -46,9 +53,27 @@ pub fn is_one_local(g: &LayeredGraph, faults: &HashSet<NodeId>) -> bool {
 ///
 /// Panics if `p` is outside `[0, 1]`.
 pub fn sample_iid(g: &LayeredGraph, p: f64, min_layer: usize, rng: &mut Rng) -> HashSet<NodeId> {
+    let mask = iid_mask(g, p, min_layer, rng);
+    nodes_of(g, &mask)
+}
+
+/// [`sample_iid`] as a dense mask indexed by [`LayeredGraph::node_index`]:
+/// one Bernoulli draw per node of layers ≥ `min_layer`, in `(layer, v)`
+/// order.
+fn iid_mask(g: &LayeredGraph, p: f64, min_layer: usize, rng: &mut Rng) -> Vec<bool> {
     assert!((0.0..=1.0).contains(&p), "probability out of range");
-    g.nodes()
-        .filter(|n| (n.layer as usize) >= min_layer && rng.bernoulli(p))
+    let first = min_layer.min(g.layer_count()) * g.width();
+    (0..g.node_count())
+        .map(|i| i >= first && rng.bernoulli(p))
+        .collect()
+}
+
+/// The nodes a dense mask marks.
+fn nodes_of(g: &LayeredGraph, mask: &[bool]) -> HashSet<NodeId> {
+    mask.iter()
+        .enumerate()
+        .filter(|&(_, &faulty)| faulty)
+        .map(|(i, _)| g.node_at(i))
         .collect()
 }
 
@@ -62,6 +87,10 @@ pub fn sample_iid(g: &LayeredGraph, p: f64, min_layer: usize, rng: &mut Rng) -> 
 /// that scan order** (the highest-indexed involved neighbor), not the
 /// "most recently sampled" node. Re-running the thinning on the same set
 /// always removes the same nodes.
+///
+/// The thinning is one pass over a dense mask of the graph: a drop
+/// re-checks the neighborhood it came from instead of restarting the
+/// scan, so the cost does not grow with the number of drops.
 ///
 /// `min_layer` is enforced by the sampling step and preserved by the
 /// thinning (which only removes nodes), so the returned set never
@@ -77,42 +106,38 @@ pub fn sample_iid(g: &LayeredGraph, p: f64, min_layer: usize, rng: &mut Rng) -> 
 ///
 /// # Panics
 ///
-/// Panics if `p` is outside `[0, 1]` (via [`sample_iid`]).
+/// Panics if `p` is outside `[0, 1]`.
 pub fn sample_one_local(
     g: &LayeredGraph,
     p: f64,
     min_layer: usize,
     rng: &mut Rng,
 ) -> (HashSet<NodeId>, usize) {
-    let mut faults = sample_iid(g, p, min_layer, rng);
+    let mut mask = iid_mask(g, p, min_layer, rng);
+    let width = g.width();
     let mut dropped = 0;
-    loop {
-        let mut offender = None;
-        'scan: for layer in 0..g.layer_count() {
-            for v in 0..g.width() {
-                let mut members = Vec::new();
-                if faults.contains(&g.node(v, layer)) {
-                    members.push(g.node(v, layer));
-                }
-                for &w in g.base().neighbors(v) {
-                    if faults.contains(&g.node(w, layer)) {
-                        members.push(g.node(w, layer));
+    for row in mask.chunks_mut(width) {
+        for v in 0..width {
+            // A drop only shrinks neighborhoods, so the ones scanned
+            // before stay clean: a rescan from the start would stop here
+            // again. Re-check this one until it is clean, then go on.
+            loop {
+                let (mut members, mut last) = (0, v);
+                for w in std::iter::once(v).chain(g.base().neighbors(v).iter().copied()) {
+                    if row[w] {
+                        members += 1;
+                        last = w;
                     }
                 }
-                if members.len() > 1 {
-                    offender = Some(members[members.len() - 1]);
-                    break 'scan;
+                if members <= 1 {
+                    break;
                 }
-            }
-        }
-        match offender {
-            Some(node) => {
-                faults.remove(&node);
+                row[last] = false;
                 dropped += 1;
             }
-            None => return (faults, dropped),
         }
     }
+    (nodes_of(g, &mask), dropped)
 }
 
 /// The worst-case clustered placement used by the Theorem 1.2 experiments:

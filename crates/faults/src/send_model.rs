@@ -1,8 +1,8 @@
 //! A [`SendModel`] that applies [`FaultBehavior`]s at chosen grid
 //! positions.
 
+use crate::table::LayerTable;
 use crate::FaultBehavior;
-use std::collections::HashMap;
 use trix_sim::SendModel;
 use trix_time::Time;
 use trix_topology::NodeId;
@@ -32,7 +32,7 @@ use trix_topology::NodeId;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct FaultySendModel {
-    faults: HashMap<NodeId, FaultBehavior>,
+    faults: LayerTable<FaultBehavior>,
 }
 
 impl FaultySendModel {
@@ -54,9 +54,9 @@ impl FaultySendModel {
         self.faults.insert(node, behavior);
     }
 
-    /// The faulty positions.
+    /// The faulty positions, in `(layer, v)` order.
     pub fn faulty_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.faults.keys().copied()
+        self.faults.keys().iter().copied()
     }
 
     /// Number of faulty nodes.
@@ -67,7 +67,7 @@ impl FaultySendModel {
     /// Whether all fault behaviors have static timing profiles
     /// (the Theorem 1.4 assumption).
     pub fn all_static(&self) -> bool {
-        self.faults.values().all(FaultBehavior::is_static)
+        self.faults.values().iter().all(FaultBehavior::is_static)
     }
 }
 
@@ -79,14 +79,14 @@ impl SendModel for FaultySendModel {
         nominal: Option<Time>,
         target: NodeId,
     ) -> Option<Time> {
-        match self.faults.get(&node) {
+        match self.faults.get(node) {
             Some(behavior) => behavior.send_time(node, k, nominal, target),
             None => nominal,
         }
     }
 
     fn is_faulty(&self, node: NodeId) -> bool {
-        self.faults.contains_key(&node)
+        self.faults.contains_key(node)
     }
 }
 
@@ -105,8 +105,7 @@ mod tests {
         assert!(model.is_faulty(NodeId::new(0, 1)));
         assert!(!model.is_faulty(NodeId::new(0, 2)));
         assert!(model.all_static());
-        let mut nodes: Vec<NodeId> = model.faulty_nodes().collect();
-        nodes.sort();
+        let nodes: Vec<NodeId> = model.faulty_nodes().collect();
         assert_eq!(nodes, vec![NodeId::new(0, 1), NodeId::new(1, 2)]);
     }
 

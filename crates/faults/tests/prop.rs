@@ -1,17 +1,23 @@
 //! Property tests for fault placement, behaviors, and time-varying
 //! campaigns.
+//!
+//! The differential tests keep the straightforward implementations the
+//! fast paths replaced as references: the all-neighborhood 1-locality
+//! scan, the restart-from-zero thinning, and `HashMap`-backed send
+//! models.
 
 use proptest::prelude::*;
+use std::collections::{HashMap, HashSet};
 use trix_faults::{
-    is_one_local, sample_one_local, ChurnCampaign, ChurnSchedule, FaultBehavior, FaultCampaign,
-    FaultSchedule,
+    is_one_local, sample_iid, sample_one_local, ChurnCampaign, ChurnSchedule, FaultBehavior,
+    FaultCampaign, FaultSchedule, FaultySendModel,
 };
 use trix_sim::{
     run_dataflow_observed, run_dataflow_parallel, Environment, Observer, OffsetLayer0, PulseRule,
-    Rng, SequenceEnvironment, StaticEnvironment,
+    Rng, SendModel, SequenceEnvironment, StaticEnvironment,
 };
 use trix_time::{AffineClock, Duration, Time};
-use trix_topology::{BaseGraph, LayeredGraph, NodeId};
+use trix_topology::{families, BaseGraph, LayeredGraph, NodeId};
 
 /// Fires at `max(arrivals) + rate` (mirrors `crates/sim/tests/prop.rs`).
 struct MaxPlus;
@@ -123,6 +129,168 @@ fn random_churn_campaign(
         campaign.insert(g.node(v, layer), schedule);
     }
     campaign
+}
+
+/// Reference 1-locality check: count the faults of every closed
+/// neighborhood of every layer.
+fn reference_is_one_local(g: &LayeredGraph, faults: &HashSet<NodeId>) -> bool {
+    for layer in 0..g.layer_count() {
+        for v in 0..g.width() {
+            let mut count = usize::from(faults.contains(&g.node(v, layer)));
+            for &w in g.base().neighbors(v) {
+                count += usize::from(faults.contains(&g.node(w, layer)));
+                if count > 1 {
+                    return false;
+                }
+            }
+        }
+    }
+    true
+}
+
+/// Reference thinning: sample iid, then rescan from `(0, 0)` after every
+/// drop, dropping the last member of the first violating neighborhood.
+fn reference_sample_one_local(
+    g: &LayeredGraph,
+    p: f64,
+    min_layer: usize,
+    rng: &mut Rng,
+) -> (HashSet<NodeId>, usize) {
+    let mut faults: HashSet<NodeId> = g
+        .nodes()
+        .filter(|n| (n.layer as usize) >= min_layer && rng.bernoulli(p))
+        .collect();
+    let mut dropped = 0;
+    loop {
+        let mut offender = None;
+        'scan: for layer in 0..g.layer_count() {
+            for v in 0..g.width() {
+                let mut members = Vec::new();
+                if faults.contains(&g.node(v, layer)) {
+                    members.push(g.node(v, layer));
+                }
+                for &w in g.base().neighbors(v) {
+                    if faults.contains(&g.node(w, layer)) {
+                        members.push(g.node(w, layer));
+                    }
+                }
+                if members.len() > 1 {
+                    offender = Some(members[members.len() - 1]);
+                    break 'scan;
+                }
+            }
+        }
+        match offender {
+            Some(node) => {
+                faults.remove(&node);
+                dropped += 1;
+            }
+            None => return (faults, dropped),
+        }
+    }
+}
+
+/// A layered graph over one of four base families — the line with
+/// replicated ends, a torus, a hypercube or a supernode overlay — in one
+/// of three sizes.
+fn family_graph(family: usize, size: usize, layers: usize) -> LayeredGraph {
+    let base = match family {
+        0 => BaseGraph::line_with_replicated_ends(4 + 5 * size),
+        1 => families::torus(3 + size, 4).into_graph(),
+        2 => families::hypercube(2 + size as u32).into_graph(),
+        _ => families::supernode_overlay(3 + size, 1 + size).into_graph(),
+    };
+    LayeredGraph::new(base, layers)
+}
+
+/// Writes per send-model test: positions fall in a 6×6 corner so they
+/// repeat, queries range over 8×8 so they also miss past the last
+/// written layer.
+const WRITE_SPAN: usize = 6;
+const QUERY_SPAN: u32 = 8;
+
+fn random_position(rng: &mut Rng) -> NodeId {
+    NodeId::new(
+        rng.usize_below(WRITE_SPAN) as u32,
+        rng.usize_below(WRITE_SPAN) as u32,
+    )
+}
+
+fn query_positions() -> impl Iterator<Item = NodeId> {
+    (0..QUERY_SPAN).flat_map(|layer| (0..QUERY_SPAN).map(move |v| NodeId::new(v, layer)))
+}
+
+fn random_behavior(rng: &mut Rng) -> FaultBehavior {
+    match rng.usize_below(4) {
+        0 => FaultBehavior::Silent,
+        1 => FaultBehavior::Shift(Duration::from(rng.usize_below(9) as f64 - 4.0)),
+        2 => FaultBehavior::Jitter {
+            amplitude: Duration::from(2.0),
+            seed: rng.next_u64(),
+        },
+        _ => FaultBehavior::dies_at(rng.usize_below(4)),
+    }
+}
+
+fn random_schedule(rng: &mut Rng) -> FaultSchedule {
+    let behavior = random_behavior(rng);
+    let from = rng.usize_below(4);
+    let until = from + rng.usize_below(4);
+    match rng.usize_below(4) {
+        0 => FaultSchedule::Always(behavior),
+        1 => FaultSchedule::Window {
+            from,
+            until,
+            behavior,
+        },
+        2 => FaultSchedule::CrashRecover {
+            down_from: from,
+            down_until: until,
+        },
+        _ => FaultSchedule::Flaky {
+            behavior,
+            activity: 0.5,
+            seed: rng.next_u64(),
+        },
+    }
+}
+
+fn random_churn_schedule(rng: &mut Rng) -> ChurnSchedule {
+    let pulse = rng.usize_below(4);
+    match rng.usize_below(5) {
+        0 => ChurnSchedule::Resident,
+        1 => ChurnSchedule::JoinAt { pulse },
+        2 => ChurnSchedule::LeaveAt { pulse },
+        3 => ChurnSchedule::Rejoin {
+            leave: pulse,
+            rejoin: pulse + 1 + rng.usize_below(3),
+        },
+        _ => ChurnSchedule::Flicker { rate: 0.5 },
+    }
+}
+
+/// `count` random writes, with the `HashMap` they leave behind when
+/// applied in order (the last write to a position wins).
+fn random_writes<T: Clone>(
+    rng: &mut Rng,
+    count: usize,
+    value: impl Fn(&mut Rng) -> T,
+) -> (Vec<(NodeId, T)>, HashMap<NodeId, T>) {
+    let writes: Vec<(NodeId, T)> = (0..count)
+        .map(|_| {
+            let node = random_position(rng);
+            (node, value(rng))
+        })
+        .collect();
+    let map = writes.iter().cloned().collect();
+    (writes, map)
+}
+
+/// The keys of a reference map in `(layer, v)` order.
+fn sorted_keys<T>(map: &HashMap<NodeId, T>) -> Vec<NodeId> {
+    let mut keys: Vec<NodeId> = map.keys().copied().collect();
+    keys.sort();
+    keys
 }
 
 proptest! {
@@ -331,7 +499,6 @@ proptest! {
         seed in any::<u64>(),
         rate in 0.0f64..0.5,
     ) {
-        use trix_sim::SendModel;
         let g = LayeredGraph::new(BaseGraph::line_with_replicated_ends(10), 8);
         let pulses = 6;
         let a = random_churn_campaign(&g, rate, pulses, 4, seed);
@@ -360,7 +527,6 @@ proptest! {
     /// is live.
     #[test]
     fn campaign_active_sets_replay(seed in any::<u64>(), density in 0.0f64..0.3) {
-        use trix_sim::SendModel;
         let g = LayeredGraph::new(BaseGraph::line_with_replicated_ends(8), 6);
         let pulses = 4;
         let a = random_campaign(&g, density, pulses, seed);
@@ -385,6 +551,179 @@ proptest! {
         }
         for k in at..at + 5 {
             prop_assert!(b.send_time(node, k, Some(Time::ZERO), target).is_none());
+        }
+    }
+
+    /// The fault-local 1-locality check agrees with the full scan over
+    /// every closed neighborhood on four base families, for 1-local
+    /// sets, for the same sets with extra faults (usually violating),
+    /// for raw iid samples, and with a position outside the graph.
+    #[test]
+    fn one_locality_check_matches_the_full_scan(
+        seed in any::<u64>(),
+        family in 0usize..4,
+        size in 0usize..3,
+        layers in 1usize..6,
+        density in 0.0f64..0.4,
+        extra in 0usize..4,
+    ) {
+        let g = family_graph(family, size, layers);
+        let mut rng = Rng::seed_from(seed);
+        let (thinned, _) = sample_one_local(&g, density, 0, &mut rng);
+        prop_assert!(reference_is_one_local(&g, &thinned));
+        let mut crowded = thinned.clone();
+        for _ in 0..extra {
+            crowded.insert(g.node(rng.usize_below(g.width()), rng.usize_below(layers)));
+        }
+        let raw = sample_iid(&g, density, 0, &mut rng);
+        let mut outside = crowded.clone();
+        outside.insert(NodeId::new(g.width() as u32, 0));
+        outside.insert(NodeId::new(0, layers as u32));
+        for set in [&thinned, &crowded, &raw, &outside] {
+            prop_assert_eq!(is_one_local(&g, set), reference_is_one_local(&g, set));
+        }
+    }
+
+    /// The resumed thinning keeps and drops the same nodes as the
+    /// restart-from-zero thinning, and leaves the RNG in the same state.
+    #[test]
+    fn thinning_matches_restart_from_zero(
+        seed in any::<u64>(),
+        family in 0usize..4,
+        size in 0usize..3,
+        layers in 1usize..8,
+        p in 0.0f64..0.3,
+        min_layer in 0usize..3,
+    ) {
+        let g = family_graph(family, size, layers);
+        let (mut fast_rng, mut reference_rng) = (Rng::seed_from(seed), Rng::seed_from(seed));
+        let (fast, fast_dropped) = sample_one_local(&g, p, min_layer, &mut fast_rng);
+        let (reference, reference_dropped) =
+            reference_sample_one_local(&g, p, min_layer, &mut reference_rng);
+        prop_assert_eq!(fast, reference);
+        prop_assert_eq!(fast_dropped, reference_dropped);
+        prop_assert_eq!(fast_rng.next_u64(), reference_rng.next_u64());
+    }
+
+    /// `FaultySendModel` answers like a `HashMap` of behaviors, built
+    /// partly by `from_faults` and partly by `insert`, with repeats.
+    #[test]
+    fn faulty_send_model_matches_a_hash_map(
+        seed in any::<u64>(),
+        count in 0usize..40,
+        split in 0usize..40,
+    ) {
+        let mut rng = Rng::seed_from(seed);
+        let (writes, reference) = random_writes(&mut rng, count, random_behavior);
+        let split = split.min(count);
+        let mut model = FaultySendModel::from_faults(writes[..split].iter().cloned());
+        for (node, behavior) in &writes[split..] {
+            model.insert(*node, behavior.clone());
+        }
+        prop_assert_eq!(model.fault_count(), reference.len());
+        prop_assert_eq!(model.faulty_nodes().collect::<Vec<_>>(), sorted_keys(&reference));
+        prop_assert_eq!(
+            model.all_static(),
+            reference.values().all(FaultBehavior::is_static)
+        );
+        let nominal = Some(Time::from(10.0));
+        for node in query_positions() {
+            prop_assert_eq!(model.is_faulty(node), reference.contains_key(&node));
+            let target = NodeId::new(node.v, node.layer + 1);
+            for k in 0..4 {
+                let expected = match reference.get(&node) {
+                    Some(behavior) => behavior.send_time(node, k, nominal, target),
+                    None => nominal,
+                };
+                prop_assert_eq!(model.send_time(node, k, nominal, target), expected);
+            }
+        }
+    }
+
+    /// `FaultCampaign` answers like a `HashMap` of schedules, built
+    /// partly by `from_schedules` and partly by `insert`, with repeats.
+    #[test]
+    fn fault_campaign_matches_a_hash_map(
+        seed in any::<u64>(),
+        count in 0usize..40,
+        split in 0usize..40,
+    ) {
+        let mut rng = Rng::seed_from(seed);
+        let (writes, reference) = random_writes(&mut rng, count, random_schedule);
+        let split = split.min(count);
+        let mut campaign = FaultCampaign::from_schedules(writes[..split].iter().cloned());
+        for (node, schedule) in &writes[split..] {
+            campaign.insert(*node, schedule.clone());
+        }
+        prop_assert_eq!(campaign.fault_count(), reference.len());
+        prop_assert_eq!(campaign.faulty_nodes(), sorted_keys(&reference));
+        prop_assert_eq!(
+            campaign.all_static(),
+            reference.values().all(FaultSchedule::is_static)
+        );
+        let pulses = 6;
+        for k in 0..pulses {
+            let active: HashSet<NodeId> = reference
+                .iter()
+                .filter(|(n, s)| s.is_active(**n, k))
+                .map(|(n, _)| *n)
+                .collect();
+            prop_assert_eq!(campaign.active_count(k), active.len());
+            prop_assert_eq!(campaign.active_set(k), active);
+        }
+        let nominal = Some(Time::from(10.0));
+        for node in query_positions() {
+            prop_assert_eq!(campaign.is_faulty(node), reference.contains_key(&node));
+            prop_assert_eq!(campaign.schedule(node), reference.get(&node));
+            let target = NodeId::new(node.v, node.layer + 1);
+            for k in 0..pulses {
+                let expected = match reference.get(&node) {
+                    Some(schedule) => schedule.send_time(node, k, nominal, target),
+                    None => nominal,
+                };
+                prop_assert_eq!(campaign.send_time(node, k, nominal, target), expected);
+            }
+        }
+    }
+
+    /// `ChurnCampaign` overrides answer like a `HashMap` over the
+    /// default schedule, built partly by `from_schedules` and partly by
+    /// `insert`, with repeats.
+    #[test]
+    fn churn_overrides_match_a_hash_map(
+        seed in any::<u64>(),
+        count in 0usize..40,
+        split in 0usize..40,
+    ) {
+        let mut rng = Rng::seed_from(seed);
+        let (writes, reference) = random_writes(&mut rng, count, random_churn_schedule);
+        let split = split.min(count);
+        let default = ChurnSchedule::Flicker { rate: 0.2 };
+        let churn_seed = rng.next_u64();
+        let mut campaign = ChurnCampaign::from_schedules(
+            default.clone(),
+            churn_seed,
+            writes[..split].iter().cloned(),
+        );
+        for (node, schedule) in &writes[split..] {
+            campaign.insert(*node, schedule.clone());
+        }
+        prop_assert_eq!(campaign.override_count(), reference.len());
+        let nominal = Some(Time::from(10.0));
+        for node in query_positions() {
+            let schedule = reference.get(&node).unwrap_or(&default);
+            prop_assert_eq!(campaign.schedule(node), schedule);
+            prop_assert!(!campaign.is_faulty(node));
+            let target = NodeId::new(node.v, node.layer + 1);
+            for k in 0..6 {
+                let member = schedule.is_member(node, k, churn_seed);
+                prop_assert_eq!(campaign.is_member(node, k), member);
+                prop_assert_eq!(SendModel::is_member(&campaign, node, k), member);
+                prop_assert_eq!(
+                    campaign.send_time(node, k, nominal, target),
+                    if member { nominal } else { None }
+                );
+            }
         }
     }
 }

@@ -10,8 +10,6 @@
 //! contract independent of *which* family a sweep runs on: neighbor
 //! iteration order is the sorted CSR row order, full stop.
 
-use std::collections::VecDeque;
-
 /// A simple, connected, undirected graph in compressed-sparse-row form.
 ///
 /// Nodes are `usize` indices `0..node_count()`; each row of the CSR table
@@ -91,7 +89,7 @@ impl CsrGraph {
     fn compute_diameter(&self) -> Option<u32> {
         let n = self.node_count();
         let mut dist = vec![u32::MAX; n];
-        let mut queue = VecDeque::new();
+        let mut queue = Vec::with_capacity(n);
         let mut diameter = 0u32;
         for src in 0..n {
             dist.fill(u32::MAX);
@@ -106,16 +104,21 @@ impl CsrGraph {
         Some(diameter)
     }
 
-    fn bfs_into(&self, src: usize, dist: &mut [u32], queue: &mut VecDeque<usize>) {
+    /// BFS from `src` into `dist` (all `u32::MAX` on entry). Each node
+    /// enters `queue` at most once, so a `Vec` read from the front by
+    /// index is the FIFO.
+    fn bfs_into(&self, src: usize, dist: &mut [u32], queue: &mut Vec<usize>) {
         dist[src] = 0;
         queue.clear();
-        queue.push_back(src);
-        while let Some(u) = queue.pop_front() {
+        queue.push(src);
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
             let du = dist[u];
             for &w in self.neighbors(u) {
                 if dist[w] == u32::MAX {
                     dist[w] = du + 1;
-                    queue.push_back(w);
+                    queue.push(w);
                 }
             }
         }
@@ -130,7 +133,7 @@ impl CsrGraph {
     pub fn bfs_distances(&self, src: usize) -> Vec<u32> {
         assert!(src < self.node_count(), "source out of range");
         let mut dist = vec![u32::MAX; self.node_count()];
-        let mut queue = VecDeque::new();
+        let mut queue = Vec::with_capacity(self.node_count());
         self.bfs_into(src, &mut dist, &mut queue);
         dist
     }

@@ -22,24 +22,69 @@ use gradient_trix::sim::{run_dataflow, CorrectSends, OffsetLayer0, Rng, StaticEn
 use gradient_trix::time::{Duration, Time};
 use gradient_trix::topology::{BaseGraph, EdgeId, LayeredGraph, NodeId};
 
+/// Whether a flag takes a value (`--width 8`) or stands alone (`--chart`).
+#[derive(Clone, Copy)]
+enum Flag {
+    Value,
+    Switch,
+}
+
+const RUN_FLAGS: &[(&str, Flag)] = &[
+    ("width", Flag::Value),
+    ("layers", Flag::Value),
+    ("pulses", Flag::Value),
+    ("seed", Flag::Value),
+    ("faults", Flag::Value),
+    ("p-fail", Flag::Value),
+    ("behavior", Flag::Value),
+    ("adversarial", Flag::Switch),
+    ("chart", Flag::Switch),
+];
+const STABILIZE_FLAGS: &[(&str, Flag)] = &[
+    ("width", Flag::Value),
+    ("seed", Flag::Value),
+    ("spurious", Flag::Value),
+    ("dead", Flag::Value),
+];
+const COMPARE_FLAGS: &[(&str, Flag)] = &[("width", Flag::Value)];
+
+/// Prints `message` and exits with the usage-error code 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
+}
+
 struct Args {
     flags: Vec<(String, Option<String>)>,
 }
 
 impl Args {
-    fn parse(raw: &[String]) -> Self {
+    /// Parses `raw` against the command's `known` flags: an unknown
+    /// flag, a stray argument or a value flag without its value is an
+    /// error.
+    fn parse(raw: &[String], known: &[(&str, Flag)]) -> Result<Self, String> {
         let mut flags = Vec::new();
-        let mut i = 0;
-        while i < raw.len() {
-            let key = raw[i].trim_start_matches("--").to_owned();
-            let value = raw.get(i + 1).filter(|v| !v.starts_with("--")).cloned();
-            if value.is_some() {
-                i += 1;
-            }
-            flags.push((key, value));
-            i += 1;
+        let mut raw = raw.iter().peekable();
+        while let Some(arg) = raw.next() {
+            let Some(key) = arg.strip_prefix("--") else {
+                return Err(format!("unexpected argument '{arg}'"));
+            };
+            let Some(&(_, kind)) = known.iter().find(|(name, _)| *name == key) else {
+                let names: Vec<String> =
+                    known.iter().map(|(name, _)| format!("--{name}")).collect();
+                return Err(format!("unknown flag '{arg}' ({})", names.join(" ")));
+            };
+            let value = match kind {
+                Flag::Switch => None,
+                Flag::Value => Some(
+                    raw.next_if(|v| !v.starts_with("--"))
+                        .ok_or_else(|| format!("flag '{arg}' needs a value"))?
+                        .clone(),
+                ),
+            };
+            flags.push((key.to_owned(), value));
         }
-        Self { flags }
+        Ok(Self { flags })
     }
 
     fn get(&self, key: &str) -> Option<&str> {
@@ -49,10 +94,15 @@ impl Args {
             .and_then(|(_, v)| v.as_deref())
     }
 
+    /// The flag's value parsed as a `T`, or `default` if the flag is
+    /// absent; an unparsable value is a usage error.
     fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        match self.get(key) {
+            None => default,
+            Some(v) => v
+                .parse()
+                .unwrap_or_else(|_| usage_error(&format!("invalid value '{v}' for --{key}"))),
+        }
     }
 
     fn has(&self, key: &str) -> bool {
@@ -77,10 +127,9 @@ fn behavior_for(name: &str, kappa: Duration, seed: u64) -> FaultBehavior {
             toward_lower: kappa * -8.0,
             toward_higher: kappa * 8.0,
         },
-        other => {
-            eprintln!("unknown behavior '{other}' (silent|late|early|jitter|two-faced)");
-            std::process::exit(2);
-        }
+        other => usage_error(&format!(
+            "unknown behavior '{other}' (silent|late|early|jitter|two-faced)"
+        )),
     }
 }
 
@@ -118,7 +167,8 @@ fn cmd_run(args: &Args) {
     // Faults: either an explicit count (spread across the grid) or a
     // probability via --p-fail.
     let mut model = FaultySendModel::new();
-    if let Some(prob) = args.get("p-fail").and_then(|v| v.parse::<f64>().ok()) {
+    if args.has("p-fail") {
+        let prob: f64 = args.num("p-fail", 0.0);
         let (positions, _) = sample_one_local(&g, prob, 1, &mut rng);
         let mut sorted: Vec<NodeId> = positions.into_iter().collect();
         sorted.sort();
@@ -295,17 +345,18 @@ fn trix_bench_table(width: usize) -> String {
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = raw.first().map(String::as_str) else {
-        eprintln!("usage: trix <run|stabilize|compare> [flags]  (see source header)");
-        std::process::exit(2);
+        usage_error("usage: trix <run|stabilize|compare> [flags]  (see source header)");
     };
-    let args = Args::parse(&raw[1..]);
-    match cmd {
-        "run" => cmd_run(&args),
-        "stabilize" => cmd_stabilize(&args),
-        "compare" => cmd_compare(&args),
-        other => {
-            eprintln!("unknown command '{other}' (run|stabilize|compare)");
-            std::process::exit(2);
-        }
+    let (run, known): (fn(&Args), _) = match cmd {
+        "run" => (cmd_run, RUN_FLAGS),
+        "stabilize" => (cmd_stabilize, STABILIZE_FLAGS),
+        "compare" => (cmd_compare, COMPARE_FLAGS),
+        other => usage_error(&format!(
+            "unknown command '{other}' (run|stabilize|compare)"
+        )),
+    };
+    match Args::parse(&raw[1..], known) {
+        Ok(args) => run(&args),
+        Err(message) => usage_error(&format!("trix {cmd}: {message}")),
     }
 }

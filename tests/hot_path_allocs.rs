@@ -4,7 +4,8 @@
 //! streaming skew monitor allocates only per run: the in-edge table, the
 //! two rows and the neighbor scratch buffer. Nothing is allocated per
 //! rule evaluation or per pulse, so a pass of 8 pulses makes exactly as
-//! many heap allocations as a pass of 4.
+//! many heap allocations as a pass of 4. That holds for correct sends
+//! and for sends gated by a fault campaign or a churn campaign.
 //!
 //! The test binary installs a counting global allocator that forwards to
 //! the system allocator and counts only the allocations of the thread
@@ -14,9 +15,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use gradient_trix::core::{GradientTrixRule, Layer0Line};
-use gradient_trix::sim::{run_dataflow_observed, CorrectSends, Rng, StaticEnvironment};
+use gradient_trix::faults::{ChurnCampaign, ChurnSchedule};
+use gradient_trix::sim::{run_dataflow_observed, CorrectSends, Rng, SendModel, StaticEnvironment};
 use gradient_trix::topology::{families, LayeredGraph};
 use trix_bench::common::{grid, standard_params, streaming_monitor};
+use trix_bench::exp_fault_sweep::{self, BehaviorClass, PatternClass, SweepPoint};
 use trix_bench::exp_topology::layers_for;
 
 thread_local! {
@@ -65,9 +68,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Heap allocations one serial pass of `pulses` pulses makes on `g`,
-/// with the inputs built beforehand and the monitor finished afterwards.
-fn pass_allocations(g: &LayeredGraph, pulses: usize) -> u64 {
+/// Heap allocations one serial pass of `pulses` pulses makes on `g`
+/// with sends gated by `sends`, with the inputs built beforehand and the
+/// monitor finished afterwards.
+fn pass_allocations(g: &LayeredGraph, sends: &impl SendModel, pulses: usize) -> u64 {
     let p = standard_params();
     let root = Rng::seed_from(7);
     let env = StaticEnvironment::random(g, p.d(), p.u(), p.theta(), &mut root.fork(1));
@@ -75,11 +79,19 @@ fn pass_allocations(g: &LayeredGraph, pulses: usize) -> u64 {
     let rule = GradientTrixRule::new(p);
     let mut skew = streaming_monitor(g, &p);
     ALLOCS.with(|n| n.set(Some(0)));
-    run_dataflow_observed(g, &env, &layer0, &rule, &CorrectSends, pulses, &mut skew);
+    run_dataflow_observed(g, &env, &layer0, &rule, sends, pulses, &mut skew);
     skew.finish();
     let allocs = ALLOCS.with(|n| n.replace(None)).expect("counting was on");
     assert_eq!(skew.pulses(), pulses as u64);
     allocs
+}
+
+fn assert_per_run(name: &str, g: &LayeredGraph, sends: &impl SendModel) {
+    let (four, eight) = (pass_allocations(g, sends, 4), pass_allocations(g, sends, 8));
+    assert_eq!(
+        four, eight,
+        "{name}: 4 pulses allocate {four} times, 8 pulses {eight} times"
+    );
 }
 
 #[test]
@@ -88,10 +100,37 @@ fn serial_pass_allocates_per_run_not_per_pulse() {
     let layers = layers_for(torus.diameter());
     let torus = LayeredGraph::new(torus, layers);
     for (name, g) in [("width-32 grid", grid(32, 32)), ("6x6 torus", torus)] {
-        let (four, eight) = (pass_allocations(&g, 4), pass_allocations(&g, 8));
-        assert_eq!(
-            four, eight,
-            "{name}: 4 pulses allocate {four} times, 8 pulses {eight} times"
+        assert_per_run(name, &g, &CorrectSends);
+    }
+
+    // Campaign gating: the iid/flaky campaign of the fault sweep, at the
+    // n^-1/2 boundary density and at 8x that.
+    let g = grid(32, 32);
+    for density_centi in [100, 800] {
+        let point = SweepPoint {
+            width: g.width(),
+            pulses: 8,
+            density_centi,
+            behavior: BehaviorClass::Flaky,
+            pattern: PatternClass::Iid,
+        };
+        let campaign = exp_fault_sweep::campaign_for(&g, &point, 3);
+        assert!(campaign.fault_count() > 0, "density {density_centi}");
+        assert_per_run("iid/flaky campaign", &g, &campaign);
+    }
+
+    // Membership gating: i.i.d. flicker plus per-node overrides.
+    let mut churn = ChurnCampaign::flicker(0.05, 11);
+    for (i, layer) in (1..g.layer_count()).step_by(3).enumerate() {
+        let node = g.node((7 * i) % g.width(), layer);
+        churn.insert(
+            node,
+            ChurnSchedule::Rejoin {
+                leave: 1,
+                rejoin: 3,
+            },
         );
     }
+    assert!(churn.override_count() > 0);
+    assert_per_run("churn campaign with overrides", &g, &churn);
 }
