@@ -1,6 +1,7 @@
 //! Base graphs `H` (paper §2, Figure 2).
 
 use crate::CsrGraph;
+use std::sync::OnceLock;
 
 /// A simple, connected, undirected base graph `H = (V, E)`.
 ///
@@ -13,15 +14,26 @@ use crate::CsrGraph;
 ///
 /// Nodes are identified by `usize` indices `0..node_count()`. Structurally
 /// this is a [`CsrGraph`] (sorted rows, so iteration order — and therefore
-/// every simulation — is deterministic) plus the eagerly materialized
-/// all-pairs distance matrix that the ancestor-cone queries
-/// ([`crate::distance_ancestors`]) need in their inner loop.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// every simulation — is deterministic) plus the all-pairs distance matrix
+/// that the ancestor-cone queries ([`crate::distance_ancestors`]) need in
+/// their inner loop. The matrix is built by the first
+/// [`BaseGraph::distance`] call, so graphs that are only simulated never
+/// pay its `O(n²)` memory. Equality compares the graphs, not whether the
+/// matrix has been built.
+#[derive(Clone, Debug)]
 pub struct BaseGraph {
     csr: CsrGraph,
-    /// All-pairs hop distances, row-major.
-    distances: Vec<u32>,
+    /// All-pairs hop distances, row-major, filled on first use.
+    distances: OnceLock<Vec<u32>>,
 }
+
+impl PartialEq for BaseGraph {
+    fn eq(&self, other: &Self) -> bool {
+        self.csr == other.csr
+    }
+}
+
+impl Eq for BaseGraph {}
 
 impl BaseGraph {
     /// Builds a base graph from an undirected edge list over `n` nodes.
@@ -36,16 +48,14 @@ impl BaseGraph {
         Self::from_csr(CsrGraph::from_edges(n, edges))
     }
 
-    /// Wraps an already-validated [`CsrGraph`], materializing the all-pairs
-    /// distance matrix (`O(n²)` memory — the price of constant-time
-    /// [`BaseGraph::distance`] queries).
+    /// Wraps an already-validated [`CsrGraph`]. No distances are computed
+    /// here: the first [`BaseGraph::distance`] call builds the all-pairs
+    /// matrix.
     pub fn from_csr(csr: CsrGraph) -> Self {
-        let n = csr.node_count();
-        let mut distances = Vec::with_capacity(n * n);
-        for src in 0..n {
-            distances.extend_from_slice(&csr.bfs_distances(src));
+        Self {
+            csr,
+            distances: OnceLock::new(),
         }
-        Self { csr, distances }
     }
 
     /// The paper's base graph (Figure 2): a line of `line_len` nodes whose
@@ -176,9 +186,34 @@ impl BaseGraph {
     }
 
     /// Hop distance `d(v, w)` in `H`.
+    ///
+    /// The first call builds the all-pairs matrix, one BFS per source
+    /// (`O(n·(n + m))` time, `O(n²)` memory); later calls are a lookup.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` or `w` is out of range.
     #[inline]
     pub fn distance(&self, v: usize, w: usize) -> u32 {
-        self.distances[v * self.node_count() + w]
+        let n = self.node_count();
+        assert!(
+            v < n && w < n,
+            "node out of range: d({v}, {w}) on {n} nodes"
+        );
+        self.distance_matrix()[v * n + w]
+    }
+
+    /// The row-major all-pairs matrix, built on first use.
+    fn distance_matrix(&self) -> &[u32] {
+        self.distances.get_or_init(|| {
+            let n = self.node_count();
+            let mut matrix = vec![u32::MAX; n * n];
+            let mut queue = Vec::with_capacity(n);
+            for (src, row) in matrix.chunks_exact_mut(n).enumerate() {
+                self.csr.bfs_into(src, row, &mut queue);
+            }
+            matrix
+        })
     }
 
     /// The diameter `D` of `H`.
@@ -305,6 +340,45 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn distance_rejects_out_of_range_target() {
+        // Row-major indexing alone would read d(1, 0) here.
+        let _ = BaseGraph::path(7).distance(0, 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn distance_rejects_out_of_range_source() {
+        let _ = BaseGraph::path(7).distance(7, 0);
+    }
+
+    #[test]
+    fn distance_matrix_is_built_on_first_use() {
+        let a = BaseGraph::cycle(9);
+        let b = BaseGraph::from_csr(a.csr().clone());
+        assert!(a.distances.get().is_none(), "construction builds no matrix");
+        assert_eq!(a.distance(0, 4), 4);
+        assert!(a.distances.get().is_some(), "first query builds it");
+        for v in 0..a.node_count() {
+            let row: Vec<u32> = (0..a.node_count()).map(|w| a.distance(v, w)).collect();
+            assert_eq!(row, a.csr().bfs_distances(v));
+        }
+        // Equality and clones see the graph, not the cache.
+        assert!(b.distances.get().is_none());
+        assert_eq!(a, b);
+        assert_eq!(a.clone(), b);
+        assert_eq!(b.clone(), a);
+    }
+
+    #[test]
+    fn base_graph_is_sync() {
+        // The frontier workers share `&LayeredGraph`, and so its base
+        // graph, across threads; the lazy matrix must keep that legal.
+        fn sync<T: Send + Sync>() {}
+        sync::<BaseGraph>();
     }
 
     #[test]

@@ -3,12 +3,13 @@
 //! [`CsrGraph`] is the substrate beneath [`crate::BaseGraph`]: a simple,
 //! connected, undirected graph stored as two flat arrays (row offsets +
 //! concatenated sorted neighbor lists), with its diameter computed at
-//! construction by a memory-bounded BFS sweep. Everything a generator
-//! produces — tori, hypercubes, random-geometric graphs, pod meshes,
-//! supernode overlays (see [`crate::families`]) — is validated and
-//! canonicalized here, which is what makes the three-legged determinism
-//! contract independent of *which* family a sweep runs on: neighbor
-//! iteration order is the sorted CSR row order, full stop.
+//! construction by a bit-parallel BFS that runs 64 sources at a time in
+//! `O(n)` memory. Everything a generator produces — tori, hypercubes,
+//! random-geometric graphs, pod meshes, supernode overlays (see
+//! [`crate::families`]) — is validated and canonicalized here, which is
+//! what makes the three-legged determinism contract independent of
+//! *which* family a sweep runs on: neighbor iteration order is the
+//! sorted CSR row order, full stop.
 
 /// A simple, connected, undirected graph in compressed-sparse-row form.
 ///
@@ -16,10 +17,10 @@
 /// is sorted, so neighbor iteration — and therefore every simulation
 /// driven by this graph — is deterministic by construction.
 ///
-/// Unlike [`crate::BaseGraph`] (which additionally materializes the
-/// all-pairs distance matrix for ancestor-cone queries), a `CsrGraph`
-/// keeps only `O(n + m)` state; single-source distances are available
-/// on demand via [`CsrGraph::bfs_distances`].
+/// Unlike [`crate::BaseGraph`] (which builds the all-pairs distance
+/// matrix on its first [`crate::BaseGraph::distance`] query), a
+/// `CsrGraph` keeps only `O(n + m)` state; single-source distances are
+/// available on demand via [`CsrGraph::bfs_distances`].
 ///
 /// # Examples
 ///
@@ -84,22 +85,60 @@ impl CsrGraph {
         g
     }
 
-    /// BFS sweep over all sources with one reusable `O(n)` distance
-    /// buffer; `None` if the graph is disconnected.
+    /// Exact diameter by bit-parallel multi-source BFS (MS-BFS, Then et
+    /// al., PVLDB 8(4), 2014); `None` if the graph is disconnected.
+    ///
+    /// Sources run in batches of 64 that share one traversal. Bit `i` of
+    /// `seen[v]` says source `first + i` has reached `v`; `visit[v]`
+    /// holds the bits that reached `v` at the current level, and only
+    /// nodes with such bits sit on the `frontier` list. A level step
+    /// pushes each frontier node's bits to the neighbors that lack them.
+    /// The diameter is the last level at which any bit was new, and a
+    /// node missing a bit once its batch is done is unreachable from
+    /// that source.
     fn compute_diameter(&self) -> Option<u32> {
         let n = self.node_count();
-        let mut dist = vec![u32::MAX; n];
-        let mut queue = Vec::with_capacity(n);
+        let mut seen = vec![0u64; n];
+        let mut visit = vec![0u64; n];
+        let mut visit_next = vec![0u64; n];
+        let mut frontier = Vec::with_capacity(n);
+        let mut next = Vec::with_capacity(n);
         let mut diameter = 0u32;
-        for src in 0..n {
-            dist.fill(u32::MAX);
-            self.bfs_into(src, &mut dist, &mut queue);
-            for &d in &dist {
-                if d == u32::MAX {
-                    return None;
-                }
-                diameter = diameter.max(d);
+        for first in (0..n).step_by(64) {
+            let batch = (n - first).min(64);
+            let all = u64::MAX >> (64 - batch);
+            seen.fill(0);
+            for i in 0..batch {
+                seen[first + i] = 1 << i;
+                visit[first + i] = 1 << i;
+                frontier.push(first + i);
             }
+            let mut level = 0u32;
+            while !frontier.is_empty() {
+                for &v in &frontier {
+                    let bits = std::mem::take(&mut visit[v]);
+                    for &w in self.neighbors(v) {
+                        let new = bits & !seen[w];
+                        if new != 0 {
+                            if visit_next[w] == 0 {
+                                next.push(w);
+                            }
+                            visit_next[w] |= new;
+                            seen[w] |= new;
+                        }
+                    }
+                }
+                std::mem::swap(&mut visit, &mut visit_next);
+                std::mem::swap(&mut frontier, &mut next);
+                next.clear();
+                if !frontier.is_empty() {
+                    level += 1;
+                }
+            }
+            if seen.iter().any(|&s| s != all) {
+                return None;
+            }
+            diameter = diameter.max(level);
         }
         Some(diameter)
     }
@@ -107,7 +146,7 @@ impl CsrGraph {
     /// BFS from `src` into `dist` (all `u32::MAX` on entry). Each node
     /// enters `queue` at most once, so a `Vec` read from the front by
     /// index is the FIFO.
-    fn bfs_into(&self, src: usize, dist: &mut [u32], queue: &mut Vec<usize>) {
+    pub(crate) fn bfs_into(&self, src: usize, dist: &mut [u32], queue: &mut Vec<usize>) {
         dist[src] = 0;
         queue.clear();
         queue.push(src);

@@ -16,7 +16,8 @@
 //!
 //! * [`CsrGraph`] — the general compressed-sparse-row core every topology
 //!   family lowers to (sorted rows, diameter at construction);
-//! * [`BaseGraph`] — a `CsrGraph` plus the all-pairs distance matrix, with
+//! * [`BaseGraph`] — a `CsrGraph` plus the all-pairs distance matrix
+//!   (built by the first [`BaseGraph::distance`] query), with
 //!   constructors ([`BaseGraph::line_with_replicated_ends`],
 //!   [`BaseGraph::cycle`], [`BaseGraph::path`], [`BaseGraph::from_edges`]);
 //! * [`families`] — deterministic generators for tori, hypercubes, seeded

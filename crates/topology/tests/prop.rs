@@ -15,6 +15,59 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Reference diameter: one BFS per source, `max_src max_v d(src, v)`.
+fn per_source_diameter(g: &CsrGraph) -> u32 {
+    (0..g.node_count())
+        .flat_map(|src| g.bfs_distances(src))
+        .max()
+        .expect("graphs have at least one node")
+}
+
+/// Node counts at and next to the edges of the 64-source batches that
+/// `CsrGraph`'s bit-parallel diameter runs in.
+const BATCH_EDGE_SIZES: [usize; 14] = [
+    1, 2, 63, 64, 65, 127, 128, 129, 191, 192, 193, 255, 256, 257,
+];
+
+/// The edges of a random connected graph on `n` nodes: a spanning tree
+/// in which node `v` hangs off one of its `window` predecessors
+/// (`window == 1` is a line), plus up to `chords` random extra edges,
+/// all under a random relabeling so that no batch of sources is a
+/// contiguous stretch of the tree.
+fn random_connected(n: usize, window: usize, chords: usize, seed: u64) -> Vec<(usize, usize)> {
+    let mut state = seed;
+    let mut label: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        label.swap(i, (splitmix64(&mut state) % (i as u64 + 1)) as usize);
+    }
+    let mut edges = std::collections::BTreeSet::new();
+    let mut link = |a: usize, b: usize| {
+        let (a, b) = (label[a], label[b]);
+        edges.insert((a.min(b), a.max(b)));
+    };
+    for v in 1..n {
+        link(v - 1 - (splitmix64(&mut state) as usize) % v.min(window), v);
+    }
+    for _ in 0..chords {
+        let a = (splitmix64(&mut state) % n as u64) as usize;
+        let b = (splitmix64(&mut state) % n as u64) as usize;
+        if a != b {
+            link(a, b);
+        }
+    }
+    edges.into_iter().collect()
+}
+
+/// A stray component confined to the last, partial batch of 64 sources
+/// still fails construction.
+#[test]
+#[should_panic(expected = "connected")]
+fn stray_component_in_last_partial_batch_is_rejected() {
+    let mut edges: Vec<(usize, usize)> = (1..128).map(|v| (v - 1, v)).collect();
+    edges.push((128, 129));
+    let _ = CsrGraph::from_edges(130, &edges);
+}
+
 /// Independent shadow model of a mutable graph: a live-slot set and an
 /// `a < b` edge set, maintained with none of `MutableCsr`'s sorted-row /
 /// tombstone bookkeeping. Differential oracle for the churn tentpole.
@@ -78,7 +131,7 @@ proptest! {
     /// Line-with-replicated-ends: size, degree, and diameter invariants
     /// for every width.
     #[test]
-    fn line_invariants(width in 2usize..80) {
+    fn line_invariants(width in 2usize..320) {
         let g = BaseGraph::line_with_replicated_ends(width);
         prop_assert_eq!(g.node_count(), width + 2);
         prop_assert!(g.min_degree() >= 2);
@@ -94,6 +147,23 @@ proptest! {
         prop_assert_eq!(g.min_degree(), 2 * k);
         prop_assert_eq!(g.max_degree(), 2 * k);
         prop_assert_eq!(g.diameter() as usize, (n / 2).div_ceil(k));
+    }
+
+    /// The bit-parallel diameter equals the per-source BFS sweep on
+    /// random connected graphs, half of them sized at a batch edge, with
+    /// lines (`window_log == 0`, diameter up to 298) among them.
+    #[test]
+    fn diameter_matches_per_source_sweep(
+        at_batch_edge in any::<bool>(),
+        edge_size in 0usize..BATCH_EDGE_SIZES.len(),
+        size in 1usize..300,
+        window_log in 0u32..9,
+        chords in 0usize..6,
+        seed in any::<u64>(),
+    ) {
+        let n = if at_batch_edge { BATCH_EDGE_SIZES[edge_size] } else { size };
+        let g = CsrGraph::from_edges(n, &random_connected(n, 1 << window_log, chords, seed));
+        prop_assert_eq!(g.diameter(), per_source_diameter(&g), "n={}", n);
     }
 
     /// Distances form a metric on every generated graph.
@@ -163,6 +233,7 @@ proptest! {
             prop_assert_eq!(g.csr(), b.graph().csr());
             prop_assert!(g.validate_for_gcs().is_ok(), "family {}", which);
             prop_assert!(g.diameter() >= 1);
+            prop_assert_eq!(g.diameter(), per_source_diameter(g.csr()), "family {}", which);
             for v in 0..g.node_count() {
                 let ns = g.neighbors(v);
                 prop_assert!(ns.windows(2).all(|w| w[0] < w[1]), "sorted rows");
