@@ -90,8 +90,8 @@ pub fn reconstruct_correction(
         let arrival = trace.time(k, sender)? + env.delay(k, g.neighbor_in_edge(node, slot));
         neighbor_locals.push(Some(clock.local_at(arrival)));
     }
-    let decision = rule.decide(Some(clock.local_at(own_arrival)), &neighbor_locals)?;
-    decision.correction
+    rule.decide(Some(clock.local_at(own_arrival)), &neighbor_locals)
+        .correction
 }
 
 /// Checks SC(s), FC(s), and JC (Definitions 4.3–4.5) for every correct

@@ -28,66 +28,48 @@
 //!   missing — see [`MissingNeighborPolicy`](crate::MissingNeighborPolicy))
 //!   and pulse at `H_own + Λ − d − C`.
 //!
-//! This module evaluates that temporal process in closed form: reception
-//! events are swept in local-time order and the earliest exit instant is
-//! computed exactly, which is possible because hardware clocks are affine
-//! within an iteration. The sweep runs once per node and pulse, so it
-//! sorts its events in a stack buffer and allocates nothing for
-//! in-degrees up to `INLINE_EVENTS`.
+//! # The receive loop in closed form
+//!
+//! Hardware clocks are affine within an iteration, so the loop's exit
+//! follows from the receptions alone. One pass over the `N` neighbor
+//! slots counts the heard ones, `m`, and folds `H_min` and `H_max` in
+//! [`LocalTime`]'s total order. With the two deadlines over those values:
+//!
+//! | receptions | [`ExitKind`] | exit time |
+//! |---|---|---|
+//! | `m = 0`, or `m < N` with `H_own` missing | `Starved` | `∞` |
+//! | `m < N`, `H_own` heard | `NeighborMissing` | `term2` |
+//! | `m = N`, `H_own` missing or `H_own > term1` | `OwnMissing` | `term1` |
+//! | `m = N`, `H_own` heard, `H_max > term2` | `NeighborMissing` | `term2` |
+//! | otherwise | `Complete` | `min(term1, term2)` |
+//!
+//! This is the loop's exit to the bit. `term2` is fixed once `H_own` and
+//! the first neighbor are heard, `term1` once the last neighbor is. Each
+//! adds a positive window to a reception already heard, so the active
+//! deadline is never earlier than the reception being processed, and the
+//! loop, which takes in every reception up to and including that
+//! deadline, exits exactly at it. While a neighbor is missing only
+//! `term2` can fire. With every neighbor heard, the loop misses `H_own`
+//! only if it comes strictly after `term1`, and the last neighbor only if
+//! it comes strictly after `term2`; not both, since `H_own > term1 ≥
+//! H_max` gives `term2 ≥ H_own > H_max`. A reception exactly at a
+//! deadline is heard, hence the strict `>`.
+//!
+//! Receptions may be `±0.0` and `±∞`, ordered as [`f64::total_cmp`]
+//! orders them; NaN receptions are outside this contract.
 
 use crate::{correction, CorrectionConfig, Params};
 use trix_sim::PulseRule;
 use trix_time::{AffineClock, Clock, Duration, LocalTime, Time};
 use trix_topology::NodeId;
 
-/// Receptions (own plus neighbors) a decision sweeps from a stack buffer.
-/// This covers the paper grid (in-degree ≤ 4), tori (5) and hypercubes up
-/// to dimension 15; larger arrival sets, such as supernode hubs, spill
-/// into one heap buffer and run the same sweep.
-const INLINE_EVENTS: usize = 16;
-
-/// One reception of the receive loop, at its local time.
-#[derive(Clone, Copy)]
-enum Ev {
-    Own(LocalTime),
-    Neighbor(LocalTime),
-}
-
-impl Ev {
-    #[inline]
-    fn at(self) -> LocalTime {
-        match self {
-            Ev::Own(h) | Ev::Neighbor(h) => h,
-        }
-    }
-}
-
-/// Writes the receptions into `buf` in local-time order and returns them.
-///
-/// An insertion sort under `LocalTime`'s total order that shifts only
-/// strictly later events, so it is stable: on a tie the own reception
-/// comes first and neighbors keep slot order, as a stable sort of
-/// `own, neighbors…` would leave them.
-fn sort_events(
-    buf: &mut [Ev],
-    own: Option<LocalTime>,
-    neighbors: impl Iterator<Item = Option<LocalTime>>,
-) -> &[Ev] {
-    let mut len = 0;
-    if let Some(h) = own {
-        buf[0] = Ev::Own(h);
-        len = 1;
-    }
-    for h in neighbors.flatten() {
-        let mut j = len;
-        while j > 0 && buf[j - 1].at() > h {
-            buf[j] = buf[j - 1];
-            j -= 1;
-        }
-        buf[j] = Ev::Neighbor(h);
-        len += 1;
-    }
-    &buf[..len]
+/// Maps the bits of an `f64` to an integer in [`f64::total_cmp`]'s order
+/// by flipping the magnitude bits of negative values. The map is its own
+/// inverse, so integer `min`/`max` over keys, which compile without
+/// branches, pick the same instant as [`LocalTime::min`]/[`LocalTime::max`].
+#[inline]
+fn total_order_key(bits: i64) -> i64 {
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
 /// The Gradient TRIX forwarding rule (Algorithm 3 semantics).
@@ -149,6 +131,16 @@ pub struct Decision {
     pub pulse_local: LocalTime,
 }
 
+impl Decision {
+    /// The receive loop never exits.
+    const STARVED: Self = Self {
+        exit: ExitKind::Starved,
+        exit_local: LocalTime::INFINITY,
+        correction: None,
+        pulse_local: LocalTime::INFINITY,
+    };
+}
+
 impl GradientTrixRule {
     /// Creates the rule with the published correction configuration and a
     /// conservative default skew estimate `L̂` (half the largest skew the
@@ -174,11 +166,16 @@ impl GradientTrixRule {
     /// Sets the skew estimate `L̂` used by the neighbor deadline
     /// `term2 = max(H_own, H_min) + ϑ(2·L̂ + u) + 2κ`. A tighter estimate
     /// makes nodes give up on silent faulty neighbors sooner.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `skew_estimate` is finite and positive: the closed
+    /// form of the receive loop needs a finite positive wait window.
     #[must_use]
     pub fn with_skew_estimate(mut self, skew_estimate: Duration) -> Self {
         assert!(
-            skew_estimate > Duration::ZERO,
-            "skew estimate must be positive"
+            skew_estimate.is_finite() && skew_estimate.is_positive(),
+            "skew estimate must be finite and positive"
         );
         self.skew_estimate = skew_estimate;
         self
@@ -203,134 +200,70 @@ impl GradientTrixRule {
     ///
     /// `own` is the reception of the pulse from `(v, ℓ−1)`; `neighbors[i]`
     /// from the `i`-th base-graph neighbor's copy. `None` = that message
-    /// never arrives in this iteration. Returns `None` only when the
-    /// receive loop can never terminate ([`ExitKind::Starved`]).
-    pub fn decide(
-        &self,
-        own: Option<LocalTime>,
-        neighbors: &[Option<LocalTime>],
-    ) -> Option<Decision> {
+    /// never arrives in this iteration. A receive loop that can never
+    /// terminate comes back as [`ExitKind::Starved`], with exit and pulse
+    /// at `∞`.
+    pub fn decide(&self, own: Option<LocalTime>, neighbors: &[Option<LocalTime>]) -> Decision {
         self.decide_from(own, neighbors.iter().copied())
     }
 
     /// [`decide`](Self::decide) over neighbor receptions produced on the
     /// fly, so that [`PulseRule::pulse_time`] converts each arrival to
-    /// local time straight into the event buffer.
+    /// local time inside the fold.
     fn decide_from(
         &self,
         own: Option<LocalTime>,
         neighbors: impl ExactSizeIterator<Item = Option<LocalTime>>,
-    ) -> Option<Decision> {
-        let total_neighbors = neighbors.len();
-        let mut inline = [Ev::Own(LocalTime::ZERO); INLINE_EVENTS];
-        let mut spill = Vec::new();
-        let buf = if total_neighbors < INLINE_EVENTS {
-            &mut inline[..]
-        } else {
-            spill.resize(1 + total_neighbors, Ev::Own(LocalTime::ZERO));
-            &mut spill[..]
-        };
-        self.sweep(sort_events(buf, own, neighbors), total_neighbors)
-    }
-
-    /// The receive loop over `events`, sorted by local time, from a
-    /// node with `total_neighbors` neighbor slots.
-    fn sweep(&self, events: &[Ev], total_neighbors: usize) -> Option<Decision> {
-        let kappa = self.params.kappa();
-        let lambda_minus_d = self.params.lambda() - self.params.d();
-        let theta_kappa = self.params.theta_kappa();
-        // Operands of the two deadline terms, fixed for the whole sweep.
-        let kappa_3_2 = kappa * 1.5;
-        let kappa_2 = kappa * 2.0;
-        let wait_window = (2.0 * self.skew_estimate + self.params.u()) * self.params.theta();
-
-        let mut h_own: Option<LocalTime> = None;
-        let mut h_min: Option<LocalTime> = None;
-        let mut h_max_running: Option<LocalTime> = None;
-        let mut heard_neighbors = 0usize;
-
-        let mut exit: Option<(LocalTime, Option<LocalTime>, Option<LocalTime>)> = None;
-        for (idx, &event) in events.iter().enumerate() {
-            let event_local = match event {
-                Ev::Own(h) => {
-                    h_own = Some(h);
-                    h
-                }
-                Ev::Neighbor(h) => {
-                    heard_neighbors += 1;
-                    if h_min.is_none() {
-                        h_min = Some(h);
-                    }
-                    h_max_running = Some(h_max_running.map_or(h, |m: LocalTime| m.max(h)));
-                    h
-                }
-            };
-            let Some(hmin) = h_min else { continue };
-            let h_max_known = if heard_neighbors == total_neighbors {
-                h_max_running
-            } else {
-                None
-            };
-            let term1 = h_max_known.map(|m| m + kappa_3_2 + theta_kappa);
-            let term2 = h_own.map(|o| o.max(hmin) + wait_window + kappa_2);
-            let threshold = match (term1, term2) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => continue,
-            };
-            let candidate = event_local.max(threshold);
-            // If another reception happens before (or exactly at) the
-            // candidate exit time, process it first — it may change the
-            // snapshot the decision is based on.
-            if let Some(next) = events.get(idx + 1) {
-                if next.at() <= candidate {
-                    continue;
-                }
-            }
-            exit = Some((candidate, h_own, h_max_known));
-            break;
+    ) -> Decision {
+        let slots = neighbors.len();
+        let (mut heard, mut min_key, mut max_key) = (0, i64::MAX, i64::MIN);
+        for h in neighbors.flatten() {
+            let key = total_order_key(h.as_f64().to_bits() as i64);
+            heard += 1;
+            min_key = min_key.min(key);
+            max_key = max_key.max(key);
         }
+        if heard == 0 {
+            return Decision::STARVED;
+        }
+        let [h_min, h_max] = [min_key, max_key]
+            .map(|key| LocalTime::from(f64::from_bits(total_order_key(key) as u64)));
+        let all_heard = heard == slots;
+        let kappa = self.params.kappa();
+        let kappa_3_2 = kappa * 1.5;
+        let lambda_minus_d = self.params.lambda() - self.params.d();
+        let term1 = h_max + kappa_3_2 + self.params.theta_kappa();
 
-        let Some((exit_local, own_at_exit, h_max_at_exit)) = exit else {
-            return Some(Decision {
-                exit: ExitKind::Starved,
-                exit_local: LocalTime::INFINITY,
+        // With every neighbor heard, an own reception after term1 comes
+        // after the exit.
+        let Some(h_own) = own.filter(|&h| !(all_heard && h > term1)) else {
+            if !all_heard {
+                return Decision::STARVED;
+            }
+            // Own predecessor missing or late: fire off the last neighbor.
+            let pulse_local = h_max + kappa_3_2 + lambda_minus_d;
+            return Decision {
+                exit: ExitKind::OwnMissing,
+                exit_local: term1,
                 correction: None,
-                pulse_local: LocalTime::INFINITY,
-            });
+                pulse_local: pulse_local.max(term1),
+            };
         };
-        let h_min = h_min.expect("exit requires at least one neighbor heard");
-
-        let decision = match own_at_exit {
-            None => {
-                // Own predecessor missing: fire off the last neighbor.
-                let h_max =
-                    h_max_at_exit.expect("deadline exit without H_own requires H_max known");
-                let pulse_local = h_max + kappa_3_2 + lambda_minus_d;
-                Decision {
-                    exit: ExitKind::OwnMissing,
-                    exit_local,
-                    correction: None,
-                    pulse_local: pulse_local.max(exit_local),
-                }
-            }
-            Some(h_own) => {
-                let c = correction(&self.params, h_own, h_min, h_max_at_exit, &self.config);
-                let pulse_local = h_own + lambda_minus_d - c;
-                Decision {
-                    exit: if h_max_at_exit.is_some() {
-                        ExitKind::Complete
-                    } else {
-                        ExitKind::NeighborMissing
-                    },
-                    exit_local,
-                    correction: Some(c),
-                    pulse_local: pulse_local.max(exit_local),
-                }
-            }
+        let wait_window = (2.0 * self.skew_estimate + self.params.u()) * self.params.theta();
+        let term2 = h_own.max(h_min) + wait_window + kappa * 2.0;
+        let (exit, exit_local, h_max_at_exit) = if !all_heard || h_max > term2 {
+            (ExitKind::NeighborMissing, term2, None)
+        } else {
+            (ExitKind::Complete, term1.min(term2), Some(h_max))
         };
-        Some(decision)
+        let c = correction(&self.params, h_own, h_min, h_max_at_exit, &self.config);
+        let pulse_local = h_own + lambda_minus_d - c;
+        Decision {
+            exit,
+            exit_local,
+            correction: Some(c),
+            pulse_local: pulse_local.max(exit_local),
+        }
     }
 }
 
@@ -345,7 +278,7 @@ impl PulseRule for GradientTrixRule {
     ) -> Option<Time> {
         let own_local = own.map(|t| clock.local_at(t));
         let neighbor_locals = neighbors.iter().map(|t| t.map(|t| clock.local_at(t)));
-        let decision = self.decide_from(own_local, neighbor_locals)?;
+        let decision = self.decide_from(own_local, neighbor_locals);
         if decision.exit == ExitKind::Starved {
             return None;
         }
@@ -368,9 +301,7 @@ mod tests {
     #[test]
     fn complete_reception_uses_correction_path() {
         let rule = GradientTrixRule::new(params());
-        let d = rule
-            .decide(Some(lt(100.0)), &[Some(lt(100.0)), Some(lt(100.0))])
-            .unwrap();
+        let d = rule.decide(Some(lt(100.0)), &[Some(lt(100.0)), Some(lt(100.0))]);
         assert_eq!(d.exit, ExitKind::Complete);
         assert_eq!(d.correction, Some(Duration::ZERO));
         let lmd = params().lambda() - params().d();
@@ -381,9 +312,7 @@ mod tests {
     fn own_missing_fires_from_h_max() {
         let p = params();
         let rule = GradientTrixRule::new(p);
-        let d = rule
-            .decide(None, &[Some(lt(100.0)), Some(lt(101.0))])
-            .unwrap();
+        let d = rule.decide(None, &[Some(lt(100.0)), Some(lt(101.0))]);
         assert_eq!(d.exit, ExitKind::OwnMissing);
         let expected = lt(101.0) + p.kappa() * 1.5 + (p.lambda() - p.d());
         assert_eq!(d.pulse_local, expected);
@@ -397,12 +326,10 @@ mod tests {
         let rule = GradientTrixRule::new(p);
         // Own arrives far after the H_max deadline.
         let deadline = 101.0 + (p.kappa() * 1.5 + p.theta_kappa()).as_f64();
-        let d = rule
-            .decide(
-                Some(lt(deadline + 500.0)),
-                &[Some(lt(100.0)), Some(lt(101.0))],
-            )
-            .unwrap();
+        let d = rule.decide(
+            Some(lt(deadline + 500.0)),
+            &[Some(lt(100.0)), Some(lt(101.0))],
+        );
         assert_eq!(d.exit, ExitKind::OwnMissing);
     }
 
@@ -411,12 +338,10 @@ mod tests {
         let p = params();
         let rule = GradientTrixRule::new(p);
         let deadline = 101.0 + (p.kappa() * 1.5 + p.theta_kappa()).as_f64();
-        let d = rule
-            .decide(
-                Some(lt(deadline - 0.01)),
-                &[Some(lt(100.0)), Some(lt(101.0))],
-            )
-            .unwrap();
+        let d = rule.decide(
+            Some(lt(deadline - 0.01)),
+            &[Some(lt(100.0)), Some(lt(101.0))],
+        );
         assert_eq!(d.exit, ExitKind::Complete);
         assert!(d.correction.is_some());
     }
@@ -426,9 +351,7 @@ mod tests {
         let p = params();
         let rule = GradientTrixRule::new(p);
         // One neighbor silent; own behind the heard neighbor.
-        let d = rule
-            .decide(Some(lt(105.0)), &[Some(lt(100.0)), None])
-            .unwrap();
+        let d = rule.decide(Some(lt(105.0)), &[Some(lt(100.0)), None]);
         assert_eq!(d.exit, ExitKind::NeighborMissing);
         // StickToEarlier: C = H_own − H_min − κ/2 ⇒ pulse at H_min + Λ−d + κ/2.
         let expected = lt(100.0) + (p.lambda() - p.d()) + p.kappa() / 2.0;
@@ -441,9 +364,9 @@ mod tests {
     #[test]
     fn starved_without_any_neighbor() {
         let rule = GradientTrixRule::new(params());
-        let d = rule.decide(Some(lt(100.0)), &[None, None]).unwrap();
+        let d = rule.decide(Some(lt(100.0)), &[None, None]);
         assert_eq!(d.exit, ExitKind::Starved);
-        let d = rule.decide(None, &[None, None]).unwrap();
+        let d = rule.decide(None, &[None, None]);
         assert_eq!(d.exit, ExitKind::Starved);
     }
 
@@ -452,7 +375,7 @@ mod tests {
         // Both H_own and H_max unknown: neither deadline term ever becomes
         // finite (requires ≥ 2 faulty predecessors — outside the model).
         let rule = GradientTrixRule::new(params());
-        let d = rule.decide(None, &[Some(lt(100.0)), None]).unwrap();
+        let d = rule.decide(None, &[Some(lt(100.0)), None]);
         assert_eq!(d.exit, ExitKind::Starved);
     }
 
@@ -482,9 +405,7 @@ mod tests {
         let k = p.kappa().as_f64();
         // Own and first neighbor at 100; second neighbor arrives slightly
         // after, but well before the deadline 2·H_own − H_min + 2κ.
-        let d = rule
-            .decide(Some(lt(100.0)), &[Some(lt(100.0)), Some(lt(100.0 + k))])
-            .unwrap();
+        let d = rule.decide(Some(lt(100.0)), &[Some(lt(100.0)), Some(lt(100.0 + k))]);
         assert_eq!(d.exit, ExitKind::Complete);
     }
 
@@ -494,13 +415,33 @@ mod tests {
         let rule = GradientTrixRule::new(p);
         // Second neighbor arrives long after every deadline: decision is
         // made without it.
-        let d = rule
-            .decide(
-                Some(lt(100.0)),
-                &[Some(lt(100.0)), Some(lt(100.0 + 10_000.0))],
-            )
-            .unwrap();
+        let d = rule.decide(
+            Some(lt(100.0)),
+            &[Some(lt(100.0)), Some(lt(100.0 + 10_000.0))],
+        );
         assert_eq!(d.exit, ExitKind::NeighborMissing);
+    }
+
+    #[test]
+    #[should_panic(expected = "skew estimate must be finite and positive")]
+    fn rejects_nan_skew_estimate() {
+        // A positive NaN, which `Duration`'s total order puts above zero.
+        // Built by arithmetic, as `Duration::from` debug-asserts on NaN.
+        let nan = (Duration::from(1.0) * f64::NAN).abs();
+        assert!(nan > Duration::ZERO);
+        let _ = GradientTrixRule::new(params()).with_skew_estimate(nan);
+    }
+
+    #[test]
+    #[should_panic(expected = "skew estimate must be finite and positive")]
+    fn rejects_infinite_skew_estimate() {
+        let _ = GradientTrixRule::new(params()).with_skew_estimate(Duration::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "skew estimate must be finite and positive")]
+    fn rejects_zero_skew_estimate() {
+        let _ = GradientTrixRule::new(params()).with_skew_estimate(Duration::ZERO);
     }
 
     #[test]

@@ -126,12 +126,10 @@ mod tests {
             let n3 = LocalTime::from(base + rng.f64_in(-spread, spread));
             for neighbors in [vec![n1, n2], vec![n1, n2, n3]] {
                 let a = simplified.pulse_local(own, &neighbors);
-                let d = full
-                    .decide(
-                        Some(own),
-                        &neighbors.iter().map(|&h| Some(h)).collect::<Vec<_>>(),
-                    )
-                    .unwrap();
+                let d = full.decide(
+                    Some(own),
+                    &neighbors.iter().map(|&h| Some(h)).collect::<Vec<_>>(),
+                );
                 // Exact up to float re-association: the late-own branch
                 // computes the algebraically identical pulse time as
                 // `H_max + 3κ/2 + Λ − d` instead of

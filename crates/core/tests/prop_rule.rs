@@ -16,14 +16,15 @@ fn params() -> Params {
 }
 
 /// Reference Algorithm 3 decision: the receive loop as first written,
-/// collecting the receptions into a `Vec` and ordering them with the
-/// standard library's stable sort. `GradientTrixRule::decide` sorts in a
-/// stack buffer instead and must agree with this bit for bit.
+/// collecting the receptions into a `Vec`, ordering them with the
+/// standard library's stable sort and sweeping them one reception at a
+/// time. `GradientTrixRule::decide` computes the exit in closed form
+/// instead and must agree with this bit for bit.
 fn reference_decide(
     rule: &GradientTrixRule,
     own: Option<LocalTime>,
     neighbors: &[Option<LocalTime>],
-) -> Option<Decision> {
+) -> Decision {
     let params = rule.params();
     let kappa = params.kappa();
     let lambda_minus_d = params.lambda() - params.d();
@@ -100,16 +101,16 @@ fn reference_decide(
     }
 
     let Some((exit_local, own_at_exit, h_max_at_exit)) = exit else {
-        return Some(Decision {
+        return Decision {
             exit: ExitKind::Starved,
             exit_local: LocalTime::INFINITY,
             correction: None,
             pulse_local: LocalTime::INFINITY,
-        });
+        };
     };
     let h_min = h_min.expect("exit requires at least one neighbor heard");
 
-    let decision = match own_at_exit {
+    match own_at_exit {
         None => {
             // Own predecessor missing: fire off the last neighbor.
             let h_max = h_max_at_exit.expect("deadline exit without H_own requires H_max known");
@@ -135,20 +136,17 @@ fn reference_decide(
                 pulse_local: pulse_local.max(exit_local),
             }
         }
-    };
-    Some(decision)
+    }
 }
 
 /// Every field of a decision, floats by their bits.
-fn decision_bits(d: Option<Decision>) -> Option<(ExitKind, u64, Option<u64>, u64)> {
-    d.map(|d| {
-        (
-            d.exit,
-            d.exit_local.as_f64().to_bits(),
-            d.correction.map(|c| c.as_f64().to_bits()),
-            d.pulse_local.as_f64().to_bits(),
-        )
-    })
+fn decision_bits(d: Decision) -> (ExitKind, u64, Option<u64>, u64) {
+    (
+        d.exit,
+        d.exit_local.as_f64().to_bits(),
+        d.correction.map(|c| c.as_f64().to_bits()),
+        d.pulse_local.as_f64().to_bits(),
+    )
 }
 
 /// `PulseRule::pulse_time` computed through the reference decision.
@@ -163,11 +161,28 @@ fn reference_pulse_time(
         .iter()
         .map(|t| t.map(|t| clock.local_at(t)))
         .collect();
-    let decision = reference_decide(rule, own_local, &neighbor_locals)?;
+    let decision = reference_decide(rule, own_local, &neighbor_locals);
     if decision.exit == ExitKind::Starved {
         return None;
     }
     Some(clock.real_at(decision.pulse_local))
+}
+
+/// Origins of the deadline property's receptions: ordinary ones, and
+/// magnitudes from 1e17 up, where `κ/4` steps, and at the larger ones the
+/// deadline windows too, round back to the reception they are added to.
+const ORIGINS: [f64; 8] = [0.0, 1e3, -2.5e4, 1e17, -1e17, 3.0e18, -4.0e19, 1e22];
+
+/// Reception `pick` of the deadline property: `±0.0`, `±∞`, or one of
+/// eight `quarter` steps from `origin`.
+fn reception(pick: usize, origin: f64, quarter: f64) -> LocalTime {
+    LocalTime::from(match pick {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f64::INFINITY,
+        3 => f64::NEG_INFINITY,
+        step => origin + (step - 4) as f64 * quarter,
+    })
 }
 
 proptest! {
@@ -232,8 +247,7 @@ proptest! {
             .decide(
                 Some(LocalTime::from(own)),
                 &[Some(LocalTime::from(n1)), Some(LocalTime::from(n2))],
-            )
-            .unwrap();
+            );
         let d2 = rule
             .decide(
                 Some(LocalTime::from(own + shift)),
@@ -241,8 +255,7 @@ proptest! {
                     Some(LocalTime::from(n1 + shift)),
                     Some(LocalTime::from(n2 + shift)),
                 ],
-            )
-            .unwrap();
+            );
         let moved = (d2.pulse_local - d1.pulse_local).as_f64();
         prop_assert!((moved - shift).abs() < 1e-6, "moved {} vs shift {}", moved, shift);
     }
@@ -261,19 +274,17 @@ proptest! {
         let neighbors = [Some(LocalTime::from(n1)), Some(LocalTime::from(n2))];
         let before = rule
             .decide(Some(LocalTime::from(own)), &neighbors)
-            .unwrap()
             .pulse_local;
         let after = rule
             .decide(Some(LocalTime::from(own + bump)), &neighbors)
-            .unwrap()
             .pulse_local;
         prop_assert!(after >= before - Duration::from(1e-9),
             "own later by {} but pulse moved from {:?} to {:?}", bump, before, after);
     }
 
-    /// The stack-buffered decision agrees bit for bit with the reference
-    /// on every prefix of an arrival set of up to 20 neighbors, so each
-    /// case crosses the inline capacity. Times sit on a κ/4 lattice (at
+    /// The closed-form decision agrees bit for bit with the reference on
+    /// every prefix of an arrival set of up to 20 neighbors, as many as a
+    /// supernode hub has. Times sit on a κ/4 lattice (at
     /// four random origins, which vary the rounding), so own/neighbor and
     /// neighbor/neighbor ties occur; the own reception may also come
     /// after every deadline; up to three neighbor slots are missing.
@@ -323,6 +334,63 @@ proptest! {
                     "own {:?}, neighbors {:?}, clock {:?}", own, &slots[..n], clock
                 );
             }
+        }
+    }
+
+    /// The closed form's strict comparisons at their edges. `boundary`
+    /// puts the own reception exactly on `term1 = H_max + 3κ/2 + ϑκ` (1),
+    /// a new last neighbor exactly on `term2 = max(H_own, H_min) +
+    /// ϑ(2·L̂ + u) + 2κ` (2), or neither (0), with both deadlines
+    /// computed in the rule's operation order. The loop still hears a
+    /// reception on a deadline, so a `>` turned into `≥` in either
+    /// deadline test changes the exit kind. Receptions also take `±0.0`
+    /// and `±∞`, and origins reach magnitudes where a window rounds away
+    /// and receptions tie.
+    #[test]
+    fn decide_matches_the_reference_on_the_deadlines(
+        own in proptest::option::of(0usize..12),
+        picks in proptest::collection::vec(0usize..12, 1..=8),
+        hole in proptest::option::of(0usize..8),
+        origin in 0usize..ORIGINS.len(),
+        estimate_quarters in 1u32..64,
+        boundary in 0u32..3,
+    ) {
+        let p = params();
+        let quarter = p.kappa().as_f64() / 4.0;
+        let at = |pick| reception(pick, ORIGINS[origin], quarter);
+        let rules = [
+            GradientTrixRule::new(p),
+            GradientTrixRule::new(p)
+                .with_skew_estimate(Duration::from(estimate_quarters as f64 * quarter)),
+        ];
+        for rule in &rules {
+            let mut neighbors: Vec<Option<LocalTime>> = picks.iter().map(|&i| Some(at(i))).collect();
+            if let Some(slot) = hole.filter(|&slot| slot < neighbors.len()) {
+                neighbors[slot] = None;
+            }
+            let mut own = own.map(at);
+            let heard = neighbors.iter().flatten().copied();
+            match boundary {
+                1 => own = heard.max().map(|m| m + p.kappa() * 1.5 + p.theta_kappa()),
+                2 => {
+                    if let (Some(o), Some(m)) = (own, heard.min()) {
+                        let window = (2.0 * rule.skew_estimate() + p.u()) * p.theta();
+                        neighbors.push(Some(o.max(m) + window + p.kappa() * 2.0));
+                    }
+                }
+                _ => {}
+            }
+            // An own reception sharing an infinity with a neighbor makes
+            // the correction compute `∞ − ∞`, a NaN that `LocalTime`
+            // subtraction debug-asserts against; NaN is out of scope.
+            if own.is_some_and(|o| !o.is_finite() && neighbors.contains(&Some(o))) {
+                continue;
+            }
+            prop_assert_eq!(
+                decision_bits(rule.decide(own, &neighbors)),
+                decision_bits(reference_decide(rule, own, &neighbors)),
+                "own {:?}, neighbors {:?}, estimate {:?}", own, neighbors, rule.skew_estimate()
+            );
         }
     }
 }

@@ -4,8 +4,9 @@
 //! streaming skew monitor allocates only per run: the in-edge table, the
 //! two rows and the neighbor scratch buffer. Nothing is allocated per
 //! rule evaluation or per pulse, so a pass of 8 pulses makes exactly as
-//! many heap allocations as a pass of 4. That holds for correct sends
-//! and for sends gated by a fault campaign or a churn campaign.
+//! many heap allocations as a pass of 4. That holds on a grid, a torus
+//! and a supernode overlay whose hubs have in-degree 18, and for sends
+//! gated by a fault campaign or a churn campaign.
 //!
 //! The test binary installs a counting global allocator that forwards to
 //! the system allocator and counts only the allocations of the thread
@@ -94,12 +95,25 @@ fn assert_per_run(name: &str, g: &LayeredGraph, sends: &impl SendModel) {
     );
 }
 
+/// `family` layered deep enough for its diameter, as `exp_topology` runs it.
+fn layered(family: families::Family) -> LayeredGraph {
+    let g = family.into_graph();
+    let layers = layers_for(g.diameter());
+    LayeredGraph::new(g, layers)
+}
+
 #[test]
 fn serial_pass_allocates_per_run_not_per_pulse() {
-    let torus = families::torus(6, 6).into_graph();
-    let layers = layers_for(torus.diameter());
-    let torus = LayeredGraph::new(torus, layers);
-    for (name, g) in [("width-32 grid", grid(32, 32)), ("6x6 torus", torus)] {
+    // The supernode hubs have in-degree 18, more than any fixed-size
+    // buffer of arrivals a rule might keep on the stack.
+    for (name, g) in [
+        ("width-32 grid", grid(32, 32)),
+        ("6x6 torus", layered(families::torus(6, 6))),
+        (
+            "4x8 supernode overlay",
+            layered(families::supernode_overlay(4, 8)),
+        ),
+    ] {
         assert_per_run(name, &g, &CorrectSends);
     }
 
