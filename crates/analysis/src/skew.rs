@@ -11,26 +11,41 @@
 //! * the global skew — worst same-layer pulse-time difference over *all*
 //!   pairs, adjacent or not.
 //!
-//! The edge iteration and worst-pair folds live in `trix_obs::defs`,
-//! shared with the streaming monitor (`trix_obs::StreamingSkew`): this
-//! module supplies the trace lookups, `defs` the definitions, so the
-//! post-hoc and online computations cannot drift.
+//! The pair lists, the row masking and the worst-pair folds live in
+//! `trix_obs::defs`, shared with the streaming monitor
+//! (`trix_obs::StreamingSkew`): this module masks rows of the trace, one
+//! per call, and `defs` folds them, so the post-hoc and online
+//! computations cannot drift.
 
-use trix_obs::defs;
+use trix_obs::defs::{self, MaskedRows, SkewPairs};
 use trix_sim::PulseTrace;
 use trix_time::Duration;
 use trix_topology::{LayeredGraph, NodeId};
 
-/// A `defs` lookup over one pulse of a trace (`None` for faulty or
-/// unfired nodes).
-fn time_at(trace: &PulseTrace, k: usize) -> impl FnMut(NodeId) -> Option<trix_time::Time> + '_ {
-    move |n: NodeId| {
-        if trace.is_faulty(n) {
-            None
-        } else {
-            trace.time(k, n)
-        }
+/// Pulse `k`'s row of `layer`, masked: faulty and unfired nodes drop out.
+fn masked(trace: &PulseTrace, k: usize, layer: usize) -> MaskedRows {
+    let mut row = MaskedRows::new(trace.width(), 1);
+    row.set(0, trace.row(k, layer), trace.faulty_row(layer));
+    row
+}
+
+fn intra(pairs: &SkewPairs, trace: &PulseTrace, k: usize, layer: usize) -> Option<Duration> {
+    defs::worst_intra_layer(pairs, masked(trace, k, layer).row(0))
+}
+
+fn inter(
+    g: &LayeredGraph,
+    pairs: &SkewPairs,
+    trace: &PulseTrace,
+    k: usize,
+    layer: usize,
+) -> Option<Duration> {
+    if k + 1 >= trace.pulses() || layer + 1 >= g.layer_count() {
+        return None;
     }
+    let upper = masked(trace, k + 1, layer);
+    let lower = masked(trace, k, layer + 1);
+    defs::worst_inter_layer(pairs, upper.row(0), lower.row(0))
 }
 
 /// Intra-layer local skew `L_ℓ` of layer `layer` for pulse `k`.
@@ -42,28 +57,19 @@ pub fn intra_layer_skew(
     k: usize,
     layer: usize,
 ) -> Option<Duration> {
-    defs::worst_intra_layer(g.base().csr(), layer, time_at(trace, k))
+    intra(&SkewPairs::new(g.base().csr()), trace, k, layer)
 }
 
 /// Inter-layer local skew `L_{ℓ,ℓ+1}`: worst
 /// `|t^{k+1}_{v,ℓ} − t^k_{w,ℓ+1}|` over grid edges, for pulse `k`
-/// (requires pulse `k+1` to be recorded).
+/// (requires pulse `k+1` to be recorded; `None` for the last layer).
 pub fn inter_layer_skew(
     g: &LayeredGraph,
     trace: &PulseTrace,
     k: usize,
     layer: usize,
 ) -> Option<Duration> {
-    if k + 1 >= trace.pulses() {
-        return None;
-    }
-    defs::worst_inter_layer(
-        g.base().csr(),
-        g.layer_count(),
-        layer,
-        time_at(trace, k + 1),
-        time_at(trace, k),
-    )
+    inter(g, &SkewPairs::new(g.base().csr()), trace, k, layer)
 }
 
 /// The maximum intra-layer skew over all layers and the given pulses —
@@ -73,10 +79,11 @@ pub fn max_intra_layer_skew(
     trace: &PulseTrace,
     k_range: core::ops::Range<usize>,
 ) -> Duration {
+    let pairs = SkewPairs::new(g.base().csr());
     let mut worst = Duration::ZERO;
     for k in k_range {
         for layer in 0..g.layer_count() {
-            if let Some(s) = intra_layer_skew(g, trace, k, layer) {
+            if let Some(s) = intra(&pairs, trace, k, layer) {
                 worst = worst.max(s);
             }
         }
@@ -96,10 +103,11 @@ pub fn full_local_skew(
     trace: &PulseTrace,
     k_range: core::ops::Range<usize>,
 ) -> Duration {
+    let pairs = SkewPairs::new(g.base().csr());
     let mut worst = max_intra_layer_skew(g, trace, k_range.clone());
     for k in k_range {
         for layer in 0..g.layer_count() {
-            if let Some(s) = inter_layer_skew(g, trace, k, layer) {
+            if let Some(s) = inter(g, &pairs, trace, k, layer) {
                 worst = worst.max(s);
             }
         }
@@ -115,20 +123,28 @@ pub fn global_skew(
     k: usize,
     layer: usize,
 ) -> Option<Duration> {
-    defs::layer_spread(g.width(), layer, time_at(trace, k))
+    debug_assert_eq!(g.width(), trace.width(), "trace of another graph");
+    defs::layer_spread(masked(trace, k, layer).row(0))
 }
 
 /// Per-layer intra-layer skew series for one pulse (a "figure" series:
 /// skew as a function of depth).
 pub fn skew_by_layer(g: &LayeredGraph, trace: &PulseTrace, k: usize) -> Vec<Option<f64>> {
+    let pairs = SkewPairs::new(g.base().csr());
     (0..g.layer_count())
-        .map(|l| intra_layer_skew(g, trace, k, l).map(|d| d.as_f64()))
+        .map(|l| intra(&pairs, trace, k, l).map(|d| d.as_f64()))
         .collect()
 }
 
 /// The pulse-time difference between a specific adjacent pair (diagnostic
 /// helper for targeted experiments).
+///
+/// Like every metric here it covers correct nodes only: `None` when either
+/// endpoint is faulty or did not fire in pulse `k`.
 pub fn pair_skew(trace: &PulseTrace, k: usize, a: NodeId, b: NodeId) -> Option<Duration> {
+    if trace.is_faulty(a) || trace.is_faulty(b) {
+        return None;
+    }
     Some((trace.time(k, a)? - trace.time(k, b)?).abs())
 }
 
@@ -210,6 +226,21 @@ mod tests {
         assert_eq!(
             pair_skew(&trace, 0, g.node(0, 2), g.node(2, 2)),
             Some(Duration::from(2.0))
+        );
+    }
+
+    #[test]
+    fn pair_skew_excludes_faulty_endpoints() {
+        let (g, mut trace) = setup();
+        let (a, b) = (g.node(0, 2), g.node(2, 2));
+        trace.set_faulty(b);
+        // The faulty node's nominal time is still recorded.
+        assert!(trace.time(0, b).is_some());
+        assert_eq!(pair_skew(&trace, 0, a, b), None);
+        assert_eq!(pair_skew(&trace, 0, b, a), None);
+        assert_eq!(
+            pair_skew(&trace, 0, a, g.node(1, 2)),
+            Some(Duration::from(1.0))
         );
     }
 }

@@ -1,16 +1,18 @@
 //! Online skew statistics over a streaming pulse feed.
 //!
 //! [`StreamingSkew`] consumes the dataflow executor's
-//! [`Observer::on_pulse`] stream and maintains the paper's skew metrics
-//! incrementally: it retains only the **current pulse front** (the
-//! previous and in-progress pulse, two `O(nodes)` rows) and folds each
-//! completed pulse's maxima into running `max`/`sum`/`count` aggregates
-//! plus a fixed-bin histogram. Peak memory is `O(nodes)` — independent of
-//! the pulse count — versus the `O(nodes × pulses)` of a full
-//! [`trix_sim::PulseTrace`], which is what lets `exp_scale` sweep grids an
-//! order of magnitude wider than the trace-backed experiments.
+//! [`Observer::on_pulse_row`] stream and maintains the paper's skew
+//! metrics incrementally. It retains **one pulse front**: the latest row
+//! of each layer, masked once as it arrives, and the pulse it holds
+//! (`O(nodes)`). Each row is folded once, on arrival, into the maxima of
+//! its pulse, and each finished pulse's maxima go into running
+//! `max`/`sum`/`count` aggregates plus a fixed-bin histogram. Peak memory
+//! is `O(nodes)` — independent of the pulse count — versus the
+//! `O(nodes × pulses)` of a full [`trix_sim::PulseTrace`], which is what
+//! lets `exp_scale` sweep grids an order of magnitude wider than the
+//! trace-backed experiments.
 //!
-//! The per-pulse maxima are computed by the shared definitions in
+//! The per-row maxima are computed by the shared definitions in
 //! [`crate::defs`], the same functions the post-hoc analyzer uses, so the
 //! streamed `max` statistics are **bit-identical** to
 //! `trix_analysis::skew` results over the reconstructed trace (pinned by
@@ -20,7 +22,7 @@
 use crate::defs;
 use trix_sim::Observer;
 use trix_time::{Duration, Time};
-use trix_topology::{CsrGraph, LayeredGraph, NodeId};
+use trix_topology::{LayeredGraph, NodeId};
 
 /// A fixed-bin histogram over non-negative samples.
 ///
@@ -247,28 +249,44 @@ impl SkewStats {
 /// * [`max_global_skew`](Self::max_global_skew) == the fold of
 ///   `global_skew(g, trace, k, ℓ)` over all pulses and layers.
 ///
-/// Pulse emissions must arrive pulse-major (non-decreasing `k`), which is
-/// the dataflow driver's deterministic order; the monitor finalizes pulse
-/// `k` when the first `k+1` emission arrives.
+/// Rows must arrive `(k, layer)`-major, each `(k, layer)` at most once,
+/// which is the order both dataflow drivers emit in; debug builds assert
+/// it. The monitor keeps one pulse front, the latest row of each layer,
+/// and folds each row once, when it arrives: `L_ℓ` and the spread over
+/// the row itself, and `L_{ℓ,ℓ+1}` against layer `ℓ+1`'s row if that
+/// still holds pulse `k−1`. The element path ([`Observer::on_pulse`])
+/// stages one row and folds it when `(k, layer)` changes, so the
+/// accessors are exact only after [`finish`](Self::finish).
 #[derive(Clone, Debug)]
 pub struct StreamingSkew {
-    /// The base graph's adjacency: the skew folds read only this, the
-    /// width and the layer count, not `BaseGraph`'s distance matrix.
-    base: CsrGraph,
+    pairs: defs::SkewPairs,
     width: usize,
-    layer_count: usize,
     faulty: Vec<bool>,
-    /// Pulse `cur_k − 1` front (all nodes).
-    prev: Vec<Option<Time>>,
-    /// Pulse `cur_k` front, filling in.
-    cur: Vec<Option<Time>>,
-    cur_k: usize,
-    started: bool,
+    /// The pulse front: the latest row of each layer, masked.
+    front: defs::MaskedRows,
+    /// The pulse each layer's row holds (`None`: no row yet).
+    held: Vec<Option<usize>>,
+    /// The last folded `(k, layer)`; `k` is the pulse being folded.
+    last: Option<(usize, u32)>,
+    /// Pulse `last.k`'s maxima so far.
+    pulse_intra: Option<Duration>,
+    pulse_global: Option<Duration>,
+    pulse_inter: Option<Duration>,
+    /// The element path's row under construction, and its `(k, layer)`.
+    staged: Vec<Option<Time>>,
+    staged_key: Option<(usize, u32)>,
     finished: bool,
     pulses: u64,
     intra: RunningStat,
     inter: RunningStat,
     global: RunningStat,
+}
+
+/// Folds `s` into a running maximum.
+fn fold_max(acc: &mut Option<Duration>, s: Option<Duration>) {
+    if let Some(s) = s {
+        *acc = Some(acc.map_or(s, |w| w.max(s)));
+    }
 }
 
 impl StreamingSkew {
@@ -285,17 +303,19 @@ impl StreamingSkew {
     /// Creates a monitor with an explicit histogram shape (applied to all
     /// three statistics).
     pub fn with_histogram(g: &LayeredGraph, bin_width: f64, bin_count: usize) -> Self {
-        let n = g.node_count();
         let hist = Histogram::new(bin_width, bin_count);
         Self {
-            base: g.base().csr().clone(),
+            pairs: defs::SkewPairs::new(g.base().csr()),
             width: g.width(),
-            layer_count: g.layer_count(),
-            faulty: vec![false; n],
-            prev: vec![None; n],
-            cur: vec![None; n],
-            cur_k: 0,
-            started: false,
+            faulty: vec![false; g.node_count()],
+            front: defs::MaskedRows::new(g.width(), g.layer_count()),
+            held: vec![None; g.layer_count()],
+            last: None,
+            pulse_intra: None,
+            pulse_global: None,
+            pulse_inter: None,
+            staged: vec![None; g.width()],
+            staged_key: None,
             finished: false,
             pulses: 0,
             intra: RunningStat::new(hist.clone()),
@@ -304,79 +324,72 @@ impl StreamingSkew {
         }
     }
 
-    #[inline]
-    fn index(&self, n: NodeId) -> usize {
-        n.layer as usize * self.width + n.v as usize
-    }
-
-    fn lookup<'a>(
-        row: &'a [Option<Time>],
-        faulty: &'a [bool],
-        width: usize,
-    ) -> impl FnMut(NodeId) -> Option<Time> + 'a {
-        move |n: NodeId| {
-            let i = n.layer as usize * width + n.v as usize;
-            if faulty[i] {
-                None
-            } else {
-                row[i]
-            }
-        }
-    }
-
-    /// Finalizes the in-progress pulse: folds its per-pulse maxima into
-    /// the running statistics and rotates the fronts.
-    fn advance(&mut self) {
-        let (base, width) = (&self.base, self.width);
-        let cur = || Self::lookup(&self.cur, &self.faulty, width);
-        // Intra-layer: per-pulse maximum of L_ℓ over all layers.
-        let mut intra: Option<Duration> = None;
-        let mut global: Option<Duration> = None;
-        for layer in 0..self.layer_count {
-            if let Some(s) = defs::worst_intra_layer(base, layer, cur()) {
-                intra = Some(intra.map_or(s, |w| w.max(s)));
-            }
-            if let Some(s) = defs::layer_spread(width, layer, cur()) {
-                global = Some(global.map_or(s, |w| w.max(s)));
-            }
-        }
-        if let Some(s) = intra {
+    /// Records the finished pulse's maxima, intra then global then inter,
+    /// and counts it.
+    fn end_pulse(&mut self) {
+        if let Some(s) = self.pulse_intra.take() {
             self.intra.record(s.as_f64());
         }
-        if let Some(s) = global {
+        if let Some(s) = self.pulse_global.take() {
             self.global.record(s.as_f64());
         }
-        // Inter-layer: pulse pair (cur_k − 1, cur_k) becomes complete now
-        // — `cur` holds the upper (k+1) times, `prev` the lower (k) ones.
-        if self.cur_k > 0 {
-            let mut inter: Option<Duration> = None;
-            for layer in 0..self.layer_count {
-                if let Some(s) = defs::worst_inter_layer(
-                    base,
-                    self.layer_count,
-                    layer,
-                    cur(),
-                    Self::lookup(&self.prev, &self.faulty, width),
-                ) {
-                    inter = Some(inter.map_or(s, |w| w.max(s)));
-                }
-            }
-            if let Some(s) = inter {
-                self.inter.record(s.as_f64());
-            }
+        if let Some(s) = self.pulse_inter.take() {
+            self.inter.record(s.as_f64());
         }
         self.pulses += 1;
-        std::mem::swap(&mut self.prev, &mut self.cur);
-        self.cur.fill(None);
-        self.cur_k += 1;
+    }
+
+    /// Folds row `(k, layer)`, which has at least one emission: ends every
+    /// pulse before `k`, stores the row in the front, and folds its
+    /// maxima.
+    fn fold_row(&mut self, k: usize, layer: u32, row: &[Option<Time>]) {
+        debug_assert!(!self.finished, "pulse after finish()");
+        debug_assert!(
+            self.last.is_none_or(|l| l < (k, layer)),
+            "pulse emissions must arrive front-row-major"
+        );
+        for _ in self.last.map_or(0, |(cur, _)| cur)..k {
+            self.end_pulse();
+        }
+        self.last = Some((k, layer));
+        let l = layer as usize;
+        let span = l * self.width..(l + 1) * self.width;
+        self.front.set(l, row, &self.faulty[span]);
+        self.held[l] = Some(k);
+        let upper = self.front.row(l);
+        fold_max(
+            &mut self.pulse_intra,
+            defs::worst_intra_layer(&self.pairs, upper),
+        );
+        fold_max(&mut self.pulse_global, defs::layer_spread(upper));
+        // Layer ℓ+1 is not yet overwritten by pulse k: rows arrive
+        // layer-ascending within a pulse.
+        if k > 0 && self.held.get(l + 1) == Some(&Some(k - 1)) {
+            let lower = self.front.row(l + 1);
+            fold_max(
+                &mut self.pulse_inter,
+                defs::worst_inter_layer(&self.pairs, upper, lower),
+            );
+        }
+    }
+
+    /// Folds the element path's staged row, if any.
+    fn flush_staged(&mut self) {
+        if let Some((k, layer)) = self.staged_key.take() {
+            let staged = std::mem::take(&mut self.staged);
+            self.fold_row(k, layer, &staged);
+            self.staged = staged;
+            self.staged.fill(None);
+        }
     }
 
     /// Finalizes the last pulse. Must be called after the run and before
     /// reading [`StreamingSkew::snapshot`]; idempotent.
     pub fn finish(&mut self) {
         if !self.finished {
-            if self.started {
-                self.advance();
+            self.flush_staged();
+            if self.last.is_some() {
+                self.end_pulse();
             }
             self.finished = true;
         }
@@ -447,8 +460,8 @@ impl StreamingSkew {
             "merge requires both monitors to be finished"
         );
         assert_eq!(
-            (self.width, self.layer_count),
-            (other.width, other.layer_count),
+            (self.width, self.held.len()),
+            (other.width, other.held.len()),
             "graph shapes differ"
         );
         self.pulses += other.pulses;
@@ -483,44 +496,31 @@ impl StreamingSkew {
 
 impl Observer for StreamingSkew {
     fn on_faulty(&mut self, node: NodeId) {
-        let i = self.index(node);
-        self.faulty[i] = true;
+        self.faulty[node.layer as usize * self.width + node.v as usize] = true;
     }
 
     fn on_pulse(&mut self, k: usize, node: NodeId, t: Time) {
         debug_assert!(!self.finished, "pulse after finish()");
-        debug_assert!(k >= self.cur_k, "pulse emissions must be pulse-major");
-        while k > self.cur_k {
-            self.advance();
+        let key = (k, node.layer);
+        if self.staged_key != Some(key) {
+            debug_assert!(
+                self.staged_key.is_none_or(|c| c < key),
+                "pulse emissions must arrive front-row-major"
+            );
+            self.flush_staged();
+            self.staged_key = Some(key);
         }
-        let i = self.index(node);
-        self.cur[i] = Some(t);
-        self.started = true;
+        self.staged[node.v as usize] = Some(t);
     }
 
-    /// Row fast path: one pulse-major check and one slice splice per
-    /// layer instead of a dispatch + index computation per element.
+    /// Row fast path: the row is folded as it arrives, with no staging.
     /// All-`None` rows are skipped outright (the element default would
-    /// forward nothing), so the state trajectory — including when the
-    /// internal `advance` step finalizes a pulse — is bit-identical to
-    /// the per-element path.
+    /// forward nothing), so the rows folded, and the pulses counted, are
+    /// the same as on the element path.
     fn on_pulse_row(&mut self, k: usize, layer: u32, row: &[Option<Time>]) {
-        if !row.iter().any(Option::is_some) {
-            return;
+        if row.iter().any(Option::is_some) {
+            self.fold_row(k, layer, row);
         }
-        debug_assert!(!self.finished, "pulse after finish()");
-        debug_assert!(k >= self.cur_k, "pulse emissions must be pulse-major");
-        debug_assert_eq!(row.len(), self.width, "row is one full layer");
-        while k > self.cur_k {
-            self.advance();
-        }
-        let start = layer as usize * self.width;
-        for (slot, t) in self.cur[start..start + row.len()].iter_mut().zip(row) {
-            if t.is_some() {
-                *slot = *t;
-            }
-        }
-        self.started = true;
     }
 }
 
@@ -577,6 +577,60 @@ mod tests {
         // without node 3: edges (0,1), (1,2) → 1.
         assert_eq!(s.max_intra_layer_skew(), Duration::from(3.0));
         assert_eq!(s.max_global_skew(), Duration::from(3.0));
+    }
+
+    /// A layer's slot two pulses old never pairs with the current pulse.
+    /// Row `(1, 1)` is missing, so when `(2, 0)` arrives layer 1's slot
+    /// still holds pulse 0: pulse 2's `L_{0,1}` must stay empty rather
+    /// than read `|t^2_{v,0} − t^0_{w,1}|`, up to 192.
+    #[test]
+    fn stale_rows_do_not_pair() {
+        let g = LayeredGraph::new(BaseGraph::cycle(3), 3);
+        let mut s = StreamingSkew::new(&g);
+        for k in 0..3usize {
+            for layer in 0..3u32 {
+                if (k, layer) == (1, 1) {
+                    continue;
+                }
+                let row: Vec<Option<Time>> = (0..3)
+                    .map(|v| {
+                        Some(Time::from(
+                            100.0 * k as f64 + 10.0 * layer as f64 + v as f64,
+                        ))
+                    })
+                    .collect();
+                s.on_pulse_row(k, layer, &row);
+            }
+        }
+        s.finish();
+        assert_eq!(s.pulses(), 3);
+        // Pulse 1 pairs (1, 0) with (0, 1), pulse 2 pairs (2, 1) with
+        // (1, 2); each reads 100 − 10 + (v − w), at most 92.
+        assert_eq!(s.inter().count(), 2);
+        assert_eq!(s.max_inter_layer_skew(), Duration::from(92.0));
+    }
+
+    /// Both paths need `(k, layer)`-major order; a layer 1 emission before
+    /// a layer 0 one of the same pulse is a caller error.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "front-row-major")]
+    fn element_path_rejects_layers_out_of_order() {
+        let g = LayeredGraph::new(BaseGraph::cycle(3), 2);
+        let mut s = StreamingSkew::new(&g);
+        s.on_pulse(0, g.node(0, 1), Time::from(1.0));
+        s.on_pulse(0, g.node(0, 0), Time::from(0.0));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "front-row-major")]
+    fn row_path_rejects_layers_out_of_order() {
+        let g = LayeredGraph::new(BaseGraph::cycle(3), 2);
+        let mut s = StreamingSkew::new(&g);
+        let row = [Some(Time::ZERO); 3];
+        s.on_pulse_row(0, 1, &row);
+        s.on_pulse_row(0, 0, &row);
     }
 
     #[test]

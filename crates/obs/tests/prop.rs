@@ -10,13 +10,14 @@
 //! `trix_analysis::skew` across the experiment suite.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use trix_obs::{defs, DesSkew, Observer, PodSketch, PodSnapshot, StreamingSkew, TraceRing};
 use trix_sim::{
     run_dataflow_observed, run_dataflow_parallel, CorrectSends, OffsetLayer0, PulseRule,
     PulseTrace, Rng, SendModel, StaticEnvironment,
 };
 use trix_time::{AffineClock, Duration, Time};
-use trix_topology::{BaseGraph, LayeredGraph, NodeId};
+use trix_topology::{families, BaseGraph, LayeredGraph, NodeId};
 
 /// Fires at `max(arrivals) + 1`, scaled a little by the clock rate so
 /// environments influence the times.
@@ -86,14 +87,40 @@ impl<O: Observer> Observer for PerElement<O> {
     }
 }
 
+/// Running `max`/`sum`/`count` of one statistic, recorded the way
+/// `RunningStat` records it.
+#[derive(Default)]
+struct Fold {
+    max: f64,
+    sum: f64,
+    count: u64,
+}
+
+impl Fold {
+    fn record(&mut self, s: Option<Duration>) {
+        if let Some(s) = s {
+            self.max = self.max.max(s.as_f64());
+            self.sum += s.as_f64();
+            self.count += 1;
+        }
+    }
+
+    fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum / self.count as f64
+        }
+    }
+}
+
 /// Batch recomputation of everything `StreamingSkew` folds, from a full
 /// trace, in the same pulse order.
+#[derive(Default)]
 struct Batch {
-    max_intra: Duration,
-    max_inter: Duration,
-    max_global: Duration,
-    sum_intra: f64,
-    count_intra: u64,
+    intra: Fold,
+    inter: Fold,
+    global: Fold,
 }
 
 /// Pulse-front rows of a recorded trace, in the sketch's row order: one
@@ -130,74 +157,85 @@ fn measured_error(snap: &PodSnapshot, rows: &[Vec<f64>]) -> f64 {
 }
 
 fn batch_fold(g: &LayeredGraph, trace: &PulseTrace, pulses: usize) -> Batch {
-    let look = |k: usize| {
-        move |n: NodeId| {
-            if trace.is_faulty(n) {
-                None
-            } else {
-                trace.time(k, n)
-            }
-        }
+    let pairs = defs::SkewPairs::new(g.base().csr());
+    let row = |k: usize, layer: usize| {
+        let mut rows = defs::MaskedRows::new(g.width(), 1);
+        rows.set(0, trace.row(k, layer), trace.faulty_row(layer));
+        rows
     };
-    let mut out = Batch {
-        max_intra: Duration::ZERO,
-        max_inter: Duration::ZERO,
-        max_global: Duration::ZERO,
-        sum_intra: 0.0,
-        count_intra: 0,
+    let max = |acc: Option<Duration>, s: Option<Duration>| match (acc, s) {
+        (Some(a), Some(s)) => Some(a.max(s)),
+        (a, s) => a.or(s),
     };
+    let mut out = Batch::default();
     for k in 0..pulses {
-        let mut intra: Option<Duration> = None;
-        let mut global: Option<Duration> = None;
+        let (mut intra, mut global, mut inter) = (None, None, None);
         for layer in 0..g.layer_count() {
-            if let Some(s) = defs::worst_intra_layer(g.base().csr(), layer, look(k)) {
-                intra = Some(intra.map_or(s, |w| w.max(s)));
-            }
-            if let Some(s) = defs::layer_spread(g.width(), layer, look(k)) {
-                global = Some(global.map_or(s, |w| w.max(s)));
-            }
-        }
-        if let Some(s) = intra {
-            out.max_intra = out.max_intra.max(s);
-            out.sum_intra += s.as_f64();
-            out.count_intra += 1;
-        }
-        if let Some(s) = global {
-            out.max_global = out.max_global.max(s);
-        }
-        if k + 1 < pulses {
-            for layer in 0..g.layer_count() {
-                if let Some(s) = defs::worst_inter_layer(
-                    g.base().csr(),
-                    g.layer_count(),
-                    layer,
-                    look(k + 1),
-                    look(k),
-                ) {
-                    out.max_inter = out.max_inter.max(s);
-                }
+            let r = row(k, layer);
+            intra = max(intra, defs::worst_intra_layer(&pairs, r.row(0)));
+            global = max(global, defs::layer_spread(r.row(0)));
+            if k > 0 && layer + 1 < g.layer_count() {
+                let lower = row(k - 1, layer + 1);
+                inter = max(
+                    inter,
+                    defs::worst_inter_layer(&pairs, r.row(0), lower.row(0)),
+                );
             }
         }
+        out.intra.record(intra);
+        out.global.record(global);
+        out.inter.record(inter);
     }
     out
 }
 
+/// Checks a finished monitor against the batch fold bit for bit: the
+/// three maxima, means and sample counts.
+fn assert_matches_batch(stream: &StreamingSkew, batch: &Batch) -> Result<(), TestCaseError> {
+    for (name, got, want) in [
+        ("intra", stream.intra(), &batch.intra),
+        ("inter", stream.inter(), &batch.inter),
+        ("global", stream.global(), &batch.global),
+    ] {
+        prop_assert_eq!(got.max().to_bits(), want.max.to_bits(), "{} max", name);
+        prop_assert_eq!(got.mean().to_bits(), want.mean().to_bits(), "{} mean", name);
+        prop_assert_eq!(got.count(), want.count, "{} count", name);
+    }
+    prop_assert_eq!(
+        stream.full_local_skew().as_f64().to_bits(),
+        batch.intra.max.max(batch.inter.max).to_bits()
+    );
+    Ok(())
+}
+
+/// A base graph of one of five families, growing with `size`: the cycle
+/// and the paper's line, then a torus, a hypercube and a supernode
+/// overlay.
+fn base_graph(family: usize, size: usize) -> BaseGraph {
+    match family {
+        0 => BaseGraph::cycle(3 + size),
+        1 => BaseGraph::line_with_replicated_ends(3 + size),
+        2 => families::torus(3 + size / 3, 4 + size % 3).into_graph(),
+        3 => families::hypercube(2 + (size % 3) as u32).into_graph(),
+        _ => families::supernode_overlay(3 + size % 3, 1 + size / 3).into_graph(),
+    }
+}
+
 proptest! {
+    /// One engine run observed by a full trace and the monitor, on the
+    /// cycle, the paper's line, tori, hypercubes and supernode overlays,
+    /// with and without a silenced faulty node: the monitor equals the
+    /// batch fold over the trace bit for bit.
     #[test]
     fn streaming_equals_batch_over_random_topologies(
         seed in any::<u64>(),
-        width in 3usize..10,
+        family in 0usize..5,
+        size in 0usize..7,
         layers in 2usize..6,
         pulses in 1usize..5,
-        cycle in any::<bool>(),
         fault in any::<bool>(),
     ) {
-        let base = if cycle {
-            BaseGraph::cycle(width)
-        } else {
-            BaseGraph::line_with_replicated_ends(width)
-        };
-        let g = LayeredGraph::new(base, layers);
+        let g = LayeredGraph::new(base_graph(family, size), layers);
         let mut rng = Rng::seed_from(seed);
         let env = StaticEnvironment::random(
             &g,
@@ -219,23 +257,76 @@ proptest! {
         }
         let (trace, mut stream) = pair;
         stream.finish();
-
-        let batch = batch_fold(&g, &trace, pulses);
         // Bit-identical folds — no tolerance.
-        prop_assert_eq!(stream.max_intra_layer_skew(), batch.max_intra);
-        prop_assert_eq!(stream.max_inter_layer_skew(), batch.max_inter);
-        prop_assert_eq!(stream.max_global_skew(), batch.max_global);
-        prop_assert_eq!(
-            stream.full_local_skew(),
-            batch.max_intra.max(batch.max_inter)
-        );
-        prop_assert_eq!(stream.intra().count(), batch.count_intra);
-        let batch_mean = if batch.count_intra == 0 {
-            0.0
-        } else {
-            batch.sum_intra / batch.count_intra as f64
+        assert_matches_batch(&stream, &batch_fold(&g, &trace, pulses))?;
+        prop_assert_eq!(stream.pulses(), pulses as u64);
+    }
+
+    /// Synthetic row streams with whole rows and whole pulses missing,
+    /// fed through the row path and the element path: a layer's slot
+    /// then often holds a row two or more pulses old, which must not
+    /// enter `L_{ℓ,ℓ+1}`. Times sit on a lattice offset by pulse and
+    /// layer, so a stale row changes the inter-layer maxima and counts.
+    /// Both paths equal the batch fold over the same matrix written into
+    /// a `PulseTrace`, bit for bit, and count the pulses up to the last
+    /// one with an emission.
+    #[test]
+    fn synthetic_streams_with_missing_rows_equal_batch(
+        seed in any::<u64>(),
+        family in 1usize..5,
+        size in 0usize..7,
+        layers in 2usize..6,
+        pulses in 1usize..8,
+        row_gap in 0.0f64..0.6,
+        pulse_gap in 0.0f64..0.4,
+        missing in 0.0f64..0.4,
+        faulty in 0.0f64..0.2,
+    ) {
+        let g = LayeredGraph::new(base_graph(family, size), layers);
+        let mut rng = Rng::seed_from(seed);
+        let faulty_nodes: Vec<NodeId> = g.nodes().filter(|_| rng.bernoulli(faulty)).collect();
+        let mut trace = PulseTrace::new(&g, pulses);
+        let mut last_pulse = None;
+        for k in 0..pulses {
+            let pulse_missing = rng.bernoulli(pulse_gap);
+            for layer in 0..layers {
+                let row_missing = pulse_missing || rng.bernoulli(row_gap);
+                let row: Vec<Option<Time>> = (0..g.width())
+                    .map(|_| {
+                        let t = 50.0 * k as f64 + 5.0 * layer as f64
+                            + 0.75 * rng.usize_below(8) as f64;
+                        (!row_missing && !rng.bernoulli(missing)).then(|| Time::from(t))
+                    })
+                    .collect();
+                if row.iter().any(Option::is_some) {
+                    last_pulse = Some(k);
+                }
+                trace.on_pulse_row(k, layer as u32, &row);
+            }
+        }
+        for &n in &faulty_nodes {
+            trace.set_faulty(n);
+        }
+        let feed = |obs: &mut dyn Observer| {
+            for &n in &faulty_nodes {
+                obs.on_faulty(n);
+            }
+            for k in 0..pulses {
+                for layer in 0..layers {
+                    obs.on_pulse_row(k, layer as u32, trace.row(k, layer));
+                }
+            }
         };
-        prop_assert_eq!(stream.intra().mean(), batch_mean);
+        let mut by_row = StreamingSkew::new(&g);
+        feed(&mut by_row);
+        let mut by_element = PerElement(StreamingSkew::new(&g));
+        feed(&mut by_element);
+        let batch = batch_fold(&g, &trace, pulses);
+        for mut stream in [by_row, by_element.0] {
+            stream.finish();
+            assert_matches_batch(&stream, &batch)?;
+            prop_assert_eq!(stream.pulses(), last_pulse.map_or(0, |k| k as u64 + 1));
+        }
     }
 
     /// Partial-merge soundness over random independent runs: folding

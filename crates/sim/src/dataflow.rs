@@ -214,6 +214,19 @@ impl PulseTrace {
         self.faulty[self.node_index(node)]
     }
 
+    /// Iteration `k`'s row of `layer`: `row[v]` is the recorded time of
+    /// node `(v, layer)`, `None` where it did not fire. Faulty nodes keep
+    /// their nominal times; mask them with [`PulseTrace::faulty_row`].
+    pub fn row(&self, k: usize, layer: usize) -> &[Option<Time>] {
+        let start = (k * self.layer_count + layer) * self.width;
+        &self.times[start..start + self.width]
+    }
+
+    /// Whether each node `(v, layer)` of `layer` is faulty, indexed by `v`.
+    pub fn faulty_row(&self, layer: usize) -> &[bool] {
+        &self.faulty[layer * self.width..(layer + 1) * self.width]
+    }
+
     /// Iterates over the correct nodes of one layer with their iteration-`k`
     /// pulse times.
     pub fn layer_times(&self, k: usize, layer: usize) -> impl Iterator<Item = (usize, Time)> + '_ {
