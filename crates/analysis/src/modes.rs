@@ -21,7 +21,6 @@
 use trix_obs::PodSnapshot;
 use trix_sim::Observer;
 use trix_time::Time;
-use trix_topology::NodeId;
 
 /// Per-mode analytics extracted by [`ModeProbe::into_report`].
 #[derive(Clone, Debug, PartialEq)]
@@ -30,11 +29,10 @@ pub struct ModeSummary {
     pub sigma: f64,
     /// `σ² / Σσ²` — fraction of the *captured* energy in this mode.
     pub energy_fraction: f64,
-    /// Base-graph column where the mode's amplitude peaks (absolute
-    /// column index, i.e. offset by the sketch's `col_start`).
+    /// Base-graph column where the mode's amplitude peaks.
     pub origin_col: usize,
     /// Amplitude-weighted center of mass of the mode over columns
-    /// (`Σ v·u(v)² / Σ u(v)²`, absolute column units).
+    /// (`Σ v·u(v)² / Σ u(v)²`, in column units).
     pub origin_centroid: f64,
     /// Least-squares slope of the mode's layer-energy centroid across
     /// pulses, in layers per pulse; `None` if fewer than two pulses
@@ -58,16 +56,17 @@ pub struct ModeReport {
 /// Second-pass observer measuring reconstruction error and mode motion
 /// against a finished [`PodSnapshot`].
 ///
-/// Feed it the *same* emission stream that built the sketch (both
-/// engines stream deterministically, so re-running the workload
+/// Feed it the *same* row stream that built the sketch (both dataflow
+/// drivers stream deterministically, so re-running the workload
 /// reproduces the stream bit-for-bit), then call
-/// [`ModeProbe::into_report`]. Row assembly matches the sketch exactly:
-/// one row per `(k, layer)` front with at least one in-range emission,
-/// zero-filled at misfires.
+/// [`ModeProbe::into_report`]. It takes whole rows through
+/// [`Observer::on_pulse_row`], as the sketch does: one row per
+/// `(k, layer)` front with at least one emission, zero-filled at
+/// misfires, each folded once, as it arrives.
 #[derive(Clone, Debug)]
 pub struct ModeProbe {
     snap: PodSnapshot,
-    cur: Option<(usize, u32)>,
+    /// The current row, zero-filled at misfires.
     row: Vec<f64>,
     rows: u64,
     resid2: f64,
@@ -87,7 +86,6 @@ impl ModeProbe {
         let cols = snap.cols;
         Self {
             snap,
-            cur: None,
             row: vec![0.0; cols],
             rows: 0,
             resid2: 0.0,
@@ -97,10 +95,8 @@ impl ModeProbe {
         }
     }
 
-    fn flush_row(&mut self) {
-        let Some((k, layer)) = self.cur.take() else {
-            return;
-        };
+    /// Folds `self.row`, the row of front `(k, layer)`.
+    fn fold_row(&mut self, k: usize, layer: u32) {
         self.rows += 1;
         let modes = self.snap.modes();
         if k >= self.pulses_seen {
@@ -125,12 +121,10 @@ impl ModeProbe {
             self.layer_mass[slot] += w;
             self.layer_first_moment[slot] += layer as f64 * w;
         }
-        self.row.fill(0.0);
     }
 
-    /// Flushes the last row and computes the report.
-    pub fn into_report(mut self) -> ModeReport {
-        self.flush_row();
+    /// Computes the report.
+    pub fn into_report(self) -> ModeReport {
         let modes = self.snap.modes();
         let captured = self.snap.captured_energy();
         let report_modes = (0..modes)
@@ -144,7 +138,7 @@ impl ModeProbe {
                     if x.abs() > u[best].abs() {
                         best = v;
                     }
-                    centroid_num += (self.snap.col_start + v) as f64 * x * x;
+                    centroid_num += v as f64 * x * x;
                     centroid_den += x * x;
                 }
                 // Centroid of ℓ̂_j(k) per pulse, then a least-squares
@@ -177,11 +171,11 @@ impl ModeProbe {
                     } else {
                         0.0
                     },
-                    origin_col: self.snap.col_start + best,
+                    origin_col: best,
                     origin_centroid: if centroid_den > 0.0 {
                         centroid_num / centroid_den
                     } else {
-                        self.snap.col_start as f64
+                        0.0
                     },
                     velocity,
                 }
@@ -196,18 +190,14 @@ impl ModeProbe {
 }
 
 impl Observer for ModeProbe {
-    #[inline]
-    fn on_pulse(&mut self, k: usize, node: NodeId, t: Time) {
-        let v = node.v as usize;
-        if v < self.snap.col_start || v >= self.snap.col_start + self.snap.cols {
-            return;
+    fn on_pulse_row(&mut self, k: usize, layer: u32, row: &[Option<Time>]) {
+        let row = &row[..self.row.len()];
+        if row.iter().any(Option::is_some) {
+            for (slot, t) in self.row.iter_mut().zip(row) {
+                *slot = t.map_or(0.0, Time::as_f64);
+            }
+            self.fold_row(k, layer);
         }
-        let key = (k, node.layer);
-        if self.cur != Some(key) {
-            self.flush_row();
-            self.cur = Some(key);
-        }
-        self.row[v - self.snap.col_start] = t.as_f64();
     }
 }
 
@@ -221,21 +211,33 @@ mod tests {
         LayeredGraph::new(BaseGraph::cycle(width), layers)
     }
 
+    /// Feeds `pulses × layers` whole rows of `width` with times
+    /// `t(k, layer, v)`.
+    fn feed_rows(
+        obs: &mut impl Observer,
+        (width, layers, pulses): (usize, usize, usize),
+        t: impl Fn(usize, usize, usize) -> f64,
+    ) {
+        for k in 0..pulses {
+            for layer in 0..layers {
+                let row: Vec<Option<Time>> = (0..width)
+                    .map(|v| Some(Time::from(t(k, layer, v))))
+                    .collect();
+                obs.on_pulse_row(k, layer as u32, &row);
+            }
+        }
+    }
+
     /// Streams a synthetic traveling wave through a sketch and a probe:
     /// pulse times carry a bump whose layer position advances one layer
     /// per pulse.
     fn feed(obs: &mut impl Observer, width: usize, layers: usize, pulses: usize) {
-        for k in 0..pulses {
-            for layer in 0..layers {
-                for v in 0..width {
-                    // A rank-2-ish field: linear ramp plus a moving bump
-                    // peaked at column 2 whenever layer == k.
-                    let bump = if layer == k && v == 2 { 50.0 } else { 0.0 };
-                    let t = 100.0 * k as f64 + 10.0 * layer as f64 + v as f64 + bump;
-                    obs.on_pulse(k, NodeId::new(v as u32, layer as u32), Time::from(t));
-                }
-            }
-        }
+        feed_rows(obs, (width, layers, pulses), |k, layer, v| {
+            // A rank-2-ish field: linear ramp plus a moving bump peaked
+            // at column 2 whenever layer == k.
+            let bump = if layer == k && v == 2 { 50.0 } else { 0.0 };
+            100.0 * k as f64 + 10.0 * layer as f64 + v as f64 + bump
+        });
     }
 
     #[test]
@@ -308,20 +310,15 @@ mod tests {
     /// layer 0. The pulse-front matrix is exactly rank 2 with orthogonal
     /// columns, so the modes are (up to sign) `e₁` and `e₄`.
     fn feed_two_waves(obs: &mut impl Observer, width: usize, layers: usize, pulses: usize) {
-        for k in 0..pulses {
-            for layer in 0..layers {
-                for v in 0..width {
-                    let t = if v == 1 && layer == k + 1 {
-                        50.0
-                    } else if v == 4 && layer == 0 {
-                        30.0
-                    } else {
-                        0.0
-                    };
-                    obs.on_pulse(k, NodeId::new(v as u32, layer as u32), Time::from(t));
-                }
+        feed_rows(obs, (width, layers, pulses), |k, layer, v| {
+            if v == 1 && layer == k + 1 {
+                50.0
+            } else if v == 4 && layer == 0 {
+                30.0
+            } else {
+                0.0
             }
-        }
+        });
     }
 
     #[test]

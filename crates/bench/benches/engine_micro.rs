@@ -3,8 +3,6 @@
 //! pulses/second, and DES events/second.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::hint::black_box;
 use trix_core::{
     correction, CorrectionConfig, GradientTrixRule, GridNetwork, GridNodeConfig, Layer0Line, Params,
@@ -189,9 +187,6 @@ fn bench_observer_overhead(c: &mut Criterion) {
 /// * `dataflow_sketch_r{4,16}` — the same loop streaming into a
 ///   [`PodSketch`] at rank 4 / 16, `finish`ed so deferred flush work is
 ///   charged to the measurement;
-/// * `des_noop` / `des_sketch_r{4,16}` — the DES engine's
-///   `run_observed` with the same observer pair
-///   ([`PodSketch::for_des_grid`] over the broadcast stream);
 /// * `ingest_w1280_r{4,16}` — the paper-scale-width proxy: driving the
 ///   full 1280×1280 dataflow is too heavy for a micro harness, so this
 ///   row isolates the sketch's own per-row cost — the quantity the
@@ -242,38 +237,6 @@ fn bench_sketch_overhead(c: &mut Criterion) {
                 sketch.finish();
                 black_box(sketch.snapshot().rows)
             })
-        });
-    }
-
-    let g = LayeredGraph::new(BaseGraph::line_with_replicated_ends(6), 6);
-    let build = || {
-        let mut rng = Rng::seed_from(7);
-        let env = StaticEnvironment::random(&g, p.d(), p.u(), p.theta(), &mut rng);
-        let cfg = GridNodeConfig::standard(p, g.base().diameter());
-        GridNetwork::build(&g, &p, &env, cfg, 10, &mut rng, |_, _| None)
-    };
-    group.bench_function("des_noop", |b| {
-        b.iter_batched(
-            build,
-            |mut net| {
-                net.run_observed(Time::from(1e9), &mut NullObserver);
-                black_box(net.des.events_processed())
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    for rank in [4usize, 16] {
-        group.bench_function(&format!("des_sketch_r{rank}"), |b| {
-            b.iter_batched(
-                build,
-                |mut net| {
-                    let mut sketch = PodSketch::for_des_grid(&g, 1, rank);
-                    net.run_observed(Time::from(1e9), &mut sketch);
-                    sketch.finish();
-                    black_box((net.des.events_processed(), sketch.snapshot().rows))
-                },
-                BatchSize::SmallInput,
-            )
         });
     }
 
@@ -367,23 +330,8 @@ fn bench_dataflow_parallel(c: &mut Criterion) {
     group.finish();
 }
 
-/// The engine's *former* event payload shape: `usize` node indices —
-/// 24 bytes with the discriminant, 40 per queue entry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum WidePayload {
-    Deliver {
-        to: usize,
-        from: usize,
-    },
-    #[allow(dead_code)]
-    Timer {
-        node: usize,
-        tag: u64,
-    },
-}
-
-/// The engine's *current* payload shape: `u32` node indices — 32 bytes
-/// per queue entry.
+/// The engine's payload shape: `u32` node indices — 32 bytes per queue
+/// entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum PackedPayload {
     Deliver {
@@ -397,38 +345,10 @@ enum PackedPayload {
     },
 }
 
-/// The DES engine's former queue entry, kept as the benchmark baseline:
-/// a by-value `(time, seq, payload)` struct ordered for a
-/// `BinaryHeap<Reverse<_>>` min-queue.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct BaselineEvent {
-    t: Time,
-    seq: u64,
-    payload: WidePayload,
-}
-
-impl Ord for BaselineEvent {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.t, self.seq).cmp(&(other.t, other.seq))
-    }
-}
-
-impl PartialOrd for BaselineEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// Event-loop hold model mirroring DES steady state on a degree-3 grid:
 /// `HOLD_PENDING` events in flight; every second pop is a broadcast that
-/// schedules one delivery per outgoing link.
-///
-/// The baseline reproduces the engine's former per-event work exactly:
-/// peek-and-clone then pop on a `BinaryHeap<Reverse<event>>` of 40-byte
-/// events with `usize` node indices, and a clone of the outgoing-link
-/// `Vec` per broadcast (the borrow-splitting workaround the old
-/// `apply_actions` used). The `engine_queue` version is the engine's
-/// current loop: 32-byte packed entries in [`EventQueue`], popped by
+/// schedules one delivery per outgoing link. `engine_queue` is the
+/// engine's loop: 32-byte packed entries in [`EventQueue`], popped by
 /// value, links iterated in place.
 const HOLD_PENDING: usize = 1 << 10;
 const HOLD_OPS: usize = 1 << 14;
@@ -443,46 +363,6 @@ fn hold_links() -> Vec<(usize, Duration)> {
 fn bench_des_event_loop(c: &mut Criterion) {
     let mut group = c.benchmark_group("des_event_loop");
     group.throughput(Throughput::Elements(HOLD_OPS as u64));
-    group.bench_function("binary_heap_baseline", |b| {
-        let links = hold_links();
-        b.iter(|| {
-            let mut queue: BinaryHeap<Reverse<BaselineEvent>> = BinaryHeap::new();
-            let mut seq = 0u64;
-            let mut push = |queue: &mut BinaryHeap<_>, t: Time, payload| {
-                queue.push(Reverse(BaselineEvent { t, seq, payload }));
-                seq += 1;
-            };
-            for i in 0..HOLD_PENDING {
-                push(
-                    &mut queue,
-                    Time::from(i as f64),
-                    WidePayload::Deliver { to: i, from: i },
-                );
-            }
-            let mut acc = 0usize;
-            for op in 0..HOLD_OPS {
-                // The old engine loop: peek-and-clone, then pop.
-                let Reverse(ev) = queue.peek().cloned().expect("non-empty");
-                queue.pop();
-                if let WidePayload::Deliver { to, .. } = ev.payload {
-                    acc ^= to;
-                }
-                if op % 2 == 0 {
-                    // Broadcast: the old `apply_actions` cloned the link
-                    // list to appease the borrow checker.
-                    let links = links.clone();
-                    for &(to, delay) in &links {
-                        push(
-                            &mut queue,
-                            ev.t + delay,
-                            WidePayload::Deliver { to, from: to },
-                        );
-                    }
-                }
-            }
-            black_box(acc)
-        })
-    });
     group.bench_function("engine_queue", |b| {
         let links = hold_links();
         b.iter(|| {

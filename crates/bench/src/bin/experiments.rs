@@ -1,6 +1,6 @@
 //! `gradient-trix-experiments` — regenerates every table and figure of
-//! the paper's evaluation (see DESIGN.md's experiment index), sharded
-//! across OS threads by the deterministic sweep runner.
+//! the paper's evaluation (the index is `trix_bench::all_scenarios`),
+//! sharded across OS threads by the deterministic sweep runner.
 //!
 //! Usage:
 //!

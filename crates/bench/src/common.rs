@@ -7,8 +7,7 @@ use trix_core::{GradientTrixRule, Layer0Line, Params};
 use trix_obs::{SkewStats, StreamingSkew};
 use trix_runner::SkewSummary;
 use trix_sim::{
-    run_dataflow, run_dataflow_observed, run_dataflow_parallel, Observer, PulseTrace, Rng,
-    SendModel, StaticEnvironment,
+    run_dataflow, run_dataflow_parallel, Observer, PulseTrace, Rng, SendModel, StaticEnvironment,
 };
 use trix_time::Duration;
 use trix_topology::{BaseGraph, LayeredGraph};
@@ -63,9 +62,10 @@ pub fn run_gradient_trix(
 /// (`O(nodes)` for `trix_obs::StreamingSkew`).
 ///
 /// `sim_threads` shards each layer's width across that many dataflow
-/// workers (`trix_sim::run_dataflow_parallel`; `1` = the serial engine,
-/// `0` = one worker per CPU). The emission stream — and therefore every
-/// statistic any observer computes — is bit-identical for every value.
+/// workers (`trix_sim::run_dataflow_parallel`, which runs the serial
+/// engine at `1`; `0` = one worker per CPU). The emission stream — and
+/// therefore every statistic any observer computes — is bit-identical
+/// for every value.
 #[allow(clippy::too_many_arguments)] // mirrors the engine signature + the thread knob
 pub fn run_gradient_trix_streaming(
     g: &LayeredGraph,
@@ -82,11 +82,7 @@ pub fn run_gradient_trix_streaming(
     let mut layer0_rng = root.fork(2);
     let env = StaticEnvironment::random(g, params.d(), params.u(), params.theta(), &mut env_rng);
     let layer0 = Layer0Line::random_for_line(params, g.width(), &mut layer0_rng);
-    if sim_threads == 1 {
-        run_dataflow_observed(g, &env, &layer0, rule, sends, pulses, obs);
-    } else {
-        run_dataflow_parallel(g, &env, &layer0, rule, sends, pulses, sim_threads, obs);
-    }
+    run_dataflow_parallel(g, &env, &layer0, rule, sends, pulses, sim_threads, obs);
 }
 
 /// Runs Gradient TRIX on an **arbitrary connected base graph**: identical
@@ -118,8 +114,7 @@ pub fn run_gradient_trix_graph(
 /// Streaming twin of [`run_gradient_trix_graph`]: the graph-generic
 /// workload of [`run_gradient_trix_streaming`] — same seed derivation,
 /// BFS-forest layer 0, `O(width)` driver state — with `sim_threads`
-/// sharding exactly as there (`1` = serial engine, otherwise the
-/// parallel frontier driver; the emission stream is bit-identical for
+/// sharding exactly as there (the emission stream is bit-identical for
 /// every value).
 #[allow(clippy::too_many_arguments)] // mirrors the engine signature + the thread knob
 pub fn run_gradient_trix_streaming_graph(
@@ -137,11 +132,7 @@ pub fn run_gradient_trix_streaming_graph(
     let mut layer0_rng = root.fork(2);
     let env = StaticEnvironment::random(g, params.d(), params.u(), params.theta(), &mut env_rng);
     let layer0 = Layer0Line::random_for_graph(params, g.base(), &mut layer0_rng);
-    if sim_threads == 1 {
-        run_dataflow_observed(g, &env, &layer0, rule, sends, pulses, obs);
-    } else {
-        run_dataflow_parallel(g, &env, &layer0, rule, sends, pulses, sim_threads, obs);
-    }
+    run_dataflow_parallel(g, &env, &layer0, rule, sends, pulses, sim_threads, obs);
 }
 
 /// One grid of a streaming (`--no-trace`) twin sweep.

@@ -316,11 +316,7 @@ pub fn run(point: &SweepPoint, seeds: &[u64], sim_threads: usize) -> ScenarioRes
             }
         }
         let mut skew = streaming_monitor(&g, &p);
-        let mut classes = FaultClassSkew::with_histogram(
-            &g,
-            p.kappa().as_f64() / 2.0,
-            trix_obs::StreamingSkew::DEFAULT_HIST_BINS,
-        );
+        let mut classes = FaultClassSkew::new(&g);
         crate::common::run_gradient_trix_streaming(
             &g,
             &p,

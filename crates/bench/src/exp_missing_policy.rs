@@ -1,5 +1,6 @@
 //! Experiment `missing_policy` — ablation of the `H_max = ∞` reading
-//! (DESIGN.md ambiguity item 3).
+//! (ARCHITECTURE.md, "Algorithm-text ambiguities and the diagonal
+//! re-indexing", item 3).
 //!
 //! Compares `StickToEarlier` (the §3 intuition bullets) with
 //! `ClampLiteral` (the literal pseudocode fallback) under silent-neighbor

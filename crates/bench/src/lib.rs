@@ -1,8 +1,9 @@
 //! Experiment library reproducing **every table and figure** of the
 //! Gradient TRIX paper, plus the theorem-level claims its evaluation rests
 //! on. Each module documents the claim it checks, the workload, and the
-//! modules involved; `DESIGN.md` holds the master index and
-//! `EXPERIMENTS.md` the paper-vs-measured record.
+//! modules involved; [`all_scenarios`] is the index, in presentation
+//! order, and the `BENCH_*.json` records the harness writes hold the
+//! measured values.
 //!
 //! Run everything with the harness binary:
 //!
@@ -43,7 +44,6 @@ pub mod exp_thm16;
 pub mod exp_topology;
 
 use suite::{Scenario, SuiteOutcome};
-use trix_analysis::Table;
 
 /// Scale of an experiment run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -273,12 +273,6 @@ pub fn run_suite(
         base_seed,
         threads,
     )
-}
-
-/// Runs every experiment serially and returns the tables in presentation
-/// order (compatibility entry point; seeds derive from base seed 0).
-pub fn run_all(scale: Scale) -> Vec<Table> {
-    run_suite(scale, 0, 1, TraceMode::Full, 1).tables
 }
 
 #[cfg(test)]

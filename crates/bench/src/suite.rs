@@ -6,7 +6,7 @@
 //! sharded over OS threads via [`trix_runner::SweepRunner`] — and folds the
 //! outcome three ways:
 //!
-//! * the presentation [`Table`]s of `run_all` (per-scenario shards of one
+//! * the presentation [`Table`]s of `run_suite` (per-scenario shards of one
 //!   experiment are merged back, in suite order);
 //! * one machine-readable [`BenchRecord`] per scenario (params, derived
 //!   seeds, event count, value stats, table fingerprint, wall time);

@@ -22,7 +22,8 @@
 //! When `H_max` never arrives (a silent faulty neighbor), Algorithm 3 exits
 //! its receive loop via the `2·H_own − H_min + 2κ` deadline and must decide
 //! without it; [`MissingNeighborPolicy`] selects between the two readings
-//! discussed in DESIGN.md.
+//! of the text (ARCHITECTURE.md, "Algorithm-text ambiguities and the
+//! diagonal re-indexing", item 3).
 
 use crate::Params;
 use trix_time::{Duration, LocalTime};

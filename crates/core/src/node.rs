@@ -193,8 +193,10 @@ impl GradientTrixNode {
     fn threshold(&self) -> Option<LocalTime> {
         let h_min = self.h_min?;
         let p = &self.cfg.params;
-        // Deadlines as in `GradientTrixRule` (see DESIGN.md): `term1` waits
-        // for a late own-predecessor pulse, `term2` for late neighbors.
+        // Deadlines as in `GradientTrixRule` (ARCHITECTURE.md,
+        // "Algorithm-text ambiguities and the diagonal re-indexing", items
+        // 1–2): `term1` waits for a late own-predecessor pulse, `term2`
+        // for late neighbors.
         let term1 = self.h_max.map(|m| m + p.kappa() * 1.5 + p.theta_kappa());
         let window = (2.0 * self.cfg.skew_estimate + p.u()) * p.theta();
         let term2 = self.h_own.map(|o| o.max(h_min) + window + p.kappa() * 2.0);
@@ -391,8 +393,9 @@ mod tests {
         // Layer-0 node i fires at (k+i)Λ (diagonal), so node 4's inputs are
         // NOT simultaneous here — chain positions differ by Λ. The node
         // pairs pulse k+1 of its left pred with pulse k of its right pred,
-        // exactly the diagonal re-indexing discussed in DESIGN.md. We check
-        // periodicity and causality instead of absolute placement.
+        // exactly the diagonal re-indexing described in ARCHITECTURE.md,
+        // "Algorithm-text ambiguities and the diagonal re-indexing". We
+        // check periodicity and causality instead of absolute placement.
         let (mut des, mut nodes) = tiny_network(None);
         des.run(&mut nodes, Time::from(1e6));
         let grid: Vec<Time> = des

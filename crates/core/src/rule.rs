@@ -16,7 +16,8 @@
 //! prose ("wait until `median{H_own, H_min, H_max} + ϑ·L_{ℓ−1}` or later …
 //! any message missing is due to a fault") rather than the printed
 //! condition, which can fire before correct-but-lagging neighbor pulses
-//! arrive — see DESIGN.md §"Algorithm-text ambiguities" items 1–2. With
+//! arrive — see ARCHITECTURE.md, "Algorithm-text ambiguities and the
+//! diagonal re-indexing", items 1–2. With
 //! them, Lemma B.2 (equivalence with Algorithm 1 for fault-free
 //! predecessors) holds *exactly*, which the test suite verifies
 //! bit-for-bit. The branch taken after exit depends on whether `H_own` was

@@ -6,9 +6,11 @@
 //! much of the measured skew is **frontier** skew (pairs adjacent to a
 //! fault's blast radius) versus **healthy** skew (pairs with no faulty
 //! node anywhere near). [`FaultClassSkew`] partitions the intra-layer
-//! skew fold by that frontier and keeps one mergeable aggregate per
-//! class, with the same `O(nodes)` pulse-front state and partial-merge
-//! semantics as [`crate::StreamingSkew`].
+//! skew fold by that frontier and keeps one running aggregate per class.
+//! Intra-layer pairs lie within one row, so it folds each row as it
+//! arrives and stores no pulse front, only `O(nodes)` faulty and
+//! frontier flags; runs merge as [`FaultClassStats`] snapshots, like
+//! [`crate::SkewStats`].
 //!
 //! **Frontier definition.** A correct node is *frontier* iff a faulty
 //! position (as announced by [`Observer::on_faulty`]) is in its closed
@@ -78,8 +80,11 @@ impl FaultClassStats {
 ///
 /// Feed it to either dataflow driver (alone or tuple-composed with a
 /// [`crate::StreamingSkew`]), call [`FaultClassSkew::finish`], then read
-/// [`FaultClassSkew::snapshot`]. With no faults announced, every pair is
-/// healthy and the healthy aggregate equals the plain intra-layer fold.
+/// [`FaultClassSkew::snapshot`]. It takes whole rows through
+/// [`Observer::on_pulse_row`], pulse-major, after every
+/// [`Observer::on_faulty`] announcement; its [`Observer::on_pulse`] is
+/// the trait's no-op. With no faults announced, every pair is healthy
+/// and the healthy aggregate equals the plain intra-layer fold.
 #[derive(Clone, Debug)]
 pub struct FaultClassSkew {
     /// The base graph's adjacency (not `BaseGraph`'s distance matrix,
@@ -89,87 +94,51 @@ pub struct FaultClassSkew {
     layer_count: usize,
     faulty: Vec<bool>,
     frontier: Vec<bool>,
-    /// Pulse `cur_k` front, filling in.
-    cur: Vec<Option<Time>>,
+    /// The pulse being folded.
     cur_k: usize,
-    started: bool,
+    /// Pulse `cur_k`'s maxima so far, per class.
+    pulse_frontier: Option<f64>,
+    pulse_healthy: Option<f64>,
     finished: bool,
     frontier_intra: RunningStat,
     healthy_intra: RunningStat,
 }
 
 impl FaultClassSkew {
-    /// Creates a monitor for executions of `g` (16 unit-width histogram
-    /// bins, matching [`crate::StreamingSkew::DEFAULT_HIST_BINS`]).
+    /// Creates a monitor for executions of `g`.
     pub fn new(g: &LayeredGraph) -> Self {
-        Self::with_histogram(g, 1.0, crate::StreamingSkew::DEFAULT_HIST_BINS)
-    }
-
-    /// Creates a monitor with an explicit histogram shape.
-    pub fn with_histogram(g: &LayeredGraph, bin_width: f64, bin_count: usize) -> Self {
         let n = g.node_count();
-        let hist = Histogram::new(bin_width, bin_count);
+        let hist = Histogram::new(1.0, crate::StreamingSkew::DEFAULT_HIST_BINS);
         Self {
             base: g.base().csr().clone(),
             width: g.width(),
             layer_count: g.layer_count(),
             faulty: vec![false; n],
             frontier: vec![false; n],
-            cur: vec![None; n],
             cur_k: 0,
-            started: false,
+            pulse_frontier: None,
+            pulse_healthy: None,
             finished: false,
             frontier_intra: RunningStat::new(hist.clone()),
             healthy_intra: RunningStat::new(hist),
         }
     }
 
-    #[inline]
-    fn index(&self, n: NodeId) -> usize {
-        n.layer as usize * self.width + n.v as usize
-    }
-
-    /// Finalizes the in-progress pulse: per layer, folds every intra
-    /// edge's skew into its class's per-pulse maximum, then records.
-    fn advance(&mut self) {
-        let mut frontier_max: Option<f64> = None;
-        let mut healthy_max: Option<f64> = None;
-        for layer in 0..self.layer_count {
-            let row = layer * self.width;
-            for (a, b) in self.base.edges() {
-                let (ia, ib) = (row + a, row + b);
-                if self.faulty[ia] || self.faulty[ib] {
-                    continue;
-                }
-                let (Some(ta), Some(tb)) = (self.cur[ia], self.cur[ib]) else {
-                    continue;
-                };
-                let skew = (ta - tb).abs().as_f64();
-                let slot = if self.frontier[ia] || self.frontier[ib] {
-                    &mut frontier_max
-                } else {
-                    &mut healthy_max
-                };
-                *slot = Some(slot.map_or(skew, |m| m.max(skew)));
-            }
-        }
-        if let Some(s) = frontier_max {
+    /// Records the folded pulse's per-class maxima.
+    fn end_pulse(&mut self) {
+        if let Some(s) = self.pulse_frontier.take() {
             self.frontier_intra.record(s);
         }
-        if let Some(s) = healthy_max {
+        if let Some(s) = self.pulse_healthy.take() {
             self.healthy_intra.record(s);
         }
-        self.cur.fill(None);
-        self.cur_k += 1;
     }
 
     /// Finalizes the last pulse; idempotent. Must run before
     /// [`FaultClassSkew::snapshot`].
     pub fn finish(&mut self) {
         if !self.finished {
-            if self.started {
-                self.advance();
-            }
+            self.end_pulse();
             self.finished = true;
         }
     }
@@ -182,28 +151,6 @@ impl FaultClassSkew {
     /// Running aggregate of the per-pulse healthy maxima.
     pub fn healthy(&self) -> &RunningStat {
         &self.healthy_intra
-    }
-
-    /// Folds another **finished** monitor's aggregates into this one
-    /// (independent-run partials; same contract as
-    /// [`crate::StreamingSkew::merge`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either monitor is unfinished, or if the graph or
-    /// histogram shapes differ.
-    pub fn merge(&mut self, other: &FaultClassSkew) {
-        assert!(
-            self.finished && other.finished,
-            "merge requires both monitors to be finished"
-        );
-        assert_eq!(
-            (self.width, self.layer_count),
-            (other.width, other.layer_count),
-            "graph shapes differ"
-        );
-        self.frontier_intra.merge(&other.frontier_intra);
-        self.healthy_intra.merge(&other.healthy_intra);
     }
 
     /// Plain-data snapshot of the completed run.
@@ -229,11 +176,10 @@ impl FaultClassSkew {
 
 impl Observer for FaultClassSkew {
     fn on_faulty(&mut self, node: NodeId) {
-        let i = self.index(node);
-        self.faulty[i] = true;
-        self.frontier[i] = true;
         let (v, layer) = (node.v as usize, node.layer as usize);
         let w = self.width;
+        self.faulty[layer * w + v] = true;
+        self.frontier[layer * w + v] = true;
         // Same-layer base neighbors border the fault.
         for &u in self.base.neighbors(v) {
             self.frontier[layer * w + u] = true;
@@ -247,21 +193,39 @@ impl Observer for FaultClassSkew {
         }
     }
 
-    fn on_pulse(&mut self, k: usize, node: NodeId, t: Time) {
+    /// Ends every earlier pulse, then folds each intra-layer edge of the
+    /// row into its class's maximum, edges in [`CsrGraph::edges`] order.
+    fn on_pulse_row(&mut self, k: usize, layer: u32, row: &[Option<Time>]) {
         debug_assert!(!self.finished, "pulse after finish()");
         debug_assert!(k >= self.cur_k, "pulse emissions must be pulse-major");
-        while k > self.cur_k {
-            self.advance();
+        if k > self.cur_k {
+            self.end_pulse();
+            self.cur_k = k;
         }
-        let i = self.index(node);
-        self.cur[i] = Some(t);
-        self.started = true;
+        let start = layer as usize * self.width;
+        for (a, b) in self.base.edges() {
+            let (ia, ib) = (start + a, start + b);
+            if self.faulty[ia] || self.faulty[ib] {
+                continue;
+            }
+            let (Some(ta), Some(tb)) = (row[a], row[b]) else {
+                continue;
+            };
+            let skew = (ta - tb).abs().as_f64();
+            let slot = if self.frontier[ia] || self.frontier[ib] {
+                &mut self.pulse_frontier
+            } else {
+                &mut self.pulse_healthy
+            };
+            *slot = Some(slot.map_or(skew, |m| m.max(skew)));
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::feed_pulse;
     use trix_topology::BaseGraph;
 
     fn grid() -> LayeredGraph {
@@ -278,18 +242,17 @@ mod tests {
         let bad = g.node(4, 2);
         m.on_faulty(bad);
         for k in 0..2usize {
-            for n in g.nodes() {
+            feed_pulse(&mut m, &g, k, |n| {
                 let near_fault = (n.layer == 2 || n.layer == 3)
                     && (n.v == 4 || g.base().neighbors(4).contains(&(n.v as usize)));
-                let t = if n == bad {
+                if n == bad {
                     1e9 // excluded outright
                 } else if near_fault {
                     5.0
                 } else {
                     0.0
-                };
-                m.on_pulse(k, n, Time::from(t));
-            }
+                }
+            });
         }
         m.finish();
         let s = m.snapshot();
@@ -303,9 +266,7 @@ mod tests {
     fn without_faults_everything_is_healthy() {
         let g = grid();
         let mut m = FaultClassSkew::new(&g);
-        for n in g.nodes() {
-            m.on_pulse(0, n, Time::from(n.v as f64));
-        }
+        feed_pulse(&mut m, &g, 0, |n| n.v as f64);
         m.finish();
         let s = m.snapshot();
         assert_eq!(s.frontier_pulses, 0);
@@ -314,6 +275,9 @@ mod tests {
         assert_eq!(s.healthy_pulses, 1);
     }
 
+    /// Per-seed partials merge as snapshots into the componentwise fold:
+    /// maxima fold with `max`, pulse counts add, and means pool by
+    /// pulse count.
     #[test]
     fn partials_merge_like_snapshots() {
         let g = grid();
@@ -321,24 +285,29 @@ mod tests {
             let mut m = FaultClassSkew::new(&g);
             m.on_faulty(g.node(0, 1));
             for k in 0..3usize {
-                for n in g.nodes() {
-                    m.on_pulse(k, n, Time::from(n.v as f64 * scale + k as f64));
-                }
+                feed_pulse(&mut m, &g, k, |n| n.v as f64 * scale + k as f64);
             }
             m.finish();
-            m
+            m.snapshot()
         };
         let (a, b) = (run(1.0), run(2.0));
         let mut merged = a.clone();
         merged.merge(&b);
-        let mut snap = a.snapshot();
-        snap.merge(&b.snapshot());
-        let from_monitors = merged.snapshot();
-        assert_eq!(snap.frontier_max, from_monitors.frontier_max);
-        assert_eq!(snap.healthy_max, from_monitors.healthy_max);
-        assert_eq!(snap.frontier_pulses, from_monitors.frontier_pulses);
-        assert_eq!(snap.healthy_pulses, from_monitors.healthy_pulses);
-        assert!((snap.healthy_mean - from_monitors.healthy_mean).abs() < 1e-12);
+        assert_eq!(merged.frontier_max, a.frontier_max.max(b.frontier_max));
+        assert_eq!(merged.healthy_max, a.healthy_max.max(b.healthy_max));
+        assert_eq!(
+            merged.frontier_pulses,
+            a.frontier_pulses + b.frontier_pulses
+        );
+        assert_eq!(merged.healthy_pulses, a.healthy_pulses + b.healthy_pulses);
+        let pooled = (a.healthy_mean * a.healthy_pulses as f64
+            + b.healthy_mean * b.healthy_pulses as f64)
+            / (a.healthy_pulses + b.healthy_pulses) as f64;
+        assert!((merged.healthy_mean - pooled).abs() < 1e-12);
+        // Every pulse's widest healthy edge is (0, 2) on layer 0, at
+        // 2·scale: three pulses at 2 and three at 4.
+        assert_eq!((a.healthy_max, b.healthy_max), (2.0, 4.0));
+        assert_eq!(merged.healthy_mean, 3.0);
     }
 
     #[test]

@@ -160,29 +160,6 @@ impl DesSkew {
     pub fn inter(&self) -> &RunningStat {
         &self.inter
     }
-
-    /// Folds another monitor's recorded statistics into this one
-    /// (intra/inter aggregates merge via [`RunningStat::merge`]).
-    ///
-    /// Like [`crate::StreamingSkew::merge`], this combines partials from
-    /// **independent** broadcast streams (per-seed or per-scenario
-    /// shards); last-fire state is not spliced, so pairs straddling a
-    /// split of one logical stream must be sampled by whichever monitor
-    /// observed both fires.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the monitors' periods differ, or if histogram shapes
-    /// differ.
-    pub fn merge(&mut self, other: &DesSkew) {
-        assert_eq!(
-            self.half_period.to_bits(),
-            other.half_period.to_bits(),
-            "monitor periods differ"
-        );
-        self.intra.merge(&other.intra);
-        self.inter.merge(&other.inter);
-    }
 }
 
 impl Observer for DesSkew {
@@ -239,33 +216,6 @@ mod tests {
         m.on_broadcast(0, Time::from(1.0));
         m.on_broadcast(999, Time::from(1.0));
         assert_eq!(m.intra().count() + m.inter().count(), 0);
-    }
-
-    #[test]
-    fn partial_monitors_merge_their_aggregates() {
-        let g = LayeredGraph::new(BaseGraph::cycle(3), 1);
-        let run = |gap: f64| {
-            let mut m = DesSkew::for_grid(&g, 0, Duration::from(10.0));
-            m.on_broadcast(0, Time::from(5.0));
-            m.on_broadcast(1, Time::from(5.0 + gap));
-            m
-        };
-        let (a, b) = (run(1.0), run(3.0));
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert_eq!(merged.intra().count(), 2);
-        assert_eq!(merged.max_intra(), Duration::from(3.0));
-        let mass: u64 = merged.intra().histogram().bins().iter().sum();
-        assert_eq!(mass, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "periods differ")]
-    fn merge_rejects_mismatched_periods() {
-        let g = LayeredGraph::new(BaseGraph::cycle(3), 1);
-        let mut a = DesSkew::for_grid(&g, 0, Duration::from(10.0));
-        let b = DesSkew::for_grid(&g, 0, Duration::from(20.0));
-        a.merge(&b);
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! cap on scale: the sweep runner could only explore grids whose whole
 //! trajectory fits in RAM. This crate inverts the dataflow (the same
 //! trick incremental-POD methods use on PDE simulation trajectories):
-//! the engines in `trix-sim` push each pulse emission through the
-//! [`Observer`] hook as it happens, and the observers here decide what to
-//! retain:
+//! the engines in `trix-sim` push each published layer row through the
+//! [`Observer`] hook as it happens, and the observers here decide what
+//! to retain:
 //!
 //! * [`StreamingSkew`] — incremental intra-layer, inter-layer, and global
 //!   skew over the dataflow stream. Retains only the current pulse front
@@ -23,30 +23,40 @@
 //!   violations in runs too large (or too long) to trace.
 //! * [`PodSketch`] — a rank-`r` incremental SVD/POD sketch of the
 //!   pulse-front matrix in `O(width × r)` memory, with a **certified**
-//!   Frobenius reconstruction-error bound and column-range `merge`; its
-//!   [`PodSnapshot`] (basis + spectrum + certificate) is the compressed
-//!   trace artifact benchmark records ship as schema v7.
+//!   Frobenius reconstruction-error bound; its [`PodSnapshot`] (basis +
+//!   spectrum + certificate) is the compressed trace artifact benchmark
+//!   records ship as schema v7.
 //! * [`FaultClassSkew`] — intra-layer skew partitioned by the
 //!   faulty/healthy frontier, the attribution monitor for fault
 //!   campaigns (`trix-faults`): how much skew lives next to the faults
 //!   versus far from them.
 //!
+//! Both dataflow drivers — the serial one and the frontier scheduler
+//! behind `trix_sim::run_dataflow_parallel` — emit one
+//! [`Observer::on_pulse_row`] call per `(k, layer)` step, in the serial
+//! `(k, layer)` order, on the calling thread, after announcing faulty
+//! positions through [`Observer::on_faulty`]. No engine calls
+//! [`Observer::on_pulse`]: it is reached only through the trait's
+//! default `on_pulse_row`, which unpacks a row into per-element calls.
+//! The observers that store or fold whole fronts (`StreamingSkew`,
+//! `PodSketch`, `FaultClassSkew`) override the row hook and leave
+//! `on_pulse` at the trait's no-op; [`TraceRing`] records single events
+//! and takes the unpacked stream. Statistics of independent runs
+//! (per-seed, per-scenario) merge as snapshots, [`SkewStats::merge`] and
+//! [`FaultClassStats::merge`]; one run's stream is never split across
+//! monitors.
+//!
 //! Observers compose with the tuple observer from `trix-sim` (e.g.
 //! `(StreamingSkew, TraceRing)`), and everything is deterministic: the
 //! sweep runner's bit-reproducibility across `--threads` extends to all
-//! streamed statistics. None of these monitors needs to be thread-safe:
-//! both dataflow drivers — the serial one and the frontier scheduler
-//! behind `trix_sim::run_dataflow_parallel` — flush emissions on the
-//! calling thread in the serial `(k, layer, v)` order (whole rows
-//! through [`Observer::on_pulse_row`], whose default unpacks them
-//! element-wise), so observers see one stream with a fixed order
-//! regardless of `--sim-threads`. The one deliberate exception is
-//! [`PipelinedSketch`], which moves a [`PodSketch`]'s arithmetic off the
-//! critical path: the calling thread still *observes* inline and in
-//! order, but only to copy each row over a bounded channel to a
-//! dedicated worker that replays the identical stream through the
-//! identical code — so the finished sketch stays byte-identical to an
-//! inline one.
+//! streamed statistics. None of these monitors needs to be thread-safe,
+//! since rows reach them in one fixed order regardless of
+//! `--sim-threads`. The one deliberate exception is [`PipelinedSketch`],
+//! which moves a [`PodSketch`]'s arithmetic off the critical path: the
+//! calling thread still *observes* inline and in order, but only to copy
+//! each row over a bounded channel to a dedicated worker that replays
+//! the identical stream through the identical code — so the finished
+//! sketch stays byte-identical to an inline one.
 //!
 //! # Examples
 //!
@@ -86,21 +96,23 @@
 //! ```
 //!
 //! Observers compose as tuples — one driver pass feeds any number of
-//! monitors, each seeing the identical event stream:
+//! monitors, each seeing the identical row stream:
 //!
 //! ```
 //! use trix_obs::{Observer, StreamingSkew, TraceRing};
 //! use trix_time::Time;
-//! use trix_topology::{BaseGraph, LayeredGraph, NodeId};
+//! use trix_topology::{BaseGraph, LayeredGraph};
 //!
 //! let g = LayeredGraph::new(BaseGraph::cycle(4), 2);
 //! let mut skew = StreamingSkew::new(&g);
 //! let mut ring = TraceRing::new(8);
 //! {
-//!     // The tuple observer fans every event out to both members.
+//!     // The tuple observer fans every row out to both members; the
+//!     // ring takes it unpacked into single events.
 //!     let mut both = (&mut skew, &mut ring);
-//!     for n in g.nodes() {
-//!         both.on_pulse(0, n, Time::from(n.v as f64));
+//!     let row: Vec<Option<Time>> = (0..4).map(|v| Some(Time::from(v as f64))).collect();
+//!     for layer in 0..2 {
+//!         both.on_pulse_row(0, layer, &row);
 //!     }
 //! }
 //! skew.finish();
@@ -130,3 +142,26 @@ pub use streaming::{Histogram, RunningStat, SkewStats, StreamingSkew};
 // crate; the trait itself lives in `trix-sim`, next to the engines that
 // drive it.
 pub use trix_sim::{NullObserver, Observer};
+
+#[cfg(test)]
+mod testing {
+    use trix_sim::Observer;
+    use trix_time::Time;
+    use trix_topology::{LayeredGraph, NodeId};
+
+    /// Feeds pulse `k` of `g` to `obs` as whole rows, layer by layer,
+    /// with node `n` firing at `t(n)`.
+    pub(crate) fn feed_pulse(
+        obs: &mut impl Observer,
+        g: &LayeredGraph,
+        k: usize,
+        t: impl Fn(NodeId) -> f64,
+    ) {
+        for layer in 0..g.layer_count() as u32 {
+            let row: Vec<Option<Time>> = (0..g.width() as u32)
+                .map(|v| Some(Time::from(t(NodeId::new(v, layer)))))
+                .collect();
+            obs.on_pulse_row(k, layer, &row);
+        }
+    }
+}

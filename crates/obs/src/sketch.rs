@@ -44,26 +44,18 @@
 //! that envelope (vastly larger widths/row counts, adversarial
 //! conditioning) could in principle outrun the slack.
 //!
-//! # Determinism and merge
+//! # Determinism
 //!
-//! Both dataflow engines flush emissions on the calling thread in serial
-//! `(k, layer, v)` order, so a sketch observing a run is **byte-identical
-//! across the serial and frontier engines for any `--sim-threads`
-//! value** — the same determinism leg every other observer lives under.
-//! Additionally, [`PodSketch::merge`] joins sketches of *adjacent column
-//! ranges* (built with
-//! [`PodSketch::for_columns`]): the parts' bases embed block-diagonally
-//! (they stay orthonormal because the supports are disjoint), the merged
-//! spectrum is the union of the parts' singular values truncated to
-//! rank, and the certificate composes soundly as
-//! `√(c₁² + c₂²) + √(Σ_dropped (σⱼ + c_part)²)` — see
-//! [`PodSketch::merge`] for the derivation.
+//! Both dataflow engines flush published rows on the calling thread in
+//! serial `(k, layer)` order, so a sketch observing a run is
+//! **byte-identical across the serial and frontier engines for any
+//! `--sim-threads` value** — the same determinism leg every other
+//! observer lives under. The sketch takes one row stream, the one the
+//! incremental-POD error analysis above is stated for.
 
-use std::collections::BTreeMap;
-use std::ops::Range;
 use trix_sim::Observer;
 use trix_time::Time;
-use trix_topology::{LayeredGraph, NodeId};
+use trix_topology::LayeredGraph;
 
 /// Relative threshold below which a Gram–Schmidt residual direction is
 /// treated as linearly dependent (its true norm is folded into the
@@ -167,36 +159,18 @@ fn jacobi_orthogonalize(a: &mut [f64], v: &mut [f64], rows: usize, cols: usize) 
     }
 }
 
-/// Out-of-order row assembly for the event-driven engine (see
-/// [`PodSketch::for_des_grid`]): per-engine-node broadcast counters
-/// recover the pulse index `k`, and rows buffer in a `(k, layer)`-keyed
-/// map until the earliest row is complete.
-#[derive(Clone, Debug)]
-struct DesMap {
-    /// Engine id of grid node `(0, 0)` (ids below are ignored, e.g. the
-    /// clock source).
-    offset: usize,
-    width: usize,
-    layer_count: usize,
-    /// Broadcasts seen per engine node — the next broadcast's `k`.
-    counts: Vec<u32>,
-    /// Pending rows: `(k, layer) → (row, filled-in-range count)`.
-    rows: BTreeMap<(u32, u32), (Vec<f64>, usize)>,
-}
-
 /// Streaming rank-`r` incremental POD sketch of the pulse-front matrix.
 ///
-/// See the module-level docs in `sketch.rs` for the matrix definition, the certified
-/// bound, and the determinism/merge contract. Rows can be fed three
-/// ways, all equivalent:
+/// See the module-level docs in `sketch.rs` for the matrix definition,
+/// the certified bound, and the determinism contract. Rows can be fed
+/// in two equivalent ways:
 ///
-/// * as a dataflow [`Observer`] (`on_pulse`, both engines);
-/// * as an event-driven [`Observer`] (`on_broadcast`, via
-///   [`PodSketch::for_des_grid`]);
+/// * as a dataflow [`Observer`], whole published rows through
+///   [`Observer::on_pulse_row`] (both drivers emit that way; the
+///   sketch's `on_pulse` is the trait's no-op);
 /// * directly with [`PodSketch::push_row`].
 ///
-/// A `(k, layer)` front with *no* emissions in the sketch's column range
-/// contributes no row (the stream carries nothing to delimit it); rows
+/// A `(k, layer)` front with *no* emissions contributes no row; rows
 /// that do appear are zero-filled at misfired positions.
 ///
 /// ```
@@ -217,7 +191,6 @@ struct DesMap {
 #[derive(Clone, Debug)]
 pub struct PodSketch {
     max_rank: usize,
-    col_start: usize,
     cols: usize,
     /// Rows buffered per incremental update (fixed at construction so
     /// update boundaries — and thus results — are reproducible).
@@ -234,13 +207,11 @@ pub struct PodSketch {
     /// `Σ ‖row‖` over all ingested rows (roundoff-allowance scale).
     norm_sum: f64,
     rows: u64,
-    /// Certified bound, valid once finished (recomposed by `merge`).
+    /// Certified bound, valid once finished.
     cert: f64,
     finished: bool,
-    /// `(k, layer)` of the row being assembled from `on_pulse`.
-    cur: Option<(usize, u32)>,
+    /// The row being ingested, misfires zero-filled.
     row: Vec<f64>,
-    des: Option<DesMap>,
     /// Row-major pending block (`pending_rows × cols`).
     pending: Vec<f64>,
     pending_norms: Vec<f64>,
@@ -255,23 +226,8 @@ impl PodSketch {
     ///
     /// Panics if `rank` is zero.
     pub fn new(g: &LayeredGraph, rank: usize) -> Self {
-        Self::for_columns(g, rank, 0..g.width())
-    }
-
-    /// Sketch restricted to the base-graph columns `range` — the
-    /// column-range partial that [`PodSketch::merge`] rejoins. Emissions
-    /// outside the range are ignored.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rank` is zero or the range is empty or out of bounds.
-    pub fn for_columns(g: &LayeredGraph, rank: usize, range: Range<usize>) -> Self {
         assert!(rank > 0, "sketch rank must be positive");
-        assert!(
-            range.start < range.end && range.end <= g.width(),
-            "column range out of bounds"
-        );
-        let cols = range.end - range.start;
+        let cols = g.width();
         // Panel size trades the Jacobi core against flush frequency: each
         // flush factors an (r + b_p)-column core whose cost grows superlinearly
         // in the panel, so at high ranks half-rank panels are cheaper per row
@@ -281,7 +237,6 @@ impl PodSketch {
         let block = (rank / 2).max(8);
         Self {
             max_rank: rank,
-            col_start: range.start,
             cols,
             block,
             basis: Vec::new(),
@@ -292,54 +247,11 @@ impl PodSketch {
             rows: 0,
             cert: 0.0,
             finished: false,
-            cur: None,
             row: vec![0.0; cols],
-            des: None,
             pending: Vec::with_capacity(block * cols),
             pending_norms: Vec::with_capacity(block),
             pending_rows: 0,
         }
-    }
-
-    /// Whole-width sketch consuming the **event-driven** engine's
-    /// `on_broadcast` stream for a grid deployment wired like
-    /// `trix_core::GridNetwork`: engine id `offset + ℓ·width + v` for
-    /// grid node `(v, ℓ)` (the standard builder uses `offset = 1`,
-    /// engine 0 being the clock source, whose broadcasts are ignored).
-    ///
-    /// Each node's `k`-th broadcast is its pulse-`k` entry; rows buffer
-    /// out of order and are ingested in `(k, layer)` order as soon as
-    /// the earliest pending front completes. In a converged execution
-    /// only a few fronts are ever pending, so memory stays
-    /// `O(width × r)`.
-    ///
-    /// # Truncated executions
-    ///
-    /// A run that stops mid-pulse (horizon reached, oracle violation,
-    /// fault campaign silencing nodes) leaves trailing
-    /// partially-assembled fronts in the reorder buffer. These are
-    /// **never silently dropped**: [`PodSketch::finish`] flushes every
-    /// pending front in `(k, layer)` order with the unheard nodes
-    /// zero-filled — the same convention misfires get in the dataflow
-    /// row stream — so [`PodSketch::rows`] counts them, their energy
-    /// enters the certificate, and a truncated run's snapshot is
-    /// bit-identical to a direct sketch of the explicitly zero-filled
-    /// front matrix (pinned by
-    /// `des_adapter_flushes_trailing_partial_fronts_on_finish`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rank` is zero.
-    pub fn for_des_grid(g: &LayeredGraph, offset: usize, rank: usize) -> Self {
-        let mut s = Self::new(g, rank);
-        s.des = Some(DesMap {
-            offset,
-            width: g.width(),
-            layer_count: g.layer_count(),
-            counts: vec![0; g.node_count()],
-            rows: BTreeMap::new(),
-        });
-        s
     }
 
     /// Number of base-graph columns covered by this sketch.
@@ -347,18 +259,12 @@ impl PodSketch {
         self.cols
     }
 
-    /// First base-graph column covered (see [`PodSketch::for_columns`]).
-    pub fn col_start(&self) -> usize {
-        self.col_start
-    }
-
     /// Configured maximum number of retained modes.
     pub fn rank(&self) -> usize {
         self.max_rank
     }
 
-    /// Front rows ingested so far (after [`PodSketch::merge`], a lower
-    /// bound on the combined range's distinct fronts — see `merge`).
+    /// Front rows ingested so far.
     pub fn rows(&self) -> u64 {
         self.rows
     }
@@ -371,18 +277,13 @@ impl PodSketch {
 
     /// Feeds one complete front row directly (length must equal
     /// [`PodSketch::cols`]). Useful for tests and for re-sketching
-    /// matrices from other sources; equivalent to the observer paths.
+    /// matrices from other sources; equivalent to the observer path.
     ///
     /// # Panics
     ///
-    /// Panics if the sketch is finished, a streamed row is mid-assembly,
-    /// or the length mismatches.
+    /// Panics if the sketch is finished or the length mismatches.
     pub fn push_row(&mut self, row: &[f64]) {
         assert!(!self.finished, "sketch is finished");
-        assert!(
-            self.cur.is_none(),
-            "cannot push_row while a streamed row is mid-assembly"
-        );
         assert_eq!(row.len(), self.cols, "row length mismatch");
         self.ingest_row(row);
     }
@@ -399,17 +300,6 @@ impl PodSketch {
         if self.pending_rows == self.block {
             self.flush_block();
         }
-    }
-
-    /// Completes the `on_pulse`-assembled row, if one is open.
-    fn flush_row(&mut self) {
-        if self.cur.take().is_none() {
-            return;
-        }
-        let row = std::mem::take(&mut self.row);
-        self.ingest_row(&row);
-        self.row = row;
-        self.row.fill(0.0);
     }
 
     /// The incremental update: project the pending block on the current
@@ -569,27 +459,19 @@ impl PodSketch {
             * self.norm_sum
     }
 
-    /// Flushes any mid-assembly row, any pending out-of-order DES rows
-    /// (in `(k, layer)` order, zero-filled where incomplete), and the
-    /// pending block, then seals the certificate. Idempotent.
+    /// Flushes the pending block, then seals the certificate.
+    /// Idempotent.
     pub fn finish(&mut self) {
         if self.finished {
             return;
         }
-        if let Some(des) = self.des.as_mut() {
-            let pending = std::mem::take(&mut des.rows);
-            for (_, (row, _)) in pending {
-                self.ingest_row(&row);
-            }
-        }
-        self.flush_row();
         self.flush_block();
         self.finished = true;
         self.cert = self.discarded + self.slack();
     }
 
     /// The certified upper bound on `‖A − A·U·Uᵀ‖_F` (truncated mass
-    /// plus the roundoff allowance; recomposed across [`PodSketch::merge`]).
+    /// plus the roundoff allowance).
     ///
     /// # Panics
     ///
@@ -597,87 +479,6 @@ impl PodSketch {
     pub fn error_bound(&self) -> f64 {
         assert!(self.finished, "error_bound requires finish()");
         self.cert
-    }
-
-    /// Joins `other` — the sketch of the **adjacent** column range
-    /// starting at `self.col_start() + self.cols()` — into `self`.
-    ///
-    /// Soundness: the parts' bases embed block-diagonally (disjoint
-    /// supports keep the union orthonormal), so the union of the parts'
-    /// factorizations is an exact factorization of `[Â₁ Â₂]`. Writing
-    /// `c_i` for the parts' certificates and `D` for the modes dropped
-    /// when truncating the union back to rank,
-    ///
-    /// ```text
-    /// ‖A(I − UUᵀ)‖_F ≤ ‖A(I − P_full)‖_F + ‖A·Σ_D ûⱼûⱼᵀ‖_F
-    ///               ≤ √(c₁² + c₂²) + √(Σ_D (σⱼ + c_part(j))²)
-    /// ```
-    ///
-    /// using `‖A ûⱼ‖ ≤ ‖Âᵢ uⱼ‖ + ‖Eᵢ uⱼ‖ ≤ σⱼ + cᵢ`. The result is the
-    /// new certificate; serial and chunked sketches therefore agree
-    /// within the sum of their bounds (pinned by the `trix-obs`
-    /// property tests).
-    ///
-    /// The merged row count is the **max** of the parts' counts, a
-    /// *lower bound* on the distinct fronts of the combined range: a
-    /// front that emitted nothing inside one partial's column range
-    /// contributes no row there, and different fronts can be silent in
-    /// different partials. The certificate does not depend on `rows`,
-    /// so the bound above is unaffected.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both sketches are finished, ranks match, and the
-    /// column ranges are adjacent.
-    pub fn merge(&mut self, other: &PodSketch) {
-        assert!(
-            self.finished && other.finished,
-            "merge requires finished sketches"
-        );
-        assert_eq!(self.max_rank, other.max_rank, "sketch ranks differ");
-        assert_eq!(
-            self.col_start + self.cols,
-            other.col_start,
-            "column ranges must be adjacent"
-        );
-        let (w1, w2) = (self.cols, other.cols);
-        let w = w1 + w2;
-        let mut cand: Vec<(f64, usize, usize)> = Vec::with_capacity(self.sv.len() + other.sv.len());
-        cand.extend(self.sv.iter().enumerate().map(|(i, &s)| (s, 0, i)));
-        cand.extend(other.sv.iter().enumerate().map(|(i, &s)| (s, 1, i)));
-        cand.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-        let keep = cand
-            .iter()
-            .take(self.max_rank)
-            .filter(|&&(s, _, _)| s > 0.0)
-            .count();
-        let certs = [self.cert, other.cert];
-        let mut drop2 = 0.0;
-        for &(s, part, _) in &cand[keep..] {
-            let t = s + certs[part];
-            drop2 += t * t;
-        }
-        let mut basis = vec![0.0; keep * w];
-        let mut sv = Vec::with_capacity(keep);
-        for (out, &(s, part, idx)) in cand[..keep].iter().enumerate() {
-            sv.push(s);
-            let (src, off, pw) = if part == 0 {
-                (&self.basis, 0, w1)
-            } else {
-                (&other.basis, w1, w2)
-            };
-            basis[out * w + off..out * w + off + pw]
-                .copy_from_slice(&src[idx * pw..(idx + 1) * pw]);
-        }
-        self.basis = basis;
-        self.sv = sv;
-        self.cols = w;
-        self.energy += other.energy;
-        self.norm_sum += other.norm_sum;
-        // Lower bound, not an exact union count — see the doc comment.
-        self.rows = self.rows.max(other.rows);
-        self.cert = self.cert.hypot(other.cert) + drop2.sqrt();
-        self.discarded = self.cert;
     }
 
     /// Immutable snapshot of the finished sketch (basis, spectrum,
@@ -690,7 +491,7 @@ impl PodSketch {
         assert!(self.finished, "snapshot requires finish()");
         PodSnapshot {
             rank: self.max_rank,
-            col_start: self.col_start,
+            col_start: 0,
             cols: self.cols,
             rows: self.rows,
             singular_values: self.sv.clone(),
@@ -702,92 +503,21 @@ impl PodSketch {
 }
 
 impl Observer for PodSketch {
-    #[inline]
-    fn on_pulse(&mut self, k: usize, node: NodeId, t: Time) {
-        let v = node.v as usize;
-        if v < self.col_start || v >= self.col_start + self.cols {
-            return;
-        }
-        let key = (k, node.layer);
-        if self.cur != Some(key) {
-            debug_assert!(
-                self.cur.is_none_or(|c| c < key),
-                "pulse emissions must arrive front-row-major"
-            );
-            self.flush_row();
-            self.cur = Some(key);
-        }
-        self.row[v - self.col_start] = t.as_f64();
-    }
-
-    /// Row fast path: one key check and one dense fill per `(k, layer)`
-    /// front instead of a dispatch + range check per element. Rows with
-    /// no emission inside the sketch's column range contribute nothing
-    /// (exactly as the per-element path, where such a front never opens
-    /// a row), so the ingest sequence — and therefore every block
-    /// boundary and the final certificate — is bit-identical to feeding
-    /// the same stream through [`Observer::on_pulse`].
-    fn on_pulse_row(&mut self, k: usize, layer: u32, row: &[Option<Time>]) {
-        debug_assert!(
-            row.len() >= self.col_start + self.cols,
-            "row must cover the sketch's column range"
-        );
-        let span = &row[self.col_start..self.col_start + self.cols];
+    /// One dense fill per `(k, layer)` front, misfires zero-filled.
+    /// Rows with no emission contribute nothing, so the block boundaries,
+    /// and with them every bit of the result, depend only on the fronts
+    /// that carried a pulse.
+    fn on_pulse_row(&mut self, _k: usize, _layer: u32, row: &[Option<Time>]) {
+        let span = &row[..self.cols];
         if !span.iter().any(Option::is_some) {
             return;
         }
-        debug_assert!(
-            self.cur.is_none_or(|c| c < (k, layer)),
-            "pulse emissions must arrive front-row-major"
-        );
-        // Complete any element-assembled predecessor, then ingest this
-        // row immediately: with whole-row emission nothing can arrive
-        // between "row complete" and "next row opens", so eager ingest
-        // preserves the element path's ingest order.
-        self.flush_row();
         for (slot, t) in self.row.iter_mut().zip(span) {
             *slot = t.map_or(0.0, Time::as_f64);
         }
         let buf = std::mem::take(&mut self.row);
         self.ingest_row(&buf);
         self.row = buf;
-        self.row.fill(0.0);
-    }
-
-    fn on_broadcast(&mut self, node: usize, t: Time) {
-        let Some(des) = self.des.as_mut() else {
-            return;
-        };
-        if node < des.offset {
-            return;
-        }
-        let idx = node - des.offset;
-        if idx >= des.width * des.layer_count {
-            return;
-        }
-        let k = des.counts[idx];
-        des.counts[idx] += 1;
-        let (layer, v) = ((idx / des.width) as u32, idx % des.width);
-        if v < self.col_start || v >= self.col_start + self.cols {
-            return;
-        }
-        let cols = self.cols;
-        let entry = des
-            .rows
-            .entry((k, layer))
-            .or_insert_with(|| (vec![0.0; cols], 0));
-        entry.0[v - self.col_start] = t.as_f64();
-        entry.1 += 1;
-        let mut ready: Vec<Vec<f64>> = Vec::new();
-        while let Some(front) = des.rows.first_entry() {
-            if front.get().1 < cols {
-                break;
-            }
-            ready.push(front.remove().0);
-        }
-        for row in ready {
-            self.ingest_row(&row);
-        }
     }
 }
 
@@ -799,15 +529,12 @@ impl Observer for PodSketch {
 pub struct PodSnapshot {
     /// Configured maximum number of retained modes.
     pub rank: usize,
-    /// First base-graph column covered.
+    /// First base-graph column covered: always 0, since a sketch covers
+    /// every column (the field stays for readers of snapshots).
     pub col_start: usize,
     /// Number of base-graph columns covered.
     pub cols: usize,
-    /// Front rows ingested. For a sketch assembled by
-    /// [`PodSketch::merge`] this is the max of the parts' counts — a
-    /// **lower bound** on the distinct fronts of the combined range,
-    /// since a front silent in one partial's column range contributes no
-    /// row there (the v7 JSON ships this value as-is).
+    /// Front rows ingested.
     pub rows: u64,
     /// Singular values, descending.
     pub singular_values: Vec<f64>,
@@ -950,59 +677,17 @@ mod tests {
     }
 
     #[test]
-    fn merged_column_ranges_stay_certified() {
-        let g = grid(8, 3);
-        let rows: Vec<Vec<f64>> = (0..17)
-            .map(|i| (0..8).map(|v| 5.0 * synth((i * 11 + v) as u64)).collect())
-            .collect();
-        for rank in [2, 8] {
-            let mut whole = PodSketch::new(&g, rank);
-            let mut left = PodSketch::for_columns(&g, rank, 0..3);
-            let mut right = PodSketch::for_columns(&g, rank, 3..8);
-            for r in &rows {
-                whole.push_row(r);
-                left.push_row(&r[..3]);
-                right.push_row(&r[3..]);
-            }
-            whole.finish();
-            left.finish();
-            right.finish();
-            left.merge(&right);
-            assert_eq!(left.cols(), 8);
-            let merged = left.snapshot();
-            let snap = whole.snapshot();
-            assert!((merged.energy - snap.energy).abs() < 1e-9);
-            let m_measured = frob_residual(&merged, &rows);
-            let w_measured = frob_residual(&snap, &rows);
-            assert!(m_measured <= merged.error_bound);
-            assert!(w_measured <= snap.error_bound);
-            // Projections of the two sketches agree within the sum of
-            // the certificates (triangle inequality on A·P₁ − A·P₂).
-            assert!((m_measured - w_measured).abs() <= merged.error_bound + snap.error_bound);
-        }
-    }
-
-    #[test]
     fn observer_assembles_rows_in_pulse_order() {
         let g = grid(4, 2);
         let mut streamed = PodSketch::new(&g, 4);
         let mut direct = PodSketch::new(&g, 4);
-        // Pulse 0, layer 0: all four; layer 1: v=2 misfires (skipped).
-        for (k, layer, v, t) in [
-            (0usize, 0u32, 0u32, 10.0),
-            (0, 0, 1, 11.0),
-            (0, 0, 2, 12.0),
-            (0, 0, 3, 13.0),
-            (0, 1, 0, 20.0),
-            (0, 1, 1, 21.0),
-            (0, 1, 3, 23.0),
-            (1, 0, 0, 30.0),
-            (1, 0, 1, 31.0),
-            (1, 0, 2, 32.0),
-            (1, 0, 3, 33.0),
-        ] {
-            streamed.on_pulse(k, NodeId::new(v, layer), Time::from(t));
-        }
+        let t = |x: f64| Some(Time::from(x));
+        // Pulse 0, layer 0: all four; layer 1: v=2 misfires; pulse 1,
+        // layer 0: all four; pulse 1, layer 1: silent (no row).
+        streamed.on_pulse_row(0, 0, &[t(10.0), t(11.0), t(12.0), t(13.0)]);
+        streamed.on_pulse_row(0, 1, &[t(20.0), t(21.0), None, t(23.0)]);
+        streamed.on_pulse_row(1, 0, &[t(30.0), t(31.0), t(32.0), t(33.0)]);
+        streamed.on_pulse_row(1, 1, &[None; 4]);
         streamed.finish();
         direct.push_row(&[10.0, 11.0, 12.0, 13.0]);
         direct.push_row(&[20.0, 21.0, 0.0, 23.0]); // misfire → 0.0 fill
@@ -1010,69 +695,6 @@ mod tests {
         direct.finish();
         assert_eq!(streamed.snapshot(), direct.snapshot());
         assert_eq!(streamed.rows(), 3);
-    }
-
-    #[test]
-    fn des_adapter_reorders_broadcasts_into_front_rows() {
-        let g = grid(3, 2);
-        let mut des = PodSketch::for_des_grid(&g, 1, 3);
-        // Engine ids: offset 1, node (v, ℓ) = 1 + ℓ·3 + v. Interleave
-        // two fronts out of order; engine 0 (clock) is ignored.
-        des.on_broadcast(0, Time::from(999.0));
-        des.on_broadcast(1, Time::from(10.0)); // (0,0) k=0
-        des.on_broadcast(2, Time::from(11.0)); // (1,0) k=0
-        des.on_broadcast(4, Time::from(20.0)); // (0,1) k=0
-        des.on_broadcast(3, Time::from(12.0)); // (2,0) k=0 → row (0,0) completes
-        des.on_broadcast(5, Time::from(21.0)); // (1,1) k=0
-        des.on_broadcast(1, Time::from(40.0)); // (0,0) k=1
-        des.on_broadcast(6, Time::from(22.0)); // (2,1) k=0 → row (0,1) completes
-        des.finish(); // row (1,0) flushes zero-filled
-        let mut direct = PodSketch::new(&g, 3);
-        direct.push_row(&[10.0, 11.0, 12.0]);
-        direct.push_row(&[20.0, 21.0, 22.0]);
-        direct.push_row(&[40.0, 0.0, 0.0]);
-        direct.finish();
-        assert_eq!(des.snapshot(), direct.snapshot());
-    }
-
-    /// The documented flush-on-finish contract for truncated runs: a
-    /// stream that ends with several partially-assembled fronts (here a
-    /// complete pulse 0 and a pulse 1 heard from only two nodes across
-    /// two layers) flushes them zero-filled in `(k, layer)` order
-    /// rather than dropping them — row count, energy, and the whole
-    /// snapshot match a direct sketch of the explicit matrix.
-    #[test]
-    fn des_adapter_flushes_trailing_partial_fronts_on_finish() {
-        let g = grid(3, 2);
-        let mut des = PodSketch::for_des_grid(&g, 1, 2);
-        // Complete pulse-0 fronts for both layers (ids 1..=6)...
-        for (idx, t) in [10.0, 11.0, 12.0, 20.0, 21.0, 22.0].iter().enumerate() {
-            des.on_broadcast(1 + idx, Time::from(*t));
-        }
-        // ...then a truncated pulse 1: only (v=1, ℓ=0) and (v=2, ℓ=1)
-        // get their broadcasts out before the run stops.
-        des.on_broadcast(2, Time::from(41.0));
-        des.on_broadcast(6, Time::from(52.0));
-        assert_eq!(
-            des.rows(),
-            2,
-            "only the complete pulse-0 fronts ingested so far"
-        );
-        des.finish();
-        assert_eq!(
-            des.rows(),
-            4,
-            "both trailing partial fronts flushed, not dropped"
-        );
-
-        let mut direct = PodSketch::new(&g, 2);
-        direct.push_row(&[10.0, 11.0, 12.0]);
-        direct.push_row(&[20.0, 21.0, 22.0]);
-        direct.push_row(&[0.0, 41.0, 0.0]); // (k=1, ℓ=0), zero-filled
-        direct.push_row(&[0.0, 0.0, 52.0]); // (k=1, ℓ=1), zero-filled
-        direct.finish();
-        assert_eq!(des.total_energy(), direct.total_energy());
-        assert_eq!(des.snapshot(), direct.snapshot());
     }
 
     #[test]

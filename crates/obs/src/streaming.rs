@@ -64,24 +64,6 @@ impl Histogram {
     pub fn bin_width(&self) -> f64 {
         self.bin_width
     }
-
-    /// Folds another histogram's counts into this one (bin-wise sum).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two histograms have different shapes — merging is
-    /// only defined over identically configured partials.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(
-            self.bin_width.to_bits(),
-            other.bin_width.to_bits(),
-            "histogram bin widths differ"
-        );
-        assert_eq!(self.bins.len(), other.bins.len(), "histogram sizes differ");
-        for (acc, b) in self.bins.iter_mut().zip(&other.bins) {
-            *acc += b;
-        }
-    }
 }
 
 /// Running aggregate of a non-negative sample stream: max, sum, count,
@@ -135,24 +117,6 @@ impl RunningStat {
     pub fn histogram(&self) -> &Histogram {
         &self.hist
     }
-
-    /// Folds another aggregate into this one, as if every sample the
-    /// other recorded had been recorded here: `max` folds with `max`,
-    /// sums and counts add, histograms merge bin-wise.
-    ///
-    /// `max`, `count`, and the histogram are **exact** under any
-    /// partitioning of the sample stream; the merged mean can differ
-    /// from a single-stream mean only by floating-point summation order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the histogram shapes differ (see [`Histogram::merge`]).
-    pub fn merge(&mut self, other: &RunningStat) {
-        self.max = self.max.max(other.max);
-        self.sum += other.sum;
-        self.count += other.count;
-        self.hist.merge(&other.hist);
-    }
 }
 
 /// A plain-data snapshot of a completed [`StreamingSkew`] run — what the
@@ -187,9 +151,11 @@ impl SkewStats {
     /// partial means, with the histogram mass as the intra sample count
     /// (the mass *is* that count, pinned by this crate's property tests).
     ///
-    /// Keeping snapshots mergeable is what lets sweep drivers emit one
-    /// `O(width)`-state monitor per chunk of work and still report a
-    /// single summary, instead of retaining per-chunk traces.
+    /// Runs merge here, as snapshots, never as monitors: each run keeps
+    /// one `O(width)`-state monitor, and a sweep reports a single summary
+    /// without retaining per-run traces. One run's stream is never split
+    /// across monitors, since an inter-layer pair at a split point would
+    /// belong to neither side.
     ///
     /// # Panics
     ///
@@ -249,14 +215,15 @@ impl SkewStats {
 /// * [`max_global_skew`](Self::max_global_skew) == the fold of
 ///   `global_skew(g, trace, k, ℓ)` over all pulses and layers.
 ///
-/// Rows must arrive `(k, layer)`-major, each `(k, layer)` at most once,
-/// which is the order both dataflow drivers emit in; debug builds assert
-/// it. The monitor keeps one pulse front, the latest row of each layer,
-/// and folds each row once, when it arrives: `L_ℓ` and the spread over
-/// the row itself, and `L_{ℓ,ℓ+1}` against layer `ℓ+1`'s row if that
-/// still holds pulse `k−1`. The element path ([`Observer::on_pulse`])
-/// stages one row and folds it when `(k, layer)` changes, so the
-/// accessors are exact only after [`finish`](Self::finish).
+/// The monitor consumes whole rows through [`Observer::on_pulse_row`],
+/// the hook both dataflow drivers emit through; its
+/// [`Observer::on_pulse`] is the trait's no-op. Rows must arrive
+/// `(k, layer)`-major, each `(k, layer)` at most once, which is the
+/// order both drivers emit in; debug builds assert it. The monitor keeps
+/// one pulse front, the latest row of each layer, and folds each row
+/// once, when it arrives: `L_ℓ` and the spread over the row itself, and
+/// `L_{ℓ,ℓ+1}` against layer `ℓ+1`'s row if that still holds pulse
+/// `k−1`.
 #[derive(Clone, Debug)]
 pub struct StreamingSkew {
     pairs: defs::SkewPairs,
@@ -272,9 +239,6 @@ pub struct StreamingSkew {
     pulse_intra: Option<Duration>,
     pulse_global: Option<Duration>,
     pulse_inter: Option<Duration>,
-    /// The element path's row under construction, and its `(k, layer)`.
-    staged: Vec<Option<Time>>,
-    staged_key: Option<(usize, u32)>,
     finished: bool,
     pulses: u64,
     intra: RunningStat,
@@ -314,8 +278,6 @@ impl StreamingSkew {
             pulse_intra: None,
             pulse_global: None,
             pulse_inter: None,
-            staged: vec![None; g.width()],
-            staged_key: None,
             finished: false,
             pulses: 0,
             intra: RunningStat::new(hist.clone()),
@@ -373,21 +335,10 @@ impl StreamingSkew {
         }
     }
 
-    /// Folds the element path's staged row, if any.
-    fn flush_staged(&mut self) {
-        if let Some((k, layer)) = self.staged_key.take() {
-            let staged = std::mem::take(&mut self.staged);
-            self.fold_row(k, layer, &staged);
-            self.staged = staged;
-            self.staged.fill(None);
-        }
-    }
-
     /// Finalizes the last pulse. Must be called after the run and before
     /// reading [`StreamingSkew::snapshot`]; idempotent.
     pub fn finish(&mut self) {
         if !self.finished {
-            self.flush_staged();
             if self.last.is_some() {
                 self.end_pulse();
             }
@@ -437,39 +388,6 @@ impl StreamingSkew {
         &self.global
     }
 
-    /// Folds another **finished** monitor's statistics into this one
-    /// (which must also be finished): pulse counts add and all three
-    /// running aggregates merge via [`RunningStat::merge`].
-    ///
-    /// This is the partial-merge for monitors fed by *independent*
-    /// emission streams — different seeds, different scenarios of a
-    /// sweep. It deliberately does not splice pulse fronts: samples that
-    /// cross a split point of one logical stream (the inter-layer pair
-    /// at a pulse boundary) belong to whichever monitor saw both sides,
-    /// which is why the parallel dataflow driver flushes chunk emissions
-    /// to a single observer in serial order rather than splitting one
-    /// run across monitors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either monitor has not been [`finish`](Self::finish)ed,
-    /// if the graph shapes differ, or if the histogram shapes differ.
-    pub fn merge(&mut self, other: &StreamingSkew) {
-        assert!(
-            self.finished && other.finished,
-            "merge requires both monitors to be finished"
-        );
-        assert_eq!(
-            (self.width, self.held.len()),
-            (other.width, other.held.len()),
-            "graph shapes differ"
-        );
-        self.pulses += other.pulses;
-        self.intra.merge(&other.intra);
-        self.inter.merge(&other.inter);
-        self.global.merge(&other.global);
-    }
-
     /// Plain-data snapshot of the completed run.
     ///
     /// # Panics
@@ -499,24 +417,8 @@ impl Observer for StreamingSkew {
         self.faulty[node.layer as usize * self.width + node.v as usize] = true;
     }
 
-    fn on_pulse(&mut self, k: usize, node: NodeId, t: Time) {
-        debug_assert!(!self.finished, "pulse after finish()");
-        let key = (k, node.layer);
-        if self.staged_key != Some(key) {
-            debug_assert!(
-                self.staged_key.is_none_or(|c| c < key),
-                "pulse emissions must arrive front-row-major"
-            );
-            self.flush_staged();
-            self.staged_key = Some(key);
-        }
-        self.staged[node.v as usize] = Some(t);
-    }
-
-    /// Row fast path: the row is folded as it arrives, with no staging.
-    /// All-`None` rows are skipped outright (the element default would
-    /// forward nothing), so the rows folded, and the pulses counted, are
-    /// the same as on the element path.
+    /// The row is folded as it arrives. All-`None` rows are skipped
+    /// outright: pulses are counted up to the last one with an emission.
     fn on_pulse_row(&mut self, k: usize, layer: u32, row: &[Option<Time>]) {
         if row.iter().any(Option::is_some) {
             self.fold_row(k, layer, row);
@@ -527,6 +429,7 @@ impl Observer for StreamingSkew {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::feed_pulse;
     use trix_topology::BaseGraph;
 
     /// Feeds a synthetic trace `t(k, v, ℓ) = k·100 + ℓ·10 + v` and checks
@@ -536,10 +439,9 @@ mod tests {
         let g = LayeredGraph::new(BaseGraph::cycle(4), 3);
         let mut s = StreamingSkew::new(&g);
         for k in 0..2usize {
-            for n in g.nodes() {
-                let t = k as f64 * 100.0 + n.layer as f64 * 10.0 + n.v as f64;
-                s.on_pulse(k, n, Time::from(t));
-            }
+            feed_pulse(&mut s, &g, k, |n| {
+                k as f64 * 100.0 + n.layer as f64 * 10.0 + n.v as f64
+            });
         }
         s.finish();
         // Intra: worst cycle edge (0, 3) → 3, every pulse and layer.
@@ -562,16 +464,15 @@ mod tests {
         let g = LayeredGraph::new(BaseGraph::cycle(4), 2);
         let mut s = StreamingSkew::new(&g);
         s.on_faulty(g.node(3, 1));
-        for n in g.nodes() {
-            // Node (3, 1) is an extreme outlier; the monitor must ignore
-            // it entirely.
-            let t = if n.v == 3 && n.layer == 1 {
+        // Node (3, 1) is an extreme outlier; the monitor must ignore it
+        // entirely.
+        feed_pulse(&mut s, &g, 0, |n| {
+            if n.v == 3 && n.layer == 1 {
                 1e9
             } else {
                 n.v as f64
-            };
-            s.on_pulse(0, n, Time::from(t));
-        }
+            }
+        });
         s.finish();
         // Remaining worst: layer 0 wraparound edge (0, 3) → 3; layer 1
         // without node 3: edges (0,1), (1,2) → 1.
@@ -610,18 +511,8 @@ mod tests {
         assert_eq!(s.max_inter_layer_skew(), Duration::from(92.0));
     }
 
-    /// Both paths need `(k, layer)`-major order; a layer 1 emission before
-    /// a layer 0 one of the same pulse is a caller error.
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "front-row-major")]
-    fn element_path_rejects_layers_out_of_order() {
-        let g = LayeredGraph::new(BaseGraph::cycle(3), 2);
-        let mut s = StreamingSkew::new(&g);
-        s.on_pulse(0, g.node(0, 1), Time::from(1.0));
-        s.on_pulse(0, g.node(0, 0), Time::from(0.0));
-    }
-
+    /// Rows need `(k, layer)`-major order; a layer 1 row before the
+    /// layer 0 row of the same pulse is a caller error.
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "front-row-major")]
@@ -642,76 +533,52 @@ mod tests {
         assert_eq!(h.bins(), &[2, 1, 0, 2]);
     }
 
-    /// Per-seed partial monitors merge into exactly what the per-seed
-    /// snapshots say: max folds, counts and histogram mass add, and the
-    /// merged mean is the sum-weighted mean of the partials.
+    /// Three pulses of `t = k·100 + ℓ·10 + v·scale` on a 4-cycle.
+    fn scaled_run(g: &LayeredGraph, scale: f64, bin_width: f64) -> SkewStats {
+        let mut s = StreamingSkew::with_histogram(g, bin_width, 16);
+        for k in 0..3usize {
+            feed_pulse(&mut s, g, k, |n| {
+                k as f64 * 100.0 + n.layer as f64 * 10.0 + n.v as f64 * scale
+            });
+        }
+        s.finish();
+        s.snapshot()
+    }
+
+    /// Per-seed monitors' snapshots merge into exactly the componentwise
+    /// fold: maxima fold with `max`, pulses and histogram bins add, and
+    /// the merged mean is the pooled mean of the two runs' pulses.
     #[test]
     fn merged_monitors_equal_componentwise_folds() {
         let g = LayeredGraph::new(BaseGraph::cycle(4), 3);
-        let run = |scale: f64| {
-            let mut s = StreamingSkew::new(&g);
-            for k in 0..3usize {
-                for n in g.nodes() {
-                    let t = k as f64 * 100.0 + n.layer as f64 * 10.0 + n.v as f64 * scale;
-                    s.on_pulse(k, n, Time::from(t));
-                }
-            }
-            s.finish();
-            s
-        };
-        let (a, b) = (run(1.0), run(2.0));
+        let (a, b) = (scaled_run(&g, 1.0, 1.0), scaled_run(&g, 2.0, 1.0));
+        // Intra per pulse: the wraparound edge, 3·scale.
+        assert_eq!((a.max_intra, b.max_intra), (3.0, 6.0));
         let mut merged = a.clone();
         merged.merge(&b);
-        assert_eq!(merged.pulses(), a.pulses() + b.pulses());
-        assert_eq!(
-            merged.max_intra_layer_skew(),
-            a.max_intra_layer_skew().max(b.max_intra_layer_skew())
-        );
-        assert_eq!(
-            merged.max_global_skew(),
-            a.max_global_skew().max(b.max_global_skew())
-        );
-        assert_eq!(
-            merged.intra().count(),
-            a.intra().count() + b.intra().count()
-        );
-        let mass: u64 = merged.intra().histogram().bins().iter().sum();
-        assert_eq!(mass, merged.intra().count());
-        // Sum-based merged mean == pooled mean of the two sample sets.
-        let pooled = (a.intra().mean() * a.intra().count() as f64
-            + b.intra().mean() * b.intra().count() as f64)
-            / (a.intra().count() + b.intra().count()) as f64;
-        assert!((merged.intra().mean() - pooled).abs() < 1e-12);
-
-        // Snapshot-level merge agrees on the exact fields.
-        let mut snap = a.snapshot();
-        snap.merge(&b.snapshot());
-        let from_monitors = merged.snapshot();
-        assert_eq!(snap.max_intra, from_monitors.max_intra);
-        assert_eq!(snap.max_full, from_monitors.max_full);
-        assert_eq!(snap.max_global, from_monitors.max_global);
-        assert_eq!(snap.pulses, from_monitors.pulses);
-        assert_eq!(snap.hist_intra, from_monitors.hist_intra);
+        assert_eq!(merged.max_intra, 6.0);
+        assert_eq!(merged.max_inter, a.max_inter.max(b.max_inter));
+        assert_eq!(merged.max_full, a.max_full.max(b.max_full));
+        assert_eq!(merged.max_global, 6.0);
+        assert_eq!(merged.pulses, 6);
+        // Three pulses at 3 and three at 6.
+        assert_eq!(merged.mean_intra, 4.5);
+        let bins: Vec<u64> = a
+            .hist_intra
+            .iter()
+            .zip(&b.hist_intra)
+            .map(|(x, y)| x + y)
+            .collect();
+        assert_eq!(merged.hist_intra, bins);
+        assert_eq!(merged.hist_intra.iter().sum::<u64>(), 6);
     }
 
     #[test]
     #[should_panic(expected = "bin widths differ")]
     fn histogram_merge_rejects_mismatched_shapes() {
-        let mut a = Histogram::new(0.5, 4);
-        let b = Histogram::new(0.25, 4);
-        a.merge(&b);
-    }
-
-    #[test]
-    #[should_panic(expected = "finished")]
-    fn merge_requires_finished_monitors() {
-        let g = LayeredGraph::new(BaseGraph::cycle(3), 2);
-        let other = {
-            let mut s = StreamingSkew::new(&g);
-            s.finish();
-            s
-        };
-        StreamingSkew::new(&g).merge(&other);
+        let g = LayeredGraph::new(BaseGraph::cycle(4), 3);
+        let mut a = scaled_run(&g, 1.0, 0.5);
+        a.merge(&scaled_run(&g, 1.0, 0.25));
     }
 
     #[test]

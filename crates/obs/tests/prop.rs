@@ -1,6 +1,7 @@
 //! Property tests: the streaming skew monitor is bit-identical to a
 //! batch fold over the full trace, for random layered topologies,
-//! environments, faults, and derived seeds.
+//! environments, faults, and derived seeds; so is the fault-class
+//! monitor against the whole-front fold it replaced.
 //!
 //! The batch side is recomputed here directly from the shared
 //! definitions in `trix_obs::defs` over a [`PulseTrace`] recorded in the
@@ -11,7 +12,10 @@
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use trix_obs::{defs, DesSkew, Observer, PodSketch, PodSnapshot, StreamingSkew, TraceRing};
+use trix_obs::{
+    defs, FaultClassSkew, FaultClassStats, Observer, PodSketch, PodSnapshot, SkewStats,
+    StreamingSkew,
+};
 use trix_sim::{
     run_dataflow_observed, run_dataflow_parallel, CorrectSends, OffsetLayer0, PulseRule,
     PulseTrace, Rng, SendModel, StaticEnvironment,
@@ -66,27 +70,6 @@ impl SendModel for Silence {
     }
 }
 
-/// Forwards the element-level hooks but deliberately does NOT override
-/// `on_pulse_row`, so the trait's *default* row unpacking feeds the
-/// wrapped observer element-wise — the "element path" side of the
-/// row-vs-element equivalence property. (Native row fast paths are the
-/// "row path" side; both must be bit-identical.)
-struct PerElement<O>(O);
-
-impl<O: Observer> Observer for PerElement<O> {
-    fn on_faulty(&mut self, node: NodeId) {
-        self.0.on_faulty(node);
-    }
-
-    fn on_pulse(&mut self, k: usize, node: NodeId, t: Time) {
-        self.0.on_pulse(k, node, t);
-    }
-
-    fn on_broadcast(&mut self, node: usize, t: Time) {
-        self.0.on_broadcast(node, t);
-    }
-}
-
 /// Running `max`/`sum`/`count` of one statistic, recorded the way
 /// `RunningStat` records it.
 #[derive(Default)]
@@ -121,39 +104,6 @@ struct Batch {
     intra: Fold,
     inter: Fold,
     global: Fold,
-}
-
-/// Pulse-front rows of a recorded trace, in the sketch's row order: one
-/// row per `(k, layer)` front with at least one emission, misfires
-/// zero-filled — the ground-truth matrix a `PodSketch` of the same run
-/// compressed.
-fn front_rows(g: &LayeredGraph, trace: &PulseTrace, pulses: usize) -> Vec<Vec<f64>> {
-    let mut rows = Vec::new();
-    for k in 0..pulses {
-        for layer in 0..g.layer_count() as u32 {
-            let times: Vec<Option<Time>> = (0..g.width() as u32)
-                .map(|v| trace.time(k, NodeId::new(v, layer)))
-                .collect();
-            if times.iter().any(Option::is_some) {
-                rows.push(
-                    times
-                        .into_iter()
-                        .map(|t| t.map_or(0.0, Time::as_f64))
-                        .collect(),
-                );
-            }
-        }
-    }
-    rows
-}
-
-/// Measured Frobenius reconstruction error of a snapshot over the rows
-/// covered by its column range.
-fn measured_error(snap: &PodSnapshot, rows: &[Vec<f64>]) -> f64 {
-    rows.iter()
-        .map(|r| snap.residual_sq(&r[snap.col_start..snap.col_start + snap.cols]))
-        .sum::<f64>()
-        .sqrt()
 }
 
 fn batch_fold(g: &LayeredGraph, trace: &PulseTrace, pulses: usize) -> Batch {
@@ -221,6 +171,105 @@ fn base_graph(family: usize, size: usize) -> BaseGraph {
     }
 }
 
+/// A synthetic row stream written into a `PulseTrace`: times on a
+/// lattice offset by pulse and layer, a random faulty set, and whole
+/// rows, whole pulses and single emissions missing at the given rates.
+/// Returns the trace, the faulty nodes and the last pulse with an
+/// emission.
+fn synthetic_trace(
+    g: &LayeredGraph,
+    rng: &mut Rng,
+    pulses: usize,
+    (row_gap, pulse_gap, missing, faulty): (f64, f64, f64, f64),
+) -> (PulseTrace, Vec<NodeId>, Option<usize>) {
+    let faulty_nodes: Vec<NodeId> = g.nodes().filter(|_| rng.bernoulli(faulty)).collect();
+    let mut trace = PulseTrace::new(g, pulses);
+    let mut last_pulse = None;
+    for k in 0..pulses {
+        let pulse_missing = rng.bernoulli(pulse_gap);
+        for layer in 0..g.layer_count() {
+            let row_missing = pulse_missing || rng.bernoulli(row_gap);
+            let row: Vec<Option<Time>> = (0..g.width())
+                .map(|_| {
+                    let t = 50.0 * k as f64 + 5.0 * layer as f64 + 0.75 * rng.usize_below(8) as f64;
+                    (!row_missing && !rng.bernoulli(missing)).then(|| Time::from(t))
+                })
+                .collect();
+            if row.iter().any(Option::is_some) {
+                last_pulse = Some(k);
+            }
+            trace.on_pulse_row(k, layer as u32, &row);
+        }
+    }
+    for &n in &faulty_nodes {
+        trace.set_faulty(n);
+    }
+    (trace, faulty_nodes, last_pulse)
+}
+
+/// Feeds `obs` what a dataflow driver would: the faulty nodes, then
+/// every `(k, layer)` row of the trace, empty ones included.
+fn replay(obs: &mut impl Observer, g: &LayeredGraph, trace: &PulseTrace, faulty: &[NodeId]) {
+    for &n in faulty {
+        obs.on_faulty(n);
+    }
+    for k in 0..trace.pulses() {
+        for layer in 0..g.layer_count() {
+            obs.on_pulse_row(k, layer as u32, trace.row(k, layer));
+        }
+    }
+}
+
+/// The reference for [`FaultClassSkew`]: the whole-front fold it
+/// replaced. Each pulse's front is read in full from the trace, then
+/// every layer's base edges are swept in `edges()` order, layers
+/// ascending, with the frontier recomputed from its documented
+/// definition: a faulty node in the closed same-layer neighbourhood or
+/// among the grid predecessors.
+fn fault_class_reference(g: &LayeredGraph, trace: &PulseTrace) -> FaultClassStats {
+    let faulty = |n: NodeId| trace.is_faulty(n);
+    let frontier = |n: NodeId| {
+        faulty(n)
+            || g.base()
+                .neighbors(n.v as usize)
+                .iter()
+                .any(|&u| faulty(NodeId::new(u as u32, n.layer)))
+            || g.predecessors(n).any(|(p, _)| faulty(p))
+    };
+    let (mut front, mut healthy) = (Fold::default(), Fold::default());
+    for k in 0..trace.pulses() {
+        let (mut front_max, mut healthy_max): (Option<f64>, Option<f64>) = (None, None);
+        for layer in 0..g.layer_count() as u32 {
+            for (a, b) in g.base().edges() {
+                let (na, nb) = (NodeId::new(a as u32, layer), NodeId::new(b as u32, layer));
+                if faulty(na) || faulty(nb) {
+                    continue;
+                }
+                let (Some(ta), Some(tb)) = (trace.time(k, na), trace.time(k, nb)) else {
+                    continue;
+                };
+                let skew = (ta - tb).abs().as_f64();
+                let slot = if frontier(na) || frontier(nb) {
+                    &mut front_max
+                } else {
+                    &mut healthy_max
+                };
+                *slot = Some(slot.map_or(skew, |m| m.max(skew)));
+            }
+        }
+        front.record(front_max.map(Duration::from));
+        healthy.record(healthy_max.map(Duration::from));
+    }
+    FaultClassStats {
+        frontier_max: front.max,
+        frontier_mean: front.mean(),
+        frontier_pulses: front.count,
+        healthy_max: healthy.max,
+        healthy_mean: healthy.mean(),
+        healthy_pulses: healthy.count,
+    }
+}
+
 proptest! {
     /// One engine run observed by a full trace and the monitor, on the
     /// cycle, the paper's line, tori, hypercubes and supernode overlays,
@@ -262,14 +311,13 @@ proptest! {
         prop_assert_eq!(stream.pulses(), pulses as u64);
     }
 
-    /// Synthetic row streams with whole rows and whole pulses missing,
-    /// fed through the row path and the element path: a layer's slot
-    /// then often holds a row two or more pulses old, which must not
-    /// enter `L_{ℓ,ℓ+1}`. Times sit on a lattice offset by pulse and
-    /// layer, so a stale row changes the inter-layer maxima and counts.
-    /// Both paths equal the batch fold over the same matrix written into
-    /// a `PulseTrace`, bit for bit, and count the pulses up to the last
-    /// one with an emission.
+    /// Synthetic row streams with whole rows and whole pulses missing: a
+    /// layer's slot then often holds a row two or more pulses old, which
+    /// must not enter `L_{ℓ,ℓ+1}`. Times sit on a lattice offset by pulse
+    /// and layer, so a stale row changes the inter-layer maxima and
+    /// counts. The monitor equals the batch fold over the same matrix
+    /// written into a `PulseTrace`, bit for bit, and counts the pulses up
+    /// to the last one with an emission.
     #[test]
     fn synthetic_streams_with_missing_rows_equal_batch(
         seed in any::<u64>(),
@@ -284,57 +332,62 @@ proptest! {
     ) {
         let g = LayeredGraph::new(base_graph(family, size), layers);
         let mut rng = Rng::seed_from(seed);
-        let faulty_nodes: Vec<NodeId> = g.nodes().filter(|_| rng.bernoulli(faulty)).collect();
-        let mut trace = PulseTrace::new(&g, pulses);
-        let mut last_pulse = None;
-        for k in 0..pulses {
-            let pulse_missing = rng.bernoulli(pulse_gap);
-            for layer in 0..layers {
-                let row_missing = pulse_missing || rng.bernoulli(row_gap);
-                let row: Vec<Option<Time>> = (0..g.width())
-                    .map(|_| {
-                        let t = 50.0 * k as f64 + 5.0 * layer as f64
-                            + 0.75 * rng.usize_below(8) as f64;
-                        (!row_missing && !rng.bernoulli(missing)).then(|| Time::from(t))
-                    })
-                    .collect();
-                if row.iter().any(Option::is_some) {
-                    last_pulse = Some(k);
-                }
-                trace.on_pulse_row(k, layer as u32, &row);
-            }
-        }
-        for &n in &faulty_nodes {
-            trace.set_faulty(n);
-        }
-        let feed = |obs: &mut dyn Observer| {
-            for &n in &faulty_nodes {
-                obs.on_faulty(n);
-            }
-            for k in 0..pulses {
-                for layer in 0..layers {
-                    obs.on_pulse_row(k, layer as u32, trace.row(k, layer));
-                }
-            }
-        };
-        let mut by_row = StreamingSkew::new(&g);
-        feed(&mut by_row);
-        let mut by_element = PerElement(StreamingSkew::new(&g));
-        feed(&mut by_element);
-        let batch = batch_fold(&g, &trace, pulses);
-        for mut stream in [by_row, by_element.0] {
-            stream.finish();
-            assert_matches_batch(&stream, &batch)?;
-            prop_assert_eq!(stream.pulses(), last_pulse.map_or(0, |k| k as u64 + 1));
-        }
+        let (trace, faulty_nodes, last_pulse) =
+            synthetic_trace(&g, &mut rng, pulses, (row_gap, pulse_gap, missing, faulty));
+        let mut stream = StreamingSkew::new(&g);
+        replay(&mut stream, &g, &trace, &faulty_nodes);
+        stream.finish();
+        assert_matches_batch(&stream, &batch_fold(&g, &trace, pulses))?;
+        prop_assert_eq!(stream.pulses(), last_pulse.map_or(0, |k| k as u64 + 1));
+    }
+
+    /// The fault-class monitor, which folds each row on arrival, equals
+    /// the whole-front reference fold bit for bit in every
+    /// `FaultClassStats` field: on all five base-graph families, random
+    /// faulty sets, and streams with rows, whole pulses and single
+    /// emissions missing. The lattice times make equal skews common.
+    #[test]
+    fn fault_class_rows_equal_whole_front_reference(
+        seed in any::<u64>(),
+        family in 0usize..5,
+        size in 0usize..7,
+        layers in 2usize..6,
+        pulses in 1usize..8,
+        row_gap in 0.0f64..0.6,
+        pulse_gap in 0.0f64..0.4,
+        missing in 0.0f64..0.4,
+        faulty in 0.0f64..0.3,
+    ) {
+        let g = LayeredGraph::new(base_graph(family, size), layers);
+        let mut rng = Rng::seed_from(seed);
+        let (trace, faulty_nodes, _) =
+            synthetic_trace(&g, &mut rng, pulses, (row_gap, pulse_gap, missing, faulty));
+        let mut classes = FaultClassSkew::new(&g);
+        replay(&mut classes, &g, &trace, &faulty_nodes);
+        classes.finish();
+        let got = classes.snapshot();
+        let want = fault_class_reference(&g, &trace);
+        let FaultClassStats {
+            frontier_max,
+            frontier_mean,
+            frontier_pulses,
+            healthy_max,
+            healthy_mean,
+            healthy_pulses,
+        } = want;
+        prop_assert_eq!(got.frontier_max.to_bits(), frontier_max.to_bits());
+        prop_assert_eq!(got.frontier_mean.to_bits(), frontier_mean.to_bits());
+        prop_assert_eq!(got.frontier_pulses, frontier_pulses);
+        prop_assert_eq!(got.healthy_max.to_bits(), healthy_max.to_bits());
+        prop_assert_eq!(got.healthy_mean.to_bits(), healthy_mean.to_bits());
+        prop_assert_eq!(got.healthy_pulses, healthy_pulses);
     }
 
     /// Partial-merge soundness over random independent runs: folding
-    /// per-seed `StreamingSkew` monitors with `merge` yields exactly the
-    /// componentwise fold of their snapshots — maxima fold with `max`,
-    /// counts/histograms add bin-wise (so chunked sweeps can keep one
-    /// `O(width)`-state partial per unit of work and still report a
-    /// single summary), and `SkewStats::merge` agrees field for field.
+    /// per-seed snapshots with `SkewStats::merge` yields the
+    /// componentwise fold — the max of the maxima, summed pulses and
+    /// histogram bins, and the mean of all per-pulse samples pooled
+    /// (within float-merge tolerance).
     #[test]
     fn merged_partials_equal_componentwise_snapshot_folds(
         seed in any::<u64>(),
@@ -342,7 +395,7 @@ proptest! {
         pulses in 1usize..4,
     ) {
         let g = LayeredGraph::new(BaseGraph::cycle(5), 3);
-        let monitors: Vec<StreamingSkew> = (0..runs as u64)
+        let snaps: Vec<SkewStats> = (0..runs as u64)
             .map(|i| {
                 let mut rng = Rng::seed_from(seed ^ (i.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
                 let env = StaticEnvironment::random(
@@ -357,41 +410,34 @@ proptest! {
                 let mut s = StreamingSkew::new(&g);
                 run_dataflow_observed(&g, &env, &layer0, &MaxPlus, &CorrectSends, pulses, &mut s);
                 s.finish();
-                s
+                s.snapshot()
             })
             .collect();
-        let mut merged = monitors[0].clone();
-        for m in &monitors[1..] {
-            merged.merge(m);
+        let mut merged = snaps[0].clone();
+        for s in &snaps[1..] {
+            merged.merge(s);
         }
-        let snaps: Vec<_> = monitors.iter().map(|m| m.snapshot()).collect();
-        let fold_max = |f: fn(&trix_obs::SkewStats) -> f64| {
-            snaps.iter().map(f).fold(0.0f64, f64::max)
-        };
-        let out = merged.snapshot();
-        prop_assert_eq!(out.max_intra, fold_max(|s| s.max_intra));
-        prop_assert_eq!(out.max_inter, fold_max(|s| s.max_inter));
-        prop_assert_eq!(out.max_global, fold_max(|s| s.max_global));
-        prop_assert_eq!(out.pulses, snaps.iter().map(|s| s.pulses).sum::<u64>());
-        let mass: Vec<u64> = out.hist_intra.clone();
-        let mut expected_mass = vec![0u64; mass.len()];
+        let fold_max = |f: fn(&SkewStats) -> f64| snaps.iter().map(f).fold(0.0f64, f64::max);
+        prop_assert_eq!(merged.max_intra, fold_max(|s| s.max_intra));
+        prop_assert_eq!(merged.max_inter, fold_max(|s| s.max_inter));
+        prop_assert_eq!(merged.max_full, fold_max(|s| s.max_full));
+        prop_assert_eq!(merged.max_global, fold_max(|s| s.max_global));
+        prop_assert_eq!(merged.pulses, snaps.iter().map(|s| s.pulses).sum::<u64>());
+        let mut bins = vec![0u64; merged.hist_intra.len()];
         for s in &snaps {
-            for (acc, b) in expected_mass.iter_mut().zip(&s.hist_intra) {
+            for (acc, b) in bins.iter_mut().zip(&s.hist_intra) {
                 *acc += b;
             }
         }
-        prop_assert_eq!(mass, expected_mass);
-        // Snapshot-level merge (`SkewStats::merge`) agrees on the exact
-        // fields and stays within float-merge tolerance on the mean.
-        let mut stats = snaps[0].clone();
-        for s in &snaps[1..] {
-            stats.merge(s);
-        }
-        prop_assert_eq!(stats.max_intra, out.max_intra);
-        prop_assert_eq!(stats.max_full, out.max_full);
-        prop_assert_eq!(stats.pulses, out.pulses);
-        prop_assert_eq!(stats.hist_intra, out.hist_intra);
-        prop_assert!((stats.mean_intra - out.mean_intra).abs() <= 1e-9);
+        prop_assert_eq!(&merged.hist_intra, &bins);
+        // Each run records one intra sample per pulse.
+        let samples: u64 = snaps.iter().map(|s| s.pulses).sum();
+        let pooled = snaps
+            .iter()
+            .map(|s| s.mean_intra * s.pulses as f64)
+            .sum::<f64>()
+            / samples as f64;
+        prop_assert!((merged.mean_intra - pooled).abs() <= 1e-9);
     }
 
     /// The histogram's total mass equals the number of recorded pulses.
@@ -413,211 +459,6 @@ proptest! {
         let mass: u64 = s.intra().histogram().bins().iter().sum();
         prop_assert_eq!(mass, s.intra().count());
         prop_assert_eq!(s.pulses(), pulses as u64);
-    }
-
-    /// Column-range merge soundness on random topologies: a whole-stream
-    /// sketch and the merge of two column-range partials of the *same*
-    /// run each stay within their own certified bound against the
-    /// ground-truth front matrix, so their rank-`r` reconstructions
-    /// agree within the *summed* certificates (triangle inequality
-    /// through the shared ground truth).
-    #[test]
-    fn merged_column_sketches_stay_certified_on_random_topologies(
-        seed in any::<u64>(),
-        width in 4usize..10,
-        layers in 2usize..6,
-        pulses in 1usize..5,
-        cycle in any::<bool>(),
-        fault in any::<bool>(),
-        rank in 1usize..5,
-        split_num in 1usize..8,
-    ) {
-        let base = if cycle {
-            BaseGraph::cycle(width)
-        } else {
-            BaseGraph::line_with_replicated_ends(width)
-        };
-        let g = LayeredGraph::new(base, layers);
-        let w = g.width();
-        let split = 1 + split_num * (w - 2) / 8; // interior split point
-        let mut rng = Rng::seed_from(seed);
-        let env = StaticEnvironment::random(
-            &g,
-            Duration::from(10.0),
-            Duration::from(2.0),
-            1.05,
-            &mut rng,
-        );
-        let offsets = (0..w).map(|_| rng.f64_in(0.0, 3.0)).collect();
-        let layer0 = OffsetLayer0::new(25.0, offsets);
-        let bad = g.node(rng.usize_below(w), 1 + rng.usize_below(g.layer_count() - 1));
-
-        // One run, four observers: ground truth, the whole-stream
-        // sketch, and the two column-range partials.
-        let mut obs = (
-            PulseTrace::new(&g, pulses),
-            (
-                PodSketch::new(&g, rank),
-                (
-                    PodSketch::for_columns(&g, rank, 0..split),
-                    PodSketch::for_columns(&g, rank, split..w),
-                ),
-            ),
-        );
-        if fault {
-            run_dataflow_observed(&g, &env, &layer0, &MaxPlus, &Silence(bad), pulses, &mut obs);
-        } else {
-            run_dataflow_observed(&g, &env, &layer0, &MaxPlus, &CorrectSends, pulses, &mut obs);
-        }
-        let (trace, (mut whole, (mut left, right))) = obs;
-        let mut right = right;
-        whole.finish();
-        left.finish();
-        right.finish();
-        left.merge(&right);
-        let merged = left;
-
-        let rows = front_rows(&g, &trace, pulses);
-        let whole_snap = whole.snapshot();
-        let merged_snap = merged.snapshot();
-        prop_assert_eq!(merged_snap.cols, w);
-        // Merged `rows` is in general only a lower bound on the combined
-        // range's fronts (see `PodSketch::merge`); equality holds here
-        // because at most one node is silenced per run, so at least one
-        // partial sees every front the whole stream sees.
-        prop_assert_eq!(merged_snap.rows, whole_snap.rows);
-        let whole_measured = measured_error(&whole_snap, &rows);
-        let merged_measured = measured_error(&merged_snap, &rows);
-        prop_assert!(
-            whole_measured <= whole_snap.error_bound,
-            "whole: measured {} > certified {}", whole_measured, whole_snap.error_bound
-        );
-        prop_assert!(
-            merged_measured <= merged_snap.error_bound,
-            "merged: measured {} > certified {}", merged_measured, merged_snap.error_bound
-        );
-        // The two reconstructions `A·U·Uᵀ` agree within the summed
-        // certificates: ‖Â_w − Â_m‖_F ≤ ‖Â_w − A‖_F + ‖A − Â_m‖_F.
-        let project = |snap: &PodSnapshot, row: &[f64]| -> Vec<f64> {
-            let cols = &row[snap.col_start..snap.col_start + snap.cols];
-            let coeffs = snap.coefficients(cols);
-            let mut out = vec![0.0; snap.cols];
-            for (j, &c) in coeffs.iter().enumerate() {
-                for (o, &uv) in out.iter_mut().zip(snap.mode(j)) {
-                    *o += c * uv;
-                }
-            }
-            out
-        };
-        let mut diff2 = 0.0;
-        for row in &rows {
-            let a = project(&whole_snap, row);
-            let b = project(&merged_snap, row);
-            diff2 += a
-                .iter()
-                .zip(&b)
-                .map(|(x, y)| (x - y) * (x - y))
-                .sum::<f64>();
-        }
-        let tol = whole_snap.error_bound + merged_snap.error_bound + 1e-9;
-        prop_assert!(
-            diff2.sqrt() <= tol,
-            "reconstructions diverge: {} > {}", diff2.sqrt(), tol
-        );
-    }
-
-    /// Row-hook/element-hook equivalence for every shipped observer:
-    /// driving the dataflow into the native observers (whole rows via
-    /// `on_pulse_row`, fanned out by the tuple forwarding impl) yields
-    /// states bit-identical to the same run behind [`PerElement`]
-    /// (default unpacking into `on_pulse`). Pins that the row fast
-    /// paths in `PulseTrace`/`StreamingSkew`/`PodSketch` — and any added
-    /// later — are pure restatements of the element stream, including
-    /// silent (all-`None`) and partially-silent rows under faults.
-    #[test]
-    fn row_hook_equals_element_hook_for_every_observer(
-        seed in any::<u64>(),
-        width in 3usize..10,
-        layers in 2usize..6,
-        pulses in 1usize..4,
-        cycle in any::<bool>(),
-        fault in any::<bool>(),
-        rank in 1usize..5,
-    ) {
-        let base = if cycle {
-            BaseGraph::cycle(width)
-        } else {
-            BaseGraph::line_with_replicated_ends(width)
-        };
-        let g = LayeredGraph::new(base, layers);
-        let mut rng = Rng::seed_from(seed);
-        let env = StaticEnvironment::random(
-            &g,
-            Duration::from(10.0),
-            Duration::from(2.0),
-            1.05,
-            &mut rng,
-        );
-        let offsets: Vec<f64> = (0..g.width()).map(|_| rng.f64_in(0.0, 3.0)).collect();
-        let layer0 = OffsetLayer0::new(25.0, offsets);
-        let bad = g.node(rng.usize_below(g.width()), 1 + rng.usize_below(g.layer_count() - 1));
-
-        let observers = || {
-            (
-                (PulseTrace::new(&g, pulses), StreamingSkew::new(&g)),
-                (
-                    PodSketch::new(&g, rank),
-                    // DesSkew is broadcast-fed: the dataflow row stream
-                    // must leave it untouched on BOTH paths (its
-                    // `on_pulse` is the default no-op).
-                    (TraceRing::new(16), DesSkew::for_grid(&g, 1, Duration::from(10.0))),
-                ),
-            )
-        };
-        let drive = |mut obs: &mut dyn Observer| {
-            if fault {
-                run_dataflow_observed(&g, &env, &layer0, &MaxPlus, &Silence(bad), pulses, &mut obs);
-            } else {
-                run_dataflow_observed(&g, &env, &layer0, &MaxPlus, &CorrectSends, pulses, &mut obs);
-            }
-        };
-
-        let mut row = observers();
-        drive(&mut row);
-        let mut elem = PerElement(observers());
-        drive(&mut elem);
-
-        let ((trace_r, mut skew_r), (mut pod_r, (ring_r, des_r))) = row;
-        let PerElement(((trace_e, mut skew_e), (mut pod_e, (ring_e, des_e)))) = elem;
-        for n in g.nodes() {
-            prop_assert_eq!(trace_r.is_faulty(n), trace_e.is_faulty(n));
-            for k in 0..pulses {
-                prop_assert_eq!(trace_r.time(k, n), trace_e.time(k, n), "k {} node {:?}", k, n);
-            }
-        }
-        skew_r.finish();
-        skew_e.finish();
-        pod_r.finish();
-        pod_e.finish();
-
-        prop_assert_eq!(skew_r.snapshot(), skew_e.snapshot());
-        let snap_r = pod_r.snapshot();
-        let snap_e = pod_e.snapshot();
-        prop_assert_eq!(snap_r.rows, snap_e.rows);
-        prop_assert_eq!(
-            snap_r.singular_values.iter().map(|s| s.to_bits()).collect::<Vec<u64>>(),
-            snap_e.singular_values.iter().map(|s| s.to_bits()).collect::<Vec<u64>>()
-        );
-        prop_assert_eq!(
-            snap_r.basis.iter().map(|b| b.to_bits()).collect::<Vec<u64>>(),
-            snap_e.basis.iter().map(|b| b.to_bits()).collect::<Vec<u64>>()
-        );
-        prop_assert_eq!(snap_r.error_bound.to_bits(), snap_e.error_bound.to_bits());
-        prop_assert_eq!(ring_r.total_recorded(), ring_e.total_recorded());
-        prop_assert_eq!(ring_r.recent(16), ring_e.recent(16));
-        prop_assert_eq!(des_r.max_intra(), des_e.max_intra());
-        prop_assert_eq!(des_r.intra().count(), des_e.intra().count());
-        prop_assert_eq!(des_r.intra().count(), 0);
     }
 
     /// Engine-independence of the sketch: the serial and frontier engines

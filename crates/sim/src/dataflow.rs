@@ -103,9 +103,10 @@ impl SendModel for CorrectSends {
 ///
 /// Layer 0 is driven by the clock source through the line-forwarding scheme
 /// of Appendix A; `trix-core` provides a faithful implementation. Pulse
-/// indices here are *diagonal-reindexed* (see DESIGN.md): iteration `k` of
-/// every layer-0 node is the pulse it contributes to iteration `k` of
-/// layer 1.
+/// indices here are *diagonal-reindexed* (see ARCHITECTURE.md,
+/// "Algorithm-text ambiguities and the diagonal re-indexing"): iteration
+/// `k` of every layer-0 node is the pulse it contributes to iteration `k`
+/// of layer 1.
 pub trait Layer0Source {
     /// Pulse time of layer-0 node `v` in iteration `k`.
     fn pulse_time(&self, k: usize, v: usize) -> Time;
@@ -248,14 +249,8 @@ impl Observer for PulseTrace {
         self.set_faulty(node);
     }
 
-    fn on_pulse(&mut self, k: usize, node: NodeId, t: Time) {
-        self.set_time(k, node, Some(t));
-    }
-
-    /// Whole published rows land as one contiguous copy: slots start
-    /// `None` and each `(k, layer)` row is emitted exactly once, so
-    /// copying the full `Option` row (misfires included) records the
-    /// same state as the per-element default.
+    /// Whole published rows land as one contiguous copy, misfires
+    /// included; each `(k, layer)` row is emitted exactly once.
     fn on_pulse_row(&mut self, k: usize, layer: u32, row: &[Option<Time>]) {
         let base = k * self.width * self.layer_count + layer as usize * self.width;
         self.times[base..base + row.len()].copy_from_slice(row);
@@ -316,11 +311,10 @@ pub fn run_dataflow(
 /// two rows of `O(width)` working state — iteration `k` of layer `ℓ`
 /// depends only on iteration `k` of layer `ℓ − 1` (paper Lemma B.1) — so
 /// peak memory is independent of both the pulse count and the layer
-/// count. Each published row is emitted through
-/// [`Observer::on_pulse_row`] — whose default unpacks it into
-/// per-element [`Observer::on_pulse`] calls — so emissions arrive in
-/// deterministic `(k, layer, v)` order; faulty positions are announced
-/// first.
+/// count. Each published row is emitted whole through
+/// [`Observer::on_pulse_row`], one call per `(k, layer)` step in
+/// deterministic `(k, layer)` order, every row included; faulty
+/// positions are announced first.
 pub fn run_dataflow_observed(
     g: &LayeredGraph,
     env: &impl Environment,

@@ -65,7 +65,7 @@ use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 use trix_time::Time;
-use trix_topology::{InEdgeCsr, LayeredGraph, LayeredView, NodeId};
+use trix_topology::{chunk_partition, InEdgeCsr, LayeredGraph, NodeId};
 
 /// Worker count a `threads == 0` knob resolves to when
 /// [`std::thread::available_parallelism`] fails (unsupported platform,
@@ -318,19 +318,17 @@ pub(crate) fn run_frontier(
     workers: usize,
     obs: &mut impl Observer,
 ) {
-    // Plan against the derived layering, not an assumed grid shape: the
-    // view carries layer count and per-layer widths for *any* base graph
-    // a family generator produced.
-    let layout = LayeredView::of(g);
-    let width = layout.max_width();
-    let layer_count = layout.layer_count();
+    // Every layer is a copy of the base graph, so one column partition
+    // serves all of them, for any base graph a family generator produced.
+    let width = g.width();
+    let layer_count = g.layer_count();
     let csr = g.in_edge_csr();
     let clocks = env.pulse_invariant_clocks();
     // The partition is canonical and never influences results (each
     // column is a pure function of the previous row), only load balance;
     // it may yield fewer chunks than requested workers (degenerate
     // widths), in which case we spawn exactly one worker per chunk.
-    let bounds = layout.chunks(workers);
+    let bounds = chunk_partition(width, workers);
     let plans = build_plans(&csr, &bounds);
     let progress = Progress::new(&bounds);
     let total_steps = (pulses * layer_count) as i64;
@@ -456,7 +454,7 @@ mod tests {
     fn plans_cover_every_external_pred() {
         let g = LayeredGraph::new(trix_topology::BaseGraph::line_with_replicated_ends(11), 3);
         let csr = g.in_edge_csr();
-        let bounds = LayeredView::of(&g).chunks(4);
+        let bounds = chunk_partition(g.width(), 4);
         let plans = build_plans(&csr, &bounds);
         assert_eq!(plans.len(), bounds.len());
         for plan in &plans {

@@ -17,10 +17,12 @@
 //!   [`crate::run_dataflow_parallel`]) call [`Observer::on_pulse_row`]
 //!   with each whole published layer row, one call per `(k, layer)` step
 //!   in deterministic serial order, after announcing faulty positions via
-//!   [`Observer::on_faulty`]; the default `on_pulse_row` unpacks the row
-//!   into per-element [`Observer::on_pulse`] calls in ascending `v`
-//!   order, so element-level observers see the classic
-//!   `(iteration, node, nominal time)` stream unchanged;
+//!   [`Observer::on_faulty`]. Rows are the unit because of Lemma B.1:
+//!   pulse `k` of layer `ℓ` is a function of layer `ℓ−1`'s row alone, so
+//!   a row is complete the moment it is published. No engine calls
+//!   [`Observer::on_pulse`]; it is reached only through the default
+//!   `on_pulse_row`, which unpacks a row into per-element calls in
+//!   ascending `v` order for observers that record single events;
 //! * the event-driven engine ([`crate::Des::run_observed`]) calls
 //!   [`Observer::on_broadcast`] with the engine node index and real time
 //!   of every broadcast, in event order.
@@ -46,10 +48,12 @@ pub trait Observer {
         let _ = node;
     }
 
-    /// `node` emitted its iteration-`k` pulse at real time `t` (dataflow
-    /// executor). The time is the *nominal* broadcast time, exactly what
+    /// `node` emitted its iteration-`k` pulse at real time `t`. The time
+    /// is the *nominal* broadcast time, exactly what
     /// [`crate::PulseTrace::time`] would record; rule misfires (`None`)
-    /// are not reported.
+    /// are not reported. Only the default [`Observer::on_pulse_row`]
+    /// calls this; observers that override the row hook leave it at
+    /// this no-op.
     fn on_pulse(&mut self, k: usize, node: NodeId, t: Time) {
         let _ = (k, node, t);
     }
@@ -60,11 +64,11 @@ pub trait Observer {
     /// per `(k, layer)` step, in the serial step order.
     ///
     /// The default forwards each `Some` entry to [`Observer::on_pulse`]
-    /// in ascending `v` order — exactly the per-element stream the
-    /// engines used to emit — so element-level observers need no change.
-    /// Row-oriented observers (e.g. `trix-obs`'s `StreamingSkew` and
-    /// `PodSketch`) override it to consume the row wholesale, skipping
-    /// one dispatch and bounds check per element.
+    /// in ascending `v` order, for observers that record single events
+    /// (e.g. `trix-obs`'s `TraceRing`). Observers that store or fold
+    /// whole fronts (the [`crate::PulseTrace`] recorder, `trix-obs`'s
+    /// `StreamingSkew`, `PodSketch` and `FaultClassSkew`) override it and
+    /// take only rows.
     fn on_pulse_row(&mut self, k: usize, layer: u32, row: &[Option<Time>]) {
         for (v, slot) in row.iter().enumerate() {
             if let Some(t) = *slot {

@@ -195,8 +195,8 @@ proptest! {
 
     /// The same bit-identity on non-grid family graphs: tori and two-tier
     /// supernode overlays flow through the serial and frontier drivers
-    /// with byte-identical observer streams — the layering/chunking is
-    /// derived from the graph (`LayeredView`), never assumed square.
+    /// with byte-identical observer streams — the chunking is cut from
+    /// the graph's own width, never assumed square.
     #[test]
     fn family_graphs_are_bit_identical_across_engines(
         seed in any::<u64>(),

@@ -196,102 +196,6 @@ pub fn chunk_partition(width: usize, chunks: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// The derived layering/width summary of a layered graph — what the
-/// parallel dataflow drivers plan against instead of assuming "square
-/// grid of width `w`".
-///
-/// Layer structure is *derived from the graph*, not assumed: the view
-/// records the number of layers, the width of each layer, and the base
-/// graph's diameter (which parameterizes the Theorem 1.1 skew envelope
-/// `4κ(2 + log₂ D)`). Today every [`LayeredGraph`] replicates its base
-/// graph on each layer, so all widths are equal and
-/// [`LayeredView::is_uniform`] holds; schedulers that size their chunk
-/// partition from [`LayeredView::chunks`] keep working unchanged if a
-/// future layering makes widths vary (chunks are cut from the maximum
-/// width, and a narrower layer simply leaves trailing chunks empty).
-///
-/// # Examples
-///
-/// ```
-/// use trix_topology::{families, LayeredGraph, LayeredView};
-///
-/// let g = LayeredGraph::new(families::hypercube(3).into_graph(), 5);
-/// let view = LayeredView::of(&g);
-/// assert_eq!(view.layer_count(), 5);
-/// assert_eq!(view.max_width(), 8);
-/// assert_eq!(view.diameter(), 3);
-/// assert!(view.is_uniform());
-/// assert_eq!(view.node_count(), g.node_count());
-/// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LayeredView {
-    layer_count: usize,
-    layer_widths: Vec<usize>,
-    diameter: u32,
-}
-
-impl LayeredView {
-    /// Derives the view of a layered graph.
-    pub fn of(g: &LayeredGraph) -> Self {
-        Self {
-            layer_count: g.layer_count(),
-            layer_widths: vec![g.width(); g.layer_count()],
-            diameter: g.base().diameter(),
-        }
-    }
-
-    /// Number of layers.
-    #[inline]
-    pub fn layer_count(&self) -> usize {
-        self.layer_count
-    }
-
-    /// Width of layer `ℓ`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layer` is out of range.
-    #[inline]
-    pub fn width_of(&self, layer: usize) -> usize {
-        self.layer_widths[layer]
-    }
-
-    /// The widest layer — the column range chunk partitions are cut from.
-    pub fn max_width(&self) -> usize {
-        self.layer_widths.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Whether every layer has the same width (true for every
-    /// [`LayeredGraph`], which replicates its base graph per layer).
-    pub fn is_uniform(&self) -> bool {
-        self.layer_widths.windows(2).all(|w| w[0] == w[1])
-    }
-
-    /// Total node count, summed over the actual per-layer widths.
-    pub fn node_count(&self) -> usize {
-        self.layer_widths.iter().sum()
-    }
-
-    /// The base graph's diameter `D` — the size parameter of the
-    /// Theorem 1.1 envelope `4κ(2 + log₂ D)`, replacing grid width as
-    /// the universal size axis.
-    #[inline]
-    pub fn diameter(&self) -> u32 {
-        self.diameter
-    }
-
-    /// The canonical chunk partition for at most `workers` workers: cut
-    /// from the maximum layer width via [`chunk_partition`], so one
-    /// partition serves every layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers == 0` or the view has no columns.
-    pub fn chunks(&self, workers: usize) -> Vec<(usize, usize)> {
-        chunk_partition(self.max_width(), workers)
-    }
-}
-
 /// Dense index of a directed edge of the layered graph.
 ///
 /// Edge indices are stable and contiguous: they index per-edge state such as
@@ -697,21 +601,6 @@ mod tests {
         assert_eq!(row[0].pred, 0);
         assert!(csr.boundary_preds(0, 1).is_empty());
         assert_eq!(chunk_partition(1, 8), vec![(0, 1)]);
-    }
-
-    #[test]
-    fn layered_view_derives_structure() {
-        let g = sample();
-        let view = LayeredView::of(&g);
-        assert_eq!(view.layer_count(), g.layer_count());
-        assert_eq!(view.max_width(), g.width());
-        assert_eq!(view.node_count(), g.node_count());
-        assert_eq!(view.diameter(), g.base().diameter());
-        assert!(view.is_uniform());
-        for l in 0..view.layer_count() {
-            assert_eq!(view.width_of(l), g.width());
-        }
-        assert_eq!(view.chunks(3), chunk_partition(g.width(), 3));
     }
 
     #[test]

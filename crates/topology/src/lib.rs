@@ -28,9 +28,9 @@
 //!   [`MutableCsr::freeze`] canonicalizes back to a CSR bit-identical to a
 //!   from-scratch rebuild — the open-world churn substrate;
 //! * [`LayeredGraph`] — the DAG `G`, with stable edge indices for per-edge
-//!   delay assignment, and [`LayeredView`] — the derived layering/width
-//!   summary (per-layer widths, diameter, chunk partitions) the parallel
-//!   dataflow engines plan against;
+//!   delay assignment, its flat in-edge table [`InEdgeCsr`], and
+//!   [`chunk_partition`], the column chunking the parallel dataflow
+//!   engine plans against;
 //! * distance-δ ancestor enumeration and the *distance-δ k-faulty*
 //!   classification (Definitions 4.32/4.33), used by the Theorem 1.3
 //!   experiments;
@@ -53,14 +53,16 @@
 //! layered construction:
 //!
 //! ```
-//! use trix_topology::{families, LayeredGraph, LayeredView};
+//! use trix_topology::{chunk_partition, families, LayeredGraph};
 //!
 //! let torus = families::torus(3, 3);
 //! assert_eq!(torus.graph().diameter(), 2);
 //! let g = LayeredGraph::new(torus.graph().clone(), 6);
-//! let view = LayeredView::of(&g);
-//! assert_eq!(view.layer_count(), 6);
-//! assert_eq!(view.max_width(), 9);
+//! assert_eq!(g.layer_count(), 6);
+//! assert_eq!(g.width(), 9);
+//! // Every layer is a copy of the base graph, so one column partition
+//! // serves all of them.
+//! assert_eq!(chunk_partition(g.width(), 2), vec![(0, 5), (5, 9)]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -78,5 +80,5 @@ pub use ancestors::{distance_ancestors, distance_k_faulty, max_k_faulty};
 pub use base::BaseGraph;
 pub use csr::CsrGraph;
 pub use hex::{HexGrid, HexNodeId};
-pub use layered::{chunk_partition, EdgeId, InEdge, InEdgeCsr, LayeredGraph, LayeredView, NodeId};
+pub use layered::{chunk_partition, EdgeId, InEdge, InEdgeCsr, LayeredGraph, NodeId};
 pub use mutable::MutableCsr;

@@ -12,9 +12,9 @@
 //! the live graph back into a [`CsrGraph`] — bit-identical to a
 //! from-scratch rebuild of the same edge set, which is exactly the
 //! differential property `crates/topology/tests/prop.rs` pins — so a
-//! churn campaign can re-derive a [`crate::LayeredGraph`] and its
-//! [`crate::LayeredView`] at every epoch without ever exposing the
-//! simulation engines to a half-mutated graph.
+//! churn campaign can re-derive a [`crate::LayeredGraph`] at every
+//! epoch without ever exposing the simulation engines to a half-mutated
+//! graph.
 
 use crate::CsrGraph;
 use std::collections::VecDeque;
@@ -302,7 +302,7 @@ impl MutableCsr {
 
     /// Canonicalizes the live graph into an immutable [`CsrGraph`] —
     /// the epoch boundary a churn campaign re-derives its
-    /// [`crate::LayeredGraph`] / [`crate::LayeredView`] from. The
+    /// [`crate::LayeredGraph`] from. The
     /// result is bit-identical to `CsrGraph::from_edges` over the same
     /// live edge set (the differential property test's oracle).
     ///
@@ -318,7 +318,7 @@ impl MutableCsr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{families, BaseGraph, LayeredGraph, LayeredView};
+    use crate::{families, BaseGraph, LayeredGraph};
 
     fn ring(n: usize) -> CsrGraph {
         let edges: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
@@ -410,9 +410,8 @@ mod tests {
         let base = BaseGraph::from_csr(m.freeze());
         assert!(base.min_degree() >= 2);
         let g = LayeredGraph::new(base, 5);
-        let view = LayeredView::of(&g);
-        assert_eq!(view.layer_count(), 5);
-        assert_eq!(view.max_width(), m.live_count());
+        assert_eq!(g.layer_count(), 5);
+        assert_eq!(g.width(), m.live_count());
     }
 
     #[test]

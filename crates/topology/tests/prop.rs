@@ -1,9 +1,7 @@
 //! Property tests for graph invariants.
 
 use proptest::prelude::*;
-use trix_topology::{
-    chunk_partition, distance_ancestors, families, BaseGraph, CsrGraph, LayeredGraph, MutableCsr,
-};
+use trix_topology::{distance_ancestors, families, BaseGraph, CsrGraph, LayeredGraph, MutableCsr};
 
 /// SplitMix64 step — drives the mutation scripts from one proptest seed
 /// (the topology crate has no RNG dependency by design).
@@ -237,32 +235,6 @@ proptest! {
             for v in 0..g.node_count() {
                 let ns = g.neighbors(v);
                 prop_assert!(ns.windows(2).all(|w| w[0] < w[1]), "sorted rows");
-            }
-        }
-    }
-
-    /// Chunk partitions stay valid on *non-uniform* layer widths: the
-    /// partition is cut from the maximum width, and clamping each chunk
-    /// to a narrower layer still tiles that layer exactly with no
-    /// overlaps (trailing chunks simply become empty).
-    #[test]
-    fn chunk_partition_valid_on_nonuniform_widths(
-        widths in proptest::collection::vec(1usize..40, 1..8),
-        workers in 1usize..9,
-    ) {
-        let max_width = *widths.iter().max().unwrap();
-        let parts = chunk_partition(max_width, workers);
-        prop_assert!(parts.len() <= workers);
-        for &layer_width in &widths {
-            let clamped: Vec<(usize, usize)> = parts
-                .iter()
-                .map(|&(lo, hi)| (lo.min(layer_width), hi.min(layer_width)))
-                .filter(|&(lo, hi)| lo < hi)
-                .collect();
-            prop_assert_eq!(clamped.first().map(|c| c.0), Some(0));
-            prop_assert_eq!(clamped.last().map(|c| c.1), Some(layer_width));
-            for pair in clamped.windows(2) {
-                prop_assert_eq!(pair[0].1, pair[1].0, "contiguous tiling");
             }
         }
     }

@@ -54,6 +54,7 @@ fn main() {
     }
     println!(
         "\npaired faults contained at the O(κ) scale — experimental support \
-         for the 2f+1 conjecture (no proof claimed; see DESIGN.md)."
+         for the 2f+1 conjecture (no proof claimed; see the `exp_ext_f2` \
+         experiment)."
     );
 }

@@ -64,9 +64,9 @@ fn assert_correct_nodes_periodic(
 fn babbling_node_is_contained_in_its_column() {
     let p = params();
     // A babbler whose period is incommensurate with Λ, hammering its
-    // successors with spurious pulses. Finding (documented here and in
-    // EXPERIMENTS.md): a babbling *own-predecessor* shears its successor's
-    // iteration alignment — the successor can emit up to ~2 pulses per
+    // successors with spurious pulses. Finding (documented here): a
+    // babbling *own-predecessor* shears its successor's iteration
+    // alignment — the successor can emit up to ~2 pulses per
     // wave, each still inside the correct predecessors' timing window.
     // This matches the paper's model: containment is in *timing*, and
     // strict once-per-wave operation for nodes whose own predecessor
