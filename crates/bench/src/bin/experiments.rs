@@ -8,7 +8,7 @@
 //! gradient-trix-experiments [--quick | --smoke] [--no-trace] [--csv]
 //!                           [--out DIR] [--threads N] [--sim-threads M]
 //!                           [--seed S] [--json PATH] [--only EXPERIMENT]
-//!                           [--canonical] [--sketch-rank R]
+//!                           [--canonical]
 //! ```
 //!
 //! * `--quick` runs reduced sizes (seconds instead of minutes); `--smoke`
@@ -36,10 +36,6 @@
 //!   memory, recorded into the v2 benchmark JSON (`skew` objects).
 //! * `--only EXPERIMENT` restricts the sweep to one experiment's
 //!   scenarios (e.g. `--only exp_modes`).
-//! * `--sketch-rank R` overrides the POD-sketch rank of every
-//!   `exp_modes` point (default: the per-point rank axis, r ∈ {4, 16}).
-//!   Like the thread knobs it is workload-visible only inside
-//!   `exp_modes` — no other experiment consumes it.
 //! * `--canonical` zeroes the volatile wall-time fields in every written
 //!   JSON report, making files byte-comparable across runs and thread
 //!   counts.
@@ -51,7 +47,7 @@
 //! (naming the experiment), or `2` on CLI misuse.
 
 use std::process::ExitCode;
-use trix_bench::{all_scenarios_with_sketch_rank, suite, Scale, TraceMode};
+use trix_bench::{all_scenarios, suite, Scale, TraceMode};
 
 struct Args {
     scale: Scale,
@@ -64,12 +60,11 @@ struct Args {
     json: Option<String>,
     only: Option<String>,
     canonical: bool,
-    sketch_rank: Option<usize>,
 }
 
 const USAGE: &str = "usage: gradient-trix-experiments [--quick | --smoke] [--no-trace] [--csv] \
                      [--out DIR] [--threads N] [--sim-threads M] [--seed S] \
-                     [--json PATH] [--only EXPERIMENT] [--canonical] [--sketch-rank R]";
+                     [--json PATH] [--only EXPERIMENT] [--canonical]";
 
 fn parse_args(args: &[String]) -> Result<Args, String> {
     let mut parsed = Args {
@@ -83,7 +78,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         json: None,
         only: None,
         canonical: false,
-        sketch_rank: None,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -117,16 +111,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                 parsed.seed = parse_seed(&v).ok_or_else(|| format!("invalid --seed value: {v}"))?;
             }
             "--json" => parsed.json = Some(value_of("--json")?),
-            "--sketch-rank" => {
-                let v = value_of("--sketch-rank")?;
-                let rank: usize = v
-                    .parse()
-                    .map_err(|_| format!("invalid --sketch-rank value: {v}"))?;
-                if rank == 0 {
-                    return Err("--sketch-rank must be at least 1".to_owned());
-                }
-                parsed.sketch_rank = Some(rank);
-            }
             other => return Err(format!("unknown argument: {other}")),
         }
     }
@@ -155,20 +139,6 @@ fn main() -> ExitCode {
         }
     };
 
-    println!(
-        "# Gradient TRIX — experiment suite ({} scale, {} mode, base seed {:#x})\n",
-        args.scale.name(),
-        args.mode.name(),
-        args.seed
-    );
-    println!(
-        "Parameters: d = 2000, u = 1, theta = 1.0001, lambda = 2d, kappa ≈ 2.43 \
-         (abstract picoseconds).\n"
-    );
-    if let Some(dir) = &args.out_dir {
-        std::fs::create_dir_all(dir).expect("create output directory");
-    }
-
     // Resolve both auto thread knobs against the CPU count **once**, and
     // surface a detection failure instead of silently degrading to the
     // fallback (satisfying the schema-v5 parallelism stamp's contract).
@@ -183,19 +153,26 @@ fn main() -> ExitCode {
     let (threads, sim_threads) = trix_runner::resolve_thread_split(args.threads, args.sim_threads);
 
     let start = std::time::Instant::now();
-    let mut scenarios = all_scenarios_with_sketch_rank(
-        args.scale,
-        args.seed,
-        args.mode,
-        sim_threads,
-        args.sketch_rank,
-    );
+    let mut scenarios = all_scenarios(args.scale, args.seed, args.mode, sim_threads);
     if let Some(only) = &args.only {
         scenarios.retain(|s| s.experiment() == only);
         if scenarios.is_empty() {
             eprintln!("--only {only}: no such experiment");
             return ExitCode::from(2);
         }
+    }
+    println!(
+        "# Gradient TRIX — experiment suite ({} scale, {} mode, base seed {:#x})\n",
+        args.scale.name(),
+        args.mode.name(),
+        args.seed
+    );
+    println!(
+        "Parameters: d = 2000, u = 1, theta = 1.0001, lambda = 2d, kappa ≈ 2.43 \
+         (abstract picoseconds).\n"
+    );
+    if let Some(dir) = &args.out_dir {
+        std::fs::create_dir_all(dir).expect("create output directory");
     }
     let outcome = suite::run_scenarios(scenarios, args.scale, args.seed, threads);
     let report = if args.canonical {

@@ -319,9 +319,8 @@ pub fn run(point: &SweepPoint, seeds: &[u64], sim_threads: usize) -> ScenarioRes
 }
 
 /// The point list per scale: the rank axis on the fault-free grid, plus
-/// one wave-campaign and two graph-family points per scale. `rank_override`
-/// (the `--sketch-rank` CLI knob) replaces every point's rank.
-pub fn points(scale: Scale, rank_override: Option<usize>) -> Vec<SweepPoint> {
+/// one wave-campaign and two graph-family points per scale.
+pub fn points(scale: Scale) -> Vec<SweepPoint> {
     let pulses = match scale {
         Scale::Smoke => 3,
         _ => 4,
@@ -330,7 +329,7 @@ pub fn points(scale: Scale, rank_override: Option<usize>) -> Vec<SweepPoint> {
         workload,
         a,
         b,
-        rank: rank_override.unwrap_or(rank),
+        rank,
         pulses,
     };
     match scale {
@@ -364,13 +363,8 @@ pub fn points(scale: Scale, rank_override: Option<usize>) -> Vec<SweepPoint> {
 /// both trace modes; wave points stamp their campaign descriptor and
 /// family points their topology descriptor, and every point threads
 /// `--sim-threads` into the dataflow driver.
-pub fn scenarios(
-    scale: Scale,
-    base_seed: u64,
-    sim_threads: usize,
-    rank_override: Option<usize>,
-) -> Vec<Scenario> {
-    points(scale, rank_override)
+pub fn scenarios(scale: Scale, base_seed: u64, sim_threads: usize) -> Vec<Scenario> {
+    points(scale)
         .into_iter()
         .enumerate()
         .map(|(i, point)| {
@@ -427,7 +421,7 @@ mod tests {
 
     #[test]
     fn every_smoke_point_passes_the_certificate_oracle() {
-        for point in points(Scale::Smoke, None) {
+        for point in points(Scale::Smoke) {
             let result = run(&point, &[3], 1);
             assert!(
                 result.violations.is_empty(),
@@ -450,9 +444,9 @@ mod tests {
     #[test]
     fn sim_threads_do_not_change_the_sketch() {
         for point in [
-            points(Scale::Smoke, None)[0],
-            points(Scale::Smoke, None)[2],
-            points(Scale::Smoke, None)[3],
+            points(Scale::Smoke)[0],
+            points(Scale::Smoke)[2],
+            points(Scale::Smoke)[3],
         ] {
             let serial = run(&point, &[5, 6], 1);
             for sim_threads in [2, 4] {
@@ -473,10 +467,10 @@ mod tests {
     }
 
     /// Points round-trip through record params (the replay hook), and
-    /// the `--sketch-rank` override reaches every point.
+    /// the scenario list is the point list, in order.
     #[test]
-    fn params_round_trip_and_rank_override_applies() {
-        for point in points(Scale::Quick, None) {
+    fn params_round_trip_and_scenarios_follow_points() {
+        for point in points(Scale::Quick) {
             let params = vec![
                 kv("workload", point.workload.name()),
                 kv("a", point.a),
@@ -486,11 +480,11 @@ mod tests {
             ];
             assert_eq!(point_from_params(&params), Some(point));
         }
-        for point in points(Scale::Smoke, Some(7)) {
-            assert_eq!(point.rank, 7);
-        }
-        for s in scenarios(Scale::Smoke, 0, 1, None) {
+        let scenarios = scenarios(Scale::Smoke, 0, 1);
+        assert_eq!(scenarios.len(), points(Scale::Smoke).len());
+        for (s, point) in scenarios.iter().zip(points(Scale::Smoke)) {
             assert_eq!(s.experiment(), "exp_modes");
+            assert_eq!(s.label(), point.label());
         }
     }
 
@@ -500,11 +494,11 @@ mod tests {
     #[test]
     fn scales_cover_the_documented_rank_and_width_axis() {
         for scale in [Scale::Smoke, Scale::Quick, Scale::Full] {
-            let ranks: Vec<usize> = points(scale, None).iter().map(|p| p.rank).collect();
+            let ranks: Vec<usize> = points(scale).iter().map(|p| p.rank).collect();
             assert!(ranks.contains(&4) || ranks.contains(&8));
             assert!(ranks.contains(&16));
         }
-        let widths: Vec<usize> = points(Scale::Full, None)
+        let widths: Vec<usize> = points(Scale::Full)
             .iter()
             .filter(|p| p.workload == Workload::Grid)
             .map(|p| p.a)

@@ -125,19 +125,6 @@ pub fn all_scenarios(
     mode: TraceMode,
     sim_threads: usize,
 ) -> Vec<Scenario> {
-    all_scenarios_with_sketch_rank(scale, base_seed, mode, sim_threads, None)
-}
-
-/// [`all_scenarios`] with the `--sketch-rank` override: `Some(r)`
-/// replaces the rank of every `exp_modes` point (all other experiments
-/// are unaffected).
-pub fn all_scenarios_with_sketch_rank(
-    scale: Scale,
-    base_seed: u64,
-    mode: TraceMode,
-    sim_threads: usize,
-    sketch_rank: Option<usize>,
-) -> Vec<Scenario> {
     let mut scenarios = Vec::new();
     if mode == TraceMode::NoTrace {
         // Streaming twins: every experiment contributes its grid
@@ -181,12 +168,7 @@ pub fn all_scenarios_with_sketch_rank(
         // §21 Topology-family sweep (streaming-only in both modes).
         scenarios.extend(exp_topology::scenarios(scale, base_seed, sim_threads));
         // §22 POD-sketch mode analytics (streaming-only in both modes).
-        scenarios.extend(exp_modes::scenarios(
-            scale,
-            base_seed,
-            sim_threads,
-            sketch_rank,
-        ));
+        scenarios.extend(exp_modes::scenarios(scale, base_seed, sim_threads));
         // §23 Open-world churn sweep (streaming-only in both modes).
         scenarios.extend(exp_churn::scenarios(scale, base_seed, sim_threads));
         return scenarios;
@@ -234,12 +216,7 @@ pub fn all_scenarios_with_sketch_rank(
     // §21 Topology-family sweep (streaming-only in both modes).
     scenarios.extend(exp_topology::scenarios(scale, base_seed, sim_threads));
     // §22 POD-sketch mode analytics (streaming-only in both modes).
-    scenarios.extend(exp_modes::scenarios(
-        scale,
-        base_seed,
-        sim_threads,
-        sketch_rank,
-    ));
+    scenarios.extend(exp_modes::scenarios(scale, base_seed, sim_threads));
     // §23 Open-world churn sweep (streaming-only in both modes).
     scenarios.extend(exp_churn::scenarios(scale, base_seed, sim_threads));
     scenarios

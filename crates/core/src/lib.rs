@@ -53,7 +53,6 @@
 
 mod conditions;
 mod correction;
-mod dual_chain;
 mod network;
 mod node;
 mod params;
@@ -67,7 +66,6 @@ pub use conditions::{
     ConditionViolation, IntervalViolation,
 };
 pub use correction::{correction, discrete_delta, CorrectionConfig, MissingNeighborPolicy};
-pub use dual_chain::DualLineForwarderNode;
 pub use network::{GridIndex, GridNetwork, NodeWiring};
 pub use node::{GradientTrixNode, GridNodeConfig};
 pub use params::Params;

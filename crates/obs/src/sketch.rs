@@ -226,7 +226,7 @@ impl PodSketch {
     ///
     /// Panics if `rank` is zero.
     pub fn new(g: &LayeredGraph, rank: usize) -> Self {
-        assert!(rank > 0, "sketch rank must be positive");
+        assert!(rank > 0, "PodSketch rank must be positive");
         let cols = g.width();
         // Panel size trades the Jacobi core against flush frequency: each
         // flush factors an (r + b_p)-column core whose cost grows superlinearly
@@ -267,12 +267,6 @@ impl PodSketch {
     /// Front rows ingested so far.
     pub fn rows(&self) -> u64 {
         self.rows
-    }
-
-    /// `Σ ‖row‖²` over all ingested rows — the squared Frobenius norm of
-    /// the (implicit) pulse-front matrix.
-    pub fn total_energy(&self) -> f64 {
-        self.energy
     }
 
     /// Feeds one complete front row directly (length must equal

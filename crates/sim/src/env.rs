@@ -4,7 +4,7 @@
 //! The paper's model (§2): each edge `e` has an unknown but *fixed* delay
 //! `δ_e ∈ [d−u, d]`; each node has a hardware clock with rate in `[1, ϑ]`.
 //! Corollary 1.5 additionally allows both to vary slowly between pulses.
-//! [`StaticEnvironment`] covers the static case; [`PerPulseEnvironment`]
+//! [`StaticEnvironment`] covers the static case; [`SequenceEnvironment`]
 //! lets experiments supply a different assignment for every pulse index.
 
 use crate::Rng;
@@ -115,11 +115,6 @@ impl StaticEnvironment {
         self.delays[e.0] = delay;
     }
 
-    /// Overwrites the clock of one node.
-    pub fn set_clock(&mut self, node_index: usize, clock: AffineClock) {
-        self.clocks[node_index] = clock;
-    }
-
     /// The per-edge delays.
     pub fn delays(&self) -> &[Duration] {
         &self.delays
@@ -148,44 +143,11 @@ impl Environment for StaticEnvironment {
     }
 }
 
-/// An environment that changes between pulses: `provider(k)` yields the
-/// static environment for pulse `k`.
+/// An environment that changes between pulses: one [`StaticEnvironment`]
+/// per pulse, built eagerly.
 ///
 /// Used by the Corollary 1.5 experiments ("link delays vary by up to
 /// `n^{-1/2}·u·log D` [per pulse]").
-pub struct PerPulseEnvironment<F> {
-    provider: F,
-}
-
-impl<F> PerPulseEnvironment<F>
-where
-    F: Fn(usize) -> StaticEnvironment,
-{
-    /// Creates a per-pulse environment from a provider function.
-    ///
-    /// The provider is called once per pulse index and the result cached by
-    /// the caller if needed; implementations should be cheap or memoized.
-    pub fn new(provider: F) -> Self {
-        Self { provider }
-    }
-}
-
-impl<F> Environment for PerPulseEnvironment<F>
-where
-    F: Fn(usize) -> StaticEnvironment,
-{
-    fn delay(&self, k: usize, e: EdgeId) -> Duration {
-        (self.provider)(k).delays[e.0]
-    }
-
-    fn clock(&self, k: usize, node: NodeId) -> AffineClock {
-        let env = (self.provider)(k);
-        env.clocks[node.layer as usize * env.width + node.v as usize]
-    }
-}
-
-/// A memoized per-pulse environment: one [`StaticEnvironment`] per pulse,
-/// built eagerly.
 #[derive(Clone, Debug)]
 pub struct SequenceEnvironment {
     envs: Vec<StaticEnvironment>,
@@ -281,21 +243,8 @@ mod tests {
             }
         }
         // Per-pulse environments keep the default (no cache).
-        let per_pulse = PerPulseEnvironment::new(|_| {
-            StaticEnvironment::nominal(&graph(), Duration::from(10.0))
-        });
+        let per_pulse = SequenceEnvironment::new(vec![env.clone()]);
         assert!(per_pulse.pulse_invariant_clocks().is_none());
-    }
-
-    #[test]
-    fn per_pulse_environment_dispatches_on_k() {
-        let g = graph();
-        let env = PerPulseEnvironment::new(|k| {
-            StaticEnvironment::nominal(&graph(), Duration::from(10.0 + k as f64))
-        });
-        assert_eq!(env.delay(0, EdgeId(1)), Duration::from(10.0));
-        assert_eq!(env.delay(3, EdgeId(1)), Duration::from(13.0));
-        assert_eq!(env.clock(2, g.node(0, 1)).rate(), 1.0);
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub use dataflow::{
     OffsetLayer0, PulseRule, PulseTrace, SendModel,
 };
 pub use des::{Broadcast, Des, EventQueue, Link, Node, NodeApi};
-pub use env::{Environment, PerPulseEnvironment, SequenceEnvironment, StaticEnvironment};
+pub use env::{Environment, SequenceEnvironment, StaticEnvironment};
 pub use frontier::{detected_parallelism, DetectedParallelism, FALLBACK_WORKERS};
 pub use observer::{NullObserver, Observer};
 pub use rng::{splitmix64, Rng};

@@ -23,10 +23,6 @@
 //! * [`families`] — deterministic generators for tori, hypercubes, seeded
 //!   random-geometric graphs, sparse interleaved pods, and two-tier
 //!   supernode overlays, each stamped with a versioned topology descriptor;
-//! * [`MutableCsr`] — incremental node/edge mutation over a [`CsrGraph`]
-//!   (tombstoned removals, epoch-stamped compaction) whose
-//!   [`MutableCsr::freeze`] canonicalizes back to a CSR bit-identical to a
-//!   from-scratch rebuild — the open-world churn substrate;
 //! * [`LayeredGraph`] — the DAG `G`, with stable edge indices for per-edge
 //!   delay assignment, its flat in-edge table [`InEdgeCsr`], and
 //!   [`chunk_partition`], the column chunking the parallel dataflow
@@ -74,11 +70,9 @@ mod csr;
 pub mod families;
 mod hex;
 mod layered;
-mod mutable;
 
 pub use ancestors::{distance_ancestors, distance_k_faulty, max_k_faulty};
 pub use base::BaseGraph;
 pub use csr::CsrGraph;
 pub use hex::{HexGrid, HexNodeId};
 pub use layered::{chunk_partition, EdgeId, InEdge, InEdgeCsr, LayeredGraph, NodeId};
-pub use mutable::MutableCsr;

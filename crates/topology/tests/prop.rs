@@ -1,9 +1,9 @@
 //! Property tests for graph invariants.
 
 use proptest::prelude::*;
-use trix_topology::{distance_ancestors, families, BaseGraph, CsrGraph, LayeredGraph, MutableCsr};
+use trix_topology::{distance_ancestors, families, BaseGraph, CsrGraph, LayeredGraph};
 
-/// SplitMix64 step — drives the mutation scripts from one proptest seed
+/// SplitMix64 step — drives the random graphs from one proptest seed
 /// (the topology crate has no RNG dependency by design).
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -64,65 +64,6 @@ fn stray_component_in_last_partial_batch_is_rejected() {
     let mut edges: Vec<(usize, usize)> = (1..128).map(|v| (v - 1, v)).collect();
     edges.push((128, 129));
     let _ = CsrGraph::from_edges(130, &edges);
-}
-
-/// Independent shadow model of a mutable graph: a live-slot set and an
-/// `a < b` edge set, maintained with none of `MutableCsr`'s sorted-row /
-/// tombstone bookkeeping. Differential oracle for the churn tentpole.
-struct EdgeSetModel {
-    live: Vec<bool>,
-    edges: std::collections::BTreeSet<(usize, usize)>,
-}
-
-impl EdgeSetModel {
-    fn from_csr(csr: &CsrGraph) -> Self {
-        let mut edges = std::collections::BTreeSet::new();
-        for a in 0..csr.node_count() {
-            for &b in csr.neighbors(a) {
-                if a < b {
-                    edges.insert((a, b));
-                }
-            }
-        }
-        Self {
-            live: vec![true; csr.node_count()],
-            edges,
-        }
-    }
-
-    fn live_slots(&self) -> Vec<usize> {
-        (0..self.live.len()).filter(|&v| self.live[v]).collect()
-    }
-
-    /// The dense (remapped, sorted, `a < b`) edge list of the live
-    /// subgraph — what a from-scratch rebuild would be fed.
-    fn dense_edges(&self) -> (usize, Vec<(usize, usize)>) {
-        let mut dense = vec![usize::MAX; self.live.len()];
-        let slots = self.live_slots();
-        for (new, &old) in slots.iter().enumerate() {
-            dense[old] = new;
-        }
-        let edges = self
-            .edges
-            .iter()
-            .map(|&(a, b)| (dense[a], dense[b]))
-            .collect();
-        (slots.len(), edges)
-    }
-
-    /// Applies a `MutableCsr::compact` remap to the model's own ids.
-    fn apply_compaction(&mut self, map: &[Option<usize>]) {
-        let (count, edges) = self.dense_edges();
-        for (old, &new) in map.iter().enumerate() {
-            assert_eq!(
-                new.is_some(),
-                self.live.get(old).copied().unwrap_or(false),
-                "compaction map disagrees with the model at slot {old}"
-            );
-        }
-        self.live = vec![true; count];
-        self.edges = edges.into_iter().collect();
-    }
 }
 
 proptest! {
@@ -237,107 +178,6 @@ proptest! {
                 prop_assert!(ns.windows(2).all(|w| w[0] < w[1]), "sorted rows");
             }
         }
-    }
-
-    /// Differential churn oracle: **every** mutation sequence applied to
-    /// a [`MutableCsr`], frozen, is byte-identical to a from-scratch
-    /// [`CsrGraph`] rebuild of the same edge set. The script interleaves
-    /// node joins (wired to random live anchors), edge insertions,
-    /// connectivity-preserving edge/node removals, and mid-script
-    /// epoch compactions, mirrored into an independent edge-set model
-    /// that shares none of the incremental bookkeeping.
-    #[test]
-    fn mutable_csr_freeze_matches_from_scratch_rebuild(
-        which in 0usize..3,
-        rows in 3usize..6,
-        cols in 3usize..6,
-        width in 4usize..12,
-        supernodes in 3usize..6,
-        leaves in 1usize..4,
-        ops in 8usize..48,
-        seed in any::<u64>(),
-    ) {
-        let base = match which {
-            0 => families::torus(rows, cols).graph().csr().clone(),
-            1 => BaseGraph::line_with_replicated_ends(width).csr().clone(),
-            _ => families::supernode_overlay(supernodes, leaves).graph().csr().clone(),
-        };
-        let mut m = MutableCsr::from_csr(&base);
-        let mut model = EdgeSetModel::from_csr(&base);
-        let mut state = seed;
-        for _ in 0..ops {
-            let live = model.live_slots();
-            match splitmix64(&mut state) % 5 {
-                // Join: fresh slot, wired to 1–3 random live anchors.
-                0 => {
-                    let v = m.add_node();
-                    model.live.resize(m.slot_count(), false);
-                    model.live[v] = true;
-                    let wires = 1 + (splitmix64(&mut state) % 3) as usize;
-                    for _ in 0..wires.min(live.len()) {
-                        let a = live[(splitmix64(&mut state) as usize) % live.len()];
-                        if !m.has_edge(a, v) {
-                            m.add_edge(a, v);
-                            model.edges.insert((a.min(v), a.max(v)));
-                        }
-                    }
-                }
-                // Edge insertion between distinct non-adjacent live nodes.
-                1 => {
-                    let a = live[(splitmix64(&mut state) as usize) % live.len()];
-                    let b = live[(splitmix64(&mut state) as usize) % live.len()];
-                    if a != b && !m.has_edge(a, b) {
-                        m.add_edge(a, b);
-                        model.edges.insert((a.min(b), a.max(b)));
-                    }
-                }
-                // Connectivity-preserving edge removal (try one edge,
-                // roll back if it would disconnect the live subgraph).
-                2 => {
-                    if let Some(&(a, b)) = model
-                        .edges
-                        .iter()
-                        .nth((splitmix64(&mut state) as usize) % model.edges.len())
-                    {
-                        m.remove_edge(a, b);
-                        if m.is_connected() {
-                            model.edges.remove(&(a, b));
-                        } else {
-                            m.add_edge(a, b);
-                        }
-                    }
-                }
-                // Connectivity-preserving leave (tombstone), attempted
-                // on a clone first so a disconnecting leave is a no-op.
-                3 => {
-                    if live.len() > 3 {
-                        let v = live[(splitmix64(&mut state) as usize) % live.len()];
-                        let mut trial = m.clone();
-                        trial.remove_node(v);
-                        if trial.is_connected() {
-                            m = trial;
-                            model.live[v] = false;
-                            model.edges.retain(|&(a, b)| a != v && b != v);
-                        }
-                    }
-                }
-                // Mid-script epoch compaction: the model remaps its own
-                // ids through the map `compact` returns.
-                _ => {
-                    let map = m.compact();
-                    model.apply_compaction(&map);
-                }
-            }
-            prop_assert_eq!(m.live_count(), model.live_slots().len());
-            prop_assert_eq!(m.edge_count(), model.edges.len());
-        }
-        // The frozen CSR is byte-identical to a from-scratch rebuild of
-        // the shadow model's edge set — offsets, targets, and diameter.
-        let (count, mut edges) = model.dense_edges();
-        edges.sort_unstable();
-        prop_assert_eq!(m.frozen_edges(), edges.clone());
-        let rebuilt = CsrGraph::from_edges(count, &edges);
-        prop_assert_eq!(m.freeze(), rebuilt);
     }
 
     /// Ancestor cones: every claimed ancestor is reachable (distance

@@ -19,8 +19,9 @@ use gradient_trix::core::{
 };
 use gradient_trix::faults::{sample_one_local, scrambled_network, FaultBehavior, FaultySendModel};
 use gradient_trix::sim::{run_dataflow, CorrectSends, OffsetLayer0, Rng, StaticEnvironment};
-use gradient_trix::time::{Duration, Time};
+use gradient_trix::time::{AffineClock, Duration, Time};
 use gradient_trix::topology::{BaseGraph, EdgeId, LayeredGraph, NodeId};
+use std::{fmt::Display, str::FromStr};
 
 /// Whether a flag takes a value (`--width 8`) or stands alone (`--chart`).
 #[derive(Clone, Copy)]
@@ -96,13 +97,22 @@ impl Args {
 
     /// The flag's value parsed as a `T`, or `default` if the flag is
     /// absent; an unparsable value is a usage error.
-    fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
+    fn num<T: FromStr>(&self, key: &str, default: T) -> T {
         match self.get(key) {
             None => default,
             Some(v) => v
                 .parse()
                 .unwrap_or_else(|_| usage_error(&format!("invalid value '{v}' for --{key}"))),
         }
+    }
+
+    /// [`Args::num`], where a value below `min` is a usage error too.
+    fn num_at_least<T: FromStr + PartialOrd + Display>(&self, key: &str, default: T, min: T) -> T {
+        let value = self.num(key, default);
+        if value < min {
+            usage_error(&format!("--{key} must be at least {min}"));
+        }
+        value
     }
 
     fn has(&self, key: &str) -> bool {
@@ -133,32 +143,38 @@ fn behavior_for(name: &str, kappa: Duration, seed: u64) -> FaultBehavior {
     }
 }
 
+/// The Figure 1 split-delay environment: edges into the left half of
+/// every layer above 0 take `d − u`, all others `d`; clocks are perfect.
+fn split_delay_environment(g: &LayeredGraph, p: &Params) -> StaticEnvironment {
+    let split = g.width() / 2;
+    let mut delays = vec![p.d(); g.edge_count()];
+    for n in g.nodes().filter(|n| n.layer > 0 && (n.v as usize) < split) {
+        for (_, EdgeId(e)) in g.predecessors(n) {
+            delays[e] = p.d() - p.u();
+        }
+    }
+    StaticEnvironment::new(g, delays, vec![AffineClock::PERFECT; g.node_count()])
+}
+
 fn cmd_run(args: &Args) {
     let p = params();
-    let width = args.num("width", 32usize);
-    let layers = args.num("layers", width);
-    let pulses = args.num("pulses", 4usize);
+    let width = args.num_at_least("width", 32usize, 2);
+    let layers = args.num_at_least("layers", width, 1);
+    let pulses = args.num_at_least("pulses", 4usize, 1);
     let seed = args.num("seed", 1u64);
     let fault_count = args.num("faults", 0usize);
+    let p_fail = args.has("p-fail").then(|| args.num("p-fail", 0.0f64));
+    if p_fail.is_some_and(|prob| !(0.0..=1.0).contains(&prob)) {
+        usage_error("--p-fail must lie in [0, 1]");
+    }
+    if p_fail.is_none() && fault_count > 0 && layers < 2 {
+        usage_error("--faults needs --layers of at least 2 (layer 0 is fault-free)");
+    }
     let g = LayeredGraph::new(BaseGraph::line_with_replicated_ends(width), layers);
 
     let mut rng = Rng::seed_from(seed);
     let env = if args.has("adversarial") {
-        // Half-fast/half-slow split (the Figure 1 pattern).
-        let split = g.width() / 2;
-        let mut delays = vec![p.d(); g.edge_count()];
-        for n in g.nodes().filter(|n| n.layer > 0) {
-            if (n.v as usize) < split {
-                for (_, EdgeId(e)) in g.predecessors(n) {
-                    delays[e] = p.d() - p.u();
-                }
-            }
-        }
-        StaticEnvironment::new(
-            &g,
-            delays,
-            vec![gradient_trix::time::AffineClock::PERFECT; g.node_count()],
-        )
+        split_delay_environment(&g, &p)
     } else {
         StaticEnvironment::random(&g, p.d(), p.u(), p.theta(), &mut rng)
     };
@@ -167,8 +183,7 @@ fn cmd_run(args: &Args) {
     // Faults: either an explicit count (spread across the grid) or a
     // probability via --p-fail.
     let mut model = FaultySendModel::new();
-    if args.has("p-fail") {
-        let prob: f64 = args.num("p-fail", 0.0);
+    if let Some(prob) = p_fail {
         let (positions, _) = sample_one_local(&g, prob, 1, &mut rng);
         let mut sorted: Vec<NodeId> = positions.into_iter().collect();
         sorted.sort();
@@ -236,7 +251,7 @@ fn cmd_run(args: &Args) {
 
 fn cmd_stabilize(args: &Args) {
     let p = params();
-    let width = args.num("width", 6usize);
+    let width = args.num_at_least("width", 6usize, 2);
     let seed = args.num("seed", 1u64);
     let spurious = args.num("spurious", 40usize);
     let dead_count = args.num("dead", 0usize);
@@ -299,7 +314,7 @@ fn cmd_stabilize(args: &Args) {
 }
 
 fn cmd_compare(args: &Args) {
-    let width = args.num("width", 32usize);
+    let width = args.num_at_least("width", 32usize, 2);
     let table = trix_bench_table(width);
     println!("{table}");
 }
@@ -308,20 +323,7 @@ fn cmd_compare(args: &Args) {
 fn trix_bench_table(width: usize) -> String {
     let p = params();
     let g = LayeredGraph::new(BaseGraph::line_with_replicated_ends(width), width);
-    let split = g.width() / 2;
-    let mut delays = vec![p.d(); g.edge_count()];
-    for n in g.nodes().filter(|n| n.layer > 0) {
-        if (n.v as usize) < split {
-            for (_, EdgeId(e)) in g.predecessors(n) {
-                delays[e] = p.d() - p.u();
-            }
-        }
-    }
-    let env = StaticEnvironment::new(
-        &g,
-        delays,
-        vec![gradient_trix::time::AffineClock::PERFECT; g.node_count()],
-    );
+    let env = split_delay_environment(&g, &p);
     let layer0 = OffsetLayer0::synchronized(p.lambda().as_f64(), g.width());
     let naive = run_dataflow(&g, &env, &layer0, &NaiveTrixRule::new(), &CorrectSends, 1);
     let gt = run_dataflow(
