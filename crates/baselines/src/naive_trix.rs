@@ -10,14 +10,10 @@
 //! Gradient TRIX fixes.
 
 use trix_sim::PulseRule;
-use trix_time::{AffineClock, Duration, Time};
+use trix_time::{AffineClock, Time};
 use trix_topology::NodeId;
 
 /// The second-copy forwarding rule.
-///
-/// An optional fixed processing offset is added to the firing time (the
-/// paper folds computation into the link delay `d`; a nonzero offset is
-/// useful to keep baseline periods comparable with Gradient TRIX's `Λ`).
 ///
 /// # Examples
 ///
@@ -39,30 +35,16 @@ use trix_topology::NodeId;
 /// assert_eq!(t, Some(Time::from(11.0)));
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct NaiveTrixRule {
-    processing: Duration,
-}
+pub struct NaiveTrixRule;
 
 impl NaiveTrixRule {
-    /// The plain second-copy rule (no extra processing offset).
+    /// The second-copy rule.
     pub fn new() -> Self {
-        Self {
-            processing: Duration::ZERO,
-        }
+        Self
     }
 
-    /// Second-copy rule with a fixed processing offset added to the firing
-    /// time.
-    pub fn with_processing(processing: Duration) -> Self {
-        assert!(
-            processing >= Duration::ZERO,
-            "processing offset must be non-negative"
-        );
-        Self { processing }
-    }
-
-    /// Firing time for a set of arrival times: the second-smallest arrival
-    /// plus the processing offset; `None` if fewer than two pulses arrive.
+    /// Firing time for a set of arrival times: the second-smallest
+    /// arrival; `None` if fewer than two pulses arrive.
     pub fn second_copy(&self, arrivals: impl IntoIterator<Item = Time>) -> Option<Time> {
         let mut first: Option<Time> = None;
         let mut second: Option<Time> = None;
@@ -74,7 +56,7 @@ impl NaiveTrixRule {
                 second = Some(t);
             }
         }
-        second.map(|t| t + self.processing)
+        second
     }
 }
 
@@ -95,6 +77,7 @@ impl PulseRule for NaiveTrixRule {
 mod tests {
     use super::*;
     use trix_sim::{run_dataflow, CorrectSends, OffsetLayer0, StaticEnvironment};
+    use trix_time::Duration;
     use trix_topology::{BaseGraph, EdgeId, LayeredGraph};
 
     #[test]
@@ -122,13 +105,6 @@ mod tests {
             &AffineClock::PERFECT,
         );
         assert_eq!(t, Some(Time::from(11.0)));
-    }
-
-    #[test]
-    fn processing_offset_shifts_output() {
-        let r = NaiveTrixRule::with_processing(Duration::from(5.0));
-        let t = r.second_copy([Time::from(1.0), Time::from(2.0)]);
-        assert_eq!(t, Some(Time::from(7.0)));
     }
 
     /// The Figure 1 (left) accumulation: split the grid into a fast half

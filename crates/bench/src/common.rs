@@ -33,6 +33,34 @@ pub fn grid(width: usize, layers: usize) -> LayeredGraph {
     LayeredGraph::new(BaseGraph::line_with_replicated_ends(width), layers)
 }
 
+/// The random in-model environment (drawn from `fork(1)` of `seed`) and
+/// the Appendix-A layer-0 line (from `fork(2)`) that the grid drivers run.
+pub fn line_inputs(
+    g: &LayeredGraph,
+    params: &Params,
+    seed: u64,
+) -> (StaticEnvironment, Layer0Line) {
+    let root = Rng::seed_from(seed);
+    let env =
+        StaticEnvironment::random(g, params.d(), params.u(), params.theta(), &mut root.fork(1));
+    let layer0 = Layer0Line::random_for_line(params, g.width(), &mut root.fork(2));
+    (env, layer0)
+}
+
+/// [`line_inputs`] with layer 0 from the BFS-forest source
+/// ([`Layer0Line::random_for_graph`]), as the graph-family drivers run.
+pub fn graph_inputs(
+    g: &LayeredGraph,
+    params: &Params,
+    seed: u64,
+) -> (StaticEnvironment, Layer0Line) {
+    let root = Rng::seed_from(seed);
+    let env =
+        StaticEnvironment::random(g, params.d(), params.u(), params.theta(), &mut root.fork(1));
+    let layer0 = Layer0Line::random_for_graph(params, g.base(), &mut root.fork(2));
+    (env, layer0)
+}
+
 /// Runs Gradient TRIX on `g` with a random in-model environment and the
 /// Appendix-A layer-0 line, under the given send model.
 ///
@@ -46,11 +74,7 @@ pub fn run_gradient_trix(
     pulses: usize,
     seed: u64,
 ) -> (PulseTrace, StaticEnvironment) {
-    let root = Rng::seed_from(seed);
-    let mut env_rng = root.fork(1);
-    let mut layer0_rng = root.fork(2);
-    let env = StaticEnvironment::random(g, params.d(), params.u(), params.theta(), &mut env_rng);
-    let layer0 = Layer0Line::random_for_line(params, g.width(), &mut layer0_rng);
+    let (env, layer0) = line_inputs(g, params, seed);
     let trace = run_dataflow(g, &env, &layer0, rule, sends, pulses);
     (trace, env)
 }
@@ -77,11 +101,7 @@ pub fn run_gradient_trix_streaming(
     sim_threads: usize,
     obs: &mut impl Observer,
 ) {
-    let root = Rng::seed_from(seed);
-    let mut env_rng = root.fork(1);
-    let mut layer0_rng = root.fork(2);
-    let env = StaticEnvironment::random(g, params.d(), params.u(), params.theta(), &mut env_rng);
-    let layer0 = Layer0Line::random_for_line(params, g.width(), &mut layer0_rng);
+    let (env, layer0) = line_inputs(g, params, seed);
     run_dataflow_parallel(g, &env, &layer0, rule, sends, pulses, sim_threads, obs);
 }
 
@@ -102,11 +122,7 @@ pub fn run_gradient_trix_graph(
     pulses: usize,
     seed: u64,
 ) -> (PulseTrace, StaticEnvironment) {
-    let root = Rng::seed_from(seed);
-    let mut env_rng = root.fork(1);
-    let mut layer0_rng = root.fork(2);
-    let env = StaticEnvironment::random(g, params.d(), params.u(), params.theta(), &mut env_rng);
-    let layer0 = Layer0Line::random_for_graph(params, g.base(), &mut layer0_rng);
+    let (env, layer0) = graph_inputs(g, params, seed);
     let trace = run_dataflow(g, &env, &layer0, rule, sends, pulses);
     (trace, env)
 }
@@ -127,11 +143,7 @@ pub fn run_gradient_trix_streaming_graph(
     sim_threads: usize,
     obs: &mut impl Observer,
 ) {
-    let root = Rng::seed_from(seed);
-    let mut env_rng = root.fork(1);
-    let mut layer0_rng = root.fork(2);
-    let env = StaticEnvironment::random(g, params.d(), params.u(), params.theta(), &mut env_rng);
-    let layer0 = Layer0Line::random_for_graph(params, g.base(), &mut layer0_rng);
+    let (env, layer0) = graph_inputs(g, params, seed);
     run_dataflow_parallel(g, &env, &layer0, rule, sends, pulses, sim_threads, obs);
 }
 

@@ -8,7 +8,7 @@
 use crate::common::standard_params;
 use crate::suite::{kv, Scenario};
 use crate::Scale;
-use trix_analysis::{fmt_f64, Table};
+use trix_analysis::{fmt_f64, theory, Table};
 use trix_core::Layer0Line;
 use trix_sim::Rng;
 
@@ -49,7 +49,7 @@ pub fn run(widths: &[usize], seeds: &[u64]) -> Table {
         table.row_values(&[
             w.to_string(),
             fmt_f64(worst_chain),
-            fmt_f64(kappa / 2.0),
+            fmt_f64(theory::lemma_a_1_bound(&p).as_f64()),
             fmt_f64(worst_base.max(worst_chain)),
             fmt_f64(kappa),
             fmt_f64(worst_abs),

@@ -28,15 +28,16 @@
 //! thread, off the simulation's critical path.
 
 use crate::common::{
-    grid, merge_snapshots, run_gradient_trix_streaming, run_gradient_trix_streaming_graph,
-    standard_params, streaming_monitor,
+    graph_inputs, grid, line_inputs, merge_snapshots, standard_params, streaming_monitor,
 };
 use crate::suite::{kv, Scenario, ScenarioResult};
 use crate::{exp_fault_sweep, exp_topology, Scale};
 use trix_analysis::{fmt_f64, ModeProbe, ModeReport, Table};
-use trix_core::GradientTrixRule;
+use trix_core::{GradientTrixRule, Layer0Line};
+use trix_faults::FaultCampaign;
 use trix_obs::{PipelinedSketch, PodSketch, PodSnapshot, SkewStats};
 use trix_runner::SketchSummary;
+use trix_sim::{run_dataflow_parallel, CorrectSends, StaticEnvironment};
 use trix_topology::LayeredGraph;
 
 /// The workload axis of the sweep.
@@ -147,59 +148,64 @@ impl SweepPoint {
     }
 }
 
-/// Drives one point's workload once, streaming into `obs` — the single
-/// place the `(workload → engine, send model)` dispatch lives, so the
-/// sketch pass and the mode-probe pass construct the identical run.
-fn drive(
-    point: &SweepPoint,
-    g: &LayeredGraph,
-    seed: u64,
-    sim_threads: usize,
-    obs: &mut impl trix_sim::Observer,
-) {
-    let p = standard_params();
-    let rule = GradientTrixRule::new(p);
-    match point.workload {
-        Workload::Grid => run_gradient_trix_streaming(
-            g,
-            &p,
-            &rule,
-            &trix_sim::CorrectSends,
-            point.pulses,
-            seed,
-            sim_threads,
-            obs,
-        ),
-        Workload::Wave => {
-            let campaign = exp_fault_sweep::campaign_for(g, &point.wave_point(), seed);
-            run_gradient_trix_streaming(
+/// One seed's inputs to both passes, drawn once: the environment, the
+/// layer-0 times and, for [`Workload::Wave`], the fault campaign. The
+/// grid workloads draw them as `run_gradient_trix_streaming` does, the
+/// graph families as `run_gradient_trix_streaming_graph` does.
+struct SeedInputs {
+    env: StaticEnvironment,
+    layer0: Layer0Line,
+    campaign: Option<FaultCampaign>,
+}
+
+impl SeedInputs {
+    fn new(point: &SweepPoint, g: &LayeredGraph, seed: u64) -> Self {
+        let p = standard_params();
+        let (env, layer0) = match point.workload {
+            Workload::Grid | Workload::Wave => line_inputs(g, &p, seed),
+            Workload::Torus | Workload::Supernode => graph_inputs(g, &p, seed),
+        };
+        let campaign = (point.workload == Workload::Wave)
+            .then(|| exp_fault_sweep::campaign_for(g, &point.wave_point(), seed));
+        Self {
+            env,
+            layer0,
+            campaign,
+        }
+    }
+
+    /// Drives one pass over these inputs, streaming into `obs`.
+    fn drive(
+        &self,
+        point: &SweepPoint,
+        g: &LayeredGraph,
+        sim_threads: usize,
+        obs: &mut impl trix_sim::Observer,
+    ) {
+        let rule = GradientTrixRule::new(standard_params());
+        let (env, layer0, pulses) = (&self.env, &self.layer0, point.pulses);
+        match &self.campaign {
+            Some(campaign) => {
+                run_dataflow_parallel(g, env, layer0, &rule, campaign, pulses, sim_threads, obs)
+            }
+            None => run_dataflow_parallel(
                 g,
-                &p,
+                env,
+                layer0,
                 &rule,
-                &campaign,
-                point.pulses,
-                seed,
+                &CorrectSends,
+                pulses,
                 sim_threads,
                 obs,
-            );
+            ),
         }
-        Workload::Torus | Workload::Supernode => run_gradient_trix_streaming_graph(
-            g,
-            &p,
-            &rule,
-            &trix_sim::CorrectSends,
-            point.pulses,
-            seed,
-            sim_threads,
-            obs,
-        ),
     }
 }
 
-/// Runs both passes of one seed: the sketch-building pass, with the
-/// sketch on the [`PipelinedSketch`] worker (bit-identical to an inline
-/// sketch by construction), then the mode-probe measurement pass over
-/// the identical stream.
+/// Runs both passes of one seed over the same [`SeedInputs`]: the
+/// sketch-building pass, with the sketch on the [`PipelinedSketch`]
+/// worker (bit-identical to an inline sketch by construction), then the
+/// mode-probe measurement pass over the identical stream.
 fn run_seed(
     point: &SweepPoint,
     g: &LayeredGraph,
@@ -207,19 +213,20 @@ fn run_seed(
     sim_threads: usize,
 ) -> (SkewStats, PodSnapshot, ModeReport) {
     let p = standard_params();
+    let inputs = SeedInputs::new(point, g, seed);
     let mut skew = streaming_monitor(g, &p);
     let mut obs = (
         &mut skew,
         PipelinedSketch::spawn(PodSketch::new(g, point.rank)),
     );
-    drive(point, g, seed, sim_threads, &mut obs);
+    inputs.drive(point, g, sim_threads, &mut obs);
     let mut sketch = obs.1.join();
     skew.finish();
     sketch.finish();
     let snap = sketch.snapshot();
     // Pass 2: measure the snapshot against the stream it came from.
     let mut probe = ModeProbe::new(snap.clone());
-    drive(point, g, seed, sim_threads, &mut probe);
+    inputs.drive(point, g, sim_threads, &mut probe);
     let report = probe.into_report();
     (skew.snapshot(), snap, report)
 }

@@ -58,6 +58,28 @@
 //!
 //! Receptions may be `±0.0` and `±∞`, ordered as [`f64::total_cmp`]
 //! orders them; NaN receptions are outside this contract.
+//!
+//! Nearly every decision of a fault-free run takes the `Complete` row, so
+//! right after the fold a kernel over raw `f64` tries that row first. It
+//! runs the typed code's operations in the same order, from constants
+//! built with the rule, but compares with IEEE `<` and `>`, which differ
+//! from the total order only between `−0.0` and `+0.0` and at NaN. It
+//! leaves the decision to the typed table, which is exact everywhere,
+//! unless the row is `Complete`, every constant is finite (not so for an
+//! overflowing `κ` or a NaN margin) and so is `(H_own − H_min) − (H_own −
+//! H_max)`. That difference is finite only if the receptions and both
+//! differences are: it rules out `±∞` and NaN receptions, the typed code's
+//! panics among them, and overflow, as for own `1.7e308` and neighbors
+//! `[−1.7e308, 1.7e308]`, where `H_own − H_min` is `∞`. On the rest no NaN
+//! arises and a signed zero changes no bit. A sum or difference is `−0.0`
+//! only if both operands are zeros, so the deadlines, the exit, `Δ` and
+//! the pulse, each with a nonzero constant among its terms, are never
+//! `−0.0`; a zero that `max(H_own, H_min)` or the `Δ` fold picks with
+//! either sign is next added to a term that is not `−0.0`, which gives the
+//! same sum for either sign.
+//! The correction's one compare that can meet `−0.0`, `min(H_own − H_min +
+//! margin, 0)` under a `−0.0` margin, is written `x <= 0.0`: the total
+//! order's `x ≤ +0.0` for every non-NaN `x`.
 
 use crate::{correction, CorrectionConfig, Params};
 use trix_sim::PulseRule;
@@ -102,6 +124,66 @@ pub struct GradientTrixRule {
     params: Params,
     config: CorrectionConfig,
     skew_estimate: Duration,
+    constants: Constants,
+}
+
+/// The constants of one rule's decisions, built when the rule is: the
+/// typed exit table and the `Complete` kernel both read them.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Constants {
+    /// `3κ/2`.
+    kappa_3_2: Duration,
+    /// `ϑκ`.
+    theta_kappa: Duration,
+    /// `Λ − d`.
+    lambda_minus_d: Duration,
+    /// `ϑ(2·L̂ + u)`, the neighbor deadline's wait window.
+    wait_window: Duration,
+    /// `2κ`.
+    kappa_2: Duration,
+    /// `4κ`, the step of [`discrete_delta`](crate::discrete_delta).
+    kappa_4: Duration,
+    /// `8κ = 4κ·2`.
+    kappa_8: Duration,
+    /// `κ/2`.
+    kappa_half: Duration,
+    /// The jump damping margin `κ · jump_margin_kappas`.
+    margin: Duration,
+    /// Every constant above is finite, as the kernel requires.
+    finite: bool,
+}
+
+impl Constants {
+    fn new(params: &Params, config: &CorrectionConfig, skew_estimate: Duration) -> Self {
+        let kappa = params.kappa();
+        let kappa_4 = kappa * 4.0;
+        let mut c = Self {
+            kappa_3_2: kappa * 1.5,
+            theta_kappa: params.theta_kappa(),
+            lambda_minus_d: params.lambda() - params.d(),
+            wait_window: (2.0 * skew_estimate + params.u()) * params.theta(),
+            kappa_2: kappa * 2.0,
+            kappa_4,
+            kappa_8: kappa_4 * 2.0,
+            kappa_half: kappa / 2.0,
+            margin: kappa * config.jump_margin_kappas,
+            finite: false,
+        };
+        c.finite = [
+            c.kappa_3_2,
+            c.theta_kappa,
+            c.lambda_minus_d,
+            c.wait_window,
+            c.kappa_2,
+            c.kappa_4,
+            c.kappa_8,
+            c.kappa_half,
+            c.margin,
+        ]
+        .iter()
+        .all(|d| d.is_finite());
+        c
+    }
 }
 
 /// How the receive loop of Algorithm 3 terminated.
@@ -147,20 +229,18 @@ impl GradientTrixRule {
     /// conservative default skew estimate `L̂` (half the largest skew the
     /// parameters support).
     pub fn new(params: Params) -> Self {
-        Self {
-            params,
-            config: CorrectionConfig::paper(),
-            skew_estimate: params.max_supported_skew() / 2.0,
-        }
+        Self::with_config(params, CorrectionConfig::paper())
     }
 
     /// Creates the rule with a custom correction configuration
     /// (ablations: jump damping margin, missing-neighbor policy).
     pub fn with_config(params: Params, config: CorrectionConfig) -> Self {
+        let skew_estimate = params.max_supported_skew() / 2.0;
         Self {
             params,
             config,
-            skew_estimate: params.max_supported_skew() / 2.0,
+            skew_estimate,
+            constants: Constants::new(&params, &config, skew_estimate),
         }
     }
 
@@ -179,6 +259,7 @@ impl GradientTrixRule {
             "skew estimate must be finite and positive"
         );
         self.skew_estimate = skew_estimate;
+        self.constants = Constants::new(&self.params, &self.config, skew_estimate);
         self
     }
 
@@ -227,13 +308,33 @@ impl GradientTrixRule {
         if heard == 0 {
             return Decision::STARVED;
         }
-        let [h_min, h_max] = [min_key, max_key]
-            .map(|key| LocalTime::from(f64::from_bits(total_order_key(key) as u64)));
+        let [h_min, h_max] =
+            [min_key, max_key].map(|key| f64::from_bits(total_order_key(key) as u64));
         let all_heard = heard == slots;
-        let kappa = self.params.kappa();
-        let kappa_3_2 = kappa * 1.5;
-        let lambda_minus_d = self.params.lambda() - self.params.d();
-        let term1 = h_max + kappa_3_2 + self.params.theta_kappa();
+        if let (true, Some(h_own)) = (all_heard, own) {
+            if let Some(decision) = self.complete(h_own.as_f64(), h_min, h_max) {
+                return decision;
+            }
+        }
+        self.exit_table(
+            own,
+            LocalTime::from(h_min),
+            LocalTime::from(h_max),
+            all_heard,
+        )
+    }
+
+    /// The exit table of the module docs, in the total order, once at
+    /// least one neighbor is heard.
+    fn exit_table(
+        &self,
+        own: Option<LocalTime>,
+        h_min: LocalTime,
+        h_max: LocalTime,
+        all_heard: bool,
+    ) -> Decision {
+        let k = &self.constants;
+        let term1 = h_max + k.kappa_3_2 + k.theta_kappa;
 
         // With every neighbor heard, an own reception after term1 comes
         // after the exit.
@@ -242,7 +343,7 @@ impl GradientTrixRule {
                 return Decision::STARVED;
             }
             // Own predecessor missing or late: fire off the last neighbor.
-            let pulse_local = h_max + kappa_3_2 + lambda_minus_d;
+            let pulse_local = h_max + k.kappa_3_2 + k.lambda_minus_d;
             return Decision {
                 exit: ExitKind::OwnMissing,
                 exit_local: term1,
@@ -250,21 +351,90 @@ impl GradientTrixRule {
                 pulse_local: pulse_local.max(term1),
             };
         };
-        let wait_window = (2.0 * self.skew_estimate + self.params.u()) * self.params.theta();
-        let term2 = h_own.max(h_min) + wait_window + kappa * 2.0;
+        let term2 = h_own.max(h_min) + k.wait_window + k.kappa_2;
         let (exit, exit_local, h_max_at_exit) = if !all_heard || h_max > term2 {
             (ExitKind::NeighborMissing, term2, None)
         } else {
             (ExitKind::Complete, term1.min(term2), Some(h_max))
         };
         let c = correction(&self.params, h_own, h_min, h_max_at_exit, &self.config);
-        let pulse_local = h_own + lambda_minus_d - c;
+        let pulse_local = h_own + k.lambda_minus_d - c;
         Decision {
             exit,
             exit_local,
             correction: Some(c),
             pulse_local: pulse_local.max(exit_local),
         }
+    }
+
+    /// The `Complete` exit over raw `f64`, with every neighbor and the own
+    /// reception heard: both deadline tests, the exit time, `Δ`, the
+    /// correction and the pulse, each in the operation order of
+    /// [`exit_table`](Self::exit_table), with IEEE compares for [`LocalTime`]'s and
+    /// [`Duration`]'s total-order `min`/`max`. `None` leaves the decision
+    /// to the typed code: on a passed deadline, and wherever a NaN or a
+    /// signed zero could reach a compare (see the module docs).
+    #[inline]
+    fn complete(&self, h_own: f64, h_min: f64, h_max: f64) -> Option<Decision> {
+        let k = &self.constants;
+        let term1 = h_max + k.kappa_3_2.as_f64() + k.theta_kappa.as_f64();
+        if !k.finite || h_own > term1 {
+            return None;
+        }
+        let later = if h_own > h_min { h_own } else { h_min };
+        let term2 = later + k.wait_window.as_f64() + k.kappa_2.as_f64();
+        if h_max > term2 {
+            return None;
+        }
+        let (a, b) = (h_own - h_max, h_own - h_min);
+        // Finite only if `H_own`, `H_min`, `H_max`, `a` and `b` all are.
+        let spread = b - a;
+        if !spread.is_finite() {
+            return None;
+        }
+        let (four_kappa, theta_kappa) = (k.kappa_4.as_f64(), k.theta_kappa.as_f64());
+        let s_star = spread / k.kappa_8.as_f64();
+        let f = |s: f64| {
+            let (up, down) = (a + four_kappa * s, b - four_kappa * s);
+            if up > down {
+                up
+            } else {
+                down
+            }
+        };
+        let (f_lo, f_hi) = (f(s_star.floor().max(0.0)), f(s_star.ceil().max(0.0)));
+        let f_min = if f_lo < f_hi { f_lo } else { f_hi };
+        let delta = f_min - k.kappa_half.as_f64();
+        let c = if delta < 0.0 {
+            // `<=`, the total order's `min`: it keeps a `−0.0`.
+            let jump = b + k.margin.as_f64();
+            if jump <= 0.0 {
+                jump
+            } else {
+                0.0
+            }
+        } else if delta > theta_kappa {
+            let jump = a - k.margin.as_f64();
+            if jump > theta_kappa {
+                jump
+            } else {
+                theta_kappa
+            }
+        } else {
+            delta
+        };
+        let exit_local = if term1 < term2 { term1 } else { term2 };
+        let pulse_local = h_own + k.lambda_minus_d.as_f64() - c;
+        Some(Decision {
+            exit: ExitKind::Complete,
+            exit_local: LocalTime::from(exit_local),
+            correction: Some(Duration::from(c)),
+            pulse_local: LocalTime::from(if pulse_local > exit_local {
+                pulse_local
+            } else {
+                exit_local
+            }),
+        })
     }
 }
 
@@ -443,6 +613,81 @@ mod tests {
     #[should_panic(expected = "skew estimate must be finite and positive")]
     fn rejects_zero_skew_estimate() {
         let _ = GradientTrixRule::new(params()).with_skew_estimate(Duration::ZERO);
+    }
+
+    #[test]
+    fn kernel_decides_receptions_on_the_deadlines() {
+        // A reception exactly on a deadline is heard: the exit stays
+        // `Complete`, and the kernel, not the exit table, decides it.
+        let p = params();
+        for rule in [
+            GradientTrixRule::new(p),
+            GradientTrixRule::new(p).with_skew_estimate(p.kappa()),
+        ] {
+            let c = rule.constants;
+            for origin in [0.0, 1e3, -2.5e4] {
+                let (h_min, h_max) = (lt(origin), lt(origin) + p.kappa());
+                let own_on_term1 = h_max + c.kappa_3_2 + c.theta_kappa;
+                // The own reception at `H_min`: `max(H_own, H_min) = H_min`.
+                let last_on_term2 = h_min + c.wait_window + c.kappa_2;
+                for (own, h_max) in [(own_on_term1, h_max), (h_min, last_on_term2)] {
+                    let typed = rule.exit_table(Some(own), h_min, h_max, true);
+                    assert_eq!(typed.exit, ExitKind::Complete);
+                    let kernel = rule.complete(own.as_f64(), h_min.as_f64(), h_max.as_f64());
+                    assert_eq!(kernel, Some(typed), "own {own:?}, H_max {h_max:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_defers_to_the_exit_table_on_non_finite_constants() {
+        // κ overflows to ∞, and a NaN margin: either puts a NaN into the
+        // kernel's compares, where IEEE and the total order part.
+        let huge = Params::new(
+            Duration::from(1.5e308),
+            Duration::from(1e308),
+            1.0,
+            Duration::from(1.7e308),
+        );
+        assert!(!huge.kappa().is_finite());
+        let nan_margin = CorrectionConfig {
+            jump_margin_kappas: f64::NAN,
+            ..CorrectionConfig::paper()
+        };
+        let k = params().kappa().as_f64();
+        for rule in [
+            GradientTrixRule::new(huge),
+            GradientTrixRule::with_config(params(), nan_margin),
+        ] {
+            // In sync, own ahead (Δ < 0) and own behind (Δ > ϑκ).
+            for (own, neighbors) in [
+                (0.0, [0.0, 0.0]),
+                (0.0, [k, 2.0 * k]),
+                (0.0, [-2.0 * k, -3.0 * k]),
+            ] {
+                let heard = neighbors.map(|h| Some(lt(h)));
+                let typed = rule.exit_table(
+                    Some(lt(own)),
+                    lt(neighbors[0].min(neighbors[1])),
+                    lt(neighbors[0].max(neighbors[1])),
+                    true,
+                );
+                let bits = |d: Decision| {
+                    (
+                        d.exit,
+                        d.exit_local.as_f64().to_bits(),
+                        d.correction.map(|c| c.as_f64().to_bits()),
+                        d.pulse_local.as_f64().to_bits(),
+                    )
+                };
+                assert_eq!(
+                    bits(rule.decide(Some(lt(own)), &heard)),
+                    bits(typed),
+                    "own {own}, neighbors {neighbors:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -168,14 +168,6 @@ impl Layer0Line {
     pub fn offsets(&self) -> &[f64] {
         &self.phi
     }
-
-    /// Maximum pairwise offset difference (a bound on the layer-0 skew for
-    /// any adjacency structure).
-    pub fn offset_spread(&self) -> Duration {
-        let min = self.phi.iter().copied().fold(f64::MAX, f64::min);
-        let max = self.phi.iter().copied().fold(f64::MIN, f64::max);
-        Duration::from(max - min)
-    }
 }
 
 impl Layer0Source for Layer0Line {
@@ -433,7 +425,6 @@ mod tests {
         for &f in line.offsets() {
             assert!(f <= 0.0 && f >= -bound - 1e-12, "{f} outside [-{bound}, 0]");
         }
-        assert!(line.offset_spread().as_f64() <= bound + 1e-12);
         // Deterministic: the same graph yields the same forest.
         assert_eq!(parents, Layer0Line::chain_for_graph(&torus));
     }

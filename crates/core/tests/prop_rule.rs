@@ -4,8 +4,8 @@
 
 use proptest::prelude::*;
 use trix_core::{
-    correction, discrete_delta, Decision, ExitKind, GradientTrixRule, Params, RobustRule,
-    SimplifiedRule,
+    correction, discrete_delta, CorrectionConfig, Decision, ExitKind, GradientTrixRule,
+    MissingNeighborPolicy, Params, RobustRule, SimplifiedRule,
 };
 use trix_sim::PulseRule;
 use trix_time::{AffineClock, Clock, Duration, LocalTime, Time};
@@ -168,10 +168,52 @@ fn reference_pulse_time(
     Some(clock.real_at(decision.pulse_local))
 }
 
-/// Origins of the deadline property's receptions: ordinary ones, and
+/// The rules the two reference properties check: the paper's, with a
+/// drawn skew estimate of `estimate_quarters · κ/4`, and under every
+/// correction setting the decision reads: the no-damping ablation, the
+/// literal missing-neighbor clamp and margins of `0.0` and `−0.0`. The
+/// last has `κ = ϑκ = 1`, where every lattice reception, difference and
+/// window is exact, so `Δ` lands on both correction thresholds. Its
+/// margin `−κ` is below `−κ/2`: only there can `min(H_own − H_min +
+/// margin, 0)` differ from `Δ = 0`, so only there does the `Δ < 0` test's
+/// strictness show.
+fn rules(estimate_quarters: u32) -> Vec<GradientTrixRule> {
+    let p = params();
+    let margin = |jump_margin_kappas| CorrectionConfig {
+        jump_margin_kappas,
+        ..CorrectionConfig::paper()
+    };
+    let exact = Params::new(
+        Duration::from(2000.0),
+        Duration::from(0.5),
+        1.0,
+        Duration::from(4000.0),
+    );
+    vec![
+        GradientTrixRule::new(p),
+        GradientTrixRule::new(p).with_skew_estimate(p.kappa() / 4.0 * estimate_quarters as f64),
+        GradientTrixRule::with_config(p, CorrectionConfig::no_jump_damping()),
+        GradientTrixRule::with_config(
+            p,
+            CorrectionConfig {
+                missing_neighbor: MissingNeighborPolicy::ClampLiteral,
+                ..CorrectionConfig::paper()
+            },
+        ),
+        GradientTrixRule::with_config(p, margin(0.0)),
+        GradientTrixRule::with_config(p, margin(-0.0)),
+        GradientTrixRule::with_config(exact, margin(-1.0)),
+    ]
+}
+
+/// Origins of the deadline property's receptions: ordinary ones,
 /// magnitudes from 1e17 up, where `κ/4` steps, and at the larger ones the
-/// deadline windows too, round back to the reception they are added to.
-const ORIGINS: [f64; 8] = [0.0, 1e3, -2.5e4, 1e17, -1e17, 3.0e18, -4.0e19, 1e22];
+/// deadline windows too, round back to the reception they are added to,
+/// and `±1.7e308`, where `H_own − H_min` overflows when the lead neighbor
+/// sits at the other sign.
+const ORIGINS: [f64; 10] = [
+    0.0, 1e3, -2.5e4, 1e17, -1e17, 3.0e18, -4.0e19, 1e22, 1.7e308, -1.7e308,
+];
 
 /// Reception `pick` of the deadline property: `±0.0`, `±∞`, or one of
 /// eight `quarter` steps from `origin`.
@@ -284,11 +326,11 @@ proptest! {
 
     /// The closed-form decision agrees bit for bit with the reference on
     /// every prefix of an arrival set of up to 20 neighbors, as many as a
-    /// supernode hub has. Times sit on a κ/4 lattice (at
-    /// four random origins, which vary the rounding), so own/neighbor and
-    /// neighbor/neighbor ties occur; the own reception may also come
-    /// after every deadline; up to three neighbor slots are missing.
-    /// `pulse_time` agrees too, under a random affine clock.
+    /// supernode hub has, for each of the [`rules`]. Times sit on a κ/4
+    /// lattice (at four random origins, which vary the rounding), so
+    /// own/neighbor and neighbor/neighbor ties occur; the own reception
+    /// may also come after every deadline; up to three neighbor slots are
+    /// missing. `pulse_time` agrees too, under a random affine clock.
     #[test]
     fn decide_matches_the_reference_bit_for_bit(
         own in proptest::option::of(0u32..96),
@@ -299,20 +341,15 @@ proptest! {
         rate in 1.0f64..1.0001,
         offset in -1e3f64..1e3,
     ) {
-        let p = params();
-        let quarter = p.kappa().as_f64() / 4.0;
         let clock = AffineClock::with_rate_and_offset(rate, offset);
         let slots: Vec<Option<u32>> = times
             .iter()
             .enumerate()
             .map(|(i, &q)| (!holes.contains(&i)).then_some(q))
             .collect();
-        let rules = [
-            GradientTrixRule::new(p),
-            GradientTrixRule::new(p)
-                .with_skew_estimate(Duration::from(estimate_quarters as f64 * quarter)),
-        ];
+        let rules = rules(estimate_quarters);
         for (origin, rule) in origins.iter().flat_map(|o| rules.iter().map(move |r| (o, r))) {
+            let quarter = rule.params().kappa().as_f64() / 4.0;
             let at = |q: u32| origin + q as f64 * quarter;
             let own_local = own.map(|q| LocalTime::from(at(q)));
             let own_real = own.map(|q| Time::from(at(q)));
@@ -324,47 +361,63 @@ proptest! {
                 prop_assert_eq!(
                     decision_bits(rule.decide(own_local, &locals[..n])),
                     decision_bits(reference_decide(rule, own_local, &locals[..n])),
-                    "own {:?}, neighbors {:?}", own, &slots[..n]
+                    "own {:?}, neighbors {:?}, rule {:?}", own, &slots[..n], rule
                 );
                 prop_assert_eq!(
                     rule.pulse_time(NodeId::new(0, 1), 0, own_real, &reals[..n], &clock)
                         .map(|t| t.as_f64().to_bits()),
                     reference_pulse_time(rule, own_real, &reals[..n], &clock)
                         .map(|t| t.as_f64().to_bits()),
-                    "own {:?}, neighbors {:?}, clock {:?}", own, &slots[..n], clock
+                    "own {:?}, neighbors {:?}, clock {:?}, rule {:?}", own, &slots[..n], clock, rule
                 );
             }
         }
     }
 
-    /// The closed form's strict comparisons at their edges. `boundary`
-    /// puts the own reception exactly on `term1 = H_max + 3κ/2 + ϑκ` (1),
-    /// a new last neighbor exactly on `term2 = max(H_own, H_min) +
-    /// ϑ(2·L̂ + u) + 2κ` (2), or neither (0), with both deadlines
-    /// computed in the rule's operation order. The loop still hears a
-    /// reception on a deadline, so a `>` turned into `≥` in either
-    /// deadline test changes the exit kind. Receptions also take `±0.0`
-    /// and `±∞`, and origins reach magnitudes where a window rounds away
-    /// and receptions tie.
+    /// The closed form's strict comparisons at their edges, for each of
+    /// the [`rules`] at each of the [`ORIGINS`]. `boundary` places:
+    ///
+    /// 1. the own reception exactly on `term1 = H_max + 3κ/2 + ϑκ`;
+    /// 2. a new last neighbor exactly on `term2 = max(H_own, H_min) +
+    ///    ϑ(2·L̂ + u) + 2κ`;
+    /// 3. the own reception at `−0.0`, every neighbor finite and at or
+    ///    after `+0.0`, and a new one on `+0.0`, which makes `H_own −
+    ///    H_min`, and under a `−0.0` margin the correction, `−0.0`;
+    /// 4. the own reception on `H_min + κ/2`, or
+    /// 5. on `H_min + κ/2 + ϑκ`, which put `Δ` on the correction's
+    ///    thresholds `0` and `ϑκ` while the neighbors lie within `4κ` of
+    ///    each other (exactly so for the `κ = 1` rule);
+    ///
+    /// or none of these (0), each computed in the rule's operation order.
+    /// The loop still hears a reception on a deadline, so a `>` turned
+    /// into `≥` in either deadline test changes the exit kind. Receptions
+    /// also take `±0.0` and `±∞`, and the lead neighbor may sit around the
+    /// negated origin, so that receptions of opposite sign meet near
+    /// `±f64::MAX`. `pulse_time` agrees too, under a clock that maps every
+    /// reception to itself, `−0.0` included.
     #[test]
     fn decide_matches_the_reference_on_the_deadlines(
         own in proptest::option::of(0usize..12),
         picks in proptest::collection::vec(0usize..12, 1..=8),
         hole in proptest::option::of(0usize..8),
-        origin in 0usize..ORIGINS.len(),
+        lead_negated in any::<bool>(),
         estimate_quarters in 1u32..64,
-        boundary in 0u32..3,
+        boundary in 0u32..6,
     ) {
-        let p = params();
-        let quarter = p.kappa().as_f64() / 4.0;
-        let at = |pick| reception(pick, ORIGINS[origin], quarter);
-        let rules = [
-            GradientTrixRule::new(p),
-            GradientTrixRule::new(p)
-                .with_skew_estimate(Duration::from(estimate_quarters as f64 * quarter)),
-        ];
-        for rule in &rules {
-            let mut neighbors: Vec<Option<LocalTime>> = picks.iter().map(|&i| Some(at(i))).collect();
+        let identity = AffineClock::with_rate_and_offset(1.0, -0.0);
+        let rules = rules(estimate_quarters);
+        for (&origin, rule) in ORIGINS.iter().flat_map(|o| rules.iter().map(move |r| (o, r))) {
+            let p = rule.params();
+            let quarter = p.kappa().as_f64() / 4.0;
+            let at = |pick| reception(pick, origin, quarter);
+            let lead_origin = if lead_negated { -origin } else { origin };
+            let mut neighbors: Vec<Option<LocalTime>> = picks
+                .iter()
+                .enumerate()
+                .map(|(slot, &pick)| {
+                    Some(if slot == 0 { reception(pick, lead_origin, quarter) } else { at(pick) })
+                })
+                .collect();
             if let Some(slot) = hole.filter(|&slot| slot < neighbors.len()) {
                 neighbors[slot] = None;
             }
@@ -378,6 +431,17 @@ proptest! {
                         neighbors.push(Some(o.max(m) + window + p.kappa() * 2.0));
                     }
                 }
+                3 => {
+                    own = Some(LocalTime::from(-0.0));
+                    for h in neighbors.iter_mut().flatten() {
+                        if !(h.is_finite() && *h > LocalTime::ZERO) {
+                            *h = LocalTime::ZERO;
+                        }
+                    }
+                    neighbors.push(Some(LocalTime::ZERO));
+                }
+                4 => own = heard.min().map(|m| m + p.kappa() / 2.0),
+                5 => own = heard.min().map(|m| m + p.kappa() / 2.0 + p.theta_kappa()),
                 _ => {}
             }
             // An own reception sharing an infinity with a neighbor makes
@@ -389,7 +453,17 @@ proptest! {
             prop_assert_eq!(
                 decision_bits(rule.decide(own, &neighbors)),
                 decision_bits(reference_decide(rule, own, &neighbors)),
-                "own {:?}, neighbors {:?}, estimate {:?}", own, neighbors, rule.skew_estimate()
+                "own {:?}, neighbors {:?}, rule {:?}", own, neighbors, rule
+            );
+            let real = |h: LocalTime| Time::from(h.as_f64());
+            let own_real = own.map(real);
+            let reals: Vec<Option<Time>> = neighbors.iter().map(|h| h.map(real)).collect();
+            prop_assert_eq!(
+                rule.pulse_time(NodeId::new(0, 1), 0, own_real, &reals, &identity)
+                    .map(|t| t.as_f64().to_bits()),
+                reference_pulse_time(rule, own_real, &reals, &identity)
+                    .map(|t| t.as_f64().to_bits()),
+                "own {:?}, neighbors {:?}, rule {:?}", own, neighbors, rule
             );
         }
     }

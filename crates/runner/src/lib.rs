@@ -95,12 +95,6 @@ impl Fnv {
         }
     }
 
-    /// Folds a float's exact bit pattern into the fingerprint.
-    #[inline]
-    pub fn write_f64(&mut self, value: f64) {
-        self.write_u64(value.to_bits());
-    }
-
     /// Folds a string into the fingerprint (length-prefixed, so
     /// `"ab","c"` and `"a","bc"` hash differently).
     pub fn write_str(&mut self, s: &str) {

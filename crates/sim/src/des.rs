@@ -35,7 +35,6 @@ pub struct Link {
 #[derive(Clone, Debug, PartialEq)]
 enum Action {
     Broadcast,
-    SendTo(usize),
     TimerLocal { at: LocalTime, tag: u64 },
 }
 
@@ -98,13 +97,6 @@ impl NodeApi<'_> {
         } else {
             self.sink.actions.push(Action::Broadcast);
         }
-    }
-
-    /// Sends a pulse on the single link to `to` (faulty nodes may do this;
-    /// correct Gradient TRIX nodes only broadcast).
-    pub fn send_to(&mut self, to: usize) {
-        self.sink.spill();
-        self.sink.actions.push(Action::SendTo(to));
     }
 
     /// Requests a wake-up when this node's hardware clock reads `at`.
@@ -414,20 +406,6 @@ impl Des {
         for action in sink.actions.drain(..) {
             match action {
                 Action::Broadcast => self.emit_broadcast(node, obs),
-                Action::SendTo(to) => {
-                    let delay = self.out_links[node]
-                        .iter()
-                        .find(|l| l.to == to)
-                        .map(|l| l.delay)
-                        .expect("send_to requires an existing link");
-                    self.queue.push(
-                        self.now + delay,
-                        EventKind::Deliver {
-                            to: to as u32,
-                            from: node as u32,
-                        },
-                    );
-                }
                 Action::TimerLocal { at, tag } => {
                     let real = self.clocks[node].real_at(at).max(self.now);
                     self.queue.push(

@@ -196,51 +196,9 @@ impl PiecewiseClock {
         }
     }
 
-    /// Convenience constructor: a clock whose rate follows a slow sinusoidal
-    /// wobble `base + amp·sin(2π t / period)` sampled at `step` intervals.
-    ///
-    /// This realizes Corollary 1.5's "hardware clock speeds vary by up to δ"
-    /// with a smooth profile. The returned clock has rate within
-    /// `[base − amp, base + amp]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `amp >= base`, or `step`/`period`/`horizon` are not positive.
-    pub fn slow_wobble(base: f64, amp: f64, period: f64, step: f64, horizon: f64) -> Self {
-        assert!(amp < base, "amplitude must be below base rate");
-        assert!(step > 0.0 && period > 0.0 && horizon > 0.0);
-        let mut segments = Vec::new();
-        let mut t = 0.0;
-        while t < horizon {
-            let rate = base + amp * (core::f64::consts::TAU * t / period).sin();
-            segments.push(RateSegment {
-                start: Time::from(t),
-                rate,
-            });
-            t += step;
-        }
-        Self::new(0.0, segments)
-    }
-
     /// The segments of this clock.
     pub fn segments(&self) -> &[RateSegment] {
         &self.segments
-    }
-
-    /// Minimum instantaneous rate over all segments.
-    pub fn min_rate(&self) -> f64 {
-        self.segments
-            .iter()
-            .map(|s| s.rate)
-            .fold(f64::MAX, f64::min)
-    }
-
-    /// Maximum instantaneous rate over all segments.
-    pub fn max_rate(&self) -> f64 {
-        self.segments
-            .iter()
-            .map(|s| s.rate)
-            .fold(f64::MIN, f64::max)
     }
 }
 
@@ -379,20 +337,6 @@ mod tests {
         for &t in &[0.0, 3.25, 99.0] {
             let t = Time::from(t);
             assert!((p.local_at(t).as_f64() - a.local_at(t).as_f64()).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn slow_wobble_stays_within_band() {
-        let c = PiecewiseClock::slow_wobble(1.0005, 0.0004, 100.0, 5.0, 500.0);
-        assert!(c.min_rate() >= 1.0001 - 1e-12);
-        assert!(c.max_rate() <= 1.0009 + 1e-12);
-        // Monotone: local time strictly increases.
-        let mut prev = c.local_at(Time::ZERO);
-        for i in 1..100 {
-            let h = c.local_at(Time::from(i as f64 * 5.0));
-            assert!(h > prev);
-            prev = h;
         }
     }
 

@@ -95,7 +95,9 @@ proptest! {
     }
 
     /// Lemma B.2: with all messages present and skews in the supported
-    /// range, Algorithm 1 and Algorithm 3 agree.
+    /// range, Algorithm 1 and Algorithm 3 agree, to the bit on the
+    /// `Complete` exit, where Algorithm 1's `correction` and Algorithm 3's
+    /// straight-line kernel compute the same arithmetic independently.
     #[test]
     fn algorithms_1_and_3_agree_fault_free(
         base in 0.0f64..1e6,
@@ -116,6 +118,9 @@ proptest! {
         let a = simplified.pulse_local(own, &neighbors);
         let d = full.decide(Some(own), &neighbors.iter().map(|&h| Some(h)).collect::<Vec<_>>());
         prop_assert!((a - d.pulse_local).abs().as_f64() < 1e-9);
+        if d.exit == ExitKind::Complete {
+            prop_assert_eq!(a.as_f64().to_bits(), d.pulse_local.as_f64().to_bits());
+        }
     }
 
     /// Clock round trips: `real_at(local_at(t)) == t` within float noise.
