@@ -1,7 +1,7 @@
 //! Mode analytics on top of [`trix_obs::PodSketch`] snapshots: dominant
 //! skew/wavefront modes, their spatial origin, and a wave-velocity
-//! estimate — the post-mortem questions `--no-trace` mode could not
-//! answer before the sketch existed.
+//! estimate — the post-mortem questions the streaming skew monitor
+//! alone cannot answer.
 //!
 //! The sketch's spatial basis answers *where* (each mode is a unit
 //! vector over base-graph columns); recovering *how the modes move*

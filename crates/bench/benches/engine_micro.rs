@@ -182,8 +182,8 @@ fn bench_observer_overhead(c: &mut Criterion) {
 /// * `dataflow_noop` — `run_dataflow_observed` with [`NullObserver`]
 ///   (the baseline the sketch rides on), on the width-192 square grid
 ///   the `dataflow_parallel` group measures (wide enough that the
-///   width-independent Jacobi flush amortizes the way it does at
-///   `--no-trace` scale);
+///   width-independent Jacobi flush amortizes the way it does on the
+///   streaming experiments' grids);
 /// * `dataflow_sketch_r{4,16}` — the same loop streaming into a
 ///   [`PodSketch`] at rank 4 / 16, `finish`ed so deferred flush work is
 ///   charged to the measurement;
@@ -240,12 +240,12 @@ fn bench_sketch_overhead(c: &mut Criterion) {
         });
     }
 
-    // Paper-scale width proxy (see the doc comment): synthetic rows at
-    // `--no-trace` width, fed straight through the row hook so only the
-    // sketch kernels (row copy, blocked Gram–Schmidt, Jacobi flush) are
-    // on the clock. Roughly one node in 17 is silent, matching a sparse
-    // fault campaign. Placed last so its throughput annotation doesn't
-    // bleed into the rows above.
+    // Paper-scale width proxy (see the doc comment): synthetic rows at a
+    // streaming experiment's width, fed straight through the row hook so
+    // only the sketch kernels (row copy, blocked Gram–Schmidt, Jacobi
+    // flush) are on the clock. Roughly one node in 17 is silent, matching
+    // a sparse fault campaign. Placed last so its throughput annotation
+    // doesn't bleed into the rows above.
     let gw = LayeredGraph::new(BaseGraph::line_with_replicated_ends(1280), 4);
     let wide = gw.width(); // 1282: the line plus its two replicated ends
     let wide_rows: Vec<Vec<Option<Time>>> = (0..32usize)

@@ -5,10 +5,9 @@
 //! Usage:
 //!
 //! ```text
-//! gradient-trix-experiments [--quick | --smoke] [--no-trace] [--csv]
-//!                           [--out DIR] [--threads N] [--sim-threads M]
-//!                           [--seed S] [--json PATH] [--only EXPERIMENT]
-//!                           [--canonical]
+//! gradient-trix-experiments [--quick | --smoke] [--csv] [--out DIR]
+//!                           [--threads N] [--sim-threads M] [--seed S]
+//!                           [--json PATH] [--only EXPERIMENT] [--canonical]
 //! ```
 //!
 //! * `--quick` runs reduced sizes (seconds instead of minutes); `--smoke`
@@ -30,10 +29,6 @@
 //! * `--json PATH` writes the versioned benchmark report (one record per
 //!   scenario: params, seeds, event counts, value stats, fingerprint,
 //!   wall time) to `PATH`.
-//! * `--no-trace` runs the whole suite in streaming mode: no
-//!   `PulseTrace` is materialized anywhere; every scenario reports online
-//!   skew statistics computed by `trix_obs::StreamingSkew` in `O(nodes)`
-//!   memory, recorded into the v2 benchmark JSON (`skew` objects).
 //! * `--only EXPERIMENT` restricts the sweep to one experiment's
 //!   scenarios (e.g. `--only exp_modes`).
 //! * `--canonical` zeroes the volatile wall-time fields in every written
@@ -47,11 +42,10 @@
 //! (naming the experiment), or `2` on CLI misuse.
 
 use std::process::ExitCode;
-use trix_bench::{all_scenarios, suite, Scale, TraceMode};
+use trix_bench::{all_scenarios, suite, Scale};
 
 struct Args {
     scale: Scale,
-    mode: TraceMode,
     csv: bool,
     out_dir: Option<String>,
     threads: usize,
@@ -62,14 +56,13 @@ struct Args {
     canonical: bool,
 }
 
-const USAGE: &str = "usage: gradient-trix-experiments [--quick | --smoke] [--no-trace] [--csv] \
-                     [--out DIR] [--threads N] [--sim-threads M] [--seed S] \
-                     [--json PATH] [--only EXPERIMENT] [--canonical]";
+const USAGE: &str = "usage: gradient-trix-experiments [--quick | --smoke] [--csv] [--out DIR] \
+                     [--threads N] [--sim-threads M] [--seed S] [--json PATH] \
+                     [--only EXPERIMENT] [--canonical]";
 
 fn parse_args(args: &[String]) -> Result<Args, String> {
     let mut parsed = Args {
         scale: Scale::Full,
-        mode: TraceMode::Full,
         csv: false,
         out_dir: None,
         threads: 0,
@@ -89,7 +82,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         match arg.as_str() {
             "--quick" => parsed.scale = Scale::Quick,
             "--smoke" => parsed.scale = Scale::Smoke,
-            "--no-trace" => parsed.mode = TraceMode::NoTrace,
             "--csv" => parsed.csv = true,
             "--canonical" => parsed.canonical = true,
             "--only" => parsed.only = Some(value_of("--only")?),
@@ -153,7 +145,7 @@ fn main() -> ExitCode {
     let (threads, sim_threads) = trix_runner::resolve_thread_split(args.threads, args.sim_threads);
 
     let start = std::time::Instant::now();
-    let mut scenarios = all_scenarios(args.scale, args.seed, args.mode, sim_threads);
+    let mut scenarios = all_scenarios(args.scale, args.seed, sim_threads);
     if let Some(only) = &args.only {
         scenarios.retain(|s| s.experiment() == only);
         if scenarios.is_empty() {
@@ -162,9 +154,8 @@ fn main() -> ExitCode {
         }
     }
     println!(
-        "# Gradient TRIX — experiment suite ({} scale, {} mode, base seed {:#x})\n",
+        "# Gradient TRIX — experiment suite ({} scale, base seed {:#x})\n",
         args.scale.name(),
-        args.mode.name(),
         args.seed
     );
     println!(

@@ -1,16 +1,13 @@
 //! Shared setup for all experiments.
 
-use crate::suite::{kv, Scenario, ScenarioResult};
-use crate::Scale;
-use trix_analysis::{fmt_f64, theory, Table};
 use trix_core::{GradientTrixRule, Layer0Line, Params};
 use trix_obs::{SkewStats, StreamingSkew};
 use trix_runner::SkewSummary;
 use trix_sim::{
     run_dataflow, run_dataflow_parallel, Observer, PulseTrace, Rng, SendModel, StaticEnvironment,
 };
-use trix_time::Duration;
-use trix_topology::{BaseGraph, LayeredGraph};
+use trix_time::{AffineClock, Duration};
+use trix_topology::{BaseGraph, EdgeId, LayeredGraph};
 
 /// Canonical VLSI-flavored parameters used across experiments (units:
 /// picoseconds): `d = 2000`, `u = 1`, `ϑ = 1.0001`, `Λ = 2d`.
@@ -127,11 +124,11 @@ pub fn run_gradient_trix_graph(
     (trace, env)
 }
 
-/// Streaming twin of [`run_gradient_trix_graph`]: the graph-generic
-/// workload of [`run_gradient_trix_streaming`] — same seed derivation,
-/// BFS-forest layer 0, `O(width)` driver state — with `sim_threads`
-/// sharding exactly as there (the emission stream is bit-identical for
-/// every value).
+/// Streaming counterpart of [`run_gradient_trix_graph`]: the
+/// graph-generic workload of [`run_gradient_trix_streaming`] — same seed
+/// derivation, BFS-forest layer 0, `O(width)` driver state — with
+/// `sim_threads` sharding exactly as there (the emission stream is
+/// bit-identical for every value).
 #[allow(clippy::too_many_arguments)] // mirrors the engine signature + the thread knob
 pub fn run_gradient_trix_streaming_graph(
     g: &LayeredGraph,
@@ -145,26 +142,6 @@ pub fn run_gradient_trix_streaming_graph(
 ) {
     let (env, layer0) = graph_inputs(g, params, seed);
     run_dataflow_parallel(g, &env, &layer0, rule, sends, pulses, sim_threads, obs);
-}
-
-/// One grid of a streaming (`--no-trace`) twin sweep.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StreamingGrid {
-    /// Nodes per layer.
-    pub width: usize,
-    /// Layer count.
-    pub layers: usize,
-    /// Pulses to stream.
-    pub pulses: usize,
-}
-
-/// Shorthand constructor for [`StreamingGrid`].
-pub fn streaming_grid(width: usize, layers: usize, pulses: usize) -> StreamingGrid {
-    StreamingGrid {
-        width,
-        layers,
-        pulses,
-    }
 }
 
 /// Folds per-seed streaming snapshots into one benchmark
@@ -217,106 +194,7 @@ pub fn merge_snapshots(snaps: &[SkewStats]) -> SkewSummary {
     }
 }
 
-/// The uniform table headers every streaming twin scenario reports
-/// (identical across scenarios so per-experiment shards merge).
-pub const STREAMING_HEADERS: [&str; 11] = [
-    "width",
-    "layers",
-    "D",
-    "n",
-    "pulses",
-    "L_intra (worst seed)",
-    "L_full",
-    "global",
-    "mean L_intra",
-    "bound 4κ(2+log₂D)",
-    "measured/bound",
-];
-
-/// Runs one streaming twin workload: the fault-free random-environment
-/// Gradient TRIX run on `grid`, one `StreamingSkew` per seed, merged
-/// into a scenario result whose benchmark record carries the streaming
-/// statistics. The Theorem 1.1 bound acts as the condition oracle.
-pub fn streaming_skew_result(
-    experiment: &str,
-    grid_spec: StreamingGrid,
-    seeds: &[u64],
-    sim_threads: usize,
-) -> ScenarioResult {
-    streaming_skew_result_observed(
-        &format!("{experiment} — streaming skew, no trace (O(nodes) memory)"),
-        grid_spec,
-        seeds,
-        sim_threads,
-        &mut trix_sim::NullObserver,
-    )
-}
-
-/// [`streaming_skew_result`] with an explicit table title and an extra
-/// observer composed alongside each seed's `StreamingSkew` (e.g.
-/// `exp_scale`'s post-mortem `TraceRing`).
-pub fn streaming_skew_result_observed(
-    title: &str,
-    grid_spec: StreamingGrid,
-    seeds: &[u64],
-    sim_threads: usize,
-    extra: &mut impl Observer,
-) -> ScenarioResult {
-    let p = standard_params();
-    let rule = GradientTrixRule::new(p);
-    let g = grid(grid_spec.width, grid_spec.layers);
-    let snaps: Vec<SkewStats> = seeds
-        .iter()
-        .map(|&seed| {
-            let mut skew = streaming_monitor(&g, &p);
-            run_gradient_trix_streaming(
-                &g,
-                &p,
-                &rule,
-                &trix_sim::CorrectSends,
-                grid_spec.pulses,
-                seed,
-                sim_threads,
-                &mut (&mut skew, &mut *extra),
-            );
-            skew.finish();
-            skew.snapshot()
-        })
-        .collect();
-    let summary = merge_snapshots(&snaps);
-    let d = g.base().diameter();
-    let bound = theory::thm_1_1_bound(&p, d).as_f64();
-    let mut table = Table::new(title, &STREAMING_HEADERS);
-    table.row_values(&[
-        grid_spec.width.to_string(),
-        grid_spec.layers.to_string(),
-        d.to_string(),
-        g.node_count().to_string(),
-        grid_spec.pulses.to_string(),
-        fmt_f64(summary.max_intra),
-        fmt_f64(summary.max_full),
-        fmt_f64(summary.max_global),
-        fmt_f64(summary.mean_intra),
-        fmt_f64(bound),
-        fmt_f64(summary.max_intra / bound),
-    ]);
-    let violations = if summary.max_intra > bound {
-        vec![format!(
-            "streaming L_intra {} exceeds the Thm 1.1 bound {bound} (fault-free run)",
-            summary.max_intra
-        )]
-    } else {
-        Vec::new()
-    };
-    ScenarioResult {
-        table,
-        violations,
-        skew: Some(summary),
-        sketch: None,
-    }
-}
-
-/// The standard streaming monitor shape used by the `--no-trace` suite:
+/// The standard streaming monitor shape of the streaming experiments:
 /// histogram bins of `κ/2` (so the paper's `O(κ log D)` regime spans the
 /// first handful of bins).
 pub fn streaming_monitor(g: &LayeredGraph, p: &Params) -> StreamingSkew {
@@ -325,44 +203,6 @@ pub fn streaming_monitor(g: &LayeredGraph, p: &Params) -> StreamingSkew {
         p.kappa().as_f64() / 2.0,
         StreamingSkew::DEFAULT_HIST_BINS,
     )
-}
-
-/// Builds the streaming twin scenarios of one experiment: one scenario
-/// per grid, seeds derived exactly like the full-trace scenarios
-/// (`(base_seed, experiment, index)`), so `--no-trace` sweeps stay
-/// bit-identical across `--threads` values.
-pub fn streaming_scenarios(
-    experiment: &'static str,
-    scale: Scale,
-    base_seed: u64,
-    sim_threads: usize,
-    grids: Vec<StreamingGrid>,
-) -> Vec<Scenario> {
-    grids
-        .into_iter()
-        .enumerate()
-        .map(|(i, spec)| {
-            let seeds =
-                trix_runner::scenario_seeds(base_seed, experiment, i as u64, scale.seed_count());
-            let job_seeds = seeds.clone();
-            Scenario::new(
-                experiment,
-                format!(
-                    "stream w={} l={} p={}",
-                    spec.width, spec.layers, spec.pulses
-                ),
-                vec![
-                    kv("width", spec.width),
-                    kv("layers", spec.layers),
-                    kv("pulses", spec.pulses),
-                    kv("mode", "stream"),
-                ],
-                &seeds,
-                move || streaming_skew_result(experiment, spec, &job_seeds, sim_threads),
-            )
-            .with_sim_threads(sim_threads)
-        })
-        .collect()
 }
 
 /// Runs Gradient TRIX under an explicit environment (adversarial setups).
@@ -386,38 +226,13 @@ pub fn run_gradient_trix_with_env(
 /// Under the naive second-copy rule this tilts the wavefront by `u` per
 /// layer at the split boundary.
 pub fn split_delay_env(g: &LayeredGraph, params: &Params, split: usize) -> StaticEnvironment {
-    let d = params.d();
-    let u = params.u();
-    StaticEnvironment::from_fn(
-        g,
-        |_e| d, // overwritten below for fast columns
-        |_n| trix_time::AffineClock::PERFECT,
-    )
-    .tap_set_fast_half(g, d - u, split)
-}
-
-/// Extension helper for [`split_delay_env`].
-trait TapSetFastHalf {
-    fn tap_set_fast_half(self, g: &LayeredGraph, fast: Duration, split: usize)
-        -> StaticEnvironment;
-}
-
-impl TapSetFastHalf for StaticEnvironment {
-    fn tap_set_fast_half(
-        mut self,
-        g: &LayeredGraph,
-        fast: Duration,
-        split: usize,
-    ) -> StaticEnvironment {
-        for n in g.nodes().filter(|n| n.layer > 0) {
-            if (n.v as usize) < split {
-                for (_, e) in g.predecessors(n) {
-                    self.set_delay(e, fast);
-                }
-            }
+    let mut delays = vec![params.d(); g.edge_count()];
+    for n in g.nodes().filter(|n| n.layer > 0 && (n.v as usize) < split) {
+        for (_, EdgeId(e)) in g.predecessors(n) {
+            delays[e] = params.d() - params.u();
         }
-        self
     }
+    StaticEnvironment::new(g, delays, vec![AffineClock::PERFECT; g.node_count()])
 }
 
 #[cfg(test)]

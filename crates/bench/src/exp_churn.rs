@@ -1,5 +1,5 @@
-//! Experiment `exp_churn` — open-world membership churn at `--no-trace`
-//! scale.
+//! Experiment `exp_churn` — open-world membership churn on streamed
+//! grids too large to trace.
 //!
 //! *Claim:* under sustained per-pulse membership churn — every node
 //! independently absent with probability 1–10% per pulse, plus
@@ -377,11 +377,10 @@ fn points_for(scale: Scale, topo: TopoClass, width: usize) -> Vec<SweepPoint> {
     out
 }
 
-/// Scenario decomposition: one scenario per sweep point, streaming-only
-/// in both trace modes (like `exp_scale`). Each scenario stamps its
-/// churn descriptor (schema v8) — and, on the torus leg, its topology
-/// descriptor — into its record and threads `--sim-threads` into the
-/// dataflow driver.
+/// Scenario decomposition: one scenario per sweep point. Each scenario
+/// stamps its churn descriptor (schema v8) — and, on the torus leg, its
+/// topology descriptor — into its record and threads `--sim-threads`
+/// into the dataflow driver.
 pub fn scenarios(scale: Scale, base_seed: u64, sim_threads: usize) -> Vec<Scenario> {
     let mut points = Vec::new();
     for &w in grid_widths(scale) {

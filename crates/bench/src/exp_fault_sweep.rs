@@ -1,5 +1,5 @@
-//! Experiment `exp_fault_sweep` — fault-campaign density sweeps at
-//! `--no-trace` scale.
+//! Experiment `exp_fault_sweep` — fault-campaign density sweeps on
+//! streamed grids too large to trace.
 //!
 //! *Claim:* under **time-varying** 1-local fault campaigns — iid
 //! placements at densities up to the paper's `p ~ n^{-1/2}` boundary,
@@ -432,11 +432,9 @@ fn points_for_width(scale: Scale, width: usize) -> Vec<SweepPoint> {
     out
 }
 
-/// Scenario decomposition: one scenario per sweep point. Streaming-only
-/// by construction (like `exp_scale`), so the decomposition is identical
-/// in both trace modes; each scenario stamps its campaign descriptor
-/// into its record (schema v4) and threads `--sim-threads` into the
-/// dataflow driver.
+/// Scenario decomposition: one scenario per sweep point. Each scenario
+/// stamps its campaign descriptor into its record (schema v4) and
+/// threads `--sim-threads` into the dataflow driver.
 pub fn scenarios(scale: Scale, base_seed: u64, sim_threads: usize) -> Vec<Scenario> {
     widths(scale)
         .iter()

@@ -114,17 +114,6 @@ pub fn scenarios(scale: Scale, _base_seed: u64) -> Vec<Scenario> {
     ]
 }
 
-/// Streaming-twin grid envelope for `--no-trace` sweeps: the same grid
-/// dimensions as this experiment's full-trace workload, measured through
-/// the shared streaming skew job ([`crate::common::streaming_skew_result`]).
-pub fn streaming_grids(scale: Scale) -> Vec<crate::common::StreamingGrid> {
-    use crate::common::streaming_grid as sg;
-    {
-        let w = scale.pick(8, 12, 48);
-        vec![sg(w, w, 3)]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -81,18 +81,6 @@ pub fn scenarios(scale: Scale, base_seed: u64) -> Vec<Scenario> {
         .collect()
 }
 
-/// Streaming-twin grid envelope for `--no-trace` sweeps: the same grid
-/// dimensions as this experiment's full-trace workload, measured through
-/// the shared streaming skew job ([`crate::common::streaming_skew_result`]).
-pub fn streaming_grids(scale: Scale) -> Vec<crate::common::StreamingGrid> {
-    use crate::common::streaming_grid as sg;
-    scale
-        .pick(&[16usize, 64][..], &[16, 64, 256][..], &[16, 64, 256][..])
-        .iter()
-        .map(|&w| sg(w, 4, 3))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

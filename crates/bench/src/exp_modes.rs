@@ -1,5 +1,5 @@
 //! Experiment `exp_modes` — online low-rank trace sketches with tested
-//! error envelopes at `--no-trace` scale.
+//! error envelopes on streamed grids too large to trace.
 //!
 //! *Claim:* a rank-`r` [`trix_obs::PodSketch`] of the pulse-front matrix
 //! keeps enough of the dynamics to answer post-mortem questions
@@ -18,13 +18,12 @@
 //! the sketch's claim about itself, checked against ground truth it
 //! never saw.
 //!
-//! Streaming-only in both trace modes (like `exp_scale`); each record
-//! ships its first seed's compressed sketch (basis + spectrum + error
-//! certificate) as the schema-v7 `sketch` object, and
-//! `tests/parallel_determinism.rs` pins the canonical records
-//! byte-identical across `--threads` and `--sim-threads` values —
-//! regression-diffing covers the actual dynamics, not just summary
-//! stats. The sketch arithmetic runs on a [`PipelinedSketch`] worker
+//! Streaming-only (like `exp_scale`); each record ships its first
+//! seed's compressed sketch (basis + spectrum + error certificate) as
+//! the schema-v7 `sketch` object, and `tests/parallel_determinism.rs`
+//! pins the canonical records byte-identical across `--threads` and
+//! `--sim-threads` values — regression-diffing covers the actual
+//! dynamics, not just summary stats. The sketch arithmetic runs on a [`PipelinedSketch`] worker
 //! thread, off the simulation's critical path.
 
 use crate::common::{
@@ -366,10 +365,9 @@ pub fn points(scale: Scale) -> Vec<SweepPoint> {
 }
 
 /// Scenario decomposition: one scenario per `(workload, rank)` point.
-/// Streaming-only by construction, so the decomposition is identical in
-/// both trace modes; wave points stamp their campaign descriptor and
-/// family points their topology descriptor, and every point threads
-/// `--sim-threads` into the dataflow driver.
+/// Wave points stamp their campaign descriptor and family points their
+/// topology descriptor, and every point threads `--sim-threads` into
+/// the dataflow driver.
 pub fn scenarios(scale: Scale, base_seed: u64, sim_threads: usize) -> Vec<Scenario> {
     points(scale)
         .into_iter()
@@ -496,8 +494,8 @@ mod tests {
     }
 
     /// The full rank axis exercises r=4 and r=16 at every scale, and the
-    /// full scale reaches the `--no-trace` widths the README's
-    /// compression table quotes (1280 and 3200).
+    /// full scale reaches the streamed widths the README's compression
+    /// table quotes (1280 and 3200).
     #[test]
     fn scales_cover_the_documented_rank_and_width_axis() {
         for scale in [Scale::Smoke, Scale::Quick, Scale::Full] {

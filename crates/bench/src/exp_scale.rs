@@ -10,8 +10,7 @@
 //!
 //! *Workload:* square grids up to width 3200 (10.2M nodes), random
 //! in-model environments, streaming skew statistics only. This
-//! experiment never materializes a trace in either trace mode — it *is*
-//! the `--no-trace` flagship — and also carries a bounded
+//! experiment never materializes a trace, and carries a bounded
 //! [`trix_obs::TraceRing`] so a Theorem 1.1 oracle violation ships the
 //! last pulse events for post-mortem debugging instead of a silent
 //! boolean.
@@ -21,13 +20,34 @@
 //! scaling trajectory; `tests/parallel_determinism.rs` pins its
 //! byte-identity across `--threads` and `--sim-threads` values.
 
-use crate::common::{streaming_grid, streaming_skew_result_observed};
+use crate::common::{
+    merge_snapshots, run_gradient_trix_streaming, square_grid, standard_params, streaming_monitor,
+};
 use crate::suite::{kv, Scenario, ScenarioResult};
 use crate::Scale;
-use trix_obs::TraceRing;
+use trix_analysis::{fmt_f64, theory, Table};
+use trix_core::GradientTrixRule;
+use trix_obs::{SkewStats, TraceRing};
+use trix_sim::CorrectSends;
 
 /// Pulse events retained for oracle post-mortems.
 const RING_CAPACITY: usize = 256;
+
+/// The table headers of every `exp_scale` scenario (identical across
+/// scenarios so the per-width shards merge).
+const HEADERS: [&str; 11] = [
+    "width",
+    "layers",
+    "D",
+    "n",
+    "pulses",
+    "L_intra (worst seed)",
+    "L_full",
+    "global",
+    "mean L_intra",
+    "bound 4κ(2+log₂D)",
+    "measured/bound",
+];
 
 /// Grid widths per scale: the full-scale sweep tops out at 25× the
 /// widest full-trace experiment (`thm11` at width 128) — width 3200 is
@@ -42,30 +62,76 @@ pub fn widths(scale: Scale) -> &'static [usize] {
     }
 }
 
-/// Runs one streaming scale scenario: the shared streaming skew job on a
-/// square grid of `width`, with a bounded [`TraceRing`] riding along so a
-/// Theorem 1.1 oracle violation ships the tail of the pulse stream — the
-/// post-mortem a full trace would be too large to keep. `sim_threads`
-/// shards each layer's width across that many dataflow workers (the
-/// `--sim-threads` knob); the result is bit-identical for every value.
+/// Runs one streaming scale scenario: the fault-free random-environment
+/// Gradient TRIX run on a square grid of `width`, one `StreamingSkew` per
+/// seed, merged into a result whose benchmark record carries the
+/// streaming statistics. The Theorem 1.1 bound is the condition oracle,
+/// and a bounded [`TraceRing`] rides along so a violation ships the tail
+/// of the pulse stream — the post-mortem a full trace would be too large
+/// to keep. `sim_threads` shards each layer's width across that many
+/// dataflow workers (the `--sim-threads` knob); the result is
+/// bit-identical for every value.
 pub fn run(width: usize, pulses: usize, seeds: &[u64], sim_threads: usize) -> ScenarioResult {
+    let p = standard_params();
+    let rule = GradientTrixRule::new(p);
+    let g = square_grid(width);
     let mut ring = TraceRing::new(RING_CAPACITY);
-    let mut result = streaming_skew_result_observed(
+    let snaps: Vec<SkewStats> = seeds
+        .iter()
+        .map(|&seed| {
+            let mut skew = streaming_monitor(&g, &p);
+            run_gradient_trix_streaming(
+                &g,
+                &p,
+                &rule,
+                &CorrectSends,
+                pulses,
+                seed,
+                sim_threads,
+                &mut (&mut skew, &mut ring),
+            );
+            skew.finish();
+            skew.snapshot()
+        })
+        .collect();
+    let summary = merge_snapshots(&snaps);
+    let d = g.base().diameter();
+    let bound = theory::thm_1_1_bound(&p, d).as_f64();
+    let mut table = Table::new(
         "exp_scale — streaming skew at 10× full-trace grid widths",
-        streaming_grid(width, width, pulses),
-        seeds,
-        sim_threads,
-        &mut ring,
+        &HEADERS,
     );
-    for v in &mut result.violations {
-        *v = format!("{v}; {}", ring.dump(8));
+    table.row_values(&[
+        width.to_string(),
+        width.to_string(),
+        d.to_string(),
+        g.node_count().to_string(),
+        pulses.to_string(),
+        fmt_f64(summary.max_intra),
+        fmt_f64(summary.max_full),
+        fmt_f64(summary.max_global),
+        fmt_f64(summary.mean_intra),
+        fmt_f64(bound),
+        fmt_f64(summary.max_intra / bound),
+    ]);
+    let violations = if summary.max_intra > bound {
+        vec![format!(
+            "streaming L_intra {} exceeds the Thm 1.1 bound {bound} (fault-free run); {}",
+            summary.max_intra,
+            ring.dump(8)
+        )]
+    } else {
+        Vec::new()
+    };
+    ScenarioResult {
+        table,
+        violations,
+        skew: Some(summary),
+        sketch: None,
     }
-    result
 }
 
-/// Scenario decomposition: one scenario per grid width. `exp_scale` is
-/// streaming-only by construction, so the decomposition is identical in
-/// both trace modes.
+/// Scenario decomposition: one scenario per grid width.
 pub fn scenarios(scale: Scale, base_seed: u64, sim_threads: usize) -> Vec<Scenario> {
     let pulses = 4;
     widths(scale)

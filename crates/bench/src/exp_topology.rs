@@ -19,9 +19,9 @@
 //! source assumes the replicated-ends line). The Theorem 1.1 bound at
 //! the family's diameter is the condition oracle.
 //!
-//! Streaming-only in both trace modes (like `exp_scale` and
-//! `exp_fault_sweep`); each benchmark record is stamped with its
-//! versioned topology descriptor (`topology` field, schema v6), and
+//! Streaming-only (like `exp_scale` and `exp_fault_sweep`); each
+//! benchmark record is stamped with its versioned topology descriptor
+//! (`topology` field, schema v6), and
 //! `tests/parallel_determinism.rs` pins `BENCH_exp_topology.json`
 //! byte-identical across `--threads` and `--sim-threads` values.
 //! `tests/streaming_equivalence.rs` replays the records through the
@@ -260,10 +260,9 @@ pub fn points(scale: Scale) -> Vec<SweepPoint> {
 }
 
 /// Scenario decomposition: one scenario per `(family, size)` point.
-/// Streaming-only by construction, so the decomposition is identical in
-/// both trace modes; each scenario stamps its versioned topology
-/// descriptor into its record (schema v6) and threads `--sim-threads`
-/// into the dataflow driver.
+/// Each scenario stamps its versioned topology descriptor into its
+/// record (schema v6) and threads `--sim-threads` into the dataflow
+/// driver.
 pub fn scenarios(scale: Scale, base_seed: u64, sim_threads: usize) -> Vec<Scenario> {
     points(scale)
         .into_iter()

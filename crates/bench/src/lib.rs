@@ -81,32 +81,6 @@ impl Scale {
     }
 }
 
-/// How experiment workloads record their executions.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TraceMode {
-    /// Materialize full `PulseTrace`s and analyze post-hoc — the bespoke
-    /// paper tables (memory `O(nodes × pulses)` per run).
-    #[default]
-    Full,
-    /// `--no-trace`: every experiment runs its grid envelope through the
-    /// streaming skew observer instead (`trix_obs::StreamingSkew`,
-    /// `O(nodes)` memory, no trace anywhere in the dataflow path). Each
-    /// scenario reports the uniform streaming table and records its
-    /// statistics in the v2 benchmark JSON, with the Theorem 1.1 bound as
-    /// the condition oracle.
-    NoTrace,
-}
-
-impl TraceMode {
-    /// The mode's CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceMode::Full => "full-trace",
-            TraceMode::NoTrace => "no-trace",
-        }
-    }
-}
-
 /// The full suite's scenario list, in presentation order.
 ///
 /// Each experiment module owns its decomposition (`exp_*::scenarios`);
@@ -116,63 +90,11 @@ impl TraceMode {
 ///
 /// `sim_threads` is the intra-scenario dataflow worker count
 /// (`--sim-threads`: `1` = serial engine, `0` = one worker per CPU),
-/// threaded into every streaming scenario and `exp_scale`; results are
+/// threaded into the five streaming experiments; results are
 /// bit-identical for every value (the parallel engine's determinism
 /// contract), so it only trades wall time.
-pub fn all_scenarios(
-    scale: Scale,
-    base_seed: u64,
-    mode: TraceMode,
-    sim_threads: usize,
-) -> Vec<Scenario> {
+pub fn all_scenarios(scale: Scale, base_seed: u64, sim_threads: usize) -> Vec<Scenario> {
     let mut scenarios = Vec::new();
-    if mode == TraceMode::NoTrace {
-        // Streaming twins: every experiment contributes its grid
-        // envelope (`exp_*::streaming_grids`), run through the shared
-        // `O(nodes)` streaming skew job — no `PulseTrace` exists
-        // anywhere in this suite. Suite order matches the full-trace
-        // presentation order.
-        let twins: [(&'static str, Vec<common::StreamingGrid>); 18] = [
-            ("table1", exp_table1::streaming_grids(scale)),
-            ("fig1", exp_fig1::streaming_grids(scale)),
-            ("fig23", exp_fig23::streaming_grids(scale)),
-            ("fig4", exp_fig4::streaming_grids(scale)),
-            ("fig5", exp_fig5::streaming_grids(scale)),
-            ("thm11", exp_thm11::streaming_grids(scale)),
-            ("thm12", exp_thm12::streaming_grids(scale)),
-            ("thm13", exp_thm13::streaming_grids(scale)),
-            ("thm14", exp_thm14::streaming_grids(scale)),
-            ("thm16", exp_thm16::streaming_grids(scale)),
-            ("lem_a1", exp_lem_a1::streaming_grids(scale)),
-            ("cor423", exp_cor423::streaming_grids(scale)),
-            ("missing_policy", exp_missing_policy::streaming_grids(scale)),
-            ("kappa_sweep", exp_kappa_sweep::streaming_grids(scale)),
-            ("ext_f2", exp_ext_f2::streaming_grids(scale)),
-            ("lynch_welch", exp_lynch_welch::streaming_grids(scale)),
-            ("recovery", exp_recovery::streaming_grids(scale)),
-            ("adversary", exp_adversary::streaming_grids(scale)),
-        ];
-        for (experiment, grids) in twins {
-            scenarios.extend(common::streaming_scenarios(
-                experiment,
-                scale,
-                base_seed,
-                sim_threads,
-                grids,
-            ));
-        }
-        // §19 Streaming scale sweep (streaming-only in both modes).
-        scenarios.extend(exp_scale::scenarios(scale, base_seed, sim_threads));
-        // §20 Fault-campaign density sweep (streaming-only in both modes).
-        scenarios.extend(exp_fault_sweep::scenarios(scale, base_seed, sim_threads));
-        // §21 Topology-family sweep (streaming-only in both modes).
-        scenarios.extend(exp_topology::scenarios(scale, base_seed, sim_threads));
-        // §22 POD-sketch mode analytics (streaming-only in both modes).
-        scenarios.extend(exp_modes::scenarios(scale, base_seed, sim_threads));
-        // §23 Open-world churn sweep (streaming-only in both modes).
-        scenarios.extend(exp_churn::scenarios(scale, base_seed, sim_threads));
-        return scenarios;
-    }
     // §1 Table 1.
     scenarios.extend(exp_table1::scenarios(scale, base_seed));
     // §2 Figure 1.
@@ -209,15 +131,15 @@ pub fn all_scenarios(
     scenarios.extend(exp_recovery::scenarios(scale, base_seed));
     // §18 Adversarial delay search.
     scenarios.extend(exp_adversary::scenarios(scale, base_seed));
-    // §19 Streaming scale sweep (streaming-only in both modes).
+    // §19 Streaming scale sweep.
     scenarios.extend(exp_scale::scenarios(scale, base_seed, sim_threads));
-    // §20 Fault-campaign density sweep (streaming-only in both modes).
+    // §20 Fault-campaign density sweep.
     scenarios.extend(exp_fault_sweep::scenarios(scale, base_seed, sim_threads));
-    // §21 Topology-family sweep (streaming-only in both modes).
+    // §21 Topology-family sweep.
     scenarios.extend(exp_topology::scenarios(scale, base_seed, sim_threads));
-    // §22 POD-sketch mode analytics (streaming-only in both modes).
+    // §22 POD-sketch mode analytics.
     scenarios.extend(exp_modes::scenarios(scale, base_seed, sim_threads));
-    // §23 Open-world churn sweep (streaming-only in both modes).
+    // §23 Open-world churn sweep.
     scenarios.extend(exp_churn::scenarios(scale, base_seed, sim_threads));
     scenarios
 }
@@ -235,17 +157,11 @@ pub fn all_scenarios(
 /// Bit-for-bit deterministic: everything except per-record wall times
 /// (and the recorded `sim_threads` metadata) is identical for every
 /// `threads` × `sim_threads` combination
-/// (`tests/parallel_determinism.rs`), in both trace modes.
-pub fn run_suite(
-    scale: Scale,
-    base_seed: u64,
-    threads: usize,
-    mode: TraceMode,
-    sim_threads: usize,
-) -> SuiteOutcome {
+/// (`tests/parallel_determinism.rs`).
+pub fn run_suite(scale: Scale, base_seed: u64, threads: usize, sim_threads: usize) -> SuiteOutcome {
     let (threads, sim_threads) = trix_runner::resolve_thread_split(threads, sim_threads);
     suite::run_scenarios(
-        all_scenarios(scale, base_seed, mode, sim_threads),
+        all_scenarios(scale, base_seed, sim_threads),
         scale,
         base_seed,
         threads,
@@ -258,14 +174,14 @@ mod tests {
 
     #[test]
     fn quick_run_produces_all_tables() {
-        let outcome = run_suite(Scale::Quick, 0, 1, TraceMode::Full, 1);
+        let outcome = run_suite(Scale::Quick, 0, 1, 1);
         assert_eq!(outcome.tables.len(), 25);
         for t in &outcome.tables {
             assert!(!t.is_empty(), "empty table: {}", t.to_markdown());
         }
         assert_eq!(
             outcome.report.records.len(),
-            all_scenarios(Scale::Quick, 0, TraceMode::Full, 1).len()
+            all_scenarios(Scale::Quick, 0, 1).len()
         );
         assert!(
             outcome.violations.is_empty(),
@@ -289,7 +205,7 @@ mod tests {
 
     #[test]
     fn smoke_run_is_complete_and_small() {
-        let outcome = run_suite(Scale::Smoke, 0, 0, TraceMode::Full, 1);
+        let outcome = run_suite(Scale::Smoke, 0, 0, 1);
         assert_eq!(outcome.tables.len(), 25);
         for t in &outcome.tables {
             assert!(!t.is_empty());
@@ -297,14 +213,13 @@ mod tests {
     }
 
     #[test]
-    fn no_trace_suite_covers_every_experiment_with_streaming_stats() {
-        let outcome = run_suite(Scale::Smoke, 0, 0, TraceMode::NoTrace, 2);
+    fn suite_carries_streaming_stats_exactly_on_the_streaming_experiments() {
+        let outcome = run_suite(Scale::Smoke, 0, 0, 2);
         assert!(
             outcome.violations.is_empty(),
             "oracle violations: {:?}",
             outcome.violations
         );
-        // Every full-trace experiment family appears, plus exp_scale.
         let mut experiments: Vec<&str> = outcome
             .report
             .records
@@ -312,17 +227,31 @@ mod tests {
             .map(|r| r.experiment.as_str())
             .collect();
         experiments.dedup();
-        assert_eq!(experiments.len(), 23);
+        // 23 modules; `fig1` and `thm16` each file two experiments.
+        assert_eq!(experiments.len(), 25);
         assert_eq!(experiments.last(), Some(&"exp_churn"));
-        // The whole point of the mode: every record carries streaming
-        // skew statistics, and every simulated scenario counted events.
+        // The five streaming experiments record skew statistics (and
+        // count events); the 18 paper experiments analyze their traces
+        // post hoc and record none.
+        let streaming = [
+            "exp_scale",
+            "exp_fault_sweep",
+            "exp_topology",
+            "exp_modes",
+            "exp_churn",
+        ];
         for r in &outcome.report.records {
-            let skew = r
-                .skew
-                .as_ref()
-                .unwrap_or_else(|| panic!("{}/{}: no streaming stats", r.experiment, r.scenario));
-            assert!(skew.pulses > 0, "{}: no pulses folded", r.experiment);
-            assert!(r.events > 0, "{}: no events", r.experiment);
+            let id = format!("{}/{}", r.experiment, r.scenario);
+            if streaming.contains(&r.experiment.as_str()) {
+                let skew = r
+                    .skew
+                    .as_ref()
+                    .unwrap_or_else(|| panic!("{id}: no streaming stats"));
+                assert!(skew.pulses > 0, "{id}: no pulses folded");
+                assert!(r.events > 0, "{id}: no events");
+            } else {
+                assert!(r.skew.is_none(), "{id}: unexpected streaming stats");
+            }
         }
     }
 }

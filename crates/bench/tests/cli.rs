@@ -15,6 +15,7 @@ fn experiments(args: &[&str]) -> Output {
 fn usage_errors_exit_with_code_2() {
     for (args, needle) in [
         (&["--sketch-rank", "4"][..], "--sketch-rank"),
+        (&["--smoke", "--no-trace"], "--no-trace"),
         (&["--threads", "abc"], "--threads"),
         (&["--frobnicate"], "--frobnicate"),
         (

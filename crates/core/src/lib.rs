@@ -12,7 +12,7 @@
 //!
 //! * [`Params`] — the timing parameters `d, u, ϑ, Λ` and the derived skew
 //!   quantum `κ` (Equations (1)–(3));
-//! * [`correction`] / [`CorrectionConfig`] — the correction value `C_{v,ℓ}`
+//! * [`correction()`] / [`CorrectionConfig`] — the correction value `C_{v,ℓ}`
 //!   with its discretized min–max and the jump-condition clamps;
 //! * [`SimplifiedRule`] — Algorithm 1 (fault-free fast path);
 //! * [`GradientTrixRule`] — Algorithm 3 (deadline handling for missing or

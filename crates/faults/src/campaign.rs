@@ -64,7 +64,7 @@ pub enum FaultSchedule {
     ///
     /// In the dataflow model recovery is clean by construction — the
     /// node's nominal time is always defined. The event-driven twin,
-    /// [`crate::CrashRecoverDesNode`], models the interesting part:
+    /// [`crate::RejoiningDesNode`], models the interesting part:
     /// rejoining with *arbitrary* post-reboot state that the Algorithm 4
     /// sanitization must absorb.
     CrashRecover {

@@ -49,7 +49,7 @@ pub enum ChurnSchedule {
     Resident,
     /// A genuinely *new* arrival: absent until pulse `pulse`, a member
     /// from then on. The event-driven twin is
-    /// [`crate::NewArrivalDesNode`], which models what makes arrival
+    /// [`crate::RejoiningDesNode`], which models what makes arrival
     /// hard — booting with stale, scrambled state.
     JoinAt {
         /// First member pulse.

@@ -1,6 +1,7 @@
 //! Faulty node state machines and transient corruption for the
 //! event-driven engine.
 
+use std::collections::HashMap;
 use trix_core::{GradientTrixNode, GridNetwork, GridNodeConfig, Params};
 use trix_sim::{Node, NodeApi, Rng, StaticEnvironment};
 use trix_time::{Duration, LocalTime, Time};
@@ -16,107 +17,40 @@ impl Node for SilentDesNode {
     fn on_timer(&mut self, _tag: u64, _api: &mut NodeApi<'_>) {}
 }
 
-/// Timer tag reserved by [`CrashRecoverDesNode`] for its rejoin alarm.
+/// Timer tag reserved by [`RejoiningDesNode`] for its join alarm.
 ///
 /// [`GradientTrixNode`] tags timers `generation · 4 + kind` with
 /// `kind < 3`, so `u64::MAX` (≡ 3 mod 4) can never collide with a
 /// forwarded inner timer.
-const REJOIN_TAG: u64 = u64::MAX;
+const JOIN_TAG: u64 = u64::MAX;
 
-/// The DES twin of [`crate::FaultSchedule::CrashRecover`]: dead until a
-/// local rejoin time, then a [`GradientTrixNode`] waking up with
-/// **arbitrary post-reboot state**.
+/// A grid node that is silent until a local join time, then a
+/// [`GradientTrixNode`] waking up with **arbitrary state**: the DES twin
+/// of [`crate::FaultSchedule::CrashRecover`] and of the arrival half of a
+/// [`crate::ChurnSchedule::JoinAt`] event.
 ///
 /// The dataflow model's crash–recover is clean by construction (the
 /// nominal time is always well-defined); the event-driven engine models
-/// what actually makes rejoin hard: the recovered node's registers hold
-/// garbage. On rejoin the inner node is scrambled exactly like the
-/// Theorem 1.6 transient-corruption workload — including states whose
-/// recorded `H_min`/`H_max` would invert once genuine pulses arrive,
-/// which the Algorithm 4 sanitization in `exit_collecting` must absorb
-/// instead of panicking (the regression this type's tests extend).
-#[derive(Clone, Debug)]
-pub struct CrashRecoverDesNode {
-    inner: GradientTrixNode,
-    rejoin_at: LocalTime,
-    scramble_seed: u64,
-    joined: bool,
-}
-
-impl CrashRecoverDesNode {
-    /// Creates a node that stays silent until local time `rejoin_at`,
-    /// then runs `inner` from a `scramble_seed`-corrupted state.
-    pub fn new(inner: GradientTrixNode, rejoin_at: LocalTime, scramble_seed: u64) -> Self {
-        Self {
-            inner,
-            rejoin_at,
-            scramble_seed,
-            joined: false,
-        }
-    }
-
-    /// Whether the node has rejoined yet.
-    pub fn joined(&self) -> bool {
-        self.joined
-    }
-}
-
-impl Node for CrashRecoverDesNode {
-    fn on_start(&mut self, api: &mut NodeApi<'_>) {
-        api.set_timer_local(self.rejoin_at, REJOIN_TAG);
-    }
-
-    fn on_pulse(&mut self, from: usize, api: &mut NodeApi<'_>) {
-        if self.joined {
-            self.inner.on_pulse(from, api);
-        }
-        // While down, receptions are lost — a crashed block latches
-        // nothing.
-    }
-
-    fn on_timer(&mut self, tag: u64, api: &mut NodeApi<'_>) {
-        if tag == REJOIN_TAG {
-            if !self.joined {
-                self.joined = true;
-                // Reboot with arbitrary state (Thm 1.6's transient-fault
-                // model applied at rejoin time).
-                self.inner
-                    .scramble(&mut Rng::seed_from(self.scramble_seed), api.local_now());
-                self.inner.on_start(api);
-            }
-            return;
-        }
-        if self.joined {
-            self.inner.on_timer(tag, api);
-        }
-        // Timers can only have been armed by the inner node after rejoin,
-        // but guard anyway: a stale tag from a never-joined inner is
-        // impossible by construction.
-    }
-}
-
-/// Timer tag reserved by [`NewArrivalDesNode`] for its join alarm.
+/// what actually makes rejoin hard: the node's registers hold garbage.
+/// At its join time the inner node is scrambled exactly like the
+/// Theorem 1.6 transient-corruption workload, around the local time
+/// `stale_age` before the join (clamped to local time zero):
 ///
-/// Like [`REJOIN_TAG`], it is ≡ 3 (mod 4) so it can never collide with
-/// a forwarded [`GradientTrixNode`] timer (`generation · 4 + kind`,
-/// `kind < 3`).
-const JOIN_TAG: u64 = u64::MAX - 4;
-
-/// A genuinely *new* arrival — the open-world half of a
-/// [`crate::ChurnSchedule::JoinAt`] event, extending
-/// [`CrashRecoverDesNode`] from "came back" to "was never here".
+/// * a **crash–recover** node (`stale_age` zero) reboots with garbage
+///   referenced to *now*;
+/// * a genuinely **new arrival** boots from **stale** state — registers
+///   cloned from a snapshot `stale_age` old (a peer's cached profile, a
+///   checkpoint from before the outage that made it leave), then
+///   scrambled. Its recorded `H_min`/`H_max` reception extremes point an
+///   epoch into the past, so the very first genuine pulses it hears
+///   invert them.
 ///
-/// A crash–recover node reboots with garbage referenced to *now*; a new
-/// arrival is worse: it boots from **stale** state — registers cloned
-/// from a snapshot `stale_age` old (a peer's cached profile, a
-/// checkpoint from before the outage that made it leave), then
-/// scrambled. Its recorded `H_min`/`H_max` reception extremes point an
-/// epoch into the past, so the very first genuine pulses it hears
-/// invert them — exactly the inversion the Algorithm 4 sanitization in
-/// `exit_collecting` must absorb (the PR-2 regression, re-pinned for
-/// arrivals by `tests/des_faults.rs`).
+/// Either way the scramble includes states whose recorded extremes
+/// invert once genuine pulses arrive, which the Algorithm 4 sanitization
+/// in `exit_collecting` must absorb instead of panicking (pinned by this
+/// module's tests and `tests/des_faults.rs`).
 #[derive(Clone, Debug)]
-pub struct NewArrivalDesNode {
+pub struct RejoiningDesNode {
     inner: GradientTrixNode,
     join_at: LocalTime,
     stale_age: Duration,
@@ -124,10 +58,11 @@ pub struct NewArrivalDesNode {
     joined: bool,
 }
 
-impl NewArrivalDesNode {
-    /// Creates a node that does not exist until local time `join_at`,
-    /// then boots `inner` from a scrambled snapshot referenced
-    /// `stale_age` before its join time (clamped to local time zero).
+impl RejoiningDesNode {
+    /// Creates a node that stays silent until local time `join_at`, then
+    /// runs `inner` from a `scramble_seed`-corrupted state referenced
+    /// `stale_age` before its join time (clamped to local time zero;
+    /// [`Duration::ZERO`] for a crash–recover reboot).
     pub fn new(
         inner: GradientTrixNode,
         join_at: LocalTime,
@@ -143,13 +78,13 @@ impl NewArrivalDesNode {
         }
     }
 
-    /// Whether the node has arrived yet.
+    /// Whether the node has joined yet.
     pub fn joined(&self) -> bool {
         self.joined
     }
 }
 
-impl Node for NewArrivalDesNode {
+impl Node for RejoiningDesNode {
     fn on_start(&mut self, api: &mut NodeApi<'_>) {
         api.set_timer_local(self.join_at, JOIN_TAG);
     }
@@ -158,22 +93,25 @@ impl Node for NewArrivalDesNode {
         if self.joined {
             self.inner.on_pulse(from, api);
         }
-        // Before arrival the node does not exist: receptions are lost.
+        // Before joining, receptions are lost: a crashed or absent block
+        // latches nothing.
     }
 
     fn on_timer(&mut self, tag: u64, api: &mut NodeApi<'_>) {
         if tag == JOIN_TAG {
             if !self.joined {
                 self.joined = true;
-                // Boot from a stale snapshot: scramble the registers
-                // around a reference time `stale_age` in the past.
-                let stale = LocalTime::ZERO.max(api.local_now() - self.stale_age);
+                // Boot with arbitrary state (Thm 1.6's transient-fault
+                // model), scrambled around a reference `stale_age` in the
+                // past.
+                let reference = LocalTime::ZERO.max(api.local_now() - self.stale_age);
                 self.inner
-                    .scramble(&mut Rng::seed_from(self.scramble_seed), stale);
+                    .scramble(&mut Rng::seed_from(self.scramble_seed), reference);
                 self.inner.on_start(api);
             }
             return;
         }
+        // Timers can only have been armed by the inner node after joining.
         if self.joined {
             self.inner.on_timer(tag, api);
         }
@@ -271,30 +209,20 @@ pub fn crash_recover_network(
     env: &StaticEnvironment,
     cfg: GridNodeConfig,
     source_pulses: u64,
-    rejoins: &std::collections::HashMap<NodeId, LocalTime>,
+    rejoins: &HashMap<NodeId, LocalTime>,
     rng: &mut Rng,
 ) -> GridNetwork {
-    let mut seed_rng = rng.fork(0x7E70);
-    let mut sorted: Vec<NodeId> = rejoins.keys().copied().collect();
-    sorted.sort();
-    let seeds: std::collections::HashMap<NodeId, u64> = sorted
-        .into_iter()
-        .map(|n| (n, seed_rng.next_u64()))
-        .collect();
-    GridNetwork::build(g, params, env, cfg, source_pulses, rng, |id, wiring| {
-        let rejoin_at = *rejoins.get(&id)?;
-        if id.layer == 0 {
-            return None; // layer 0 runs Algorithm 2; campaigns target grid nodes
-        }
-        let inner = GradientTrixNode::new(
-            wiring.config,
-            wiring.own_pred,
-            wiring.neighbor_preds.clone(),
-        );
-        Some(Box::new(CrashRecoverDesNode::new(
-            inner, rejoin_at, seeds[&id],
-        )))
-    })
+    rejoining_network(
+        g,
+        params,
+        env,
+        cfg,
+        source_pulses,
+        rejoins,
+        Duration::ZERO,
+        0x7E70,
+        rng,
+    )
 }
 
 /// Builds a [`GridNetwork`] in which the grid nodes listed in
@@ -313,28 +241,56 @@ pub fn arrival_network(
     env: &StaticEnvironment,
     cfg: GridNodeConfig,
     source_pulses: u64,
-    arrivals: &std::collections::HashMap<NodeId, LocalTime>,
+    arrivals: &HashMap<NodeId, LocalTime>,
     stale_age: Duration,
     rng: &mut Rng,
 ) -> GridNetwork {
-    let mut seed_rng = rng.fork(0x7019);
-    let mut sorted: Vec<NodeId> = arrivals.keys().copied().collect();
+    rejoining_network(
+        g,
+        params,
+        env,
+        cfg,
+        source_pulses,
+        arrivals,
+        stale_age,
+        0x7019,
+        rng,
+    )
+}
+
+/// The shared body of [`crash_recover_network`] and [`arrival_network`]:
+/// one [`RejoiningDesNode`] per grid node listed in `joins`, scramble
+/// seeds drawn from `rng.fork(seed_stream)` in sorted node order.
+#[allow(clippy::too_many_arguments)] // arrival_network's signature + the seed stream
+fn rejoining_network(
+    g: &LayeredGraph,
+    params: &Params,
+    env: &StaticEnvironment,
+    cfg: GridNodeConfig,
+    source_pulses: u64,
+    joins: &HashMap<NodeId, LocalTime>,
+    stale_age: Duration,
+    seed_stream: u64,
+    rng: &mut Rng,
+) -> GridNetwork {
+    let mut seed_rng = rng.fork(seed_stream);
+    let mut sorted: Vec<NodeId> = joins.keys().copied().collect();
     sorted.sort();
-    let seeds: std::collections::HashMap<NodeId, u64> = sorted
+    let seeds: HashMap<NodeId, u64> = sorted
         .into_iter()
         .map(|n| (n, seed_rng.next_u64()))
         .collect();
     GridNetwork::build(g, params, env, cfg, source_pulses, rng, |id, wiring| {
-        let join_at = *arrivals.get(&id)?;
+        let join_at = *joins.get(&id)?;
         if id.layer == 0 {
-            return None; // layer 0 runs Algorithm 2; churn targets grid nodes
+            return None; // layer 0 runs Algorithm 2; campaigns and churn target grid nodes
         }
         let inner = GradientTrixNode::new(
             wiring.config,
             wiring.own_pred,
             wiring.neighbor_preds.clone(),
         );
-        Some(Box::new(NewArrivalDesNode::new(
+        Some(Box::new(RejoiningDesNode::new(
             inner, join_at, stale_age, seeds[&id],
         )))
     })

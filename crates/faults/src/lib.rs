@@ -21,9 +21,9 @@
 //!   SplitMix64-gated per-pulse join/leave/rejoin/flicker membership,
 //!   driving the engines through the `SendModel::is_member` hook
 //!   (absent nodes are masked per pulse, never ever-excluded);
-//! * [`SilentDesNode`] / [`BabblingDesNode`] / [`CrashRecoverDesNode`] /
-//!   [`NewArrivalDesNode`] / [`scrambled_network`] /
-//!   [`crash_recover_network`] / [`arrival_network`] — event-driven
+//! * [`SilentDesNode`] / [`BabblingDesNode`] / [`RejoiningDesNode`] /
+//!   [`scrambled_network`] / [`crash_recover_network`] /
+//!   [`arrival_network`] — event-driven
 //!   fault machinery for the self-stabilization experiments
 //!   (Theorem 1.6), the DES half of crash–recover campaigns, and
 //!   stale-state new arrivals.
@@ -57,8 +57,8 @@ pub use behavior::FaultBehavior;
 pub use campaign::{FaultCampaign, FaultSchedule};
 pub use churn::{ChurnCampaign, ChurnSchedule};
 pub use des_nodes::{
-    arrival_network, crash_recover_network, scrambled_network, BabblingDesNode,
-    CrashRecoverDesNode, NewArrivalDesNode, SilentDesNode,
+    arrival_network, crash_recover_network, scrambled_network, BabblingDesNode, RejoiningDesNode,
+    SilentDesNode,
 };
 pub use placement::{clustered_column, is_one_local, sample_iid, sample_one_local};
 pub use send_model::FaultySendModel;

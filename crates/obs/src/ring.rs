@@ -1,7 +1,7 @@
 //! A memory-bounded ring buffer of recent pulse events.
 //!
 //! When a condition oracle fires deep into a long run, the full trace
-//! that would explain it is exactly what `--no-trace` mode refuses to
+//! that would explain it is exactly what a streaming run refuses to
 //! keep. [`TraceRing`] is the compromise: a fixed-capacity ring of the
 //! last `N` pulse events in a compact 16-byte encoding (the same
 //! small-`Copy`-entry discipline as the DES engine's `EventQueue`

@@ -2,8 +2,8 @@
 //! POD (proper orthogonal decomposition) observer with a certified
 //! reconstruction-error bound.
 //!
-//! `--no-trace` mode answers summary questions in `O(nodes)` memory but
-//! cannot answer *where* skew waves originate — that needs the
+//! The streaming skew monitor answers summary questions in `O(nodes)`
+//! memory but cannot answer *where* skew waves originate — that needs the
 //! pulse-front matrix `A` (one row per pulse step `(k, ℓ)`, one column
 //! per base-graph position `v`, entries the nominal emission times that
 //! [`trix_sim::PulseTrace::time`] would record, `0.0` where the rule
@@ -40,9 +40,9 @@
 //! pipeline. `measured ≤ certified` is therefore guaranteed-as-tested,
 //! not proven for arbitrary inputs: it is *checked against measured
 //! residuals* by the workspace test-suite and by the `exp_modes`
-//! experiment oracle at `--no-trace` scale, and workloads far outside
-//! that envelope (vastly larger widths/row counts, adversarial
-//! conditioning) could in principle outrun the slack.
+//! experiment oracle on streamed grids up to width 3200, and workloads
+//! far outside that envelope (vastly larger widths/row counts,
+//! adversarial conditioning) could in principle outrun the slack.
 //!
 //! # Determinism
 //!

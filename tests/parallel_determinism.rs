@@ -4,7 +4,7 @@
 //! `tests/determinism.rs` pins for single executions, lifted to whole
 //! sweeps.
 
-use trix_bench::{run_suite, Scale, TraceMode};
+use trix_bench::{run_suite, Scale};
 use trix_runner::{Fnv, SweepRunner};
 
 /// One sweep's comparable outputs: an FNV fingerprint of every table
@@ -13,14 +13,8 @@ use trix_runner::{Fnv, SweepRunner};
 /// JSON report, which additionally serializes the `skew`, `sketch` and
 /// `churn` objects — exactly the bytes the harness writes to each
 /// `BENCH_<experiment>.json` under `--canonical`.
-fn sweep(
-    scale: Scale,
-    base_seed: u64,
-    threads: usize,
-    mode: TraceMode,
-    sim_threads: usize,
-) -> (u64, String) {
-    let outcome = run_suite(scale, base_seed, threads, mode, sim_threads);
+fn sweep(scale: Scale, base_seed: u64, threads: usize, sim_threads: usize) -> (u64, String) {
+    let outcome = run_suite(scale, base_seed, threads, sim_threads);
     let mut h = Fnv::new();
     for table in &outcome.tables {
         h.write_str(table.title());
@@ -66,16 +60,16 @@ fn assert_same_sweep(reference: &(u64, String), other: &(u64, String), what: &st
 
 #[test]
 fn sharded_sweep_equals_serial_sweep() {
-    let serial = sweep(Scale::Smoke, 0xDE7E_2517, 1, TraceMode::Full, 1);
-    let sharded = sweep(Scale::Smoke, 0xDE7E_2517, 4, TraceMode::Full, 1);
-    assert_same_sweep(&serial, &sharded, "4-thread full-trace sweep vs serial");
+    let serial = sweep(Scale::Smoke, 0xDE7E_2517, 1, 1);
+    let sharded = sweep(Scale::Smoke, 0xDE7E_2517, 4, 1);
+    assert_same_sweep(&serial, &sharded, "4-thread sweep vs serial");
 }
 
 #[test]
 fn sharded_sweep_is_stable_across_repeats_and_widths() {
-    let reference = sweep(Scale::Smoke, 1, 2, TraceMode::Full, 1);
+    let reference = sweep(Scale::Smoke, 1, 2, 1);
     for threads in [2, 8] {
-        let other = sweep(Scale::Smoke, 1, threads, TraceMode::Full, 1);
+        let other = sweep(Scale::Smoke, 1, threads, 1);
         assert_same_sweep(&reference, &other, &format!("thread count {threads}"));
     }
 }
@@ -83,56 +77,37 @@ fn sharded_sweep_is_stable_across_repeats_and_widths() {
 #[test]
 fn different_base_seeds_produce_different_sweeps() {
     assert_ne!(
-        sweep(Scale::Smoke, 1, 2, TraceMode::Full, 1).0,
-        sweep(Scale::Smoke, 2, 2, TraceMode::Full, 1).0,
+        sweep(Scale::Smoke, 1, 2, 1).0,
+        sweep(Scale::Smoke, 2, 2, 1).0,
         "base seed must reach the scenario seeds"
     );
 }
 
 #[test]
 fn canonical_json_reports_are_byte_identical_across_thread_counts() {
-    let serial = run_suite(Scale::Smoke, 7, 1, TraceMode::Full, 1)
-        .report
-        .canonicalized();
-    let sharded = run_suite(Scale::Smoke, 7, 3, TraceMode::Full, 1)
-        .report
-        .canonicalized();
+    let serial = run_suite(Scale::Smoke, 7, 1, 1).report.canonicalized();
+    let sharded = run_suite(Scale::Smoke, 7, 3, 1).report.canonicalized();
     assert_eq!(serial.to_json(), sharded.to_json());
 }
 
 /// The tentpole determinism gate, at workspace level: sharding each
 /// scenario's dataflow layers across `--sim-threads` workers — alone and
 /// combined with scenario-level sharding — must not change one bit of
-/// any table cell or canonical record, for every `--no-trace`
-/// experiment (`exp_scale`, `exp_fault_sweep`, `exp_topology`,
-/// `exp_modes`, `exp_churn` and the streaming twins) at once.
+/// any table cell or canonical record, for every experiment of the
+/// suite at once: the five streaming experiments (`exp_scale`,
+/// `exp_fault_sweep`, `exp_topology`, `exp_modes`, `exp_churn`) take
+/// `sim_threads`, and the paper experiments must not notice it.
 #[test]
 fn sim_threads_sweep_equals_serial_sweep() {
-    let reference = sweep(Scale::Smoke, 11, 1, TraceMode::NoTrace, 1);
+    let reference = sweep(Scale::Smoke, 11, 1, 1);
     for (threads, sim_threads) in [(1, 2), (1, 4), (4, 2), (2, 0), (4, 4)] {
-        let other = sweep(Scale::Smoke, 11, threads, TraceMode::NoTrace, sim_threads);
+        let other = sweep(Scale::Smoke, 11, threads, sim_threads);
         assert_same_sweep(
             &reference,
             &other,
             &format!("threads {threads} × sim_threads {sim_threads}"),
         );
     }
-}
-
-/// The `--no-trace` streaming suite is held to the same bar: sharding
-/// must not change a single bit of any record — including the streamed
-/// skew statistics (compared through the canonical JSON, which
-/// serializes the full `skew` objects).
-#[test]
-fn no_trace_sweep_is_deterministic_across_thread_counts() {
-    let serial = run_suite(Scale::Smoke, 3, 1, TraceMode::NoTrace, 1)
-        .report
-        .canonicalized();
-    let sharded = run_suite(Scale::Smoke, 3, 4, TraceMode::NoTrace, 1)
-        .report
-        .canonicalized();
-    assert_eq!(serial.to_json(), sharded.to_json());
-    assert!(serial.records.iter().all(|r| r.skew.is_some()));
 }
 
 #[test]

@@ -1,13 +1,14 @@
-//! Streaming-vs-post-hoc equivalence across the whole experiment suite.
+//! Streaming-vs-post-hoc equivalence across the experiment suite.
 //!
-//! The `--no-trace` mode's contract: every statistic the streaming skew
-//! observer records must be **bit-identical** to what the post-hoc
+//! The streaming experiments' contract: every statistic the streaming
+//! skew observer records must be **bit-identical** to what the post-hoc
 //! analyzer (`trix_analysis::skew` over a full `PulseTrace`) computes for
 //! the same workload — for any `--threads` value. This test replays every
-//! scenario of the smoke-scale `--no-trace` suite from its *benchmark
-//! record alone* (params + derived seeds), re-runs it through the classic
-//! trace-backed path, recomputes all skew statistics batch-style, and
-//! compares `SkewSummary`s with `==` on the raw `f64`s — no tolerance.
+//! record of the smoke-scale suite that carries streaming statistics from
+//! its *benchmark record alone* (params + derived seeds), re-runs it
+//! through the classic trace-backed path, recomputes all skew statistics
+//! batch-style, and compares `SkewSummary`s with `==` on the raw `f64`s —
+//! no tolerance.
 
 use gradient_trix::analysis::{global_skew, inter_layer_skew, intra_layer_skew};
 use gradient_trix::core::GradientTrixRule;
@@ -19,14 +20,12 @@ use trix_bench::common::{
     grid, merge_snapshots, run_gradient_trix, run_gradient_trix_graph, run_gradient_trix_streaming,
     standard_params, streaming_monitor,
 };
-use trix_bench::{
-    exp_churn, exp_fault_sweep, exp_modes, exp_topology, run_suite, Scale, TraceMode,
-};
-use trix_runner::BenchRecord;
+use trix_bench::{exp_churn, exp_fault_sweep, exp_modes, exp_topology, run_suite, Scale};
+use trix_runner::{BenchRecord, SkewSummary};
 
 /// Batch recomputation of a [`SkewStats`] snapshot from a full trace,
 /// folding in the same pulse order as the streaming monitor. `sends` is
-/// `CorrectSends` for the fault-free suite and the reconstructed
+/// `CorrectSends` for fault-free records and the reconstructed
 /// [`trix_faults::FaultCampaign`] for `exp_fault_sweep` records.
 fn post_hoc_stats(g: &LayeredGraph, pulses: usize, seed: u64, sends: &impl SendModel) -> SkewStats {
     let p = standard_params();
@@ -119,27 +118,47 @@ fn param(record: &BenchRecord, key: &str) -> Option<usize> {
 #[test]
 fn suite_streaming_stats_equal_post_hoc_for_any_thread_count() {
     let base_seed = 0x0b5e_2017;
-    let serial = run_suite(Scale::Smoke, base_seed, 1, TraceMode::NoTrace, 1);
+    let serial = run_suite(Scale::Smoke, base_seed, 1, 1);
     // Shard both across scenarios (`--threads`) and inside each
     // scenario's dataflow (`--sim-threads`) — the replay below then pins
     // the parallel engine's emissions bit-identical to the post-hoc
     // trace analysis.
-    let sharded = run_suite(Scale::Smoke, base_seed, 4, TraceMode::NoTrace, 2);
+    let sharded = run_suite(Scale::Smoke, base_seed, 4, 2);
     // Sharding invariance first — including every streamed statistic.
     assert_eq!(
         serial.report.canonicalized().to_json(),
         sharded.report.canonicalized().to_json(),
-        "no-trace sweep diverged across thread counts"
+        "sweep diverged across thread counts"
     );
     assert!(serial.violations.is_empty(), "{:?}", serial.violations);
-    assert!(!serial.report.records.is_empty());
 
-    // Every record replays bit-identically through the full-trace path.
-    for record in &serial.report.records {
-        let recorded = record
-            .skew
-            .as_ref()
-            .unwrap_or_else(|| panic!("{}/{}: no skew stats", record.experiment, record.scenario));
+    // Streaming statistics come from exactly the five streaming
+    // experiments, in suite order.
+    let streamed: Vec<(&BenchRecord, &SkewSummary)> = serial
+        .report
+        .records
+        .iter()
+        .filter_map(|r| Some((r, r.skew.as_ref()?)))
+        .collect();
+    let mut experiments: Vec<&str> = streamed
+        .iter()
+        .map(|(r, _)| r.experiment.as_str())
+        .collect();
+    experiments.dedup();
+    assert_eq!(
+        experiments,
+        [
+            "exp_scale",
+            "exp_fault_sweep",
+            "exp_topology",
+            "exp_modes",
+            "exp_churn"
+        ]
+    );
+
+    // Every such record replays bit-identically through the full-trace
+    // path.
+    for (record, recorded) in streamed {
         let pulses = param(record, "pulses").expect("pulses param");
         let snaps: Vec<SkewStats> = record
             .seeds
@@ -198,9 +217,9 @@ fn suite_streaming_stats_equal_post_hoc_for_any_thread_count() {
                     let g = exp_topology::layered(&point);
                     return post_hoc_graph_stats(&g, pulses, seed, &CorrectSends);
                 }
+                // exp_scale and exp_fault_sweep: square grids.
                 let width = param(record, "width").expect("width param");
-                let layers = param(record, "layers").unwrap_or(width); // exp_scale & fault sweep: square
-                let g = grid(width, layers);
+                let g = grid(width, width);
                 if record.experiment == "exp_fault_sweep" {
                     // Campaign scenarios (schema v4 stamps the
                     // descriptor): reconstruct the identical adversary
@@ -300,7 +319,7 @@ fn sketch_certificate_holds_on_full_trace_grids() {
 /// churn descriptor.
 #[test]
 fn exp_scale_record_round_trips_schema_v8() {
-    let outcome = run_suite(Scale::Smoke, 7, 2, TraceMode::NoTrace, 2);
+    let outcome = run_suite(Scale::Smoke, 7, 2, 2);
     let report = outcome.report.filtered("exp_scale");
     assert!(!report.records.is_empty());
     let json = report.to_json();
