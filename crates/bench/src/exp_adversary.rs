@@ -9,7 +9,7 @@
 //! "provable worst case".
 
 use crate::common::{square_grid, standard_params};
-use crate::suite::{kv, Scenario};
+use crate::suite::{kv, Scenario, ScenarioResult};
 use crate::Scale;
 use trix_analysis::{fmt_f64, max_intra_layer_skew, theory, Table};
 use trix_core::GradientTrixRule;
@@ -53,14 +53,22 @@ pub fn search(width: usize, iterations: usize, flips: usize, seed: u64) -> (f64,
     (best, bound)
 }
 
-/// Runs the adversary search and reports found-vs-bound.
-pub fn run(width: usize, iterations: usize, seeds: &[u64]) -> Table {
+/// Runs the adversary search and reports found-vs-bound. A skew found
+/// above the Theorem 1.1 bound is a violation.
+pub fn run(width: usize, iterations: usize, seeds: &[u64]) -> ScenarioResult {
     let mut table = Table::new(
         "Adversary search — worst extremal delay assignment found (hill climbing)",
         &["seed", "best skew found", "Thm 1.1 bound", "found/bound"],
     );
+    let mut violations = Vec::new();
     for &seed in seeds {
         let (best, bound) = search(width, iterations, 3, seed);
+        if best > bound {
+            violations.push(format!(
+                "seed {seed:#x}: found skew {best} exceeds the Thm 1.1 bound {bound} \
+                 (width {width})"
+            ));
+        }
         table.row_values(&[
             seed.to_string(),
             fmt_f64(best),
@@ -68,7 +76,7 @@ pub fn run(width: usize, iterations: usize, seeds: &[u64]) -> Table {
             fmt_f64(best / bound),
         ]);
     }
-    table
+    ScenarioResult::checked(table, violations)
 }
 
 /// Scenario decomposition for the sweep runner: one scenario per derived
@@ -124,7 +132,8 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        let t = run(8, 10, &[0, 1]);
-        assert_eq!(t.len(), 2);
+        let r = run(8, 10, &[0, 1]);
+        assert_eq!(r.table.len(), 2);
+        assert!(r.violations.is_empty(), "{:?}", r.violations);
     }
 }

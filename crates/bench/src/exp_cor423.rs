@@ -7,14 +7,15 @@
 //! local-skew bound via Observation 4.2.
 
 use crate::common::{run_gradient_trix, square_grid, standard_params};
-use crate::suite::{kv, Scenario};
+use crate::suite::{kv, Scenario, ScenarioResult};
 use crate::Scale;
 use trix_analysis::{fmt_f64, global_skew, psi, theory, Table};
 use trix_core::GradientTrixRule;
 use trix_sim::CorrectSends;
 
-/// Runs the potential-trajectory experiment on one grid width.
-pub fn run(width: usize, pulses: usize, seeds: &[u64]) -> Table {
+/// Runs the potential-trajectory experiment on one grid width. Each
+/// "within?" cell is a condition oracle: a false one is a violation.
+pub fn run(width: usize, pulses: usize, seeds: &[u64]) -> ScenarioResult {
     let p = standard_params();
     let rule = GradientTrixRule::new(p);
     let g = square_grid(width);
@@ -43,24 +44,38 @@ pub fn run(width: usize, pulses: usize, seeds: &[u64]) -> Table {
             }
         }
     }
+    let mut violations = Vec::new();
     let global_bound = theory::cor_4_24_global_bound(&p, d).as_f64();
+    let within = worst_global <= global_bound;
+    if !within {
+        violations.push(format!(
+            "width {width}: global skew {worst_global} exceeds the Cor 4.24 bound 6κD = \
+             {global_bound}"
+        ));
+    }
     table.row_values(&[
         "0 (global skew)".into(),
         fmt_f64(worst_global),
         format!("{} (6κD)", fmt_f64(global_bound)),
-        (worst_global <= global_bound).to_string(),
+        within.to_string(),
     ]);
     for s in 1..=s_max {
         let bound = theory::psi_level_bound(&p, d, s).as_f64();
         let measured = worst_psi[s as usize];
+        let within = measured <= bound;
+        if !within {
+            violations.push(format!(
+                "width {width}: Ψ^{s} = {measured} exceeds the bound 2^(2−s)·κD = {bound}"
+            ));
+        }
         table.row_values(&[
             s.to_string(),
             fmt_f64(measured),
             fmt_f64(bound),
-            (measured <= bound).to_string(),
+            within.to_string(),
         ]);
     }
-    table
+    ScenarioResult::checked(table, violations)
 }
 
 /// Scenario decomposition for the sweep runner: one scenario (levels `s`
@@ -124,8 +139,13 @@ mod tests {
 
     #[test]
     fn levels_shrink_monotonically_in_bound() {
-        let t = run(12, 2, &[0]);
-        assert!(t.len() >= 3);
-        assert!(!t.to_markdown().contains("false"), "{}", t.to_markdown());
+        let r = run(12, 2, &[0]);
+        assert!(r.table.len() >= 3);
+        assert!(r.violations.is_empty(), "{:?}", r.violations);
+        assert!(
+            !r.table.to_markdown().contains("false"),
+            "{}",
+            r.table.to_markdown()
+        );
     }
 }

@@ -15,7 +15,7 @@ use crate::suite::{kv, Scenario};
 use crate::Scale;
 use trix_analysis::{fmt_f64, max_intra_layer_skew, Table};
 use trix_core::RobustRule;
-use trix_faults::{FaultBehavior, FaultySendModel};
+use trix_faults::{FaultBehavior, FaultCampaign};
 use trix_sim::{run_dataflow, OffsetLayer0, Rng, StaticEnvironment};
 use trix_topology::{BaseGraph, LayeredGraph};
 
@@ -45,7 +45,7 @@ fn run_one(f: usize, width: usize, layers: usize, pairs: usize, seed: u64) -> (f
             faults.push((g.node((base + j) % width, layer), behavior));
         }
     }
-    let model = FaultySendModel::from_faults(faults);
+    let model = FaultCampaign::from_static(faults);
     let pulses = 3;
     let trace = run_dataflow(&g, &env, &layer0, &rule, &model, pulses);
     let skew = max_intra_layer_skew(&g, &trace, 0..pulses).as_f64();

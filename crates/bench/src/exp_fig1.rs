@@ -9,7 +9,7 @@
 //! otherwise).
 
 use crate::common::{split_delay_env, square_grid, standard_params};
-use crate::suite::{kv, Scenario};
+use crate::suite::{kv, Scenario, ScenarioResult};
 use crate::Scale;
 use std::collections::HashSet;
 use trix_analysis::{fmt_f64, skew_by_layer, theory, Table};
@@ -20,8 +20,10 @@ use trix_time::Time;
 use trix_topology::HexGrid;
 
 /// Skew-by-layer series for naive TRIX vs Gradient TRIX under the same
-/// adversarial split-delay environment.
-pub fn run_skew_by_layer(width: usize) -> Table {
+/// adversarial split-delay environment. The Theorem 1.1 bound is the
+/// condition oracle for the Gradient TRIX column: a layer above it is a
+/// violation (naive TRIX is expected to exceed it).
+pub fn run_skew_by_layer(width: usize) -> ScenarioResult {
     let p = standard_params();
     let g = square_grid(width);
     let env = split_delay_env(&g, &p, g.width() / 2);
@@ -50,7 +52,14 @@ pub fn run_skew_by_layer(width: usize) -> Table {
         ],
     );
     let bound = theory::thm_1_1_bound(&p, g.base().diameter()).as_f64();
+    let mut violations = Vec::new();
     for layer in 0..g.layer_count() {
+        if let Some(skew) = gt_series[layer].filter(|&s| s > bound) {
+            violations.push(format!(
+                "layer {layer}: Gradient TRIX skew {skew} exceeds the GT bound {bound} \
+                 (width {width}, adversarial split)"
+            ));
+        }
         table.row_values(&[
             layer.to_string(),
             fmt_f64(naive_series[layer].unwrap_or(f64::NAN)),
@@ -59,7 +68,7 @@ pub fn run_skew_by_layer(width: usize) -> Table {
             fmt_f64(bound),
         ]);
     }
-    table
+    ScenarioResult::checked(table, violations)
 }
 
 /// HEX crash penalty: local skew on the layer after a crashed node, with
@@ -167,8 +176,9 @@ mod tests {
 
     #[test]
     fn tables_render() {
-        let t = run_skew_by_layer(8);
-        assert_eq!(t.len(), 8);
+        let r = run_skew_by_layer(8);
+        assert_eq!(r.table.len(), 8);
+        assert!(r.violations.is_empty(), "{:?}", r.violations);
         let t = run_hex_crash(8, 6);
         assert_eq!(t.len(), 5);
     }

@@ -76,12 +76,7 @@ pub fn run_checked(width: usize, pulses: usize, seeds: &[u64]) -> ScenarioResult
             fmt_f64(stats.max),
         ]);
     }
-    ScenarioResult {
-        table,
-        violations,
-        skew: None,
-        sketch: None,
-    }
+    ScenarioResult::checked(table, violations)
 }
 
 /// Scenario decomposition for the sweep runner: one scenario per derived

@@ -12,7 +12,7 @@ use crate::suite::{kv, Scenario, ScenarioResult};
 use crate::Scale;
 use trix_analysis::{fmt_f64, max_intra_layer_skew, Table};
 use trix_core::{check_pulse_interval, CorrectionConfig, GradientTrixRule, MissingNeighborPolicy};
-use trix_faults::{FaultBehavior, FaultySendModel};
+use trix_faults::{FaultBehavior, FaultCampaign};
 
 /// Runs the policy ablation with `f` silent faults.
 pub fn run(width: usize, f: usize, pulses: usize, seeds: &[u64]) -> Table {
@@ -40,7 +40,7 @@ pub fn run_checked(width: usize, f: usize, pulses: usize, seeds: &[u64]) -> Scen
         .map(|i| g.node((2 + 3 * i) % g.width(), 1 + (i * 2) % (g.layer_count() - 1)))
         .collect();
     let model =
-        FaultySendModel::from_faults(positions.into_iter().map(|n| (n, FaultBehavior::Silent)));
+        FaultCampaign::from_static(positions.into_iter().map(|n| (n, FaultBehavior::Silent)));
     for policy in [
         MissingNeighborPolicy::StickToEarlier,
         MissingNeighborPolicy::ClampLiteral,
@@ -73,12 +73,7 @@ pub fn run_checked(width: usize, f: usize, pulses: usize, seeds: &[u64]) -> Scen
             viol4.to_string(),
         ]);
     }
-    ScenarioResult {
-        table,
-        violations,
-        skew: None,
-        sketch: None,
-    }
+    ScenarioResult::checked(table, violations)
 }
 
 /// Scenario decomposition for the sweep runner: one scenario comparing

@@ -18,7 +18,7 @@ use std::collections::HashSet;
 use trix_analysis::{fmt_f64, intra_layer_skew, theory, Table};
 use trix_baselines::{run_hex_pulse, HexEnvironment, NaiveTrixRule};
 use trix_core::GradientTrixRule;
-use trix_faults::{FaultBehavior, FaultySendModel};
+use trix_faults::{FaultBehavior, FaultCampaign};
 use trix_sim::{run_dataflow, CorrectSends, OffsetLayer0, Rng};
 use trix_time::Time;
 use trix_topology::HexGrid;
@@ -75,10 +75,8 @@ pub fn run(widths: &[usize]) -> Table {
         let gt_skew = intra_layer_skew(&g, &gt, 0, last).unwrap().as_f64();
 
         // Gradient TRIX with one silent fault mid-grid (random env).
-        let fault = FaultySendModel::from_faults([(
-            g.node(g.width() / 2, last / 2),
-            FaultBehavior::Silent,
-        )]);
+        let fault =
+            FaultCampaign::from_static([(g.node(g.width() / 2, last / 2), FaultBehavior::Silent)]);
         let (gt_fault_trace, _) =
             crate::common::run_gradient_trix(&g, &p, &rule, &fault, 2, w as u64);
         let gt_fault = (0..g.layer_count())
@@ -154,7 +152,7 @@ mod tests {
         let p = standard_params();
         let g = square_grid(16);
         let rule = GradientTrixRule::new(p);
-        let fault = FaultySendModel::from_faults([(
+        let fault = FaultCampaign::from_static([(
             g.node(g.width() / 2, g.layer_count() / 2),
             FaultBehavior::Silent,
         )]);

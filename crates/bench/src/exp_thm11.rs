@@ -10,14 +10,16 @@
 use crate::common::{
     run_gradient_trix, run_gradient_trix_with_env, split_delay_env, square_grid, standard_params,
 };
-use crate::suite::{kv, Scenario};
+use crate::suite::{kv, Scenario, ScenarioResult};
 use crate::Scale;
 use trix_analysis::{fmt_f64, max_intra_layer_skew, theory, Table};
 use trix_core::GradientTrixRule;
 use trix_sim::CorrectSends;
 
-/// Runs the Theorem 1.1 experiment over the given grid widths.
-pub fn run(widths: &[usize], pulses: usize, seeds: &[u64]) -> Table {
+/// Runs the Theorem 1.1 experiment over the given grid widths. The bound
+/// is the condition oracle: a width whose worst skew exceeds it is a
+/// violation.
+pub fn run(widths: &[usize], pulses: usize, seeds: &[u64]) -> ScenarioResult {
     let p = standard_params();
     let rule = GradientTrixRule::new(p);
     let mut table = Table::new(
@@ -32,6 +34,7 @@ pub fn run(widths: &[usize], pulses: usize, seeds: &[u64]) -> Table {
             "measured/bound",
         ],
     );
+    let mut violations = Vec::new();
     for &w in widths {
         let g = square_grid(w);
         let d = g.base().diameter();
@@ -45,6 +48,13 @@ pub fn run(widths: &[usize], pulses: usize, seeds: &[u64]) -> Table {
             run_gradient_trix_with_env(&g, &p, &rule, &adv_env, &CorrectSends, pulses, 7);
         let adv = max_intra_layer_skew(&g, &adv_trace, 0..pulses).as_f64();
         let bound = theory::thm_1_1_bound(&p, d).as_f64();
+        let measured = worst.max(adv);
+        if measured > bound {
+            violations.push(format!(
+                "width {w}: L {measured} (random env {worst}, adversarial split {adv}) \
+                 exceeds the Thm 1.1 bound {bound}"
+            ));
+        }
         table.row_values(&[
             w.to_string(),
             d.to_string(),
@@ -52,10 +62,10 @@ pub fn run(widths: &[usize], pulses: usize, seeds: &[u64]) -> Table {
             fmt_f64(worst),
             fmt_f64(adv),
             fmt_f64(bound),
-            fmt_f64(worst.max(adv) / bound),
+            fmt_f64(measured / bound),
         ]);
     }
-    table
+    ScenarioResult::checked(table, violations)
 }
 
 /// Scenario decomposition for the sweep runner: one scenario per grid
@@ -113,7 +123,8 @@ mod tests {
 
     #[test]
     fn table_has_one_row_per_width() {
-        let t = run(&[8, 12], 2, &[0, 1]);
-        assert_eq!(t.len(), 2);
+        let r = run(&[8, 12], 2, &[0, 1]);
+        assert_eq!(r.table.len(), 2);
+        assert!(r.violations.is_empty(), "{:?}", r.violations);
     }
 }

@@ -16,7 +16,7 @@ use crate::suite::{kv, Scenario};
 use crate::Scale;
 use trix_analysis::{fmt_f64, max_intra_layer_skew, theory, Table};
 use trix_core::GradientTrixRule;
-use trix_faults::{clustered_column, FaultBehavior, FaultySendModel};
+use trix_faults::{clustered_column, FaultBehavior, FaultCampaign};
 use trix_time::Duration;
 
 /// Builds the worst-case fault model for `f` stacked faults.
@@ -25,13 +25,13 @@ fn stacked_faults(
     f: usize,
     shift_kappas: f64,
     kappa: Duration,
-) -> FaultySendModel {
+) -> FaultCampaign {
     let column = g.width() / 2;
     let start = g.layer_count() / 4;
     let positions = clustered_column(g, column, start, 1, f);
     let mut sorted: Vec<_> = positions.into_iter().collect();
     sorted.sort();
-    FaultySendModel::from_faults(sorted.into_iter().enumerate().map(|(i, n)| {
+    FaultCampaign::from_static(sorted.into_iter().enumerate().map(|(i, n)| {
         let sign = if i % 2 == 0 { 1.0 } else { -1.0 };
         (n, FaultBehavior::Shift(kappa * (sign * shift_kappas)))
     }))

@@ -16,7 +16,7 @@ use crate::suite::{kv, Scenario};
 use crate::Scale;
 use trix_analysis::{fmt_f64, max_intra_layer_skew, theory, Table};
 use trix_core::GradientTrixRule;
-use trix_faults::{sample_one_local, FaultBehavior, FaultySendModel};
+use trix_faults::{sample_one_local, FaultBehavior, FaultCampaign};
 use trix_sim::{CorrectSends, Rng};
 use trix_topology::max_k_faulty;
 
@@ -24,10 +24,10 @@ use trix_topology::max_k_faulty;
 pub fn behavior_mix(
     positions: impl IntoIterator<Item = trix_topology::NodeId>,
     kappa: trix_time::Duration,
-) -> FaultySendModel {
+) -> FaultCampaign {
     let mut sorted: Vec<_> = positions.into_iter().collect();
     sorted.sort();
-    FaultySendModel::from_faults(sorted.into_iter().enumerate().map(|(i, n)| {
+    FaultCampaign::from_static(sorted.into_iter().enumerate().map(|(i, n)| {
         let b = match i % 4 {
             0 => FaultBehavior::Silent,
             1 => FaultBehavior::Shift(kappa * 15.0),

@@ -14,18 +14,18 @@ use crate::suite::{kv, Scenario};
 use crate::Scale;
 use trix_analysis::{fmt_f64, full_local_skew, theory, Table};
 use trix_core::{GradientTrixRule, Layer0Line, Params};
-use trix_faults::{sample_one_local, FaultBehavior, FaultySendModel};
+use trix_faults::{sample_one_local, FaultBehavior, FaultCampaign, FaultSchedule};
 use trix_sim::{run_dataflow, Rng, SequenceEnvironment, StaticEnvironment};
 use trix_time::{AffineClock, Duration};
 use trix_topology::LayeredGraph;
 
 /// Static-fault model matching Theorem 1.4 (silent + fixed shifts only).
-fn static_faults(g: &LayeredGraph, prob: f64, kappa: Duration, seed: u64) -> FaultySendModel {
+fn static_faults(g: &LayeredGraph, prob: f64, kappa: Duration, seed: u64) -> FaultCampaign {
     let mut rng = Rng::seed_from(seed ^ 0x14);
     let (positions, _) = sample_one_local(g, prob, 1, &mut rng);
     let mut sorted: Vec<_> = positions.into_iter().collect();
     sorted.sort();
-    FaultySendModel::from_faults(sorted.into_iter().enumerate().map(|(i, n)| {
+    FaultCampaign::from_static(sorted.into_iter().enumerate().map(|(i, n)| {
         let b = match i % 3 {
             0 => FaultBehavior::Silent,
             1 => FaultBehavior::Shift(kappa * 12.0),
@@ -37,25 +37,25 @@ fn static_faults(g: &LayeredGraph, prob: f64, kappa: Duration, seed: u64) -> Fau
 
 /// Corollary 1.5 fault model: the static set plus a constant number of
 /// nodes that change behavior mid-run or jitter every pulse.
-fn cor15_faults(g: &LayeredGraph, prob: f64, kappa: Duration, seed: u64) -> FaultySendModel {
+fn cor15_faults(g: &LayeredGraph, prob: f64, kappa: Duration, seed: u64) -> FaultCampaign {
     let mut model = static_faults(g, prob, kappa, seed);
     // Two extra "restless" faults near the middle of the grid (kept
     // 1-local by construction: same column, separated layers).
     let mid = g.width() / 2;
     model.insert(
         g.node(mid, g.layer_count() / 2),
-        FaultBehavior::ChangeAt {
+        FaultSchedule::Always(FaultBehavior::ChangeAt {
             at_pulse: 3,
             before: Box::new(FaultBehavior::Shift(kappa * 10.0)),
             after: Box::new(FaultBehavior::Silent),
-        },
+        }),
     );
     model.insert(
         g.node(mid, g.layer_count() / 2 + 3),
-        FaultBehavior::Jitter {
+        FaultSchedule::Always(FaultBehavior::Jitter {
             amplitude: kappa * 5.0,
             seed: seed ^ 0xC0F,
-        },
+        }),
     );
     model
 }

@@ -14,7 +14,7 @@
 //! square layout).
 
 use crate::common::{square_grid, standard_params};
-use crate::suite::{kv, Scenario};
+use crate::suite::{kv, Scenario, ScenarioResult};
 use crate::Scale;
 use std::collections::HashSet;
 use trix_analysis::{fmt_f64, theory, Table};
@@ -52,8 +52,9 @@ pub fn stabilization_pulse(times: &[Time], lambda: f64, tol: f64) -> Option<usiz
     }
 }
 
-/// Runs the self-stabilization experiment over grid widths.
-pub fn run(widths: &[usize], seeds: &[u64]) -> Table {
+/// Runs the self-stabilization experiment over grid widths. A row that
+/// is not within its pulse budget (or never stabilizes) is a violation.
+pub fn run(widths: &[usize], seeds: &[u64]) -> ScenarioResult {
     let p = standard_params();
     let mut table = Table::new(
         "Thm 1.6 — self-stabilization from scrambled state (event-driven)",
@@ -66,6 +67,7 @@ pub fn run(widths: &[usize], seeds: &[u64]) -> Table {
             "within budget?",
         ],
     );
+    let mut violations = Vec::new();
     for &w in widths {
         let g = square_grid(w);
         let budget = theory::thm_1_6_pulse_budget(g.base().diameter(), g.layer_count());
@@ -107,6 +109,12 @@ pub fn run(widths: &[usize], seeds: &[u64]) -> Table {
                 Some(wst) => (wst.to_string(), wst <= budget),
                 None => ("never".to_owned(), false),
             };
+            if !ok {
+                violations.push(format!(
+                    "width {w} (permanent fault: {with_fault}): worst stabilization pulse \
+                     {cell} is not within the budget of {budget} pulses"
+                ));
+            }
             table.row_values(&[
                 w.to_string(),
                 g.node_count().to_string(),
@@ -117,7 +125,7 @@ pub fn run(widths: &[usize], seeds: &[u64]) -> Table {
             ]);
         }
     }
-    table
+    ScenarioResult::checked(table, violations)
 }
 
 /// Corollary A.2: layer-0 line stabilization time in units of `Λ·D`.
@@ -236,8 +244,8 @@ mod tests {
     /// panicking in `correction()` (`H_max must be at least H_min`).
     #[test]
     fn scrambled_state_with_inverted_extremes_stabilizes() {
-        let t = run(&[6], &[0xe55d_45f8_9bf6_23a1]);
-        assert_eq!(t.len(), 2);
+        let r = run(&[6], &[0xe55d_45f8_9bf6_23a1]);
+        assert_eq!(r.table.len(), 2);
     }
 
     #[test]
@@ -271,10 +279,11 @@ mod tests {
 
     #[test]
     fn scrambled_grids_stabilize_within_budget() {
-        let t = run(&[4], &[0, 1]);
+        let r = run(&[4], &[0, 1]);
+        assert!(r.violations.is_empty(), "{:?}", r.violations);
         // Two rows (with/without permanent fault); the "within budget?"
         // (last) column must be true everywhere.
-        let md = t.to_markdown();
+        let md = r.table.to_markdown();
         for line in md.lines().filter(|l| l.starts_with("| 4 ")) {
             let cells: Vec<&str> = line.split('|').map(str::trim).collect();
             assert_eq!(

@@ -11,7 +11,8 @@
 //! cargo run --release -p trix-bench --bin gradient-trix-experiments
 //! ```
 //!
-//! or benchmark the underlying workloads with `cargo bench`.
+//! Each record's `wall_secs` times one scenario; `hostbench/` times the
+//! layers underneath (rule, engine, observers) on three workloads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,7 +51,7 @@ use suite::{Scenario, SuiteOutcome};
 pub enum Scale {
     /// Tiny sizes for the CI bench-smoke gate (a second or two).
     Smoke,
-    /// Small sizes for CI / benches (seconds).
+    /// Small sizes for CI (seconds).
     Quick,
     /// Paper-scale sizes for the harness (a few minutes).
     Full,

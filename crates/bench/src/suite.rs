@@ -42,14 +42,22 @@ pub struct ScenarioResult {
     pub sketch: Option<SketchSummary>,
 }
 
-impl From<Table> for ScenarioResult {
-    fn from(table: Table) -> Self {
+impl ScenarioResult {
+    /// A table shard with its condition-oracle violations, from a job
+    /// that ran no streaming skew observer or sketch.
+    pub fn checked(table: Table, violations: Vec<String>) -> Self {
         Self {
             table,
-            violations: Vec::new(),
+            violations,
             skew: None,
             sketch: None,
         }
+    }
+}
+
+impl From<Table> for ScenarioResult {
+    fn from(table: Table) -> Self {
+        Self::checked(table, Vec::new())
     }
 }
 

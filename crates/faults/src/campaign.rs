@@ -1,14 +1,14 @@
 //! Time-varying fault campaigns (paper §2 + Corollary 1.5, scaled up).
 //!
-//! The static machinery in [`crate::FaultySendModel`] fixes one behavior
+//! A static assignment ([`FaultCampaign::from_static`]) fixes one behavior
 //! per node for a whole run. Real deployments — and the paper's own
 //! discussion of Corollary 1.5 ("a constant number of faulty nodes change
 //! their output behavior between consecutive pulses") — need faults that
 //! *move*: nodes crash and come back, flaky drivers drop some pulses but
 //! not others, a fault burst sweeps across the grid, fault density ramps
-//! up as a part ages. A [`FaultCampaign`] expresses those as a set of
+//! up as a part ages. A [`FaultCampaign`] expresses both as a set of
 //! per-node [`FaultSchedule`]s and plugs into both execution engines
-//! through the same [`SendModel`] hook the static model uses.
+//! through the [`SendModel`] hook.
 //!
 //! # Determinism contract
 //!
@@ -48,7 +48,7 @@ use trix_topology::{LayeredGraph, NodeId};
 /// applies. All gating is deterministic per `(node, pulse)`.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FaultSchedule {
-    /// Faulty for the whole run (the static model, embedded).
+    /// Faulty for the whole run (a static assignment).
     Always(FaultBehavior),
     /// Faulty exactly during pulses `from..until`, correct elsewhere.
     Window {
@@ -191,7 +191,8 @@ impl FaultCampaign {
     }
 
     /// Wraps a static fault assignment: every pair becomes an
-    /// [`FaultSchedule::Always`] (drop-in for [`crate::FaultySendModel`]).
+    /// [`FaultSchedule::Always`], faulty with its behavior for the whole
+    /// run.
     pub fn from_static(faults: impl IntoIterator<Item = (NodeId, FaultBehavior)>) -> Self {
         Self::from_schedules(
             faults

@@ -8,13 +8,13 @@
 //! * [`FaultBehavior`] — static faults (silent, delay-shift, two-faced)
 //!   and time-varying ones (jitter, change-point) for the dataflow
 //!   executor;
-//! * [`FaultySendModel`] — plugs behaviors into
-//!   [`trix_sim::run_dataflow`];
-//! * [`FaultSchedule`] / [`FaultCampaign`] — **time-varying fault
-//!   campaigns**: crash–recover windows, flaky per-pulse gating, density
-//!   ramps, and moving one-local fault waves, composed from the same
-//!   behaviors and usable as a drop-in [`trix_sim::SendModel`] for both
-//!   dataflow drivers (serial and `--sim-threads`-sharded);
+//! * [`FaultSchedule`] / [`FaultCampaign`] — the send model that plugs
+//!   behaviors into [`trix_sim::run_dataflow`] and the sharded driver:
+//!   static assignments ([`FaultCampaign::from_static`], one
+//!   [`FaultSchedule::Always`] per node) and **time-varying fault
+//!   campaigns** (crash–recover windows, flaky per-pulse gating, density
+//!   ramps, and moving one-local fault waves) composed from the same
+//!   behaviors;
 //! * [`is_one_local`] / [`sample_iid`] / [`sample_one_local`] /
 //!   [`clustered_column`] — placements for Theorems 1.2 and 1.3;
 //! * [`ChurnSchedule`] / [`ChurnCampaign`] — **open-world churn**:
@@ -50,7 +50,6 @@ mod campaign;
 mod churn;
 mod des_nodes;
 mod placement;
-mod send_model;
 mod table;
 
 pub use behavior::FaultBehavior;
@@ -61,4 +60,3 @@ pub use des_nodes::{
     SilentDesNode,
 };
 pub use placement::{clustered_column, is_one_local, sample_iid, sample_one_local};
-pub use send_model::FaultySendModel;

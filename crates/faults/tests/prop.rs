@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 use trix_faults::{
     is_one_local, sample_iid, sample_one_local, ChurnCampaign, ChurnSchedule, FaultBehavior,
-    FaultCampaign, FaultSchedule, FaultySendModel,
+    FaultCampaign, FaultSchedule,
 };
 use trix_sim::{
     run_dataflow_observed, run_dataflow_parallel, Environment, Observer, OffsetLayer0, PulseRule,
@@ -603,41 +603,6 @@ proptest! {
         prop_assert_eq!(fast, reference);
         prop_assert_eq!(fast_dropped, reference_dropped);
         prop_assert_eq!(fast_rng.next_u64(), reference_rng.next_u64());
-    }
-
-    /// `FaultySendModel` answers like a `HashMap` of behaviors, built
-    /// partly by `from_faults` and partly by `insert`, with repeats.
-    #[test]
-    fn faulty_send_model_matches_a_hash_map(
-        seed in any::<u64>(),
-        count in 0usize..40,
-        split in 0usize..40,
-    ) {
-        let mut rng = Rng::seed_from(seed);
-        let (writes, reference) = random_writes(&mut rng, count, random_behavior);
-        let split = split.min(count);
-        let mut model = FaultySendModel::from_faults(writes[..split].iter().cloned());
-        for (node, behavior) in &writes[split..] {
-            model.insert(*node, behavior.clone());
-        }
-        prop_assert_eq!(model.fault_count(), reference.len());
-        prop_assert_eq!(model.faulty_nodes().collect::<Vec<_>>(), sorted_keys(&reference));
-        prop_assert_eq!(
-            model.all_static(),
-            reference.values().all(FaultBehavior::is_static)
-        );
-        let nominal = Some(Time::from(10.0));
-        for node in query_positions() {
-            prop_assert_eq!(model.is_faulty(node), reference.contains_key(&node));
-            let target = NodeId::new(node.v, node.layer + 1);
-            for k in 0..4 {
-                let expected = match reference.get(&node) {
-                    Some(behavior) => behavior.send_time(node, k, nominal, target),
-                    None => nominal,
-                };
-                prop_assert_eq!(model.send_time(node, k, nominal, target), expected);
-            }
-        }
     }
 
     /// `FaultCampaign` answers like a `HashMap` of schedules, built

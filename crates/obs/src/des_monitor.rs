@@ -36,8 +36,7 @@ enum PairKind {
 /// The adjacency is stored CSR-style (one flat peer array plus per-node
 /// offsets) and last-fire times as bare `f64`s with a NaN sentinel, so
 /// the per-broadcast work is a short contiguous scan — the monitor sits
-/// on the DES hot loop (see `benches/engine_micro.rs`,
-/// `observer_overhead`).
+/// on the DES hot loop.
 #[derive(Clone, Debug)]
 pub struct DesSkew {
     half_period: f64,

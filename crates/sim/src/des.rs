@@ -13,11 +13,10 @@
 //! bit-reproducible.
 //!
 //! The event loop is allocation-lean in steady state: pending events are
-//! compact 32-byte entries in a deterministic [`EventQueue`] (popped by
-//! value — no peek-clone, no per-broadcast link-list clone), node
-//! callbacks write into a reusable action buffer, and the dominant
-//! "callback only broadcasts" pattern takes a fast path that never touches
-//! that buffer at all.
+//! compact 32-byte entries in a deterministic binary-heap queue (popped
+//! by value — no peek-clone, no per-broadcast link-list clone), and node
+//! callbacks write their actions into one reusable buffer that the engine
+//! applies in request order.
 
 use crate::{NullObserver, Observer};
 use trix_time::{Clock, Duration, LocalTime, PiecewiseClock, Time};
@@ -31,32 +30,14 @@ pub struct Link {
     pub delay: Duration,
 }
 
-/// Actions a node can request during a callback.
+/// Actions a node can request during a callback. The engine applies
+/// them in request order once the callback returns, so scheduling order
+/// (and with it the deterministic `(time, seq)` tie-break) follows the
+/// order of the calls.
 #[derive(Clone, Debug, PartialEq)]
 enum Action {
     Broadcast,
     TimerLocal { at: LocalTime, tag: u64 },
-}
-
-/// The per-callback action accumulator.
-///
-/// The common case — a callback that only broadcasts — is recorded as a
-/// bare counter and never touches the `Vec`; any other action first spills
-/// pending broadcasts into the buffer so that scheduling order (and with
-/// it the deterministic `(time, seq)` tie-break) is preserved exactly.
-#[derive(Debug, Default)]
-struct ActionSink {
-    pending_broadcasts: u32,
-    actions: Vec<Action>,
-}
-
-impl ActionSink {
-    /// Moves fast-path broadcasts into the ordered buffer.
-    fn spill(&mut self) {
-        for _ in 0..std::mem::take(&mut self.pending_broadcasts) {
-            self.actions.push(Action::Broadcast);
-        }
-    }
 }
 
 /// The interface a node uses to interact with the simulated world.
@@ -68,7 +49,7 @@ pub struct NodeApi<'a> {
     id: usize,
     now: Time,
     local: LocalTime,
-    sink: &'a mut ActionSink,
+    actions: &'a mut Vec<Action>,
 }
 
 impl NodeApi<'_> {
@@ -92,11 +73,7 @@ impl NodeApi<'_> {
 
     /// Broadcasts a pulse on all outgoing links.
     pub fn broadcast(&mut self) {
-        if self.sink.actions.is_empty() {
-            self.sink.pending_broadcasts += 1;
-        } else {
-            self.sink.actions.push(Action::Broadcast);
-        }
+        self.actions.push(Action::Broadcast);
     }
 
     /// Requests a wake-up when this node's hardware clock reads `at`.
@@ -105,8 +82,7 @@ impl NodeApi<'_> {
     /// immediately (at the current real time). Timers are not cancellable;
     /// nodes ignore stale ones by checking `tag` against their state.
     pub fn set_timer_local(&mut self, at: LocalTime, tag: u64) {
-        self.sink.spill();
-        self.sink.actions.push(Action::TimerLocal { at, tag });
+        self.actions.push(Action::TimerLocal { at, tag });
     }
 }
 
@@ -177,27 +153,9 @@ impl<T> PartialOrd for Entry<T> {
 /// index-based arena variant (24-byte heap keys, payloads in a free-list
 /// arena) measured *slower* than `std`'s binary heap over compact inline
 /// entries — the per-event arena bookkeeping costs more than the smaller
-/// sift moves save — so the queue deliberately keeps payloads inline; see
-/// `benches/engine_micro.rs` for the comparison harness.
-///
-/// # Examples
-///
-/// ```
-/// use trix_sim::EventQueue;
-/// use trix_time::Time;
-///
-/// let mut q = EventQueue::new();
-/// q.push(Time::from(2.0), "late");
-/// q.push(Time::from(1.0), "early");
-/// q.push(Time::from(1.0), "early-tie");
-/// assert_eq!(q.peek_time(), Some(Time::from(1.0)));
-/// assert_eq!(q.pop(), Some((Time::from(1.0), "early")));
-/// assert_eq!(q.pop(), Some((Time::from(1.0), "early-tie")));
-/// assert_eq!(q.pop(), Some((Time::from(2.0), "late")));
-/// assert_eq!(q.pop(), None);
-/// ```
+/// sift moves save — so the queue deliberately keeps payloads inline.
 #[derive(Clone, Debug, Default)]
-pub struct EventQueue<T> {
+pub(crate) struct EventQueue<T> {
     heap: std::collections::BinaryHeap<std::cmp::Reverse<Entry<T>>>,
     seq: u64,
 }
@@ -211,12 +169,15 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Number of pending events.
+    /// Number of pending events (the engine never asks; the queue's
+    /// unit tests do).
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.heap.len()
     }
 
     /// Whether no events are pending.
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
@@ -392,18 +353,8 @@ impl Des {
         }
     }
 
-    fn apply_sink(&mut self, node: usize, sink: &mut ActionSink, obs: &mut impl Observer) {
-        // Fast path: the callback only broadcast. `pending_broadcasts > 0`
-        // implies the ordered buffer is empty (any other action spills
-        // pending broadcasts into it first).
-        if sink.pending_broadcasts > 0 {
-            debug_assert!(sink.actions.is_empty());
-            for _ in 0..std::mem::take(&mut sink.pending_broadcasts) {
-                self.emit_broadcast(node, obs);
-            }
-            return;
-        }
-        for action in sink.actions.drain(..) {
+    fn apply_actions(&mut self, node: usize, actions: &mut Vec<Action>, obs: &mut impl Observer) {
+        for action in actions.drain(..) {
             match action {
                 Action::Broadcast => self.emit_broadcast(node, obs),
                 Action::TimerLocal { at, tag } => {
@@ -447,16 +398,16 @@ impl Des {
         obs: &mut impl Observer,
     ) {
         assert_eq!(nodes.len(), self.node_count(), "node count mismatch");
-        let mut sink = ActionSink::default();
+        let mut actions = Vec::new();
         for (id, node) in nodes.iter_mut().enumerate() {
             let mut api = NodeApi {
                 id,
                 now: self.now,
                 local: self.clocks[id].local_at(self.now),
-                sink: &mut sink,
+                actions: &mut actions,
             };
             node.on_start(&mut api);
-            self.apply_sink(id, &mut sink, obs);
+            self.apply_actions(id, &mut actions, obs);
         }
         while let Some(t) = self.queue.peek_time() {
             if t > until || self.events_processed >= self.max_events {
@@ -474,13 +425,13 @@ impl Des {
                 id,
                 now: t,
                 local: self.clocks[id].local_at(t),
-                sink: &mut sink,
+                actions: &mut actions,
             };
             match kind {
                 EventKind::Deliver { from, .. } => nodes[id].on_pulse(from as usize, &mut api),
                 EventKind::Timer { tag, .. } => nodes[id].on_timer(tag, &mut api),
             }
-            self.apply_sink(id, &mut sink, obs);
+            self.apply_actions(id, &mut actions, obs);
         }
         self.now = until.max(self.now);
     }
@@ -769,14 +720,13 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_fast_path_preserves_action_order() {
+    fn actions_apply_in_request_order() {
         use std::cell::RefCell;
         use std::rc::Rc;
 
         // A node that broadcasts *and then* sets a timer at the current
         // instant: the broadcast's deliveries must get earlier sequence
-        // numbers than the timer, exactly as if every action went through
-        // the ordered buffer.
+        // numbers than the timer.
         struct MixedThenRecord {
             log: Rc<RefCell<Vec<&'static str>>>,
         }
@@ -824,7 +774,7 @@ mod tests {
     }
 
     #[test]
-    fn pure_broadcast_callbacks_keep_action_buffer_empty() {
+    fn broadcast_only_callbacks_relay_along_a_chain() {
         struct Chain;
         impl Node for Chain {
             fn on_start(&mut self, api: &mut NodeApi<'_>) {

@@ -8,7 +8,7 @@
 
 use gradient_trix::analysis::{intra_layer_skew, max_intra_layer_skew};
 use gradient_trix::core::{Params, RobustRule};
-use gradient_trix::faults::{FaultBehavior, FaultySendModel};
+use gradient_trix::faults::{FaultBehavior, FaultCampaign, FaultSchedule};
 use gradient_trix::sim::{run_dataflow, OffsetLayer0, Rng, StaticEnvironment};
 use gradient_trix::time::Duration;
 use gradient_trix::topology::{BaseGraph, LayeredGraph};
@@ -28,10 +28,16 @@ fn main() {
     // successors, i.e. genuine 2-local fault neighborhoods that the f = 1
     // algorithm cannot tolerate by design.
     let kappa = params.kappa();
-    let mut model = FaultySendModel::new();
+    let mut model = FaultCampaign::new();
     for (c, layer) in [(0usize, 3usize), (7, 7), (13, 11)] {
-        model.insert(grid.node(c, layer), FaultBehavior::Silent);
-        model.insert(grid.node(c + 1, layer), FaultBehavior::Shift(kappa * 20.0));
+        model.insert(
+            grid.node(c, layer),
+            FaultSchedule::Always(FaultBehavior::Silent),
+        );
+        model.insert(
+            grid.node(c + 1, layer),
+            FaultSchedule::Always(FaultBehavior::Shift(kappa * 20.0)),
+        );
         println!("fault pair at columns {c},{} on layer {layer}", c + 1);
     }
 

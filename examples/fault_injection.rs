@@ -12,9 +12,7 @@
 
 use gradient_trix::analysis::{max_intra_layer_skew, theory};
 use gradient_trix::core::{check_pulse_interval, GradientTrixRule, Layer0Line, Params};
-use gradient_trix::faults::{
-    is_one_local, sample_one_local, FaultBehavior, FaultCampaign, FaultySendModel,
-};
+use gradient_trix::faults::{is_one_local, sample_one_local, FaultBehavior, FaultCampaign};
 use gradient_trix::sim::{run_dataflow, Rng, StaticEnvironment};
 use gradient_trix::time::Duration;
 use gradient_trix::topology::{BaseGraph, LayeredGraph};
@@ -38,7 +36,7 @@ fn main() {
     let kappa = params.kappa();
     let mut sorted: Vec<_> = positions.into_iter().collect();
     sorted.sort();
-    let model = FaultySendModel::from_faults(sorted.into_iter().enumerate().map(|(i, node)| {
+    let model = FaultCampaign::from_static(sorted.into_iter().enumerate().map(|(i, node)| {
         let behavior = match i % 4 {
             0 => FaultBehavior::Silent,
             1 => FaultBehavior::Shift(kappa * 15.0),

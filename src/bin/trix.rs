@@ -17,7 +17,7 @@ use gradient_trix::baselines::NaiveTrixRule;
 use gradient_trix::core::{
     check_pulse_interval, GradientTrixRule, GridNodeConfig, Layer0Line, Params,
 };
-use gradient_trix::faults::{sample_one_local, scrambled_network, FaultBehavior, FaultySendModel};
+use gradient_trix::faults::{sample_one_local, scrambled_network, FaultBehavior, FaultCampaign};
 use gradient_trix::sim::{run_dataflow, CorrectSends, OffsetLayer0, Rng, StaticEnvironment};
 use gradient_trix::time::{AffineClock, Duration, Time};
 use gradient_trix::topology::{BaseGraph, EdgeId, LayeredGraph, NodeId};
@@ -182,29 +182,27 @@ fn cmd_run(args: &Args) {
 
     // Faults: either an explicit count (spread across the grid) or a
     // probability via --p-fail.
-    let mut model = FaultySendModel::new();
-    if let Some(prob) = p_fail {
+    let model = if let Some(prob) = p_fail {
         let (positions, _) = sample_one_local(&g, prob, 1, &mut rng);
         let mut sorted: Vec<NodeId> = positions.into_iter().collect();
         sorted.sort();
-        for (i, n) in sorted.into_iter().enumerate() {
+        FaultCampaign::from_static(sorted.into_iter().enumerate().map(|(i, n)| {
             let name = ["silent", "late", "early", "jitter"][i % 4];
-            model.insert(n, behavior_for(name, p.kappa(), seed));
-        }
+            (n, behavior_for(name, p.kappa(), seed))
+        }))
     } else {
         let behavior = args.get("behavior").unwrap_or("silent");
-        for i in 0..fault_count {
+        FaultCampaign::from_static((0..fault_count).map(|i| {
             let v = (3 + 5 * i) % g.width();
             let layer = 1 + (2 * i) % (layers - 1);
-            model.insert(g.node(v, layer), behavior_for(behavior, p.kappa(), seed));
-        }
-    }
-    let fault_list: Vec<NodeId> = model.faulty_nodes().collect();
+            (g.node(v, layer), behavior_for(behavior, p.kappa(), seed))
+        }))
+    };
     println!(
         "grid {width}×{layers} ({} nodes, D = {}), {} faults, seed {seed}",
         g.node_count(),
         g.base().diameter(),
-        fault_list.len()
+        model.fault_count()
     );
 
     let rule = GradientTrixRule::new(p);

@@ -5,7 +5,7 @@
 use gradient_trix::core::{GradientTrixRule, GridNetwork, GridNodeConfig, Layer0Line, Params};
 use gradient_trix::faults::{
     arrival_network, crash_recover_network, ChurnCampaign, ChurnSchedule, FaultBehavior,
-    FaultCampaign, FaultSchedule, FaultySendModel,
+    FaultCampaign, FaultSchedule,
 };
 use gradient_trix::sim::{run_dataflow, Rng, StaticEnvironment};
 use gradient_trix::time::{Duration, LocalTime, Time};
@@ -45,7 +45,7 @@ fn dataflow_is_bit_reproducible() {
 fn dataflow_with_faults_is_bit_reproducible() {
     let p = params();
     let g = LayeredGraph::new(BaseGraph::line_with_replicated_ends(10), 10);
-    let model = FaultySendModel::from_faults([
+    let model = FaultCampaign::from_static([
         (g.node(4, 3), FaultBehavior::Silent),
         (
             g.node(7, 6),
@@ -104,7 +104,7 @@ fn mix(h: &mut u64, bits: u64) {
 fn seeded_scenario_traces_are_bit_identical() {
     let p = params();
     let g = LayeredGraph::new(BaseGraph::line_with_replicated_ends(9), 9);
-    let model = FaultySendModel::from_faults([
+    let model = FaultCampaign::from_static([
         (g.node(2, 1), FaultBehavior::Silent),
         (
             g.node(6, 4),

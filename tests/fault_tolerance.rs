@@ -5,7 +5,7 @@
 use gradient_trix::analysis::{max_intra_layer_skew, theory};
 use gradient_trix::core::{check_pulse_interval, GradientTrixRule, Layer0Line, Params};
 use gradient_trix::faults::{
-    clustered_column, is_one_local, sample_one_local, FaultBehavior, FaultySendModel,
+    clustered_column, is_one_local, sample_one_local, FaultBehavior, FaultCampaign,
 };
 use gradient_trix::sim::{run_dataflow, Rng, StaticEnvironment};
 use gradient_trix::time::Duration;
@@ -17,7 +17,7 @@ fn params() -> Params {
 
 fn run_with(
     g: &LayeredGraph,
-    model: &FaultySendModel,
+    model: &FaultCampaign,
     pulses: usize,
     seed: u64,
 ) -> gradient_trix::sim::PulseTrace {
@@ -32,7 +32,7 @@ fn grid() -> LayeredGraph {
     LayeredGraph::new(BaseGraph::line_with_replicated_ends(16), 16)
 }
 
-fn assert_contained(g: &LayeredGraph, model: &FaultySendModel, label: &str) {
+fn assert_contained(g: &LayeredGraph, model: &FaultCampaign, label: &str) {
     let p = params();
     let trace = run_with(g, model, 3, 5);
     let skew = max_intra_layer_skew(g, &trace, 0..3);
@@ -45,7 +45,7 @@ fn assert_contained(g: &LayeredGraph, model: &FaultySendModel, label: &str) {
 #[test]
 fn silent_fault_is_contained() {
     let g = grid();
-    let model = FaultySendModel::from_faults([(g.node(8, 8), FaultBehavior::Silent)]);
+    let model = FaultCampaign::from_static([(g.node(8, 8), FaultBehavior::Silent)]);
     assert_contained(&g, &model, "silent");
 }
 
@@ -54,7 +54,7 @@ fn late_shift_fault_is_contained() {
     let g = grid();
     let p = params();
     let model =
-        FaultySendModel::from_faults([(g.node(8, 8), FaultBehavior::Shift(p.kappa() * 30.0))]);
+        FaultCampaign::from_static([(g.node(8, 8), FaultBehavior::Shift(p.kappa() * 30.0))]);
     assert_contained(&g, &model, "late shift");
 }
 
@@ -63,7 +63,7 @@ fn early_shift_fault_is_contained() {
     let g = grid();
     let p = params();
     let model =
-        FaultySendModel::from_faults([(g.node(8, 8), FaultBehavior::Shift(p.kappa() * -30.0))]);
+        FaultCampaign::from_static([(g.node(8, 8), FaultBehavior::Shift(p.kappa() * -30.0))]);
     assert_contained(&g, &model, "early shift");
 }
 
@@ -71,7 +71,7 @@ fn early_shift_fault_is_contained() {
 fn two_faced_fault_is_contained() {
     let g = grid();
     let p = params();
-    let model = FaultySendModel::from_faults([(
+    let model = FaultCampaign::from_static([(
         g.node(8, 8),
         FaultBehavior::TwoFaced {
             toward_lower: p.kappa() * -10.0,
@@ -85,7 +85,7 @@ fn two_faced_fault_is_contained() {
 fn jitter_fault_is_contained() {
     let g = grid();
     let p = params();
-    let model = FaultySendModel::from_faults([(
+    let model = FaultCampaign::from_static([(
         g.node(8, 8),
         FaultBehavior::Jitter {
             amplitude: p.kappa() * 8.0,
@@ -98,7 +98,7 @@ fn jitter_fault_is_contained() {
 #[test]
 fn mid_run_death_is_contained() {
     let g = grid();
-    let model = FaultySendModel::from_faults([(g.node(8, 8), FaultBehavior::dies_at(2))]);
+    let model = FaultCampaign::from_static([(g.node(8, 8), FaultBehavior::dies_at(2))]);
     let p = params();
     let trace = run_with(&g, &model, 4, 5);
     let skew = max_intra_layer_skew(&g, &trace, 0..4);
@@ -113,7 +113,7 @@ fn faulty_layer0_node_is_contained() {
     let g = grid();
     let p = params();
     let model =
-        FaultySendModel::from_faults([(g.node(5, 0), FaultBehavior::Shift(p.kappa() * 20.0))]);
+        FaultCampaign::from_static([(g.node(5, 0), FaultBehavior::Shift(p.kappa() * 20.0))]);
     let trace = run_with(&g, &model, 3, 9);
     let violations = check_pulse_interval(&g, &trace, &p, 0..3, 2.0);
     assert!(violations.is_empty(), "{violations:?}");
@@ -127,7 +127,7 @@ fn stacked_worst_case_faults_respect_envelope() {
         let positions = clustered_column(&g, 8, 4, 1, f);
         let mut sorted: Vec<NodeId> = positions.into_iter().collect();
         sorted.sort();
-        let model = FaultySendModel::from_faults(sorted.into_iter().enumerate().map(|(i, n)| {
+        let model = FaultCampaign::from_static(sorted.into_iter().enumerate().map(|(i, n)| {
             let sign = if i % 2 == 0 { 1.0 } else { -1.0 };
             (n, FaultBehavior::Shift(p.kappa() * (25.0 * sign)))
         }));
@@ -149,15 +149,14 @@ fn random_one_local_fault_sets_are_contained() {
         assert!(is_one_local(&g, &positions));
         let mut sorted: Vec<NodeId> = positions.into_iter().collect();
         sorted.sort();
-        let model =
-            FaultySendModel::from_faults(sorted.into_iter().enumerate().map(|(i, node)| {
-                let b = match i % 3 {
-                    0 => FaultBehavior::Silent,
-                    1 => FaultBehavior::Shift(p.kappa() * 12.0),
-                    _ => FaultBehavior::Shift(p.kappa() * -12.0),
-                };
-                (node, b)
-            }));
+        let model = FaultCampaign::from_static(sorted.into_iter().enumerate().map(|(i, node)| {
+            let b = match i % 3 {
+                0 => FaultBehavior::Silent,
+                1 => FaultBehavior::Shift(p.kappa() * 12.0),
+                _ => FaultBehavior::Shift(p.kappa() * -12.0),
+            };
+            (node, b)
+        }));
         assert_contained(&g, &model, &format!("random seed {seed}"));
     }
 }

@@ -5,7 +5,7 @@ use gradient_trix::analysis::{
     full_local_skew, global_skew, max_intra_layer_skew, observation_4_2_holds, theory,
 };
 use gradient_trix::core::{GradientTrixRule, Layer0Line, Params};
-use gradient_trix::faults::{sample_one_local, FaultBehavior, FaultySendModel};
+use gradient_trix::faults::{sample_one_local, FaultBehavior, FaultCampaign};
 use gradient_trix::sim::{run_dataflow, CorrectSends, Rng, StaticEnvironment};
 use gradient_trix::time::Duration;
 use gradient_trix::topology::{BaseGraph, LayeredGraph, NodeId};
@@ -48,15 +48,14 @@ fn thm_1_3_at_width_48_multiple_seeds() {
         let (positions, _) = sample_one_local(&g, prob, 1, &mut rng);
         let mut sorted: Vec<NodeId> = positions.into_iter().collect();
         sorted.sort();
-        let model =
-            FaultySendModel::from_faults(sorted.into_iter().enumerate().map(|(i, node)| {
-                let b = match i % 3 {
-                    0 => FaultBehavior::Silent,
-                    1 => FaultBehavior::Shift(p.kappa() * 18.0),
-                    _ => FaultBehavior::Shift(p.kappa() * -18.0),
-                };
-                (node, b)
-            }));
+        let model = FaultCampaign::from_static(sorted.into_iter().enumerate().map(|(i, node)| {
+            let b = match i % 3 {
+                0 => FaultBehavior::Silent,
+                1 => FaultBehavior::Shift(p.kappa() * 18.0),
+                _ => FaultBehavior::Shift(p.kappa() * -18.0),
+            };
+            (node, b)
+        }));
         let trace = run(&g, &p, &model, 3, seed);
         let skew = max_intra_layer_skew(&g, &trace, 0..3);
         assert!(skew <= reference, "seed {seed}: {skew} vs {reference}");
@@ -90,7 +89,7 @@ fn observation_4_2_holds_even_with_faults() {
     // including faulty ones (correct nodes only).
     let p = params();
     let g = LayeredGraph::new(BaseGraph::line_with_replicated_ends(20), 20);
-    let model = FaultySendModel::from_faults([
+    let model = FaultCampaign::from_static([
         (g.node(5, 4), FaultBehavior::Silent),
         (g.node(12, 9), FaultBehavior::Shift(p.kappa() * 25.0)),
     ]);
