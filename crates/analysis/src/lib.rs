@@ -45,7 +45,7 @@ pub mod theory;
 
 pub use modes::{ModeProbe, ModeReport, ModeSummary};
 pub use plot::ascii_chart;
-pub use potential::{observation_4_2_holds, psi, psi_by_layer, xi};
+pub use potential::{observation_4_2_holds, psi, xi};
 pub use skew::{
     full_local_skew, global_skew, inter_layer_skew, intra_layer_skew, max_intra_layer_skew,
     pair_skew, skew_by_layer,

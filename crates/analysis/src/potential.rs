@@ -58,31 +58,16 @@ fn potential(
     if times.len() < 2 {
         return None;
     }
+    // The max runs over all pairs, `v = w` included (Definition 4.1), so
+    // the zero pair keeps every level at or above 0.
     for &(v, tv) in &times {
         for &(w, tw) in &times {
-            if v == w {
-                continue;
-            }
             let dist = g.base().distance(v, w) as f64;
             let value = (tv - tw) - kappa * (kappas_per_hop * dist);
             best = Some(best.map_or(value, |b| b.max(value)));
         }
     }
     best
-}
-
-/// The trajectory `Ψ^s(ℓ)` across all layers for one pulse — the series
-/// behind the Corollary 4.23 experiment.
-pub fn psi_by_layer(
-    g: &LayeredGraph,
-    trace: &PulseTrace,
-    params: &Params,
-    k: usize,
-    s: u32,
-) -> Vec<Option<f64>> {
-    (0..g.layer_count())
-        .map(|l| psi(g, trace, params, k, l, s).map(|d| d.as_f64()))
-        .collect()
 }
 
 /// Observation 4.2 as a check: `L_ℓ ≤ Ψ^s(ℓ) + 4sκ` for every `s`.
@@ -138,25 +123,27 @@ mod tests {
 
     #[test]
     fn psi_discounts_by_distance() {
-        let (g, trace) = setup(3.0);
+        let (g, trace) = setup(12.0);
         let p = params();
         let k = p.kappa().as_f64();
-        // ψ¹ for the extreme pair: 12 − 4κ·4; but nearer pairs may win.
-        // Per-hop tilt 3 vs discount 4κ ≈ 9.7: every extra hop loses, so
-        // the best pair is a single hop: 3 − 4κ.
-        let expected = 3.0 - 4.0 * k;
+        // Per-hop tilt 12 vs discount 4κ ≈ 9.6: every extra hop gains, so
+        // the best pair is the extreme one, 4 hops apart: 4·(12 − 4κ).
+        let expected = 4.0 * (12.0 - 4.0 * k);
         let got = psi(&g, &trace, &p, 0, 0, 1).unwrap().as_f64();
         assert!((got - expected).abs() < 1e-9, "got {got}, want {expected}");
     }
 
     #[test]
     fn xi_uses_4s_minus_2() {
-        let (g, trace) = setup(3.0);
+        let (g, trace) = setup(6.0);
         let p = params();
         let k = p.kappa().as_f64();
-        let expected = 3.0 - 2.0 * k; // single hop, (4·1−2)κ discount
+        // Per-hop tilt 6 beats Ξ¹'s discount (4·1−2)κ ≈ 4.8 but not Ψ¹'s
+        // 4κ: Ξ¹ is the extreme pair's 4·(6 − 2κ), Ψ¹ the zero pair's 0.
+        let expected = 4.0 * (6.0 - 2.0 * k);
         let got = xi(&g, &trace, &p, 0, 0, 1).unwrap().as_f64();
-        assert!((got - expected).abs() < 1e-9);
+        assert!((got - expected).abs() < 1e-9, "got {got}, want {expected}");
+        assert_eq!(psi(&g, &trace, &p, 0, 0, 1), Some(Duration::ZERO));
     }
 
     #[test]
@@ -166,13 +153,23 @@ mod tests {
         assert!(observation_4_2_holds(&g, &trace, &p, 0, 0, 5));
     }
 
+    /// Definition 4.1's max includes `ψ_{v,v} = 0`: when every
+    /// off-diagonal ψ is negative (a tilt of 1 per hop against a discount
+    /// of 4κ per hop), Ψ¹ and Ξ¹ read exactly zero, never below it.
     #[test]
-    fn psi_by_layer_has_one_entry_per_layer() {
+    fn potentials_include_the_zero_pair() {
         let (g, trace) = setup(1.0);
         let p = params();
-        let series = psi_by_layer(&g, &trace, &p, 0, 1);
-        assert_eq!(series.len(), 2);
-        assert!(series.iter().all(Option::is_some));
+        assert_eq!(psi(&g, &trace, &p, 0, 0, 1), Some(Duration::ZERO));
+        assert_eq!(xi(&g, &trace, &p, 0, 0, 1), Some(Duration::ZERO));
+    }
+
+    #[test]
+    fn potentials_need_two_correct_nodes() {
+        let g = LayeredGraph::new(BaseGraph::path(3), 1);
+        let mut trace = PulseTrace::new(&g, 1);
+        trace.set_time(0, g.node(1, 0), Some(Time::from(5.0)));
+        assert_eq!(psi(&g, &trace, &params(), 0, 0, 1), None);
     }
 
     #[test]

@@ -10,10 +10,8 @@
 //!
 //! *Workload:* square grids up to width 3200 (10.2M nodes), random
 //! in-model environments, streaming skew statistics only. This
-//! experiment never materializes a trace, and carries a bounded
-//! [`trix_obs::TraceRing`] so a Theorem 1.1 oracle violation ships the
-//! last pulse events for post-mortem debugging instead of a silent
-//! boolean.
+//! experiment never materializes a trace; a Theorem 1.1 oracle violation
+//! names each seed whose `L_intra` exceeds the bound, with its value.
 //!
 //! The streaming statistics land in the scenario's benchmark record
 //! (`skew` object, schema v2), so `BENCH_exp_scale.json` tracks the
@@ -27,11 +25,8 @@ use crate::suite::{kv, Scenario, ScenarioResult};
 use crate::Scale;
 use trix_analysis::{fmt_f64, theory, Table};
 use trix_core::GradientTrixRule;
-use trix_obs::{SkewStats, TraceRing};
+use trix_obs::SkewStats;
 use trix_sim::CorrectSends;
-
-/// Pulse events retained for oracle post-mortems.
-const RING_CAPACITY: usize = 256;
 
 /// The table headers of every `exp_scale` scenario (identical across
 /// scenarios so the per-width shards merge).
@@ -65,17 +60,14 @@ pub fn widths(scale: Scale) -> &'static [usize] {
 /// Runs one streaming scale scenario: the fault-free random-environment
 /// Gradient TRIX run on a square grid of `width`, one `StreamingSkew` per
 /// seed, merged into a result whose benchmark record carries the
-/// streaming statistics. The Theorem 1.1 bound is the condition oracle,
-/// and a bounded [`TraceRing`] rides along so a violation ships the tail
-/// of the pulse stream — the post-mortem a full trace would be too large
-/// to keep. `sim_threads` shards each layer's width across that many
-/// dataflow workers (the `--sim-threads` knob); the result is
-/// bit-identical for every value.
+/// streaming statistics. The Theorem 1.1 bound is the condition oracle;
+/// its violation message names the offending seeds. `sim_threads` shards
+/// each layer's width across that many dataflow workers (the
+/// `--sim-threads` knob); the result is bit-identical for every value.
 pub fn run(width: usize, pulses: usize, seeds: &[u64], sim_threads: usize) -> ScenarioResult {
     let p = standard_params();
     let rule = GradientTrixRule::new(p);
     let g = square_grid(width);
-    let mut ring = TraceRing::new(RING_CAPACITY);
     let snaps: Vec<SkewStats> = seeds
         .iter()
         .map(|&seed| {
@@ -88,7 +80,7 @@ pub fn run(width: usize, pulses: usize, seeds: &[u64], sim_threads: usize) -> Sc
                 pulses,
                 seed,
                 sim_threads,
-                &mut (&mut skew, &mut ring),
+                &mut skew,
             );
             skew.finish();
             skew.snapshot()
@@ -115,10 +107,16 @@ pub fn run(width: usize, pulses: usize, seeds: &[u64], sim_threads: usize) -> Sc
         fmt_f64(summary.max_intra / bound),
     ]);
     let violations = if summary.max_intra > bound {
+        let offending: Vec<String> = seeds
+            .iter()
+            .zip(&snaps)
+            .filter(|(_, snap)| snap.max_intra > bound)
+            .map(|(seed, snap)| format!("seed {seed} L_intra {}", snap.max_intra))
+            .collect();
         vec![format!(
-            "streaming L_intra {} exceeds the Thm 1.1 bound {bound} (fault-free run); {}",
+            "streaming L_intra {} exceeds the Thm 1.1 bound {bound} (fault-free run): {}",
             summary.max_intra,
-            ring.dump(8)
+            offending.join(", ")
         )]
     } else {
         Vec::new()

@@ -142,9 +142,9 @@ pub fn run_layer0(width: usize, seeds: &[u64]) -> Table {
     for &seed in seeds {
         let mut rng = Rng::seed_from(seed ^ 0xA2);
         let n = width + 1; // + source
-        let mut clocks = vec![AffineClock::PERFECT.into()];
+        let mut clocks = vec![AffineClock::PERFECT];
         for _ in 1..n {
-            clocks.push(AffineClock::with_rate(rng.f64_in(1.0, p.theta())).into());
+            clocks.push(AffineClock::with_rate(rng.f64_in(1.0, p.theta())));
         }
         let mut des = Des::new(clocks);
         for i in 0..n - 1 {

@@ -147,10 +147,8 @@ impl GridNetwork {
         };
         // Clocks: source perfect; grid nodes from the environment.
         let mut clocks = Vec::with_capacity(index.engine_count());
-        clocks.push(trix_time::AffineClock::PERFECT.into());
-        for i in 0..g.node_count() {
-            clocks.push(env.clocks()[i].into());
-        }
+        clocks.push(trix_time::AffineClock::PERFECT);
+        clocks.extend_from_slice(&env.clocks()[..g.node_count()]);
         let mut des = Des::new(clocks);
         let chain_delay = |rng: &mut Rng| {
             Duration::from(rng.f64_in(params.d_min().as_f64(), params.d().as_f64()))
@@ -236,14 +234,6 @@ impl GridNetwork {
     /// Runs the deployment until `until`.
     pub fn run(&mut self, until: Time) {
         self.des.run(&mut self.nodes, until);
-    }
-
-    /// Runs the deployment streaming every broadcast to `obs` (see
-    /// [`trix_sim::Observer`]); engine ids translate to grid positions
-    /// via [`GridIndex::node_id`], and `trix-obs`'s grid monitors accept
-    /// them directly with `offset = 1`.
-    pub fn run_observed(&mut self, until: Time, obs: &mut impl trix_sim::Observer) {
-        self.des.run_observed(&mut self.nodes, until, obs);
     }
 
     /// Broadcast times grouped by engine node.

@@ -86,7 +86,6 @@ pub struct GradientTrixNode {
     /// Receptions that arrived while waiting to broadcast; replayed into
     /// the next iteration with their true reception timestamps.
     pending: Vec<(usize, LocalTime)>,
-    pulses_sent: u64,
 }
 
 impl GradientTrixNode {
@@ -115,13 +114,7 @@ impl GradientTrixNode {
             heard,
             watchdog_armed: false,
             pending: Vec::new(),
-            pulses_sent: 0,
         }
-    }
-
-    /// Number of pulses broadcast so far.
-    pub fn pulses_sent(&self) -> u64 {
-        self.pulses_sent
     }
 
     /// Corrupts the node's state randomly (transient-fault injection for
@@ -292,7 +285,6 @@ impl Node for GradientTrixNode {
             KIND_BROADCAST => {
                 if self.phase == Phase::Waiting {
                     api.broadcast();
-                    self.pulses_sent += 1;
                     self.reset_iteration();
                     let pending = std::mem::take(&mut self.pending);
                     for (from, at) in pending {
@@ -336,7 +328,7 @@ mod tests {
     /// Engine ids: 0 = source, 1..=3 = layer 0, 4 = the grid node.
     fn tiny_network(corrupt_seed: Option<u64>) -> (Des, Vec<Box<dyn Node>>) {
         let p = params();
-        let mut des = Des::new(vec![AffineClock::PERFECT.into(); 5]);
+        let mut des = Des::new(vec![AffineClock::PERFECT; 5]);
         let d = p.d();
         // Chain: source -> 1 -> 2 -> 3.
         des.add_link(0, Link { to: 1, delay: d });

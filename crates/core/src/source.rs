@@ -331,9 +331,9 @@ mod tests {
         let mut rng = Rng::seed_from(3);
         let n = 6; // node 0 = source
         let mut clocks = Vec::new();
-        clocks.push(AffineClock::PERFECT.into());
+        clocks.push(AffineClock::PERFECT);
         for _ in 1..n {
-            clocks.push(AffineClock::with_rate(rng.f64_in(1.0, p.theta())).into());
+            clocks.push(AffineClock::with_rate(rng.f64_in(1.0, p.theta())));
         }
         let mut des = Des::new(clocks);
         for i in 0..n - 1 {
@@ -382,9 +382,9 @@ mod tests {
     fn line_forwarder_ignores_strangers() {
         let p = params();
         let mut des = Des::new(vec![
-            AffineClock::PERFECT.into(),
-            AffineClock::PERFECT.into(),
-            AffineClock::PERFECT.into(),
+            AffineClock::PERFECT,
+            AffineClock::PERFECT,
+            AffineClock::PERFECT,
         ]);
         // Node 2 listens to node 1, but only node 0 sends (a stranger).
         des.add_link(

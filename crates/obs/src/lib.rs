@@ -16,11 +16,6 @@
 //!   max/sum/count/histogram aggregates, and is **bit-identical** to the
 //!   post-hoc `trix_analysis::skew` results because both delegate to the
 //!   shared definitions in [`defs`].
-//! * [`DesSkew`] — an online nearest-fire misalignment monitor for the
-//!   event-driven engine, `O(nodes)` memory, fed by broadcasts.
-//! * [`TraceRing`] — a bounded ring of the last `N` pulse events in a
-//!   compact 16-byte encoding, for post-mortems of condition-oracle
-//!   violations in runs too large (or too long) to trace.
 //! * [`PodSketch`] — a rank-`r` incremental SVD/POD sketch of the
 //!   pulse-front matrix in `O(width × r)` memory, with a **certified**
 //!   Frobenius reconstruction-error bound; its [`PodSnapshot`] (basis +
@@ -38,16 +33,14 @@
 //! positions through [`Observer::on_faulty`]. No engine calls
 //! [`Observer::on_pulse`]: it is reached only through the trait's
 //! default `on_pulse_row`, which unpacks a row into per-element calls.
-//! The observers that store or fold whole fronts (`StreamingSkew`,
-//! `PodSketch`, `FaultClassSkew`) override the row hook and leave
-//! `on_pulse` at the trait's no-op; [`TraceRing`] records single events
-//! and takes the unpacked stream. Statistics of independent runs
-//! (per-seed, per-scenario) merge as snapshots, [`SkewStats::merge`] and
-//! [`FaultClassStats::merge`]; one run's stream is never split across
-//! monitors.
+//! Every observer here stores or folds whole fronts, so each overrides
+//! the row hook and leaves `on_pulse` at the trait's no-op. Statistics
+//! of independent runs (per-seed, per-scenario) merge as snapshots,
+//! [`SkewStats::merge`] and [`FaultClassStats::merge`]; one run's stream
+//! is never split across monitors.
 //!
 //! Observers compose with the tuple observer from `trix-sim` (e.g.
-//! `(StreamingSkew, TraceRing)`), and everything is deterministic: the
+//! `(StreamingSkew, PodSketch)`), and everything is deterministic: the
 //! sweep runner's bit-reproducibility across `--threads` extends to all
 //! streamed statistics. None of these monitors needs to be thread-safe,
 //! since rows reach them in one fixed order regardless of
@@ -99,25 +92,25 @@
 //! monitors, each seeing the identical row stream:
 //!
 //! ```
-//! use trix_obs::{Observer, StreamingSkew, TraceRing};
+//! use trix_obs::{Observer, PodSketch, StreamingSkew};
 //! use trix_time::Time;
 //! use trix_topology::{BaseGraph, LayeredGraph};
 //!
 //! let g = LayeredGraph::new(BaseGraph::cycle(4), 2);
 //! let mut skew = StreamingSkew::new(&g);
-//! let mut ring = TraceRing::new(8);
+//! let mut sketch = PodSketch::new(&g, 2);
 //! {
-//!     // The tuple observer fans every row out to both members; the
-//!     // ring takes it unpacked into single events.
-//!     let mut both = (&mut skew, &mut ring);
+//!     // The tuple observer fans every row out to both members.
+//!     let mut both = (&mut skew, &mut sketch);
 //!     let row: Vec<Option<Time>> = (0..4).map(|v| Some(Time::from(v as f64))).collect();
 //!     for layer in 0..2 {
 //!         both.on_pulse_row(0, layer, &row);
 //!     }
 //! }
 //! skew.finish();
+//! sketch.finish();
 //! assert_eq!(skew.pulses(), 1);
-//! assert_eq!(ring.total_recorded(), g.node_count() as u64);
+//! assert_eq!(sketch.snapshot().rows, 2);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -125,16 +118,12 @@
 
 mod attributed;
 pub mod defs;
-mod des_monitor;
 mod pipeline;
-mod ring;
 mod sketch;
 mod streaming;
 
 pub use attributed::{FaultClassSkew, FaultClassStats};
-pub use des_monitor::DesSkew;
 pub use pipeline::PipelinedSketch;
-pub use ring::{TraceEvent, TraceRing};
 pub use sketch::{PodSketch, PodSnapshot};
 pub use streaming::{Histogram, RunningStat, SkewStats, StreamingSkew};
 

@@ -51,12 +51,10 @@ type RowMsg = (usize, u32, Vec<Option<Time>>);
 /// A [`PodSketch`] running on its own worker thread, fed whole rows over
 /// a bounded channel (see the module docs for the determinism argument).
 ///
-/// This observer consumes the engines' **row** stream only: the
-/// per-element [`Observer::on_pulse`] and the event-driven
-/// [`Observer::on_broadcast`] hooks panic rather than silently dropping
-/// data — pipelining targets the dataflow drivers, which emit rows.
-/// Faulty-position announcements are no-ops, as on [`PodSketch`]
-/// itself.
+/// This observer consumes the dataflow drivers' **row** stream only: the
+/// per-element [`Observer::on_pulse`] hook panics rather than silently
+/// dropping data. Faulty-position announcements are no-ops, as on
+/// [`PodSketch`] itself.
 #[derive(Debug)]
 pub struct PipelinedSketch {
     /// `Some` until [`PipelinedSketch::join`]; dropping it closes the
@@ -142,10 +140,6 @@ impl Observer for PipelinedSketch {
         // mid-update; surface it now rather than at join().
         tx.send((k, layer, buf))
             .expect("sketch worker thread died; see its panic");
-    }
-
-    fn on_broadcast(&mut self, _node: usize, _t: Time) {
-        panic!("PipelinedSketch pipelines the dataflow row stream, not DES broadcasts");
     }
 }
 

@@ -18,8 +18,7 @@
 //! callbacks write their actions into one reusable buffer that the engine
 //! applies in request order.
 
-use crate::{NullObserver, Observer};
-use trix_time::{Clock, Duration, LocalTime, PiecewiseClock, Time};
+use trix_time::{AffineClock, Clock, Duration, LocalTime, Time};
 
 /// A directed communication link with a fixed delay.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -239,7 +238,7 @@ pub struct Broadcast {
 ///     }
 /// }
 ///
-/// let mut des = Des::new(vec![AffineClock::PERFECT.into(); 2]);
+/// let mut des = Des::new(vec![AffineClock::PERFECT; 2]);
 /// des.add_link(0, Link { to: 1, delay: Duration::from(2.0) });
 /// let mut nodes: Vec<Box<dyn Node>> = vec![Box::new(Echo), Box::new(Echo)];
 /// des.run(&mut nodes, Time::from(20.0));
@@ -249,7 +248,7 @@ pub struct Broadcast {
 /// ```
 #[derive(Debug)]
 pub struct Des {
-    clocks: Vec<PiecewiseClock>,
+    clocks: Vec<AffineClock>,
     out_links: Vec<Vec<Link>>,
     queue: EventQueue<EventKind>,
     now: Time,
@@ -265,7 +264,7 @@ impl Des {
     ///
     /// Panics if the node count exceeds `u32::MAX` (node indices are
     /// packed to 32 bits in queue entries).
-    pub fn new(clocks: Vec<PiecewiseClock>) -> Self {
+    pub fn new(clocks: Vec<AffineClock>) -> Self {
         let n = clocks.len();
         assert!(u32::try_from(n).is_ok(), "node count must fit in 32 bits");
         Self {
@@ -315,7 +314,8 @@ impl Des {
         self.clocks.len()
     }
 
-    /// The recorded broadcasts, in time order.
+    /// The recorded broadcasts, in time order: the engine's one record
+    /// of a run.
     pub fn broadcasts(&self) -> &[Broadcast] {
         &self.broadcasts
     }
@@ -336,12 +336,11 @@ impl Des {
     /// list is read in place while events are pushed, instead of being
     /// cloned per broadcast.
     #[inline]
-    fn emit_broadcast(&mut self, node: usize, obs: &mut impl Observer) {
+    fn emit_broadcast(&mut self, node: usize) {
         self.broadcasts.push(Broadcast {
             node,
             time: self.now,
         });
-        obs.on_broadcast(node, self.now);
         for link in &self.out_links[node] {
             self.queue.push(
                 self.now + link.delay,
@@ -353,10 +352,10 @@ impl Des {
         }
     }
 
-    fn apply_actions(&mut self, node: usize, actions: &mut Vec<Action>, obs: &mut impl Observer) {
+    fn apply_actions(&mut self, node: usize, actions: &mut Vec<Action>) {
         for action in actions.drain(..) {
             match action {
-                Action::Broadcast => self.emit_broadcast(node, obs),
+                Action::Broadcast => self.emit_broadcast(node),
                 Action::TimerLocal { at, tag } => {
                     let real = self.clocks[node].real_at(at).max(self.now);
                     self.queue.push(
@@ -372,7 +371,8 @@ impl Des {
     }
 
     /// Runs the simulation until `until` (inclusive) or until the event
-    /// queue drains or the event cap is hit.
+    /// queue drains or the event cap is hit. Every broadcast is appended
+    /// to [`Des::broadcasts`].
     ///
     /// `nodes[i]` is the state machine for node `i`; `on_start` is invoked
     /// for every node (in index order) at the current time on every call to
@@ -382,21 +382,6 @@ impl Des {
     ///
     /// Panics if `nodes.len()` does not match the engine's node count.
     pub fn run(&mut self, nodes: &mut [Box<dyn Node>], until: Time) {
-        self.run_observed(nodes, until, &mut NullObserver);
-    }
-
-    /// Runs the simulation like [`Des::run`], streaming every broadcast
-    /// to `obs` via [`Observer::on_broadcast`] as it is recorded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` does not match the engine's node count.
-    pub fn run_observed(
-        &mut self,
-        nodes: &mut [Box<dyn Node>],
-        until: Time,
-        obs: &mut impl Observer,
-    ) {
         assert_eq!(nodes.len(), self.node_count(), "node count mismatch");
         let mut actions = Vec::new();
         for (id, node) in nodes.iter_mut().enumerate() {
@@ -407,7 +392,7 @@ impl Des {
                 actions: &mut actions,
             };
             node.on_start(&mut api);
-            self.apply_actions(id, &mut actions, obs);
+            self.apply_actions(id, &mut actions);
         }
         while let Some(t) = self.queue.peek_time() {
             if t > until || self.events_processed >= self.max_events {
@@ -431,7 +416,7 @@ impl Des {
                 EventKind::Deliver { from, .. } => nodes[id].on_pulse(from as usize, &mut api),
                 EventKind::Timer { tag, .. } => nodes[id].on_timer(tag, &mut api),
             }
-            self.apply_actions(id, &mut actions, obs);
+            self.apply_actions(id, &mut actions);
         }
         self.now = until.max(self.now);
     }
@@ -440,7 +425,6 @@ impl Des {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trix_time::AffineClock;
 
     /// Broadcasts `count` pulses at a fixed local period.
     struct Ticker {
@@ -481,7 +465,7 @@ mod tests {
     #[test]
     fn periodic_ticker_with_drifting_clock() {
         // Rate 2.0: local period 10 = real period 5.
-        let mut des = Des::new(vec![AffineClock::with_rate(2.0).into()]);
+        let mut des = Des::new(vec![AffineClock::with_rate(2.0)]);
         let mut nodes: Vec<Box<dyn Node>> = vec![Box::new(Ticker {
             period: Duration::from(10.0),
             remaining: 3,
@@ -496,7 +480,7 @@ mod tests {
 
     #[test]
     fn delivery_after_link_delay() {
-        let mut des = Des::new(vec![AffineClock::PERFECT.into(); 2]);
+        let mut des = Des::new(vec![AffineClock::PERFECT; 2]);
         des.add_link(
             0,
             Link {
@@ -522,7 +506,7 @@ mod tests {
 
     #[test]
     fn injected_delivery_reaches_node() {
-        let mut des = Des::new(vec![AffineClock::PERFECT.into(); 2]);
+        let mut des = Des::new(vec![AffineClock::PERFECT; 2]);
         des.inject_delivery(1, 0, Time::from(2.0));
         let mut nodes: Vec<Box<dyn Node>> =
             vec![Box::new(Sink::default()), Box::new(Sink::default())];
@@ -545,7 +529,7 @@ mod tests {
             }
             fn on_timer(&mut self, _tag: u64, _api: &mut NodeApi<'_>) {}
         }
-        let mut des = Des::new(vec![AffineClock::PERFECT.into(); 2]);
+        let mut des = Des::new(vec![AffineClock::PERFECT; 2]);
         des.add_link(
             0,
             Link {
@@ -578,7 +562,7 @@ mod tests {
             }
             fn on_timer(&mut self, _tag: u64, _api: &mut NodeApi<'_>) {}
         }
-        let mut des = Des::new(vec![AffineClock::PERFECT.into(); 3]);
+        let mut des = Des::new(vec![AffineClock::PERFECT; 3]);
         des.inject_delivery(0, 2, Time::from(1.0));
         des.inject_delivery(0, 1, Time::from(1.0));
         let mut nodes: Vec<Box<dyn Node>> = vec![
@@ -607,7 +591,7 @@ mod tests {
                 api.broadcast();
             }
         }
-        let mut des = Des::new(vec![AffineClock::PERFECT.into()]);
+        let mut des = Des::new(vec![AffineClock::PERFECT]);
         let mut nodes: Vec<Box<dyn Node>> = vec![Box::new(PastTimer { fired_at: None })];
         des.run(&mut nodes, Time::from(1.0));
         assert_eq!(des.broadcasts().len(), 1);
@@ -619,7 +603,7 @@ mod tests {
     /// total equals [`Des::events_processed`].
     #[test]
     fn des_bumps_metrics_once_per_event() {
-        let mut des = Des::new(vec![AffineClock::PERFECT.into(); 2]);
+        let mut des = Des::new(vec![AffineClock::PERFECT; 2]);
         des.add_link(
             0,
             Link {
@@ -638,29 +622,6 @@ mod tests {
         des.run(&mut nodes, Time::from(100.0));
         assert!(des.events_processed() > 0);
         assert_eq!(crate::metrics::total(), des.events_processed());
-    }
-
-    /// `run_observed` streams every broadcast, in the exact order and with
-    /// the exact times of the engine's own broadcast log.
-    #[test]
-    fn observed_run_streams_broadcasts() {
-        struct Log(Vec<(usize, Time)>);
-        impl crate::Observer for Log {
-            fn on_broadcast(&mut self, node: usize, t: Time) {
-                self.0.push((node, t));
-            }
-        }
-        let mut des = Des::new(vec![AffineClock::with_rate(2.0).into()]);
-        let mut nodes: Vec<Box<dyn Node>> = vec![Box::new(Ticker {
-            period: Duration::from(10.0),
-            remaining: 3,
-        })];
-        let mut log = Log(Vec::new());
-        des.run_observed(&mut nodes, Time::from(100.0), &mut log);
-        let expected: Vec<(usize, Time)> =
-            des.broadcasts().iter().map(|b| (b.node, b.time)).collect();
-        assert_eq!(log.0, expected);
-        assert_eq!(log.0.len(), 3);
     }
 
     #[test]
@@ -744,7 +705,7 @@ mod tests {
                 self.log.borrow_mut().push("timer");
             }
         }
-        let mut des = Des::new(vec![AffineClock::PERFECT.into(); 2]);
+        let mut des = Des::new(vec![AffineClock::PERFECT; 2]);
         // Zero-delay self-loop via node 1 is not possible (no link 0→0), so
         // use a zero-delay link 0→1 and watch node 0's timer vs node 1's
         // delivery: both land at t = 0 and must process in schedule order.
@@ -789,7 +750,7 @@ mod tests {
             }
             fn on_timer(&mut self, _tag: u64, _api: &mut NodeApi<'_>) {}
         }
-        let mut des = Des::new(vec![AffineClock::PERFECT.into(); 4]);
+        let mut des = Des::new(vec![AffineClock::PERFECT; 4]);
         for i in 0..3 {
             des.add_link(
                 i,

@@ -15,10 +15,12 @@
 //! Shared infrastructure: a deterministic [`Rng`] (SplitMix64 +
 //! Xoshiro256**), [`Environment`] implementations assigning delays and
 //! clocks (including slowly-varying per-pulse variants for the
-//! Corollary 1.5 experiments), and the streaming [`Observer`] hooks both
-//! engines feed on every pulse emission — [`run_dataflow_observed`] and
-//! [`Des::run_observed`] let monitors in `trix-obs` compute statistics
-//! online without materializing an `O(nodes × pulses)` trace.
+//! Corollary 1.5 experiments), and the streaming [`Observer`] hooks the
+//! dataflow drivers feed on every published layer row —
+//! [`run_dataflow_observed`] lets monitors in `trix-obs` compute
+//! statistics online without materializing an `O(nodes × pulses)` trace.
+//! The [`Des`] records every broadcast in one log, read through
+//! [`Des::broadcasts`].
 //!
 //! # Examples
 //!

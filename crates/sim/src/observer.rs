@@ -1,31 +1,29 @@
-//! Streaming observation hooks for both simulation engines.
+//! Streaming observation hooks for the dataflow engine.
 //!
 //! Every experiment used to materialize a full [`crate::PulseTrace`] (one
 //! timestamp per node per pulse) and analyze it post-hoc, so memory grew
-//! `O(nodes × pulses)`. The [`Observer`] trait inverts that: the engines
-//! push each pulse emission to the observer as it happens, and observers
-//! decide what to retain — a full trace, `O(nodes)` streaming statistics,
-//! or a bounded ring of recent events. [`crate::PulseTrace`] is the
-//! full-trace observer; the `trix-obs` crate provides the streaming ones
-//! (`StreamingSkew`, `TraceRing`, `PodSketch`). This module only defines
-//! the hook surface, which must live next to the engines to keep the
-//! crate DAG acyclic (`trix-obs` depends on `trix-sim`).
+//! `O(nodes × pulses)`. The [`Observer`] trait inverts that: the engine
+//! pushes each published row to the observer as it happens, and observers
+//! decide what to retain — a full trace or `O(nodes)` streaming
+//! statistics. [`crate::PulseTrace`] is the full-trace observer; the
+//! `trix-obs` crate provides the streaming ones (`StreamingSkew`,
+//! `PodSketch`, `FaultClassSkew`). This module only defines the hook
+//! surface, which must live next to the engines to keep the crate DAG
+//! acyclic (`trix-obs` depends on `trix-sim`).
 //!
-//! Both engines report here:
+//! The dataflow executors ([`crate::run_dataflow_observed`] and
+//! [`crate::run_dataflow_parallel`]) call [`Observer::on_pulse_row`] with
+//! each whole published layer row, one call per `(k, layer)` step in
+//! deterministic serial order, after announcing faulty positions via
+//! [`Observer::on_faulty`]. Rows are the unit because of Lemma B.1: pulse
+//! `k` of layer `ℓ` is a function of layer `ℓ−1`'s row alone, so a row is
+//! complete the moment it is published. No engine calls
+//! [`Observer::on_pulse`]; it is reached only through the default
+//! `on_pulse_row`, which unpacks a row into per-element calls in
+//! ascending `v` order for observers that record single events.
 //!
-//! * the dataflow executors ([`crate::run_dataflow_observed`] and
-//!   [`crate::run_dataflow_parallel`]) call [`Observer::on_pulse_row`]
-//!   with each whole published layer row, one call per `(k, layer)` step
-//!   in deterministic serial order, after announcing faulty positions via
-//!   [`Observer::on_faulty`]. Rows are the unit because of Lemma B.1:
-//!   pulse `k` of layer `ℓ` is a function of layer `ℓ−1`'s row alone, so
-//!   a row is complete the moment it is published. No engine calls
-//!   [`Observer::on_pulse`]; it is reached only through the default
-//!   `on_pulse_row`, which unpacks a row into per-element calls in
-//!   ascending `v` order for observers that record single events;
-//! * the event-driven engine ([`crate::Des::run_observed`]) calls
-//!   [`Observer::on_broadcast`] with the engine node index and real time
-//!   of every broadcast, in event order.
+//! The event-driven engine takes no observer: it records every broadcast
+//! in one log, [`crate::Des::broadcasts`].
 //!
 //! All hooks default to no-ops so implementations only override the
 //! events they care about, and a no-op observer compiles away from the
@@ -64,11 +62,10 @@ pub trait Observer {
     /// per `(k, layer)` step, in the serial step order.
     ///
     /// The default forwards each `Some` entry to [`Observer::on_pulse`]
-    /// in ascending `v` order, for observers that record single events
-    /// (e.g. `trix-obs`'s `TraceRing`). Observers that store or fold
-    /// whole fronts (the [`crate::PulseTrace`] recorder, `trix-obs`'s
-    /// `StreamingSkew`, `PodSketch` and `FaultClassSkew`) override it and
-    /// take only rows.
+    /// in ascending `v` order, for observers that record single events.
+    /// Observers that store or fold whole fronts (the
+    /// [`crate::PulseTrace`] recorder, `trix-obs`'s `StreamingSkew`,
+    /// `PodSketch` and `FaultClassSkew`) override it and take only rows.
     fn on_pulse_row(&mut self, k: usize, layer: u32, row: &[Option<Time>]) {
         for (v, slot) in row.iter().enumerate() {
             if let Some(t) = *slot {
@@ -77,17 +74,20 @@ pub trait Observer {
         }
     }
 
-    /// Engine node `node` broadcast at real time `t` (event-driven
-    /// engine). Node indices are raw engine ids; adapters such as
-    /// `trix-obs`'s grid monitors translate them to grid positions.
+    /// Engine node `node` broadcast at real time `t`.
+    ///
+    /// No engine calls this: the event-driven engine records broadcasts
+    /// in [`crate::Des::broadcasts`] instead. The no-op hook stays because
+    /// the host-time benchmark under `hostbench/` forwards it in its
+    /// timing wrapper and must build unchanged.
     fn on_broadcast(&mut self, node: usize, t: Time) {
         let _ = (node, t);
     }
 }
 
-/// The do-nothing observer: both engines' unobserved entry points run
-/// through it, so the observed drivers are the single source of truth for
-/// the execution semantics.
+/// The do-nothing observer: the dataflow engine's unobserved entry point
+/// runs through it, so the observed driver is the single source of truth
+/// for the execution semantics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NullObserver;
 
@@ -112,7 +112,7 @@ impl<O: Observer + ?Sized> Observer for &mut O {
 }
 
 /// Fan-out composition: `(a, b)` forwards every event to `a` then `b`
-/// (e.g. a `StreamingSkew` monitor plus a `TraceRing` for post-mortems).
+/// (e.g. a `StreamingSkew` monitor plus a `PodSketch`).
 impl<A: Observer, B: Observer> Observer for (A, B) {
     fn on_faulty(&mut self, node: NodeId) {
         self.0.on_faulty(node);

@@ -120,7 +120,7 @@ proptest! {
                 api.broadcast();
             }
         }
-        let mut des = Des::new(vec![AffineClock::with_rate(rate).into()]);
+        let mut des = Des::new(vec![AffineClock::with_rate(rate)]);
         let mut nodes: Vec<Box<dyn Node>> =
             vec![Box::new(OneTimer { dh: Duration::from(dh) })];
         des.run(&mut nodes, Time::from(1e9));
@@ -270,9 +270,9 @@ proptest! {
             fn on_timer(&mut self, _tag: u64, _api: &mut NodeApi<'_>) {}
         }
         let mut des = Des::new(vec![
-            AffineClock::PERFECT.into(),
-            AffineClock::PERFECT.into(),
-            AffineClock::PERFECT.into(),
+            AffineClock::PERFECT,
+            AffineClock::PERFECT,
+            AffineClock::PERFECT,
         ]);
         des.add_link(0, Link { to: 1, delay: Duration::from(d1) });
         des.add_link(0, Link { to: 2, delay: Duration::from(d2) });

@@ -1,14 +1,17 @@
 //! Hardware clock models.
 
-use crate::{Duration, LocalTime, Time};
+use crate::{LocalTime, Time};
 
 /// A strictly monotone, invertible hardware clock.
 ///
 /// Implementations map real time to local time and back. The paper's drift
-/// model requires the instantaneous rate to stay within `[1, ϑ]`; both
-/// provided implementations ([`AffineClock`], [`PiecewiseClock`]) enforce a
-/// positive rate and validate the `≥ 1` lower bound at construction when the
-/// paper's convention is requested.
+/// model requires the instantaneous rate to stay within `[1, ϑ]`.
+///
+/// [`AffineClock`] is the one implementor: every engine runs constant-rate
+/// clocks, and slowly changing rates are modelled per pulse by the dataflow
+/// environments instead. The trait stays because the host-time benchmark
+/// under `hostbench/` imports it to call [`Clock::local_at`] and
+/// [`Clock::real_at`].
 ///
 /// # Examples
 ///
@@ -29,12 +32,6 @@ pub trait Clock {
     /// This is the inverse of [`Clock::local_at`]; implementations guarantee
     /// `real_at(local_at(t)) == t` up to floating-point rounding.
     fn real_at(&self, h: LocalTime) -> Time;
-
-    /// Real duration corresponding to a span of `dh` local time starting at
-    /// local time `h`.
-    fn real_elapsed(&self, h: LocalTime, dh: Duration) -> Duration {
-        self.real_at(h + dh) - self.real_at(h)
-    }
 }
 
 /// A constant-rate hardware clock: `H(t) = rate · t + offset`.
@@ -117,131 +114,6 @@ impl Clock for AffineClock {
     }
 }
 
-/// One constant-rate segment of a [`PiecewiseClock`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RateSegment {
-    /// Real time at which this segment begins.
-    pub start: Time,
-    /// Clock rate during the segment.
-    pub rate: f64,
-}
-
-/// A piecewise-affine hardware clock whose rate changes at given real times.
-///
-/// Used for Corollary 1.5 experiments, where hardware clock speeds vary by up
-/// to `n^{-1/2}(ϑ−1)·log D` between pulses. The clock is continuous: local
-/// time accumulates across segments without jumps.
-///
-/// # Examples
-///
-/// ```
-/// use trix_time::{Clock, Duration, PiecewiseClock, RateSegment, Time};
-///
-/// let clock = PiecewiseClock::new(
-///     0.0,
-///     vec![
-///         RateSegment { start: Time::ZERO, rate: 1.0 },
-///         RateSegment { start: Time::from(10.0), rate: 1.01 },
-///     ],
-/// );
-/// let h = clock.local_at(Time::from(20.0));
-/// assert!((h.as_f64() - (10.0 + 10.0 * 1.01)).abs() < 1e-12);
-/// ```
-#[derive(Clone, Debug, PartialEq)]
-pub struct PiecewiseClock {
-    /// Local reading at the start of the first segment.
-    initial_local: f64,
-    /// Segments in strictly increasing order of `start`; the first segment's
-    /// `start` is the clock's origin (queries before it extrapolate with the
-    /// first rate).
-    segments: Vec<RateSegment>,
-    /// Cached cumulative local time at each segment start.
-    local_at_start: Vec<f64>,
-}
-
-impl PiecewiseClock {
-    /// Creates a piecewise clock from rate segments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `segments` is empty, starts are not strictly increasing, or
-    /// any rate is non-positive.
-    pub fn new(initial_local: f64, segments: Vec<RateSegment>) -> Self {
-        assert!(!segments.is_empty(), "need at least one rate segment");
-        for w in segments.windows(2) {
-            assert!(
-                w[0].start < w[1].start,
-                "segment starts must be strictly increasing"
-            );
-        }
-        for s in &segments {
-            assert!(
-                s.rate.is_finite() && s.rate > 0.0,
-                "segment rates must be positive"
-            );
-        }
-        let mut local_at_start = Vec::with_capacity(segments.len());
-        let mut acc = initial_local;
-        for (i, s) in segments.iter().enumerate() {
-            local_at_start.push(acc);
-            if i + 1 < segments.len() {
-                let span = segments[i + 1].start - s.start;
-                acc += s.rate * span.as_f64();
-            }
-        }
-        Self {
-            initial_local,
-            segments,
-            local_at_start,
-        }
-    }
-
-    /// The segments of this clock.
-    pub fn segments(&self) -> &[RateSegment] {
-        &self.segments
-    }
-}
-
-impl Clock for PiecewiseClock {
-    fn local_at(&self, t: Time) -> LocalTime {
-        // Find the last segment with start <= t (extrapolate before origin).
-        let idx = match self.segments.binary_search_by(|s| s.start.cmp(&t)) {
-            Ok(i) => i,
-            Err(0) => 0,
-            Err(i) => i - 1,
-        };
-        let seg = &self.segments[idx];
-        let base = self.local_at_start[idx];
-        LocalTime::from(base + seg.rate * (t - seg.start).as_f64())
-    }
-
-    fn real_at(&self, h: LocalTime) -> Time {
-        let hv = h.as_f64();
-        // Find the last segment with local_at_start <= h.
-        let idx = match self.local_at_start.binary_search_by(|v| v.total_cmp(&hv)) {
-            Ok(i) => i,
-            Err(0) => 0,
-            Err(i) => i - 1,
-        };
-        let seg = &self.segments[idx];
-        let base = self.local_at_start[idx];
-        seg.start + Duration::from((hv - base) / seg.rate)
-    }
-}
-
-// A single affine clock is a degenerate piecewise clock; provide conversion.
-impl From<AffineClock> for PiecewiseClock {
-    fn from(c: AffineClock) -> Self {
-        PiecewiseClock::new(
-            c.offset(),
-            vec![RateSegment {
-                start: Time::ZERO,
-                rate: c.rate(),
-            }],
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,7 +134,7 @@ mod tests {
         let h0 = c.local_at(Time::from(1.0));
         let h1 = c.local_at(Time::from(4.0));
         assert!(((h1 - h0).as_f64() - 6.0).abs() < 1e-12);
-        let real = c.real_elapsed(h0, Duration::from(6.0));
+        let real = c.real_at(h1) - c.real_at(h0);
         assert!((real.as_f64() - 3.0).abs() < 1e-12);
     }
 
@@ -278,83 +150,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn affine_rejects_zero_rate() {
         let _ = AffineClock::with_rate(0.0);
-    }
-
-    #[test]
-    fn piecewise_accumulates_across_segments() {
-        let c = PiecewiseClock::new(
-            5.0,
-            vec![
-                RateSegment {
-                    start: Time::ZERO,
-                    rate: 1.0,
-                },
-                RateSegment {
-                    start: Time::from(10.0),
-                    rate: 2.0,
-                },
-                RateSegment {
-                    start: Time::from(20.0),
-                    rate: 1.0,
-                },
-            ],
-        );
-        assert!((c.local_at(Time::from(10.0)).as_f64() - 15.0).abs() < 1e-12);
-        assert!((c.local_at(Time::from(20.0)).as_f64() - 35.0).abs() < 1e-12);
-        assert!((c.local_at(Time::from(25.0)).as_f64() - 40.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn piecewise_round_trip() {
-        let c = PiecewiseClock::new(
-            0.0,
-            vec![
-                RateSegment {
-                    start: Time::ZERO,
-                    rate: 1.0001,
-                },
-                RateSegment {
-                    start: Time::from(100.0),
-                    rate: 1.0005,
-                },
-                RateSegment {
-                    start: Time::from(250.0),
-                    rate: 1.0002,
-                },
-            ],
-        );
-        for &t in &[0.0, 55.5, 100.0, 199.0, 250.0, 1234.5] {
-            let t = Time::from(t);
-            let back = c.real_at(c.local_at(t));
-            assert!((back - t).abs().as_f64() < 1e-8, "t = {t:?}");
-        }
-    }
-
-    #[test]
-    fn piecewise_matches_affine_on_single_segment() {
-        let a = AffineClock::with_rate_and_offset(1.003, 7.0);
-        let p = PiecewiseClock::from(a);
-        for &t in &[0.0, 3.25, 99.0] {
-            let t = Time::from(t);
-            assert!((p.local_at(t).as_f64() - a.local_at(t).as_f64()).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn piecewise_rejects_unsorted_segments() {
-        let _ = PiecewiseClock::new(
-            0.0,
-            vec![
-                RateSegment {
-                    start: Time::from(5.0),
-                    rate: 1.0,
-                },
-                RateSegment {
-                    start: Time::ZERO,
-                    rate: 1.0,
-                },
-            ],
-        );
     }
 }

@@ -18,11 +18,10 @@
 //!   that real ("Newtonian") time and durations cannot be confused with local
 //!   clock readings ([`LocalTime`]) at the type level.
 //! * [`AffineClock`] — a clock with a constant rate in `[1, ϑ]`, the static
-//!   model used throughout the paper's analysis.
-//! * [`PiecewiseClock`] — a piecewise-affine clock whose rate changes slowly
-//!   over time, used for the Corollary 1.5 experiments (slowly varying
-//!   hardware clock speeds).
-//! * [`Clock`] — the trait both implement: strictly monotone, invertible maps
+//!   model used throughout the paper's analysis. The Corollary 1.5
+//!   experiments vary rates slowly by giving each pulse its own affine clock
+//!   (`trix_sim::SequenceEnvironment`), not by a time-varying clock.
+//! * [`Clock`] — the trait it implements: strictly monotone, invertible maps
 //!   between real time and local time.
 //!
 //! # Examples
@@ -43,6 +42,6 @@ mod clock;
 mod duration;
 mod instant;
 
-pub use clock::{AffineClock, Clock, PiecewiseClock, RateSegment};
+pub use clock::{AffineClock, Clock};
 pub use duration::Duration;
 pub use instant::{LocalTime, Time};

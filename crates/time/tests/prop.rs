@@ -1,55 +1,9 @@
 //! Property tests for clocks and time algebra.
 
 use proptest::prelude::*;
-use trix_time::{AffineClock, Clock, Duration, PiecewiseClock, RateSegment, Time};
+use trix_time::{AffineClock, Clock, LocalTime, Time};
 
 proptest! {
-    /// Piecewise clocks round-trip real ↔ local across segment borders.
-    #[test]
-    fn piecewise_round_trip(
-        rates in proptest::collection::vec(1.0f64..1.01, 1..6),
-        step in 1.0f64..1000.0,
-        query in 0.0f64..5000.0,
-    ) {
-        let segments: Vec<RateSegment> = rates
-            .iter()
-            .enumerate()
-            .map(|(i, &rate)| RateSegment {
-                start: Time::from(i as f64 * step),
-                rate,
-            })
-            .collect();
-        let clock = PiecewiseClock::new(0.0, segments);
-        let t = Time::from(query);
-        let back = clock.real_at(clock.local_at(t));
-        prop_assert!((back - t).abs().as_f64() < 1e-6);
-    }
-
-    /// Piecewise local time is strictly monotone.
-    #[test]
-    fn piecewise_monotone(
-        rates in proptest::collection::vec(1.0f64..2.0, 1..5),
-        times in proptest::collection::vec(0.0f64..1000.0, 2..20),
-    ) {
-        let segments: Vec<RateSegment> = rates
-            .iter()
-            .enumerate()
-            .map(|(i, &rate)| RateSegment {
-                start: Time::from(i as f64 * 100.0),
-                rate,
-            })
-            .collect();
-        let clock = PiecewiseClock::new(5.0, segments);
-        let mut sorted = times.clone();
-        sorted.sort_by(f64::total_cmp);
-        sorted.dedup();
-        for w in sorted.windows(2) {
-            let a = clock.local_at(Time::from(w[0]));
-            let b = clock.local_at(Time::from(w[1]));
-            prop_assert!(b > a);
-        }
-    }
-
     /// Elapsed local time respects the rate bounds on affine clocks.
     #[test]
     fn affine_elapsed_within_rate_bounds(
@@ -65,11 +19,11 @@ proptest! {
         prop_assert!(elapsed <= dt * rate * 1.000_001);
     }
 
-    /// `real_elapsed` inverts local spans.
+    /// `real_at` maps a local span of `dh` to a real span of `dh / rate`.
     #[test]
-    fn real_elapsed_inverts(rate in 1.0f64..1.5, dh in 0.1f64..1e4) {
+    fn real_at_inverts_local_spans(rate in 1.0f64..1.5, dh in 0.1f64..1e4) {
         let c = AffineClock::with_rate(rate);
-        let real = c.real_elapsed(trix_time::LocalTime::from(0.0), Duration::from(dh));
+        let real = c.real_at(LocalTime::from(dh)) - c.real_at(LocalTime::ZERO);
         prop_assert!((real.as_f64() - dh / rate).abs() < 1e-6);
     }
 }

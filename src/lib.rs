@@ -18,7 +18,7 @@
 //! | [`time`] | `Time`/`LocalTime`/`Duration` newtypes, hardware clock models |
 //! | [`topology`] | base graphs (Fig 2), layered DAG (Fig 3), HEX grid, ancestor cones |
 //! | [`sim`] | deterministic RNG, environments, dataflow executor, DES engine, observer hooks |
-//! | [`obs`] | streaming observability: online skew monitors, bounded trace rings, POD trace sketches |
+//! | [`obs`] | streaming observability: online skew monitors, POD trace sketches |
 //! | [`core`] | the Gradient TRIX algorithm: `Params`, corrections, Algorithms 1–4, condition oracles |
 //! | [`faults`] | Byzantine behaviors, placements, transient corruption |
 //! | [`baselines`] | naive TRIX (LW20) and HEX (DFL+16) |
