@@ -3,7 +3,8 @@
 //!
 //! * [`NaiveTrixRule`] — the LW20 second-copy forwarding rule on the same
 //!   grid as Gradient TRIX: optimal degree and 1-fault tolerance, but
-//!   local skew `Θ(u·D)` under adversarial delays.
+//!   local skew `Θ(u·D)` under adversarial delays — the Figure 1 (left)
+//!   split of [`split_delay_env`].
 //! * [`run_hex_pulse`] — the DFL+16 HEX scheme: fires on the second of
 //!   four in-pulses (two from the previous layer, two in-layer); a crashed
 //!   previous-layer neighbor costs a full message delay `d` of skew.
@@ -23,4 +24,4 @@ mod naive_trix;
 
 pub use hex::{run_hex_pulse, HexEnvironment, HexPulse};
 pub use lynch_welch::{run_lynch_welch, LynchWelchConfig, LynchWelchRun};
-pub use naive_trix::NaiveTrixRule;
+pub use naive_trix::{split_delay_env, NaiveTrixRule};

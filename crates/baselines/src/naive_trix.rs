@@ -9,9 +9,9 @@
 //! assignment accumulates local skew `Θ(u·D)` by layer `D`, the weakness
 //! Gradient TRIX fixes.
 
-use trix_sim::PulseRule;
-use trix_time::{AffineClock, Time};
-use trix_topology::NodeId;
+use trix_sim::{PulseRule, StaticEnvironment};
+use trix_time::{AffineClock, Duration, Time};
+use trix_topology::{EdgeId, LayeredGraph, NodeId};
 
 /// The second-copy forwarding rule.
 ///
@@ -73,12 +73,29 @@ impl PulseRule for NaiveTrixRule {
     }
 }
 
+/// The adversarial split-delay environment of the paper's Figure 1
+/// (left), which produces [`NaiveTrixRule`]'s worst case: every in-edge
+/// of a node in the left half (`v < width / 2`) of a layer above 0 takes
+/// `d − u`, every other edge `d`; clocks are perfect.
+///
+/// Under the second-copy rule this tilts the wavefront by `u` per layer
+/// at the split column.
+pub fn split_delay_env(g: &LayeredGraph, d: Duration, u: Duration) -> StaticEnvironment {
+    let split = g.width() / 2;
+    let mut delays = vec![d; g.edge_count()];
+    for n in g.nodes().filter(|n| n.layer > 0 && (n.v as usize) < split) {
+        for (_, EdgeId(e)) in g.predecessors(n) {
+            delays[e] = d - u;
+        }
+    }
+    StaticEnvironment::new(g, delays, vec![AffineClock::PERFECT; g.node_count()])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trix_sim::{run_dataflow, CorrectSends, OffsetLayer0, StaticEnvironment};
-    use trix_time::Duration;
-    use trix_topology::{BaseGraph, EdgeId, LayeredGraph};
+    use trix_sim::{run_dataflow, CorrectSends, OffsetLayer0};
+    use trix_topology::BaseGraph;
 
     #[test]
     fn second_copy_of_three() {
@@ -120,19 +137,7 @@ mod tests {
         let d = Duration::from(10.0);
         let u = Duration::from(1.0);
         let split = g.width() / 2;
-        let mut delays = vec![d; g.edge_count()];
-        for n in g.nodes().filter(|n| n.layer > 0) {
-            for (_, EdgeId(e)) in g.predecessors(n) {
-                if (n.v as usize) < split {
-                    delays[e] = d - u;
-                }
-            }
-        }
-        let env = StaticEnvironment::new(
-            &g,
-            delays,
-            vec![trix_time::AffineClock::PERFECT; g.node_count()],
-        );
+        let env = split_delay_env(&g, d, u);
         let layer0 = OffsetLayer0::synchronized(1e6, g.width());
         let trace = run_dataflow(&g, &env, &layer0, &NaiveTrixRule::new(), &CorrectSends, 1);
         let boundary_skew = |layer: usize| {

@@ -5,7 +5,7 @@
 //! Usage:
 //!
 //! ```text
-//! gradient-trix-experiments [--quick | --smoke] [--csv] [--out DIR]
+//! gradient-trix-experiments [--quick | --smoke] [--out DIR]
 //!                           [--threads N] [--sim-threads M] [--seed S]
 //!                           [--json PATH] [--only EXPERIMENT] [--canonical]
 //! ```
@@ -20,7 +20,7 @@
 //!   Like `--threads`, it never changes results — only wall time — and
 //!   is recorded in every benchmark record (schema v3). The `0` knobs
 //!   are resolved **jointly** through
-//!   `trix_runner::resolve_thread_split`: detected CPUs are divided
+//!   `trix_bench::suite::resolve_thread_split`: detected CPUs are divided
 //!   between the two levels, so `--threads 0 --sim-threads 0` runs one
 //!   scenario worker per CPU with serial dataflow — never the historic
 //!   CPU² oversubscription. If CPU detection fails, both auto knobs
@@ -34,9 +34,9 @@
 //! * `--canonical` zeroes the volatile wall-time fields in every written
 //!   JSON report, making files byte-comparable across runs and thread
 //!   counts.
-//! * `--csv` emits CSV instead of markdown; `--out DIR` additionally
-//!   writes one `.md` and one `.csv` file per table plus one
-//!   `BENCH_<experiment>.json` per experiment into `DIR`.
+//! * Tables print as markdown; `--out DIR` additionally writes one `.md`
+//!   and one `.csv` file per table plus one `BENCH_<experiment>.json` per
+//!   experiment into `DIR`.
 //!
 //! Exits non-zero if any scenario's condition oracle reports a violation
 //! (naming the experiment), or `2` on CLI misuse.
@@ -46,7 +46,6 @@ use trix_bench::{all_scenarios, suite, Scale};
 
 struct Args {
     scale: Scale,
-    csv: bool,
     out_dir: Option<String>,
     threads: usize,
     sim_threads: usize,
@@ -56,14 +55,13 @@ struct Args {
     canonical: bool,
 }
 
-const USAGE: &str = "usage: gradient-trix-experiments [--quick | --smoke] [--csv] [--out DIR] \
+const USAGE: &str = "usage: gradient-trix-experiments [--quick | --smoke] [--out DIR] \
                      [--threads N] [--sim-threads M] [--seed S] [--json PATH] \
                      [--only EXPERIMENT] [--canonical]";
 
 fn parse_args(args: &[String]) -> Result<Args, String> {
     let mut parsed = Args {
         scale: Scale::Full,
-        csv: false,
         out_dir: None,
         threads: 0,
         sim_threads: 1,
@@ -82,7 +80,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         match arg.as_str() {
             "--quick" => parsed.scale = Scale::Quick,
             "--smoke" => parsed.scale = Scale::Smoke,
-            "--csv" => parsed.csv = true,
             "--canonical" => parsed.canonical = true,
             "--only" => parsed.only = Some(value_of("--only")?),
             "--out" => parsed.out_dir = Some(value_of("--out")?),
@@ -142,7 +139,7 @@ fn main() -> ExitCode {
             detected.workers
         );
     }
-    let (threads, sim_threads) = trix_runner::resolve_thread_split(args.threads, args.sim_threads);
+    let (threads, sim_threads) = suite::resolve_thread_split(args.threads, args.sim_threads);
 
     let start = std::time::Instant::now();
     let mut scenarios = all_scenarios(args.scale, args.seed, sim_threads);
@@ -173,11 +170,7 @@ fn main() -> ExitCode {
     };
 
     for (i, table) in outcome.tables.iter().enumerate() {
-        if args.csv {
-            println!("{}", table.to_csv());
-        } else {
-            println!("{}", table.to_markdown());
-        }
+        println!("{}", table.to_markdown());
         if let Some(dir) = &args.out_dir {
             let stem = format!("{dir}/table_{i:02}");
             std::fs::write(format!("{stem}.md"), table.to_markdown()).expect("write markdown");

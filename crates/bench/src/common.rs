@@ -2,12 +2,11 @@
 
 use trix_core::{GradientTrixRule, Layer0Line, Params};
 use trix_obs::{SkewStats, StreamingSkew};
-use trix_runner::SkewSummary;
 use trix_sim::{
     run_dataflow, run_dataflow_parallel, Observer, PulseTrace, Rng, SendModel, StaticEnvironment,
 };
-use trix_time::{AffineClock, Duration};
-use trix_topology::{BaseGraph, EdgeId, LayeredGraph};
+use trix_time::Duration;
+use trix_topology::{BaseGraph, LayeredGraph};
 
 /// Canonical VLSI-flavored parameters used across experiments (units:
 /// picoseconds): `d = 2000`, `u = 1`, `ϑ = 1.0001`, `Λ = 2d`.
@@ -144,17 +143,17 @@ pub fn run_gradient_trix_streaming_graph(
     run_dataflow_parallel(g, &env, &layer0, rule, sends, pulses, sim_threads, obs);
 }
 
-/// Folds per-seed streaming snapshots into one benchmark
-/// [`SkewSummary`], delegating the partial-merge semantics to
+/// Folds per-seed streaming snapshots into the one [`SkewStats`] a
+/// benchmark record carries, delegating the partial-merge semantics to
 /// [`SkewStats::merge`] in `trix-obs` (maxima fold with `max`, pulse
 /// counts and histograms add, the mean is sample-count-weighted; the
 /// histogram mass *is* the intra sample count, pinned by the `trix-obs`
 /// property tests). `tests/streaming_equivalence.rs` replays records
 /// through this same fold, so the merge used by the sweep and the merge
 /// used to verify it cannot drift.
-pub fn merge_snapshots(snaps: &[SkewStats]) -> SkewSummary {
+pub fn merge_snapshots(snaps: &[SkewStats]) -> SkewStats {
     let Some((first, rest)) = snaps.split_first() else {
-        return SkewSummary {
+        return SkewStats {
             max_intra: 0.0,
             max_inter: 0.0,
             max_full: 0.0,
@@ -169,29 +168,7 @@ pub fn merge_snapshots(snaps: &[SkewStats]) -> SkewSummary {
     for s in rest {
         merged.merge(s);
     }
-    // Exhaustive destructuring: a field added to `SkewStats` must fail
-    // to compile here rather than silently vanish from the benchmark
-    // records (SkewSummary mirrors these fields).
-    let SkewStats {
-        max_intra,
-        max_inter,
-        max_full,
-        max_global,
-        mean_intra,
-        pulses,
-        hist_bin_width,
-        hist_intra,
-    } = merged;
-    SkewSummary {
-        max_intra,
-        max_inter,
-        max_full,
-        max_global,
-        mean_intra,
-        pulses,
-        hist_bin_width,
-        hist_intra,
-    }
+    merged
 }
 
 /// The standard streaming monitor shape of the streaming experiments:
@@ -220,21 +197,6 @@ pub fn run_gradient_trix_with_env(
     run_dataflow(g, env, &layer0, rule, sends, pulses)
 }
 
-/// The adversarial "split" delay assignment (Figure 1 left): all in-edges
-/// of columns `v < split` get `d − u`, the rest `d`; perfect clocks.
-///
-/// Under the naive second-copy rule this tilts the wavefront by `u` per
-/// layer at the split boundary.
-pub fn split_delay_env(g: &LayeredGraph, params: &Params, split: usize) -> StaticEnvironment {
-    let mut delays = vec![params.d(); g.edge_count()];
-    for n in g.nodes().filter(|n| n.layer > 0 && (n.v as usize) < split) {
-        for (_, EdgeId(e)) in g.predecessors(n) {
-            delays[e] = params.d() - params.u();
-        }
-    }
-    StaticEnvironment::new(g, delays, vec![AffineClock::PERFECT; g.node_count()])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,11 +220,13 @@ mod tests {
         }
     }
 
+    /// The Figure 1 (left) environment the `fig1`, `thm11` and `table1`
+    /// experiments run, at the standard parameters.
     #[test]
     fn split_env_sets_delays() {
         let p = standard_params();
         let g = grid(6, 4);
-        let env = split_delay_env(&g, &p, 4);
+        let env = trix_baselines::split_delay_env(&g, p.d(), p.u());
         let n_fast = g.node(1, 2);
         let n_slow = g.node(6, 2);
         let (_, e_fast) = g.predecessors(n_fast).next().unwrap();

@@ -9,7 +9,7 @@
 //! "provable worst case".
 
 use crate::common::{square_grid, standard_params};
-use crate::suite::{kv, Scenario, ScenarioResult};
+use crate::suite::{kv, scenario_seeds, Scenario, ScenarioResult};
 use crate::Scale;
 use trix_analysis::{fmt_f64, max_intra_layer_skew, theory, Table};
 use trix_core::GradientTrixRule;
@@ -84,7 +84,7 @@ pub fn run(width: usize, iterations: usize, seeds: &[u64]) -> ScenarioResult {
 /// work units in the suite, so sharding them matters most).
 pub fn scenarios(scale: Scale, base_seed: u64) -> Vec<Scenario> {
     let (width, iterations) = scale.pick((8usize, 10usize), (8, 20), (16, 150));
-    let seeds = trix_runner::scenario_seeds(base_seed, "adversary", 0, scale.seed_count().min(2));
+    let seeds = scenario_seeds(base_seed, "adversary", 0, scale.seed_count().min(2));
     seeds
         .iter()
         .map(|&seed| {

@@ -32,7 +32,7 @@
 //! `--threads` and `--sim-threads` values.
 
 use crate::common::{grid, merge_snapshots, standard_params, streaming_monitor};
-use crate::suite::{kv, Scenario, ScenarioResult};
+use crate::suite::{kv, scenario_seeds, Scenario, ScenarioResult};
 use crate::Scale;
 use trix_analysis::{fmt_f64, theory, Table};
 use trix_core::GradientTrixRule;
@@ -393,8 +393,7 @@ pub fn scenarios(scale: Scale, base_seed: u64, sim_threads: usize) -> Vec<Scenar
         .into_iter()
         .enumerate()
         .map(|(i, point)| {
-            let seeds =
-                trix_runner::scenario_seeds(base_seed, "exp_churn", i as u64, scale.seed_count());
+            let seeds = scenario_seeds(base_seed, "exp_churn", i as u64, scale.seed_count());
             let job_seeds = seeds.clone();
             let (_, topology) = deployment(&point);
             let scenario = Scenario::new(

@@ -7,7 +7,7 @@
 //! local-skew bound via Observation 4.2.
 
 use crate::common::{run_gradient_trix, square_grid, standard_params};
-use crate::suite::{kv, Scenario, ScenarioResult};
+use crate::suite::{kv, scenario_seeds, Scenario, ScenarioResult};
 use crate::Scale;
 use trix_analysis::{fmt_f64, global_skew, psi, theory, Table};
 use trix_core::GradientTrixRule;
@@ -82,7 +82,7 @@ pub fn run(width: usize, pulses: usize, seeds: &[u64]) -> ScenarioResult {
 /// share the traces).
 pub fn scenarios(scale: Scale, base_seed: u64) -> Vec<Scenario> {
     let (width, pulses) = scale.pick((12usize, 2usize), (12, 3), (32, 3));
-    let seeds = trix_runner::scenario_seeds(base_seed, "cor423", 0, scale.seed_count());
+    let seeds = scenario_seeds(base_seed, "cor423", 0, scale.seed_count());
     let job_seeds = seeds.clone();
     vec![Scenario::new(
         "cor423",

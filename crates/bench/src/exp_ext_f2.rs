@@ -11,7 +11,7 @@
 //! containment violations, for `f = 1` (baseline sanity) and `f = 2`.
 
 use crate::common::standard_params;
-use crate::suite::{kv, Scenario};
+use crate::suite::{kv, scenario_seeds, Scenario};
 use crate::Scale;
 use trix_analysis::{fmt_f64, max_intra_layer_skew, Table};
 use trix_core::RobustRule;
@@ -97,7 +97,7 @@ pub fn run(width: usize, layers: usize, seeds: &[u64]) -> Table {
 /// `f = 1` and `f = 2` on the same grid.
 pub fn scenarios(scale: Scale, base_seed: u64) -> Vec<Scenario> {
     let (width, layers) = scale.pick((12usize, 8usize), (12, 8), (24, 16));
-    let seeds = trix_runner::scenario_seeds(base_seed, "ext_f2", 0, scale.seed_count());
+    let seeds = scenario_seeds(base_seed, "ext_f2", 0, scale.seed_count());
     let job_seeds = seeds.clone();
     vec![Scenario::new(
         "ext_f2",

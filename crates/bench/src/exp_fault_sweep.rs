@@ -31,7 +31,7 @@
 //! byte-identical across `--threads` and `--sim-threads` values.
 
 use crate::common::{grid, merge_snapshots, standard_params, streaming_monitor};
-use crate::suite::{kv, Scenario, ScenarioResult};
+use crate::suite::{kv, scenario_seeds, Scenario, ScenarioResult};
 use crate::Scale;
 use trix_analysis::{fmt_f64, theory, Table};
 use trix_core::GradientTrixRule;
@@ -441,12 +441,7 @@ pub fn scenarios(scale: Scale, base_seed: u64, sim_threads: usize) -> Vec<Scenar
         .flat_map(|&w| points_for_width(scale, w))
         .enumerate()
         .map(|(i, point)| {
-            let seeds = trix_runner::scenario_seeds(
-                base_seed,
-                "exp_fault_sweep",
-                i as u64,
-                scale.seed_count(),
-            );
+            let seeds = scenario_seeds(base_seed, "exp_fault_sweep", i as u64, scale.seed_count());
             let job_seeds = seeds.clone();
             Scenario::new(
                 "exp_fault_sweep",

@@ -8,12 +8,12 @@
 //! victim a full message delay `d` of local skew (versus `u`-scale
 //! otherwise).
 
-use crate::common::{split_delay_env, square_grid, standard_params};
+use crate::common::{square_grid, standard_params};
 use crate::suite::{kv, Scenario, ScenarioResult};
 use crate::Scale;
 use std::collections::HashSet;
 use trix_analysis::{fmt_f64, skew_by_layer, theory, Table};
-use trix_baselines::{run_hex_pulse, HexEnvironment, NaiveTrixRule};
+use trix_baselines::{run_hex_pulse, split_delay_env, HexEnvironment, NaiveTrixRule};
 use trix_core::GradientTrixRule;
 use trix_sim::{run_dataflow, CorrectSends, OffsetLayer0};
 use trix_time::Time;
@@ -26,7 +26,7 @@ use trix_topology::HexGrid;
 pub fn run_skew_by_layer(width: usize) -> ScenarioResult {
     let p = standard_params();
     let g = square_grid(width);
-    let env = split_delay_env(&g, &p, g.width() / 2);
+    let env = split_delay_env(&g, p.d(), p.u());
     let layer0 = OffsetLayer0::synchronized(p.lambda().as_f64(), g.width());
 
     let naive = run_dataflow(&g, &env, &layer0, &NaiveTrixRule::new(), &CorrectSends, 1);
@@ -132,7 +132,7 @@ mod tests {
     fn naive_trix_grows_linearly_gradient_trix_does_not() {
         let p = standard_params();
         let g = square_grid(16);
-        let env = split_delay_env(&g, &p, g.width() / 2);
+        let env = split_delay_env(&g, p.d(), p.u());
         let layer0 = OffsetLayer0::synchronized(p.lambda().as_f64(), g.width());
         let naive = run_dataflow(&g, &env, &layer0, &NaiveTrixRule::new(), &CorrectSends, 1);
         let gt = run_dataflow(

@@ -8,21 +8,17 @@
 //! the three conditions at every level `s`.
 
 use crate::common::{run_gradient_trix, square_grid, standard_params};
-use crate::suite::{kv, Scenario, ScenarioResult};
+use crate::suite::{kv, scenario_seeds, Scenario, ScenarioResult};
 use crate::Scale;
 use trix_analysis::{fmt_f64, Summary, Table};
 use trix_core::{check_gcs_conditions, reconstruct_correction, GradientTrixRule};
 use trix_sim::CorrectSends;
 
-/// Runs the condition oracle over `seeds` runs of a `width`-wide grid.
-pub fn run(width: usize, pulses: usize, seeds: &[u64]) -> Table {
-    run_checked(width, pulses, seeds).table
-}
-
-/// Like [`run`], additionally surfacing every oracle violation — this is
-/// the paper's central correctness claim, so the harness treats a nonzero
-/// count as a failed run rather than a table footnote.
-pub fn run_checked(width: usize, pulses: usize, seeds: &[u64]) -> ScenarioResult {
+/// Runs the condition oracle over `seeds` runs of a `width`-wide grid,
+/// surfacing every oracle violation — this is the paper's central
+/// correctness claim, so the harness treats a nonzero count as a failed
+/// run rather than a table footnote.
+pub fn run(width: usize, pulses: usize, seeds: &[u64]) -> ScenarioResult {
     let p = standard_params();
     let rule = GradientTrixRule::new(p);
     let g = square_grid(width);
@@ -84,7 +80,7 @@ pub fn run_checked(width: usize, pulses: usize, seeds: &[u64]) -> ScenarioResult
 pub fn scenarios(scale: Scale, base_seed: u64) -> Vec<Scenario> {
     let width = scale.pick(8usize, 10, 24);
     let pulses = scale.pick(2usize, 3, 3);
-    let seeds = trix_runner::scenario_seeds(base_seed, "fig4", 0, scale.seed_count());
+    let seeds = scenario_seeds(base_seed, "fig4", 0, scale.seed_count());
     seeds
         .iter()
         .map(|&seed| {
@@ -93,7 +89,7 @@ pub fn scenarios(scale: Scale, base_seed: u64) -> Vec<Scenario> {
                 format!("seed={seed:#x}"),
                 vec![kv("width", width), kv("pulses", pulses), kv("seed", seed)],
                 &[seed],
-                move || run_checked(width, pulses, &[seed]),
+                move || run(width, pulses, &[seed]),
             )
         })
         .collect()
@@ -122,7 +118,7 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        let t = run(8, 2, &[0, 1]);
+        let t = run(8, 2, &[0, 1]).table;
         assert_eq!(t.len(), 2);
     }
 }

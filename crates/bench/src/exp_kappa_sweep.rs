@@ -8,7 +8,7 @@
 //! is the actionable engineering content of Theorem 1.1: better wires or
 //! better oscillators buy proportionally better skew.
 
-use crate::suite::{kv, Scenario};
+use crate::suite::{kv, scenario_seeds, Scenario};
 use crate::Scale;
 use trix_analysis::{fmt_f64, max_intra_layer_skew, Table};
 use trix_core::{GradientTrixRule, Layer0Line, Params};
@@ -64,7 +64,7 @@ pub fn run(width: usize, seeds: &[u64]) -> Table {
 /// whole `(u, ϑ)` grid (rows share the topology).
 pub fn scenarios(scale: Scale, base_seed: u64) -> Vec<Scenario> {
     let width = scale.pick(8usize, 10, 24);
-    let seeds = trix_runner::scenario_seeds(base_seed, "kappa_sweep", 0, scale.seed_count());
+    let seeds = scenario_seeds(base_seed, "kappa_sweep", 0, scale.seed_count());
     let job_seeds = seeds.clone();
     vec![Scenario::new(
         "kappa_sweep",

@@ -6,7 +6,7 @@
 //! positions that are two chain hops apart on the replicated-ends chain).
 
 use crate::common::standard_params;
-use crate::suite::{kv, Scenario, ScenarioResult};
+use crate::suite::{kv, scenario_seeds, Scenario, ScenarioResult};
 use crate::Scale;
 use trix_analysis::{fmt_f64, theory, Table};
 use trix_core::Layer0Line;
@@ -83,8 +83,7 @@ pub fn scenarios(scale: Scale, base_seed: u64) -> Vec<Scenario> {
         .iter()
         .enumerate()
         .map(|(i, &w)| {
-            let seeds =
-                trix_runner::scenario_seeds(base_seed, "lem_a1", i as u64, scale.seed_count());
+            let seeds = scenario_seeds(base_seed, "lem_a1", i as u64, scale.seed_count());
             let job_seeds = seeds.clone();
             Scenario::new(
                 "lem_a1",

@@ -8,7 +8,7 @@
 //! and the degree/skew trade-off against Gradient TRIX.
 
 use crate::common::{run_gradient_trix, square_grid, standard_params};
-use crate::suite::{kv, Scenario};
+use crate::suite::{kv, scenario_seeds, Scenario};
 use crate::Scale;
 use trix_analysis::{fmt_f64, max_intra_layer_skew, Table};
 use trix_baselines::{run_lynch_welch, LynchWelchConfig};
@@ -69,7 +69,7 @@ pub fn run(n: usize, f: usize, rounds: usize, seeds: &[u64]) -> Table {
 /// a convergence series of a single configuration).
 pub fn scenarios(scale: Scale, base_seed: u64) -> Vec<Scenario> {
     let (n, f, rounds) = scale.pick((7usize, 2usize, 4usize), (7, 2, 6), (10, 3, 10));
-    let seeds = trix_runner::scenario_seeds(base_seed, "lynch_welch", 0, scale.seed_count());
+    let seeds = scenario_seeds(base_seed, "lynch_welch", 0, scale.seed_count());
     let job_seeds = seeds.clone();
     vec![Scenario::new(
         "lynch_welch",

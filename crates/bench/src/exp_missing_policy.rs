@@ -8,21 +8,17 @@
 //! paper's `2κ` slack.
 
 use crate::common::{run_gradient_trix, square_grid, standard_params};
-use crate::suite::{kv, Scenario, ScenarioResult};
+use crate::suite::{kv, scenario_seeds, Scenario, ScenarioResult};
 use crate::Scale;
 use trix_analysis::{fmt_f64, max_intra_layer_skew, Table};
 use trix_core::{check_pulse_interval, CorrectionConfig, GradientTrixRule, MissingNeighborPolicy};
 use trix_faults::{FaultBehavior, FaultCampaign};
 
-/// Runs the policy ablation with `f` silent faults.
-pub fn run(width: usize, f: usize, pulses: usize, seeds: &[u64]) -> Table {
-    run_checked(width, f, pulses, seeds).table
-}
-
-/// Like [`run`], additionally surfacing Corollary 4.29 oracle failures:
-/// at the generous `4κ` slack *both* policies must hold (the `2κ` column
-/// is the ablation's discriminator and may legitimately be nonzero).
-pub fn run_checked(width: usize, f: usize, pulses: usize, seeds: &[u64]) -> ScenarioResult {
+/// Runs the policy ablation with `f` silent faults, surfacing Corollary
+/// 4.29 oracle failures: at the generous `4κ` slack *both* policies must
+/// hold (the `2κ` column is the ablation's discriminator and may
+/// legitimately be nonzero).
+pub fn run(width: usize, f: usize, pulses: usize, seeds: &[u64]) -> ScenarioResult {
     let p = standard_params();
     let g = square_grid(width);
     let mut violations = Vec::new();
@@ -80,14 +76,14 @@ pub fn run_checked(width: usize, f: usize, pulses: usize, seeds: &[u64]) -> Scen
 /// both policies on the same fault pattern.
 pub fn scenarios(scale: Scale, base_seed: u64) -> Vec<Scenario> {
     let (width, f, pulses) = scale.pick((10usize, 4usize, 2usize), (10, 4, 3), (16, 4, 3));
-    let seeds = trix_runner::scenario_seeds(base_seed, "missing_policy", 0, scale.seed_count());
+    let seeds = scenario_seeds(base_seed, "missing_policy", 0, scale.seed_count());
     let job_seeds = seeds.clone();
     vec![Scenario::new(
         "missing_policy",
         format!("w={width},f={f}"),
         vec![kv("width", width), kv("f", f), kv("pulses", pulses)],
         &seeds,
-        move || run_checked(width, f, pulses, &job_seeds),
+        move || run(width, f, pulses, &job_seeds),
     )]
 }
 
@@ -97,7 +93,7 @@ mod tests {
 
     #[test]
     fn both_policies_keep_interval_invariant_at_4_kappa() {
-        let t = run(12, 3, 2, &[0, 1]);
+        let t = run(12, 3, 2, &[0, 1]).table;
         let md = t.to_markdown();
         // The last column (4κ slack) must be all zeros for both policies.
         for line in md
@@ -111,7 +107,7 @@ mod tests {
 
     #[test]
     fn table_has_two_rows() {
-        let t = run(10, 2, 2, &[0]);
+        let t = run(10, 2, 2, &[0]).table;
         assert_eq!(t.len(), 2);
     }
 }

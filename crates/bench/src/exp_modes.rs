@@ -29,13 +29,12 @@
 use crate::common::{
     graph_inputs, grid, line_inputs, merge_snapshots, standard_params, streaming_monitor,
 };
-use crate::suite::{kv, Scenario, ScenarioResult};
+use crate::suite::{kv, scenario_seeds, Scenario, ScenarioResult};
 use crate::{exp_fault_sweep, exp_topology, Scale};
 use trix_analysis::{fmt_f64, ModeProbe, ModeReport, Table};
 use trix_core::{GradientTrixRule, Layer0Line};
 use trix_faults::FaultCampaign;
 use trix_obs::{PipelinedSketch, PodSketch, PodSnapshot, SkewStats};
-use trix_runner::SketchSummary;
 use trix_sim::{run_dataflow_parallel, CorrectSends, StaticEnvironment};
 use trix_topology::LayeredGraph;
 
@@ -306,21 +305,11 @@ pub fn run(point: &SweepPoint, seeds: &[u64], sim_threads: usize) -> ScenarioRes
         snap.approx_bytes().to_string(),
         v_dom,
     ]);
-    let sketch = SketchSummary {
-        rank: snap.rank,
-        cols: snap.cols,
-        rows: snap.rows,
-        singular_values: snap.singular_values,
-        basis: snap.basis,
-        error_bound: snap.error_bound,
-        measured_error: report.measured_error,
-        energy: snap.energy,
-    };
     ScenarioResult {
         table,
         violations,
         skew: Some(summary),
-        sketch: Some(sketch),
+        sketch: Some((snap, report.measured_error)),
     }
 }
 
@@ -373,8 +362,7 @@ pub fn scenarios(scale: Scale, base_seed: u64, sim_threads: usize) -> Vec<Scenar
         .into_iter()
         .enumerate()
         .map(|(i, point)| {
-            let seeds =
-                trix_runner::scenario_seeds(base_seed, "exp_modes", i as u64, scale.seed_count());
+            let seeds = scenario_seeds(base_seed, "exp_modes", i as u64, scale.seed_count());
             let job_seeds = seeds.clone();
             let scenario = Scenario::new(
                 "exp_modes",
@@ -434,10 +422,10 @@ mod tests {
                 point.label(),
                 result.violations
             );
-            let sketch = result.sketch.expect("every record ships a sketch");
-            assert!(sketch.rows > 0);
-            assert!(!sketch.singular_values.is_empty());
-            assert!(sketch.measured_error <= sketch.error_bound);
+            let (snap, measured_error) = result.sketch.expect("every record ships a sketch");
+            assert!(snap.rows > 0);
+            assert!(!snap.singular_values.is_empty());
+            assert!(measured_error <= snap.error_bound);
             let skew = result.skew.expect("streaming stats ride along");
             assert!(skew.pulses > 0);
         }

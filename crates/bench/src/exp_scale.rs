@@ -21,7 +21,7 @@
 use crate::common::{
     merge_snapshots, run_gradient_trix_streaming, square_grid, standard_params, streaming_monitor,
 };
-use crate::suite::{kv, Scenario, ScenarioResult};
+use crate::suite::{kv, scenario_seeds, Scenario, ScenarioResult};
 use crate::Scale;
 use trix_analysis::{fmt_f64, theory, Table};
 use trix_core::GradientTrixRule;
@@ -136,8 +136,7 @@ pub fn scenarios(scale: Scale, base_seed: u64, sim_threads: usize) -> Vec<Scenar
         .iter()
         .enumerate()
         .map(|(i, &w)| {
-            let seeds =
-                trix_runner::scenario_seeds(base_seed, "exp_scale", i as u64, scale.seed_count());
+            let seeds = scenario_seeds(base_seed, "exp_scale", i as u64, scale.seed_count());
             let job_seeds = seeds.clone();
             Scenario::new(
                 "exp_scale",

@@ -11,12 +11,12 @@
 //!   asymptotically flattest, and the only scheme with both optimal
 //!   degree and logarithmic skew.
 
-use crate::common::{split_delay_env, square_grid, standard_params};
+use crate::common::{square_grid, standard_params};
 use crate::suite::{kv, Scenario};
 use crate::Scale;
 use std::collections::HashSet;
 use trix_analysis::{fmt_f64, intra_layer_skew, theory, Table};
-use trix_baselines::{run_hex_pulse, HexEnvironment, NaiveTrixRule};
+use trix_baselines::{run_hex_pulse, split_delay_env, HexEnvironment, NaiveTrixRule};
 use trix_core::GradientTrixRule;
 use trix_faults::{FaultBehavior, FaultCampaign};
 use trix_sim::{run_dataflow, CorrectSends, OffsetLayer0, Rng};
@@ -43,7 +43,7 @@ pub fn run(widths: &[usize]) -> Table {
     for &w in widths {
         let g = square_grid(w);
         let d_diam = g.base().diameter();
-        let env = split_delay_env(&g, &p, g.width() / 2);
+        let env = split_delay_env(&g, p.d(), p.u());
         let layer0 = OffsetLayer0::synchronized(p.lambda().as_f64(), g.width());
         let last = g.layer_count() - 1;
 
@@ -125,7 +125,7 @@ mod tests {
     fn gradient_trix_wins_at_depth() {
         let p = standard_params();
         let g = square_grid(24);
-        let env = split_delay_env(&g, &p, g.width() / 2);
+        let env = split_delay_env(&g, p.d(), p.u());
         let layer0 = OffsetLayer0::synchronized(p.lambda().as_f64(), g.width());
         let last = g.layer_count() - 1;
         let naive = run_dataflow(&g, &env, &layer0, &NaiveTrixRule::new(), &CorrectSends, 1);

@@ -7,12 +7,11 @@
 //! split-delay environment. Reports the worst intra-layer skew across all
 //! layers and pulses against the bound.
 
-use crate::common::{
-    run_gradient_trix, run_gradient_trix_with_env, split_delay_env, square_grid, standard_params,
-};
-use crate::suite::{kv, Scenario, ScenarioResult};
+use crate::common::{run_gradient_trix, run_gradient_trix_with_env, square_grid, standard_params};
+use crate::suite::{kv, scenario_seeds, Scenario, ScenarioResult};
 use crate::Scale;
 use trix_analysis::{fmt_f64, max_intra_layer_skew, theory, Table};
+use trix_baselines::split_delay_env;
 use trix_core::GradientTrixRule;
 use trix_sim::CorrectSends;
 
@@ -43,7 +42,7 @@ pub fn run(widths: &[usize], pulses: usize, seeds: &[u64]) -> ScenarioResult {
             let (trace, _) = run_gradient_trix(&g, &p, &rule, &CorrectSends, pulses, seed);
             worst = worst.max(max_intra_layer_skew(&g, &trace, 0..pulses).as_f64());
         }
-        let adv_env = split_delay_env(&g, &p, g.width() / 2);
+        let adv_env = split_delay_env(&g, p.d(), p.u());
         let adv_trace =
             run_gradient_trix_with_env(&g, &p, &rule, &adv_env, &CorrectSends, pulses, 7);
         let adv = max_intra_layer_skew(&g, &adv_trace, 0..pulses).as_f64();
@@ -77,8 +76,7 @@ pub fn scenarios(scale: Scale, base_seed: u64) -> Vec<Scenario> {
         .iter()
         .enumerate()
         .map(|(i, &w)| {
-            let seeds =
-                trix_runner::scenario_seeds(base_seed, "thm11", i as u64, scale.seed_count());
+            let seeds = scenario_seeds(base_seed, "thm11", i as u64, scale.seed_count());
             let job_seeds = seeds.clone();
             Scenario::new(
                 "thm11",
@@ -115,7 +113,7 @@ mod tests {
         let p = standard_params();
         let rule = GradientTrixRule::new(p);
         let g = square_grid(16);
-        let env = split_delay_env(&g, &p, g.width() / 2);
+        let env = split_delay_env(&g, p.d(), p.u());
         let trace = run_gradient_trix_with_env(&g, &p, &rule, &env, &CorrectSends, 3, 1);
         let skew = max_intra_layer_skew(&g, &trace, 0..3);
         assert!(skew <= theory::thm_1_1_bound(&p, g.base().diameter()));

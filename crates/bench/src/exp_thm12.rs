@@ -9,10 +9,11 @@
 //! large static shifts alternating in sign. Measured worst skew is
 //! compared against the proof's explicit envelope
 //! `B_f = 4κ(2+log₂D)·5^f·Σ 5^{−j}` — the *shape* check is that growth is
-//! at most exponential with base ≤ 5 and the envelope is never exceeded.
+//! at most exponential with base ≤ 5 — and the envelope is the condition
+//! oracle: an `f` whose measured skew exceeds `B_f` is a violation.
 
 use crate::common::{run_gradient_trix, square_grid, standard_params};
-use crate::suite::{kv, Scenario};
+use crate::suite::{kv, scenario_seeds, Scenario, ScenarioResult};
 use crate::Scale;
 use trix_analysis::{fmt_f64, max_intra_layer_skew, theory, Table};
 use trix_core::GradientTrixRule;
@@ -37,8 +38,9 @@ fn stacked_faults(
     }))
 }
 
-/// Runs the Theorem 1.2 experiment for `f = 0..=f_max`.
-pub fn run(width: usize, f_max: usize, pulses: usize, seeds: &[u64]) -> Table {
+/// Runs the Theorem 1.2 experiment for `f = 0..=f_max`, reporting each
+/// `f` whose worst skew exceeds the envelope `B_f` as a violation.
+pub fn run(width: usize, f_max: usize, pulses: usize, seeds: &[u64]) -> ScenarioResult {
     let p = standard_params();
     let rule = GradientTrixRule::new(p);
     let g = square_grid(width);
@@ -53,6 +55,7 @@ pub fn run(width: usize, f_max: usize, pulses: usize, seeds: &[u64]) -> Table {
             "growth vs f-1",
         ],
     );
+    let mut violations = Vec::new();
     let mut prev: Option<f64> = None;
     for f in 0..=f_max {
         let model = stacked_faults(&g, f, 20.0, p.kappa());
@@ -62,6 +65,11 @@ pub fn run(width: usize, f_max: usize, pulses: usize, seeds: &[u64]) -> Table {
             worst = worst.max(max_intra_layer_skew(&g, &trace, 0..pulses).as_f64());
         }
         let envelope = theory::thm_1_2_envelope(&p, d, f as u32).as_f64();
+        if worst > envelope {
+            violations.push(format!(
+                "f={f}: L {worst} exceeds the Thm 1.2 envelope B_f {envelope}"
+            ));
+        }
         let growth = prev.map_or("—".to_owned(), |pv| fmt_f64(worst / pv));
         table.row_values(&[
             f.to_string(),
@@ -72,14 +80,14 @@ pub fn run(width: usize, f_max: usize, pulses: usize, seeds: &[u64]) -> Table {
         ]);
         prev = Some(worst);
     }
-    table
+    ScenarioResult::checked(table, violations)
 }
 
 /// Scenario decomposition for the sweep runner: one scenario (the `f`
 /// ladder shares the grid and compares consecutive rows).
 pub fn scenarios(scale: Scale, base_seed: u64) -> Vec<Scenario> {
     let (width, f_max, pulses) = scale.pick((12usize, 3usize, 2usize), (12, 4, 2), (32, 4, 2));
-    let seeds = trix_runner::scenario_seeds(base_seed, "thm12", 0, scale.seed_count());
+    let seeds = scenario_seeds(base_seed, "thm12", 0, scale.seed_count());
     let job_seeds = seeds.clone();
     vec![Scenario::new(
         "thm12",
@@ -141,7 +149,7 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        let t = run(10, 2, 2, &[0]);
+        let t = run(10, 2, 2, &[0]).table;
         assert_eq!(t.len(), 3);
     }
 }

@@ -12,7 +12,7 @@
 //! reference line, and the max distance-δ k-faulty value.
 
 use crate::common::{run_gradient_trix, square_grid, standard_params};
-use crate::suite::{kv, Scenario};
+use crate::suite::{kv, scenario_seeds, Scenario};
 use crate::Scale;
 use trix_analysis::{fmt_f64, max_intra_layer_skew, theory, Table};
 use trix_core::GradientTrixRule;
@@ -106,8 +106,7 @@ pub fn scenarios(scale: Scale, base_seed: u64) -> Vec<Scenario> {
         .iter()
         .enumerate()
         .map(|(i, &w)| {
-            let seeds =
-                trix_runner::scenario_seeds(base_seed, "thm13", i as u64, scale.seed_count());
+            let seeds = scenario_seeds(base_seed, "thm13", i as u64, scale.seed_count());
             let job_seeds = seeds.clone();
             Scenario::new(
                 "thm13",

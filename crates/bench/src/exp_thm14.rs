@@ -10,7 +10,7 @@
 //! `n^{-1/2}·(ϑ−1)·log D` per pulse.
 
 use crate::common::{run_gradient_trix, square_grid, standard_params};
-use crate::suite::{kv, Scenario};
+use crate::suite::{kv, scenario_seeds, Scenario};
 use crate::Scale;
 use trix_analysis::{fmt_f64, full_local_skew, theory, Table};
 use trix_core::{GradientTrixRule, Layer0Line, Params};
@@ -157,7 +157,7 @@ pub fn run(width: usize, pulses: usize, seeds: &[u64]) -> Table {
 /// slowly-varying environments share the grid).
 pub fn scenarios(scale: Scale, base_seed: u64) -> Vec<Scenario> {
     let (width, pulses) = scale.pick((12usize, 3usize), (12, 4), (32, 8));
-    let seeds = trix_runner::scenario_seeds(base_seed, "thm14", 0, scale.seed_count());
+    let seeds = scenario_seeds(base_seed, "thm14", 0, scale.seed_count());
     let job_seeds = seeds.clone();
     vec![Scenario::new(
         "thm14",

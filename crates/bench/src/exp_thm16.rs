@@ -14,7 +14,7 @@
 //! square layout).
 
 use crate::common::{square_grid, standard_params};
-use crate::suite::{kv, Scenario, ScenarioResult};
+use crate::suite::{kv, scenario_seeds, Scenario, ScenarioResult};
 use crate::Scale;
 use std::collections::HashSet;
 use trix_analysis::{fmt_f64, theory, Table};
@@ -210,7 +210,7 @@ pub fn scenarios(scale: Scale, base_seed: u64) -> Vec<Scenario> {
         .iter()
         .enumerate()
         .map(|(i, &w)| {
-            let seeds = trix_runner::scenario_seeds(base_seed, "thm16", i as u64, des_seeds);
+            let seeds = scenario_seeds(base_seed, "thm16", i as u64, des_seeds);
             let job_seeds = seeds.clone();
             Scenario::new(
                 "thm16",
@@ -222,7 +222,7 @@ pub fn scenarios(scale: Scale, base_seed: u64) -> Vec<Scenario> {
         })
         .collect();
     let l0_width = scale.pick(8usize, 8, 32);
-    let seeds = trix_runner::scenario_seeds(base_seed, "thm16_layer0", 0, scale.seed_count());
+    let seeds = scenario_seeds(base_seed, "thm16_layer0", 0, scale.seed_count());
     let job_seeds = seeds.clone();
     out.push(Scenario::new(
         "thm16_layer0",

@@ -30,7 +30,7 @@
 use crate::common::{
     merge_snapshots, run_gradient_trix_streaming_graph, standard_params, streaming_monitor,
 };
-use crate::suite::{kv, Scenario, ScenarioResult};
+use crate::suite::{kv, scenario_seeds, Scenario, ScenarioResult};
 use crate::Scale;
 use trix_analysis::{fmt_f64, theory, Table};
 use trix_core::GradientTrixRule;
@@ -268,12 +268,7 @@ pub fn scenarios(scale: Scale, base_seed: u64, sim_threads: usize) -> Vec<Scenar
         .into_iter()
         .enumerate()
         .map(|(i, point)| {
-            let seeds = trix_runner::scenario_seeds(
-                base_seed,
-                "exp_topology",
-                i as u64,
-                scale.seed_count(),
-            );
+            let seeds = scenario_seeds(base_seed, "exp_topology", i as u64, scale.seed_count());
             let job_seeds = seeds.clone();
             let descriptor = point.build().descriptor().to_owned();
             Scenario::new(

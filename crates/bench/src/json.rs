@@ -1,12 +1,19 @@
-//! The versioned benchmark-record schema and its JSON writer.
+//! The versioned benchmark-record schema and its JSON writer: one
+//! [`BenchRecord`] per scenario, folded into the [`BenchReport`] that
+//! `gradient-trix-experiments` writes as `BENCH_*.json`.
 //!
-//! The container has no registry access, so instead of `serde` this module
-//! hand-writes the (small, flat) schema. Formatting is deterministic:
-//! fields appear in a fixed order, floats use Rust's shortest round-trip
-//! `Display`, and map-like data is kept as ordered pairs — two reports
-//! with equal contents serialize to identical bytes.
+//! The records hold the types that produce their data —
+//! [`trix_obs::SkewStats`], [`trix_obs::PodSnapshot`] and
+//! [`trix_sim::DetectedParallelism`] — and the writer serializes them
+//! field by field. The build has no registry access, so instead of
+//! `serde` this module hand-writes the (small, flat) schema. Formatting
+//! is deterministic: fields appear in a fixed order, floats use Rust's
+//! shortest round-trip `Display`, and map-like data is kept as ordered
+//! pairs — two reports with equal contents serialize to identical bytes.
 
 use std::fmt::Write as _;
+use trix_obs::{PodSnapshot, SkewStats};
+use trix_sim::DetectedParallelism;
 
 /// Version of the `BENCH_*.json` schema.
 ///
@@ -16,7 +23,7 @@ use std::fmt::Write as _;
 /// History:
 ///
 /// * **1** — initial schema.
-/// * **2** — added the per-record `skew` object ([`SkewSummary`]):
+/// * **2** — added the per-record `skew` object ([`SkewStats`]):
 ///   streaming skew statistics for scenarios that ran with an online
 ///   skew observer (`null` otherwise).
 /// * **3** — added the per-record `sim_threads` field: the
@@ -31,10 +38,10 @@ use std::fmt::Write as _;
 ///   "outside the campaign harness", not "no faults"). Part of *what*
 ///   the scenario computed, so canonicalization keeps it.
 /// * **5** — added the report-level `parallelism` object
-///   ([`ParallelismStamp`]): the CPU count the process detected once at
-///   startup and whether detection *failed* (auto knobs then fall back
-///   to `trix_sim::FALLBACK_WORKERS`) — so a mis-detected container is
-///   visible in the record file instead of masquerading as a
+///   ([`DetectedParallelism`]): the CPU count the process detected once
+///   at startup and whether detection *failed* (auto knobs then fall
+///   back to `trix_sim::FALLBACK_WORKERS`) — so a mis-detected container
+///   is visible in the record file instead of masquerading as a
 ///   performance regression. Execution-config metadata like
 ///   `sim_threads`: zeroed by [`BenchReport::canonicalized`].
 /// * **6** — added the per-record `topology` field: the versioned
@@ -43,7 +50,7 @@ use std::fmt::Write as _;
 ///   the paper's line-with-replicated-ends layering). Like `campaign`
 ///   it describes *what* the scenario computed, so
 ///   [`BenchReport::canonicalized`] keeps it.
-/// * **7** — added the per-record `sketch` object ([`SketchSummary`]):
+/// * **7** — added the per-record `sketch` object ([`PodSnapshot`]):
 ///   the compressed POD sketch of the pulse-front matrix (rank-`r`
 ///   orthonormal basis + singular values + certified Frobenius
 ///   reconstruction-error bound + the independently *measured* error)
@@ -60,141 +67,12 @@ use std::fmt::Write as _;
 ///   keeps it.
 pub const BENCH_SCHEMA_VERSION: u32 = 8;
 
-/// Process-wide CPU detection the sweep ran under — the report-level
-/// `parallelism` object of schema v5.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ParallelismStamp {
-    /// CPU count every auto (`0`) thread knob resolved against.
-    pub workers: usize,
-    /// Whether `available_parallelism()` errored and `workers` is the
-    /// documented fallback rather than a real detection.
-    pub detection_failed: bool,
-}
-
-impl ParallelismStamp {
-    /// The stamp of the current process, from
-    /// [`trix_sim::detected_parallelism`].
-    pub fn current() -> Self {
-        let d = trix_sim::detected_parallelism();
-        Self {
-            workers: d.workers,
-            detection_failed: d.detection_failed,
-        }
-    }
-
-    /// The canonical (zeroed) stamp used for byte-identity comparisons
-    /// across machines.
-    pub const ZERO: Self = Self {
-        workers: 0,
-        detection_failed: false,
-    };
-}
-
-/// Streaming skew statistics of one scenario, produced by an online
-/// observer (`trix_obs::StreamingSkew`) during the run — the `skew`
-/// object of schema v2.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SkewSummary {
-    /// Worst intra-layer local skew over all pulses.
-    pub max_intra: f64,
-    /// Worst inter-layer local skew over all consecutive pulse pairs.
-    pub max_inter: f64,
-    /// The full local skew `L = max(max_intra, max_inter)`.
-    pub max_full: f64,
-    /// Worst same-layer global skew over all pulses.
-    pub max_global: f64,
-    /// Mean of the per-pulse intra-layer maxima.
-    pub mean_intra: f64,
-    /// Number of pulses the statistics fold over.
-    pub pulses: u64,
-    /// Bin width of `hist_intra` (abstract time units).
-    pub hist_bin_width: f64,
-    /// Fixed-bin histogram of the per-pulse intra-layer maxima (last bin
-    /// absorbs overflow).
-    pub hist_intra: Vec<u64>,
-}
-
-impl SkewSummary {
-    fn write_json(&self, out: &mut String) {
-        let _ = write!(
-            out,
-            "{{\"max_intra\": {}, \"max_inter\": {}, \"max_full\": {}, \"max_global\": {}, \
-             \"mean_intra\": {}, \"pulses\": {}, \"hist_bin_width\": {}, \"hist_intra\": [",
-            fmt_json_f64(self.max_intra),
-            fmt_json_f64(self.max_inter),
-            fmt_json_f64(self.max_full),
-            fmt_json_f64(self.max_global),
-            fmt_json_f64(self.mean_intra),
-            self.pulses,
-            fmt_json_f64(self.hist_bin_width),
-        );
-        for (i, b) in self.hist_intra.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "{b}");
-        }
-        out.push_str("]}");
-    }
-}
-
-/// The compressed POD sketch of one scenario's pulse-front matrix — the
-/// `sketch` object of schema v7.
-///
-/// This is the runner's serialization-side mirror of
-/// `trix_obs::PodSnapshot` (the runner stays independent of `trix-obs`;
-/// the bench harness converts). The basis is mode-major: mode `j` is
-/// `basis[j*cols .. (j+1)*cols]`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SketchSummary {
-    /// Rank cap the sketch ran with (the retained basis may be smaller).
-    pub rank: usize,
-    /// Columns (base-graph width) the sketch covers.
-    pub cols: usize,
-    /// Pulse-front rows consumed.
-    pub rows: u64,
-    /// Retained singular values, descending.
-    pub singular_values: Vec<f64>,
-    /// Mode-major orthonormal basis (`singular_values.len() × cols`).
-    pub basis: Vec<f64>,
-    /// Certified upper bound on the Frobenius reconstruction error.
-    pub error_bound: f64,
-    /// Independently measured Frobenius reconstruction error (second
-    /// pass); the `exp_modes` oracle asserts `measured ≤ error_bound`.
-    pub measured_error: f64,
-    /// Total Frobenius energy `‖A‖²_F` of the streamed matrix.
-    pub energy: f64,
-}
-
-impl SketchSummary {
-    fn write_json(&self, out: &mut String) {
-        let _ = write!(
-            out,
-            "{{\"rank\": {}, \"cols\": {}, \"rows\": {}, \"singular_values\": [",
-            self.rank, self.cols, self.rows
-        );
-        for (i, s) in self.singular_values.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&fmt_json_f64(*s));
-        }
-        out.push_str("], \"basis\": [");
-        for (i, b) in self.basis.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&fmt_json_f64(*b));
-        }
-        let _ = write!(
-            out,
-            "], \"error_bound\": {}, \"measured_error\": {}, \"energy\": {}}}",
-            fmt_json_f64(self.error_bound),
-            fmt_json_f64(self.measured_error),
-            fmt_json_f64(self.energy),
-        );
-    }
-}
+/// The `parallelism` object of a canonical report: the machine's CPU
+/// detection is how a run executed, not what it computed.
+const CANONICAL_PARALLELISM: DetectedParallelism = DetectedParallelism {
+    workers: 0,
+    detection_failed: false,
+};
 
 /// Summary statistics over the numeric cells of one scenario's table rows
 /// (for skew experiments these are the skew columns).
@@ -266,7 +144,7 @@ pub struct BenchRecord {
     pub values: Option<ValueStats>,
     /// Streaming skew statistics, when the scenario ran with an online
     /// skew observer (schema v2).
-    pub skew: Option<SkewSummary>,
+    pub skew: Option<SkewStats>,
     /// Fault-campaign descriptor the scenario declared (schema v4).
     /// `None` means the scenario declared no campaign — campaign
     /// experiments stamp every point, including their fault-free
@@ -289,11 +167,13 @@ pub struct BenchRecord {
     /// `campaign`: survives [`BenchReport::canonicalized`].
     pub churn: Option<String>,
     /// Compressed POD sketch of the scenario's pulse-front matrix
-    /// (schema v7), when the scenario ran a `PodSketch` observer.
-    /// Deterministic workload output — survives
-    /// [`BenchReport::canonicalized`], extending the byte-identity
-    /// checks to the sketched dynamics.
-    pub sketch: Option<SketchSummary>,
+    /// (schema v7), when the scenario ran a `PodSketch` observer, with
+    /// the Frobenius reconstruction error measured against it in a
+    /// second pass (the `exp_modes` oracle asserts it stays within the
+    /// snapshot's `error_bound`). Deterministic workload output —
+    /// survives [`BenchReport::canonicalized`], extending the
+    /// byte-identity checks to the sketched dynamics.
+    pub sketch: Option<(PodSnapshot, f64)>,
     /// Wall-clock seconds the scenario took (volatile; excluded from
     /// determinism comparisons).
     pub wall_secs: f64,
@@ -308,8 +188,9 @@ pub struct BenchReport {
     pub scale: String,
     /// Base seed of the sweep.
     pub base_seed: u64,
-    /// CPU detection the process ran under (schema v5).
-    pub parallelism: ParallelismStamp,
+    /// CPU detection the process ran under (schema v5), from
+    /// [`trix_sim::detected_parallelism`].
+    pub parallelism: DetectedParallelism,
     /// One record per scenario, in suite order.
     pub records: Vec<BenchRecord>,
 }
@@ -321,7 +202,7 @@ impl BenchReport {
     /// `--sim-threads` values (and across machines).
     pub fn canonicalized(&self) -> Self {
         let mut copy = self.clone();
-        copy.parallelism = ParallelismStamp::ZERO;
+        copy.parallelism = CANONICAL_PARALLELISM;
         for r in &mut copy.records {
             r.wall_secs = 0.0;
             r.sim_threads = 0;
@@ -353,10 +234,13 @@ impl BenchReport {
         let _ = writeln!(out, "  \"suite\": \"{}\",", json_escape(&self.suite));
         let _ = writeln!(out, "  \"scale\": \"{}\",", json_escape(&self.scale));
         let _ = writeln!(out, "  \"base_seed\": {},", self.base_seed);
+        let DetectedParallelism {
+            workers,
+            detection_failed,
+        } = self.parallelism;
         let _ = writeln!(
             out,
-            "  \"parallelism\": {{\"workers\": {}, \"detection_failed\": {}}},",
-            self.parallelism.workers, self.parallelism.detection_failed
+            "  \"parallelism\": {{\"workers\": {workers}, \"detection_failed\": {detection_failed}}},"
         );
         out.push_str("  \"records\": [");
         for (i, r) in self.records.iter().enumerate() {
@@ -419,7 +303,7 @@ impl BenchRecord {
         match &self.skew {
             Some(s) => {
                 out.push_str(", \"skew\": ");
-                s.write_json(out);
+                write_skew(out, s);
             }
             None => out.push_str(", \"skew\": null"),
         }
@@ -442,15 +326,91 @@ impl BenchRecord {
             None => out.push_str(", \"churn\": null"),
         }
         match &self.sketch {
-            Some(s) => {
+            Some((snap, measured_error)) => {
                 out.push_str(", \"sketch\": ");
-                s.write_json(out);
+                write_sketch(out, snap, *measured_error);
             }
             None => out.push_str(", \"sketch\": null"),
         }
         let _ = write!(out, ", \"wall_secs\": {}", fmt_json_f64(self.wall_secs));
         out.push('}');
     }
+}
+
+/// Writes the `skew` object of schema v2.
+fn write_skew(out: &mut String, skew: &SkewStats) {
+    // Exhaustive destructuring: a field added to `SkewStats` must fail
+    // to compile here rather than silently vanish from the records.
+    let SkewStats {
+        max_intra,
+        max_inter,
+        max_full,
+        max_global,
+        mean_intra,
+        pulses,
+        hist_bin_width,
+        hist_intra,
+    } = skew;
+    let _ = write!(
+        out,
+        "{{\"max_intra\": {}, \"max_inter\": {}, \"max_full\": {}, \"max_global\": {}, \
+         \"mean_intra\": {}, \"pulses\": {}, \"hist_bin_width\": {}, \"hist_intra\": [",
+        fmt_json_f64(*max_intra),
+        fmt_json_f64(*max_inter),
+        fmt_json_f64(*max_full),
+        fmt_json_f64(*max_global),
+        fmt_json_f64(*mean_intra),
+        pulses,
+        fmt_json_f64(*hist_bin_width),
+    );
+    for (i, b) in hist_intra.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        let _ = write!(out, "{b}");
+    }
+    out.push_str("]}");
+}
+
+/// Writes the `sketch` object of schema v7: the snapshot and the
+/// reconstruction error measured against it.
+fn write_sketch(out: &mut String, snap: &PodSnapshot, measured_error: f64) {
+    // Exhaustive, like `write_skew`. `col_start` is always 0 (a sketch
+    // covers every column), so the record leaves it out.
+    let PodSnapshot {
+        rank,
+        col_start: _,
+        cols,
+        rows,
+        singular_values,
+        basis,
+        error_bound,
+        energy,
+    } = snap;
+    let _ = write!(
+        out,
+        "{{\"rank\": {rank}, \"cols\": {cols}, \"rows\": {rows}, \"singular_values\": ["
+    );
+    for (i, s) in singular_values.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push_str(&fmt_json_f64(*s));
+    }
+    out.push_str("], \"basis\": [");
+    for (i, b) in basis.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push_str(&fmt_json_f64(*b));
+    }
+    let _ = write!(
+        out,
+        "], \"error_bound\": {}, \"measured_error\": {}, \"energy\": {}}}",
+        fmt_json_f64(*error_bound),
+        fmt_json_f64(measured_error),
+        fmt_json_f64(*energy),
+    );
 }
 
 /// Formats a float as a JSON number (JSON has no `Infinity`/`NaN`; those
@@ -468,7 +428,7 @@ fn fmt_json_f64(x: f64) -> String {
 }
 
 /// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
+fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -495,7 +455,7 @@ mod tests {
             suite: "demo".into(),
             scale: "quick".into(),
             base_seed: 7,
-            parallelism: ParallelismStamp {
+            parallelism: DetectedParallelism {
                 workers: 4,
                 detection_failed: false,
             },
@@ -545,16 +505,19 @@ mod tests {
     #[test]
     fn sketch_summary_serializes_and_survives_canonicalization() {
         let mut r = sample();
-        r.records[0].sketch = Some(SketchSummary {
-            rank: 2,
-            cols: 3,
-            rows: 5,
-            singular_values: vec![4.0, 0.5],
-            basis: vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0],
-            error_bound: 0.25,
-            measured_error: 0.125,
-            energy: 16.5,
-        });
+        r.records[0].sketch = Some((
+            PodSnapshot {
+                rank: 2,
+                col_start: 0,
+                cols: 3,
+                rows: 5,
+                singular_values: vec![4.0, 0.5],
+                basis: vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0],
+                error_bound: 0.25,
+                energy: 16.5,
+            },
+            0.125,
+        ));
         let j = r.to_json();
         assert!(j.contains(
             "\"sketch\": {\"rank\": 2, \"cols\": 3, \"rows\": 5, \
@@ -606,7 +569,7 @@ mod tests {
     #[test]
     fn skew_summary_serializes_in_full() {
         let mut r = sample();
-        r.records[0].skew = Some(SkewSummary {
+        r.records[0].skew = Some(SkewStats {
             max_intra: 2.5,
             max_inter: 3.0,
             max_full: 3.0,
@@ -630,7 +593,7 @@ mod tests {
         let c = r.canonicalized();
         assert_eq!(c.records[0].wall_secs, 0.0);
         assert_eq!(c.records[0].sim_threads, 0);
-        assert_eq!(c.parallelism, ParallelismStamp::ZERO);
+        assert_eq!(c.parallelism, CANONICAL_PARALLELISM);
         assert_eq!(c.records[0].events, r.records[0].events);
         // Identical sweeps differing only in wall time, dataflow worker
         // count, or the machine's CPU stamp serialize equal after
@@ -639,7 +602,7 @@ mod tests {
         let mut other = sample();
         other.records[0].wall_secs = 99.0;
         other.records[0].sim_threads = 1;
-        other.parallelism = ParallelismStamp {
+        other.parallelism = DetectedParallelism {
             workers: 96,
             detection_failed: true,
         };

@@ -18,6 +18,7 @@
 #![warn(missing_docs)]
 
 pub mod common;
+pub mod json;
 pub mod suite;
 
 pub mod exp_adversary;
@@ -150,7 +151,7 @@ pub fn all_scenarios(scale: Scale, base_seed: u64, sim_threads: usize) -> Vec<Sc
 /// returns tables, benchmark records, and oracle violations.
 ///
 /// `0` means "auto" on either knob; the pair is resolved **once** here
-/// through [`trix_runner::resolve_thread_split`], which divides the
+/// through [`suite::resolve_thread_split`], which divides the
 /// detected CPUs between the two levels — a doubly-auto call gets
 /// `(cores, 1)`, never the historic `cores × cores` oversubscription.
 /// Explicit values pass through untouched.
@@ -160,7 +161,7 @@ pub fn all_scenarios(scale: Scale, base_seed: u64, sim_threads: usize) -> Vec<Sc
 /// `threads` × `sim_threads` combination
 /// (`tests/parallel_determinism.rs`).
 pub fn run_suite(scale: Scale, base_seed: u64, threads: usize, sim_threads: usize) -> SuiteOutcome {
-    let (threads, sim_threads) = trix_runner::resolve_thread_split(threads, sim_threads);
+    let (threads, sim_threads) = suite::resolve_thread_split(threads, sim_threads);
     suite::run_scenarios(
         all_scenarios(scale, base_seed, sim_threads),
         scale,
@@ -172,6 +173,8 @@ pub fn run_suite(scale: Scale, base_seed: u64, threads: usize, sim_threads: usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use suite::{resolve_thread_split, scenario_seeds, Fnv, SweepRunner};
 
     #[test]
     fn quick_run_produces_all_tables() {
@@ -254,5 +257,105 @@ mod tests {
                 assert!(r.skew.is_none(), "{id}: unexpected streaming stats");
             }
         }
+    }
+
+    #[test]
+    fn results_are_order_preserving_for_any_thread_count() {
+        let items: Vec<u64> = (0..57).collect();
+        let serial = SweepRunner::new(1).run(items.clone(), |i, x| (i as u64) * 1000 + x);
+        for threads in [2, 3, 4, 8, 16] {
+            let parallel = SweepRunner::new(threads).run(items.clone(), |i, x| {
+                // Perturb scheduling: odd items spin a little.
+                if x % 2 == 1 {
+                    std::hint::black_box((0..10_000).sum::<u64>());
+                }
+                (i as u64) * 1000 + x
+            });
+            assert_eq!(serial, parallel, "thread count {threads}");
+        }
+    }
+
+    #[test]
+    fn every_item_runs_exactly_once() {
+        let calls = AtomicU64::new(0);
+        let out = SweepRunner::new(4).run((0..100u64).collect(), |_i, x| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            x
+        });
+        assert_eq!(out.len(), 100);
+        assert_eq!(calls.load(Ordering::Relaxed), 100);
+    }
+
+    #[test]
+    fn zero_threads_means_available_parallelism() {
+        assert!(SweepRunner::new(0).threads() >= 1);
+        assert_eq!(SweepRunner::new(3).threads(), 3);
+        // The runner resolves through the same process-wide cache every
+        // other auto knob uses.
+        assert_eq!(
+            SweepRunner::new(0).threads(),
+            trix_sim::detected_parallelism().workers
+        );
+    }
+
+    /// Regression test for the `threads == 0` × `--sim-threads 0`
+    /// oversubscription footgun: with each level auto-resolving
+    /// independently a doubly-auto sweep spawned `cores²` workers. The
+    /// suite-level resolver must keep the resolved product within the
+    /// detected parallelism whenever the explicit knobs themselves do.
+    #[test]
+    fn resolved_thread_product_never_exceeds_available_parallelism() {
+        let p = trix_sim::detected_parallelism().workers;
+        // Both auto: the historic footgun shape.
+        let (threads, sim) = resolve_thread_split(0, 0);
+        assert!(threads * sim <= p, "({threads}, {sim}) oversubscribes {p}");
+        // One knob auto, the other explicit but within budget.
+        for explicit in 1..=p {
+            let (threads, sim) = resolve_thread_split(0, explicit);
+            assert_eq!(sim, explicit);
+            assert!(threads * sim <= p, "({threads}, {sim}) oversubscribes {p}");
+            let (threads, sim) = resolve_thread_split(explicit, 0);
+            assert_eq!(threads, explicit);
+            assert!(threads * sim <= p, "({threads}, {sim}) oversubscribes {p}");
+        }
+        // Auto never resolves to zero workers, even when the explicit
+        // knob exceeds the whole budget.
+        assert_eq!(resolve_thread_split(0, 16 * p), (1, 16 * p));
+        assert_eq!(resolve_thread_split(16 * p, 0), (16 * p, 1));
+        // Explicit pairs pass through untouched.
+        assert_eq!(resolve_thread_split(3, 5), (3, 5));
+    }
+
+    #[test]
+    fn empty_sweep_is_fine() {
+        let out: Vec<u64> = SweepRunner::new(8).run(Vec::<u64>::new(), |_, x| x);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn derived_seeds_are_stable_and_distinct() {
+        let a = scenario_seeds(0, "thm11", 0, 4);
+        let b = scenario_seeds(0, "thm11", 0, 4);
+        assert_eq!(a, b);
+        // Longer lists extend shorter ones (shared prefix).
+        assert_eq!(scenario_seeds(0, "thm11", 0, 2), a[..2].to_vec());
+        // Different index / experiment / base ⇒ different seeds.
+        assert_ne!(scenario_seeds(0, "thm11", 1, 4), a);
+        assert_ne!(scenario_seeds(0, "thm12", 0, 4), a);
+        assert_ne!(scenario_seeds(1, "thm11", 0, 4), a);
+        // No accidental collisions within a typical sweep.
+        let mut all: Vec<u64> = (0..64).flat_map(|i| scenario_seeds(7, "x", i, 4)).collect();
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), 256);
+    }
+
+    #[test]
+    fn fnv_matches_known_vector() {
+        // FNV-1a of the empty input is the offset basis.
+        assert_eq!(Fnv::new().finish(), 0xcbf2_9ce4_8422_2325);
+        let mut h = Fnv::new();
+        h.write_u8(b'a');
+        assert_eq!(h.finish(), 0xaf63_dc4c_8601_ec8c);
     }
 }

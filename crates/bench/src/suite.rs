@@ -3,8 +3,8 @@
 //!
 //! Every experiment module decomposes its parameter grid into independent
 //! [`Scenario`]s (`exp_*::scenarios`); this module runs them — serially or
-//! sharded over OS threads via [`trix_runner::SweepRunner`] — and folds the
-//! outcome three ways:
+//! sharded over OS threads via [`SweepRunner`] — and folds the outcome
+//! three ways:
 //!
 //! * the presentation [`Table`]s of `run_suite` (per-scenario shards of one
 //!   experiment are merged back, in suite order);
@@ -15,16 +15,19 @@
 //!
 //! Determinism contract: a scenario's job must be a pure function of its
 //! construction inputs. Seeds come from
-//! [`trix_runner::scenario_seeds`]`(base, experiment, index, …)`, so every
-//! record except its wall time is byte-identical for any `--threads` value.
+//! [`scenario_seeds`]`(base, experiment, index, …)`, never from which
+//! thread ran the scenario or what ran before it, and results land in
+//! suite order, so every record except its wall time is byte-identical
+//! for any `--threads` value (`tests/parallel_determinism.rs`).
 
+use crate::json::{BenchRecord, BenchReport, ValueStats};
 use crate::Scale;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 use trix_analysis::Table;
-use trix_runner::{
-    BenchRecord, BenchReport, Fnv, ParallelismStamp, SketchSummary, SkewSummary, SweepRunner,
-    ValueStats,
-};
+use trix_obs::{PodSnapshot, SkewStats};
+use trix_sim::splitmix64;
 
 /// What one scenario job produces.
 #[derive(Debug)]
@@ -35,11 +38,11 @@ pub struct ScenarioResult {
     pub violations: Vec<String>,
     /// Streaming skew statistics, when the job ran with an online skew
     /// observer (recorded into the v2 benchmark JSON).
-    pub skew: Option<SkewSummary>,
-    /// Compressed POD sketch of the job's pulse-front matrix, when the
-    /// job ran a `PodSketch` observer (recorded into the v7 benchmark
-    /// JSON).
-    pub sketch: Option<SketchSummary>,
+    pub skew: Option<SkewStats>,
+    /// Compressed POD sketch of the job's pulse-front matrix and the
+    /// reconstruction error measured against it, when the job ran a
+    /// `PodSketch` observer (recorded into the v7 benchmark JSON).
+    pub sketch: Option<(PodSnapshot, f64)>,
 }
 
 impl ScenarioResult {
@@ -183,6 +186,27 @@ pub fn kv(key: &str, value: impl ToString) -> (String, String) {
     (key.to_owned(), value.to_string())
 }
 
+/// Derives `count` independent seeds for scenario `index` of
+/// `experiment` under `base`.
+///
+/// The derivation depends only on its arguments — never on thread count,
+/// worker identity, or completion order — so sharded sweeps see exactly
+/// the seeds a serial sweep would. Keying by experiment *name* (not a
+/// global scenario index) keeps every experiment's seeds stable when
+/// experiments are added, removed, or reordered in the suite. Successive
+/// seeds are successive SplitMix64 outputs of one keyed state, so seed
+/// lists of different lengths share a prefix: shrinking a scale's seed
+/// count keeps the surviving runs comparable.
+pub fn scenario_seeds(base: u64, experiment: &str, index: u64, count: usize) -> Vec<u64> {
+    let mut h = Fnv::new();
+    h.write_u64(base);
+    h.write_str(experiment);
+    h.write_u64(index);
+    let mut key = h.finish();
+    let mut state = splitmix64(&mut key);
+    (0..count).map(|_| splitmix64(&mut state)).collect()
+}
+
 /// A condition-oracle violation surfaced by a scenario.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Violation {
@@ -203,6 +227,74 @@ pub struct SuiteOutcome {
     pub report: BenchReport,
     /// Condition-oracle violations across all scenarios.
     pub violations: Vec<Violation>,
+}
+
+/// A 64-bit FNV-1a hasher for execution fingerprints.
+///
+/// Used by the determinism tests and the benchmark records to reduce an
+/// entire scenario result (every table cell, every pulse time) to one
+/// comparable word. Not a cryptographic hash — a fingerprint for
+/// regression comparison.
+///
+/// # Examples
+///
+/// ```
+/// use trix_bench::suite::Fnv;
+///
+/// let mut a = Fnv::new();
+/// a.write_str("skew");
+/// a.write_u64(42);
+/// let mut b = Fnv::new();
+/// b.write_str("skew");
+/// b.write_u64(42);
+/// assert_eq!(a.finish(), b.finish());
+/// ```
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv(u64);
+
+impl Fnv {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x100_0000_01b3;
+
+    /// Creates a hasher at the standard FNV-1a offset basis.
+    pub fn new() -> Self {
+        Self(Self::OFFSET)
+    }
+
+    /// Folds one byte into the fingerprint.
+    #[inline]
+    pub fn write_u8(&mut self, byte: u8) {
+        self.0 ^= u64::from(byte);
+        self.0 = self.0.wrapping_mul(Self::PRIME);
+    }
+
+    /// Folds a 64-bit word into the fingerprint, byte by byte.
+    #[inline]
+    pub fn write_u64(&mut self, word: u64) {
+        for byte in word.to_le_bytes() {
+            self.write_u8(byte);
+        }
+    }
+
+    /// Folds a string into the fingerprint (length-prefixed, so
+    /// `"ab","c"` and `"a","bc"` hash differently).
+    pub fn write_str(&mut self, s: &str) {
+        self.write_u64(s.len() as u64);
+        for byte in s.bytes() {
+            self.write_u8(byte);
+        }
+    }
+
+    /// The accumulated fingerprint.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// FNV-1a fingerprint of a table's full contents.
@@ -244,6 +336,151 @@ fn table_value_stats(table: &Table) -> Option<ValueStats> {
             .filter_map(|cell| cell.parse::<f64>().ok())
             .filter(|v| v.is_finite()),
     )
+}
+
+/// Splits detected CPU parallelism between the two thread knobs of the
+/// experiment harness: the scenario-sweep level ([`SweepRunner`]) and the
+/// intra-scenario dataflow level (`run_dataflow_parallel`'s `threads`).
+///
+/// `0` means "auto" on either knob. The total worker count of a sweep is
+/// the *product* of the two levels, so resolving each `0` independently
+/// to "all CPUs" — as the levels historically did per call — oversizes a
+/// doubly-auto sweep to `cores²` workers. This resolver is the suite-level
+/// fix: it reads [`trix_sim::detected_parallelism`] **once** and divides
+/// it between the levels so the resolved product never exceeds the
+/// detected parallelism (whenever the explicit knobs themselves don't):
+///
+/// * `(0, 0)` → `(P, 1)` — scenario-level parallelism wins, because a
+///   suite has many independent scenarios and sweep-level sharding has
+///   no synchronization cost at all;
+/// * `(0, m)` → `(max(1, ⌊P/m⌋), m)` — the sweep gets the CPUs the
+///   explicit sim knob leaves over;
+/// * `(n, 0)` → `(n, max(1, ⌊P/n⌋))` — and vice versa;
+/// * `(n, m)` → `(n, m)` — explicit choices are always respected.
+///
+/// # Examples
+///
+/// ```
+/// use trix_bench::suite::resolve_thread_split;
+///
+/// let p = trix_sim::detected_parallelism().workers;
+/// assert_eq!(resolve_thread_split(0, 0), (p, 1));
+/// assert_eq!(resolve_thread_split(3, 2), (3, 2));
+/// ```
+pub fn resolve_thread_split(threads: usize, sim_threads: usize) -> (usize, usize) {
+    let p = trix_sim::detected_parallelism().workers;
+    match (threads, sim_threads) {
+        (0, 0) => (p, 1),
+        (0, m) => ((p / m).max(1), m),
+        (n, 0) => (n, (p / n).max(1)),
+        explicit => explicit,
+    }
+}
+
+/// Shards independent work items across OS threads, order-preserving:
+/// with a job that is a pure function of its inputs (every scenario job
+/// in this workspace is), [`SweepRunner::run`] on `N` threads returns
+/// what it returns on one, for every `N`.
+///
+/// # Examples
+///
+/// ```
+/// use trix_bench::suite::SweepRunner;
+///
+/// let runner = SweepRunner::new(4);
+/// let squares = runner.run((0..100u64).collect(), |_idx, x| x * x);
+/// assert_eq!(squares[7], 49);
+/// // Bit-identical to the serial sweep:
+/// assert_eq!(squares, SweepRunner::new(1).run((0..100).collect(), |_i, x| x * x));
+/// ```
+#[derive(Clone, Copy, Debug)]
+pub struct SweepRunner {
+    threads: usize,
+}
+
+impl SweepRunner {
+    /// Creates a runner using `threads` workers; `0` means "one per
+    /// available CPU" (via the process-wide
+    /// [`trix_sim::detected_parallelism`] cache — if CPU detection fails
+    /// the runner falls back to [`trix_sim::FALLBACK_WORKERS`] and the
+    /// failure is visible through that API rather than swallowed here).
+    ///
+    /// When combining with intra-scenario `sim_threads`, resolve both
+    /// knobs through [`resolve_thread_split`] instead of passing `0`
+    /// here: `new(0)` alone claims every CPU for the sweep level.
+    pub fn new(threads: usize) -> Self {
+        let threads = if threads == 0 {
+            trix_sim::detected_parallelism().workers
+        } else {
+            threads
+        };
+        Self { threads }
+    }
+
+    /// The worker count this runner will use.
+    pub fn threads(&self) -> usize {
+        self.threads
+    }
+
+    /// Runs `f` over every item and returns the results **in item order**.
+    ///
+    /// `f` receives the item's index and the item. Items are claimed
+    /// dynamically (an atomic cursor), so long scenarios don't serialize
+    /// behind short ones; results land in their item's slot regardless of
+    /// which worker produced them. With a deterministic `f`, the returned
+    /// vector is identical for every thread count.
+    ///
+    /// # Panics
+    ///
+    /// Propagates the first worker panic after all workers stop.
+    pub fn run<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(usize, T) -> R + Sync,
+    {
+        let n = items.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        let workers = self.threads.min(n);
+        if workers <= 1 {
+            return items
+                .into_iter()
+                .enumerate()
+                .map(|(i, item)| f(i, item))
+                .collect();
+        }
+        let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|x| Mutex::new(Some(x))).collect();
+        let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let cursor = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let item = slots[i]
+                        .lock()
+                        .expect("work slot poisoned")
+                        .take()
+                        .expect("work item claimed twice");
+                    let out = f(i, item);
+                    *results[i].lock().expect("result slot poisoned") = Some(out);
+                });
+            }
+        });
+        results
+            .into_iter()
+            .enumerate()
+            .map(|(i, slot)| {
+                slot.into_inner()
+                    .expect("result slot poisoned")
+                    .unwrap_or_else(|| panic!("missing result for item {i}"))
+            })
+            .collect()
+    }
 }
 
 /// Runs `scenarios` on `threads` workers (0 = one per CPU) and folds the
@@ -324,7 +561,7 @@ pub fn run_scenarios(
             suite: "gradient-trix-experiments".to_owned(),
             scale: scale.name().to_owned(),
             base_seed,
-            parallelism: ParallelismStamp::current(),
+            parallelism: trix_sim::detected_parallelism(),
             records,
         },
         violations,

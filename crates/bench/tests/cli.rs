@@ -16,6 +16,7 @@ fn usage_errors_exit_with_code_2() {
     for (args, needle) in [
         (&["--sketch-rank", "4"][..], "--sketch-rank"),
         (&["--smoke", "--no-trace"], "--no-trace"),
+        (&["--smoke", "--csv"], "--csv"),
         (&["--threads", "abc"], "--threads"),
         (&["--frobnicate"], "--frobnicate"),
         (

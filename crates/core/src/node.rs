@@ -29,31 +29,30 @@ use crate::{correction, CorrectionConfig, Params};
 use trix_sim::{Node, NodeApi, Rng};
 use trix_time::{Duration, LocalTime};
 
-/// Configuration shared by all grid nodes of a deployment.
+/// Configuration shared by all grid nodes of a deployment. Every node
+/// runs the published correction ([`CorrectionConfig::paper`]) with the
+/// Algorithm 4 self-stabilization additions.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GridNodeConfig {
     /// Timing parameters.
     pub params: Params,
-    /// Correction configuration (the published one by default).
-    pub correction: CorrectionConfig,
-    /// Enable the Algorithm 4 self-stabilization additions.
-    pub self_stabilizing: bool,
     /// Skew estimate `L̂` used by the watchdog window `ϑ(2·L̂ + u)`.
     pub skew_estimate: Duration,
 }
 
 impl GridNodeConfig {
-    /// Standard configuration: published correction, self-stabilization
-    /// on, watchdog sized from the Theorem 1.1 bound for diameter `d`.
+    /// Standard configuration: watchdog sized from the Theorem 1.1 bound
+    /// for diameter `d`.
     pub fn standard(params: Params, diameter: u32) -> Self {
         Self {
             params,
-            correction: CorrectionConfig::paper(),
-            self_stabilizing: true,
             skew_estimate: params.fault_free_local_skew_bound(diameter),
         }
     }
 }
+
+/// The correction every grid node applies: the published one.
+const CORRECTION: CorrectionConfig = CorrectionConfig::paper();
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Phase {
@@ -213,7 +212,7 @@ impl GradientTrixNode {
         }
         // No finite deadline yet; arm the self-stabilization watchdog once
         // a first neighbor pulse exists.
-        if self.cfg.self_stabilizing && self.h_min.is_some() && !self.watchdog_armed {
+        if self.h_min.is_some() && !self.watchdog_armed {
             self.watchdog_armed = true;
             let p = &self.cfg.params;
             let window = (2.0 * self.cfg.skew_estimate + p.u()) * p.theta();
@@ -240,7 +239,7 @@ impl GradientTrixNode {
                 // inverted; sanitize instead of panicking — stabilization
                 // (Thm 1.6) must make progress from *any* state.
                 let h_max = self.h_max.map(|m| m.max(h_min));
-                let c = correction(&p, h_own, h_min, h_max, &self.cfg.correction);
+                let c = correction(&p, h_own, h_min, h_max, &CORRECTION);
                 h_own + lmd - c
             }
         };
@@ -297,11 +296,7 @@ impl Node for GradientTrixNode {
                 }
             }
             KIND_WATCHDOG => {
-                if self.cfg.self_stabilizing
-                    && self.phase == Phase::Collecting
-                    && self.h_own.is_none()
-                    && self.h_max.is_none()
-                {
+                if self.phase == Phase::Collecting && self.h_own.is_none() && self.h_max.is_none() {
                     // Partial reception never completed: forget it.
                     self.reset_iteration();
                 }

@@ -424,10 +424,10 @@ pub(crate) fn eval_layer_chunk(
 }
 
 /// Resolves a thread-count knob: `0` means one worker per available CPU
-/// (matching `trix_runner::SweepRunner`'s convention), resolved through
-/// the process-wide [`crate::detected_parallelism`] cache — a detection
-/// failure falls back to [`crate::FALLBACK_WORKERS`] and is visible in
-/// the cached record instead of silently degrading per call.
+/// (matching `trix_bench::suite::SweepRunner`'s convention), resolved
+/// through the process-wide [`crate::detected_parallelism`] cache — a
+/// detection failure falls back to [`crate::FALLBACK_WORKERS`] and is
+/// visible in the cached record instead of silently degrading per call.
 fn resolve_threads(threads: usize) -> usize {
     if threads == 0 {
         crate::frontier::detected_parallelism().workers
@@ -462,7 +462,7 @@ fn resolve_threads(threads: usize) -> usize {
 /// `threads == 0` means one *compute* worker per available CPU,
 /// resolved once per process through [`crate::detected_parallelism`].
 /// Auto-sizing composes with the scenario sweep level through
-/// `trix_runner::resolve_thread_split`, which divides detected CPUs
+/// `trix_bench::suite::resolve_thread_split`, which divides detected CPUs
 /// between the two knobs — use it rather than passing `0` to both
 /// levels independently. With one worker (or a single-layer graph, or
 /// zero pulses) this delegates to the serial driver outright.

@@ -90,7 +90,7 @@ pub struct DetectedParallelism {
 /// result.
 ///
 /// Every auto-sizing thread knob in the workspace (`run_dataflow_parallel`
-/// with `threads == 0`, `trix_runner::SweepRunner::new(0)`) resolves
+/// with `threads == 0`, `trix_bench::suite::SweepRunner::new(0)`) resolves
 /// through this cache, so detection cost — and, more importantly,
 /// detection *failure* — is paid and reported exactly once rather than
 /// silently per call.

@@ -6,11 +6,11 @@
 //! ```
 
 use gradient_trix::analysis::{intra_layer_skew, Table};
-use gradient_trix::baselines::{run_hex_pulse, HexEnvironment, NaiveTrixRule};
+use gradient_trix::baselines::{run_hex_pulse, split_delay_env, HexEnvironment, NaiveTrixRule};
 use gradient_trix::core::{GradientTrixRule, Params};
-use gradient_trix::sim::{run_dataflow, CorrectSends, OffsetLayer0, Rng, StaticEnvironment};
+use gradient_trix::sim::{run_dataflow, CorrectSends, OffsetLayer0, Rng};
 use gradient_trix::time::{Duration, Time};
-use gradient_trix::topology::{BaseGraph, EdgeId, HexGrid, LayeredGraph};
+use gradient_trix::topology::{BaseGraph, HexGrid, LayeredGraph};
 use std::collections::HashSet;
 
 fn main() {
@@ -20,20 +20,7 @@ fn main() {
 
     // Adversarial split: left half fast (d−u), right half slow (d) — the
     // delay pattern that breaks the naive second-copy rule.
-    let split = grid.width() / 2;
-    let mut delays = vec![params.d(); grid.edge_count()];
-    for n in grid.nodes().filter(|n| n.layer > 0) {
-        if (n.v as usize) < split {
-            for (_, EdgeId(e)) in grid.predecessors(n) {
-                delays[e] = params.d() - params.u();
-            }
-        }
-    }
-    let env = StaticEnvironment::new(
-        &grid,
-        delays,
-        vec![gradient_trix::time::AffineClock::PERFECT; grid.node_count()],
-    );
+    let env = split_delay_env(&grid, params.d(), params.u());
     let layer0 = OffsetLayer0::synchronized(params.lambda().as_f64(), grid.width());
 
     let naive = run_dataflow(

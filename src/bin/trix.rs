@@ -13,14 +13,14 @@
 use gradient_trix::analysis::{
     ascii_chart, full_local_skew, global_skew, max_intra_layer_skew, skew_by_layer, theory,
 };
-use gradient_trix::baselines::NaiveTrixRule;
+use gradient_trix::baselines::{split_delay_env, NaiveTrixRule};
 use gradient_trix::core::{
     check_pulse_interval, GradientTrixRule, GridNodeConfig, Layer0Line, Params,
 };
 use gradient_trix::faults::{sample_one_local, scrambled_network, FaultBehavior, FaultCampaign};
 use gradient_trix::sim::{run_dataflow, CorrectSends, OffsetLayer0, Rng, StaticEnvironment};
-use gradient_trix::time::{AffineClock, Duration, Time};
-use gradient_trix::topology::{BaseGraph, EdgeId, LayeredGraph, NodeId};
+use gradient_trix::time::{Duration, Time};
+use gradient_trix::topology::{BaseGraph, LayeredGraph, NodeId};
 use std::{fmt::Display, str::FromStr};
 
 /// Whether a flag takes a value (`--width 8`) or stands alone (`--chart`).
@@ -143,19 +143,6 @@ fn behavior_for(name: &str, kappa: Duration, seed: u64) -> FaultBehavior {
     }
 }
 
-/// The Figure 1 split-delay environment: edges into the left half of
-/// every layer above 0 take `d − u`, all others `d`; clocks are perfect.
-fn split_delay_environment(g: &LayeredGraph, p: &Params) -> StaticEnvironment {
-    let split = g.width() / 2;
-    let mut delays = vec![p.d(); g.edge_count()];
-    for n in g.nodes().filter(|n| n.layer > 0 && (n.v as usize) < split) {
-        for (_, EdgeId(e)) in g.predecessors(n) {
-            delays[e] = p.d() - p.u();
-        }
-    }
-    StaticEnvironment::new(g, delays, vec![AffineClock::PERFECT; g.node_count()])
-}
-
 fn cmd_run(args: &Args) {
     let p = params();
     let width = args.num_at_least("width", 32usize, 2);
@@ -174,7 +161,7 @@ fn cmd_run(args: &Args) {
 
     let mut rng = Rng::seed_from(seed);
     let env = if args.has("adversarial") {
-        split_delay_environment(&g, &p)
+        split_delay_env(&g, p.d(), p.u())
     } else {
         StaticEnvironment::random(&g, p.d(), p.u(), p.theta(), &mut rng)
     };
@@ -321,7 +308,7 @@ fn cmd_compare(args: &Args) {
 fn trix_bench_table(width: usize) -> String {
     let p = params();
     let g = LayeredGraph::new(BaseGraph::line_with_replicated_ends(width), width);
-    let env = split_delay_environment(&g, &p);
+    let env = split_delay_env(&g, p.d(), p.u());
     let layer0 = OffsetLayer0::synchronized(p.lambda().as_f64(), g.width());
     let naive = run_dataflow(&g, &env, &layer0, &NaiveTrixRule::new(), &CorrectSends, 1);
     let gt = run_dataflow(

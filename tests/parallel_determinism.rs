@@ -4,12 +4,12 @@
 //! `tests/determinism.rs` pins for single executions, lifted to whole
 //! sweeps.
 
+use trix_bench::suite::{Fnv, SweepRunner};
 use trix_bench::{run_suite, Scale};
-use trix_runner::{Fnv, SweepRunner};
 
 /// One sweep's comparable outputs: an FNV fingerprint of every table
 /// cell and every non-volatile record field (same harness as
-/// `tests/determinism.rs`, via [`trix_runner::Fnv`]), and the canonical
+/// `tests/determinism.rs`, via [`Fnv`]), and the canonical
 /// JSON report, which additionally serializes the `skew`, `sketch` and
 /// `churn` objects — exactly the bytes the harness writes to each
 /// `BENCH_<experiment>.json` under `--canonical`.

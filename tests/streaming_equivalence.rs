@@ -7,7 +7,7 @@
 //! record of the smoke-scale suite that carries streaming statistics from
 //! its *benchmark record alone* (params + derived seeds), re-runs it
 //! through the classic trace-backed path, recomputes all skew statistics
-//! batch-style, and compares `SkewSummary`s with `==` on the raw `f64`s —
+//! batch-style, and compares `SkewStats` with `==` on the raw `f64`s —
 //! no tolerance.
 
 use gradient_trix::analysis::{global_skew, inter_layer_skew, intra_layer_skew};
@@ -20,8 +20,8 @@ use trix_bench::common::{
     grid, merge_snapshots, run_gradient_trix, run_gradient_trix_graph, run_gradient_trix_streaming,
     standard_params, streaming_monitor,
 };
+use trix_bench::json::BenchRecord;
 use trix_bench::{exp_churn, exp_fault_sweep, exp_modes, exp_topology, run_suite, Scale};
-use trix_runner::{BenchRecord, SkewSummary};
 
 /// Batch recomputation of a [`SkewStats`] snapshot from a full trace,
 /// folding in the same pulse order as the streaming monitor. `sends` is
@@ -134,7 +134,7 @@ fn suite_streaming_stats_equal_post_hoc_for_any_thread_count() {
 
     // Streaming statistics come from exactly the five streaming
     // experiments, in suite order.
-    let streamed: Vec<(&BenchRecord, &SkewSummary)> = serial
+    let streamed: Vec<(&BenchRecord, &SkewStats)> = serial
         .report
         .records
         .iter()
@@ -327,7 +327,7 @@ fn exp_scale_record_round_trips_schema_v8() {
     // Schema v5: the report is stamped with the process's actual CPU
     // detection (the harness can't masquerade a failed detection as a
     // perf regression).
-    let stamp = trix_runner::ParallelismStamp::current();
+    let stamp = gradient_trix::sim::detected_parallelism();
     assert!(json.contains(&format!(
         "\"parallelism\": {{\"workers\": {}, \"detection_failed\": {}}}",
         stamp.workers, stamp.detection_failed
