@@ -246,6 +246,18 @@ const HEADERS: [&str; 12] = [
     "v_dom (layers/pulse)",
 ];
 
+/// The `measured ≤ certified` oracle for one seed. Only a `<=` that
+/// holds passes, so a NaN on either side, which no `>` comparison sees,
+/// is a violation too.
+fn certificate_violation(seed: u64, measured: f64, certified: f64) -> Option<String> {
+    if measured <= certified {
+        return None;
+    }
+    Some(format!(
+        "seed {seed}: measured reconstruction error {measured} is not within the certified bound {certified}"
+    ))
+}
+
 /// Runs one sweep point: per seed, the two-pass sketch/probe workload
 /// with the `measured ≤ certified` oracle; the record ships the first
 /// seed's compressed sketch and its measured error.
@@ -262,12 +274,11 @@ pub fn run(point: &SweepPoint, seeds: &[u64], sim_threads: usize) -> ScenarioRes
                 report.rows, snap.rows
             ));
         }
-        if report.measured_error > snap.error_bound {
-            violations.push(format!(
-                "seed {seed}: measured reconstruction error {} exceeds the certified bound {}",
-                report.measured_error, snap.error_bound
-            ));
-        }
+        violations.extend(certificate_violation(
+            seed,
+            report.measured_error,
+            snap.error_bound,
+        ));
         snaps.push(skew);
         first.get_or_insert((snap, report));
     }
@@ -284,7 +295,7 @@ pub fn run(point: &SweepPoint, seeds: &[u64], sim_threads: usize) -> ScenarioRes
         .and_then(|m| m.velocity)
         .map_or_else(|| "-".to_owned(), fmt_f64);
     let mut table = Table::new(
-        "exp_modes — POD sketch certificates and mode analytics at no-trace scale",
+        "exp_modes — POD sketch certificates and mode analytics",
         &HEADERS,
     );
     table.row_values(&[
@@ -429,6 +440,20 @@ mod tests {
             let skew = result.skew.expect("streaming stats ride along");
             assert!(skew.pulses > 0);
         }
+    }
+
+    /// A certificate that is NaN (a non-finite pulse time reached the
+    /// sketch) fails the oracle instead of passing every `>` test.
+    #[test]
+    fn certificate_oracle_flags_a_nan_certificate() {
+        assert_eq!(certificate_violation(3, 0.5, 1.0), None);
+        let violation = certificate_violation(3, 0.5, f64::NAN).expect("NaN certificate");
+        assert!(
+            violation.contains("seed 3") && violation.contains("0.5") && violation.contains("NaN"),
+            "{violation}"
+        );
+        assert!(certificate_violation(3, f64::NAN, 1.0).is_some());
+        assert!(certificate_violation(3, 2.0, 1.0).is_some());
     }
 
     /// The sketch — not just the skew stats — is bit-identical for every

@@ -1,20 +1,23 @@
 //! Off-critical-path sketch pipelining: run a [`PodSketch`] on a
-//! dedicated worker thread so its Gram–Schmidt/Jacobi arithmetic
+//! dedicated worker thread so its Gram–Schmidt/QR/Jacobi arithmetic
 //! overlaps the simulation instead of serializing behind it.
 //!
 //! The dataflow engines flush every emission on the calling thread, in
 //! the serial `(k, layer, v)` order — that is the determinism leg every
 //! observer lives under, and it makes the sketch update an Amdahl
-//! bottleneck: at rank 16 the projection work is comparable to the
-//! pulse-rule evaluation itself, and with `--sim-threads ≥ 2` it is the
-//! serial fraction that caps scaling. [`PipelinedSketch`] keeps the
-//! contract *and* removes the bottleneck: the calling thread only copies
-//! each published row into a reusable buffer and hands it over a bounded
-//! channel; the worker replays the identical row stream into the wrapped
-//! sketch via the same [`Observer::on_pulse_row`] code path. Same
-//! stream, same code, same order — the finished sketch is byte-identical
-//! to observing inline (pinned by this module's tests), it just finishes
-//! on another thread. `exp_modes` builds every sketch this way.
+//! bottleneck: at rank 16 on a width-128 grid the sketch's ingest costs
+//! more than the engine's own time (hostbench `fault_sketch --trace 1`
+//! on a 2-vCPU VM: `obs.sketch_ingest_s` 6.3–6.6 ms against
+//! `sim.engine_self_s` 4.7–4.8 ms per round, the rule included), and
+//! with `--sim-threads ≥ 2` it is the serial fraction that caps scaling.
+//! [`PipelinedSketch`] keeps the contract *and* removes the bottleneck:
+//! the calling thread only copies each published row into a reusable
+//! buffer and hands it over a bounded channel; the worker replays the
+//! identical row stream into the wrapped sketch via the same
+//! [`Observer::on_pulse_row`] code path. Same stream, same code, same
+//! order — the finished sketch is byte-identical to observing inline
+//! (pinned by this module's tests), it just finishes on another thread.
+//! `exp_modes` builds every sketch this way.
 //!
 //! The channel is bounded ([`PipelinedSketch::DEPTH`] rows) so memory
 //! stays `O(width)` and a slow sketch back-pressures the simulation

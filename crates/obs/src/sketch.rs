@@ -11,9 +11,11 @@
 //! of `A` in `O(width × r)` memory while the engines stream: each
 //! completed front row is Gram–Schmidt-projected against the current
 //! orthonormal column basis `U`, the small `(m+b)×(m+b')` core matrix is
-//! re-diagonalized by a hand-rolled one-sided Jacobi SVD, and the
-//! smallest singular directions are truncated with their Frobenius mass
-//! accumulated into a running certificate.
+//! re-diagonalized by a hand-rolled SVD (a column-pivoted Householder QR,
+//! then one-sided Jacobi on the square triangular factor, with no
+//! rotation matrix accumulated), and the smallest singular directions
+//! are truncated with their Frobenius mass accumulated into a running
+//! certificate.
 //!
 //! # What is certified
 //!
@@ -36,7 +38,7 @@
 //! One honesty caveat: the truncated-mass term `D` is exact (a
 //! triangle-inequality sum in exact arithmetic), but the roundoff
 //! allowance is an **empirically sized margin**, not a derived
-//! worst-case backward-error bound for the Gram–Schmidt/Jacobi
+//! worst-case backward-error bound for the Gram–Schmidt/QR/Jacobi
 //! pipeline. `measured ≤ certified` is therefore guaranteed-as-tested,
 //! not proven for arbitrary inputs: it is *checked against measured
 //! residuals* by the workspace test-suite and by the `exp_modes`
@@ -51,7 +53,10 @@
 //! **byte-identical across the serial and frontier engines for any
 //! `--sim-threads` value** — the same determinism leg every other
 //! observer lives under. The sketch takes one row stream, the one the
-//! incremental-POD error analysis above is stated for.
+//! incremental-POD error analysis above is stated for. The update itself
+//! is a fixed-order fold (block boundaries, pass counts, the core SVD's
+//! pivot and sweep order, the eight-lane dot), so equal row streams give
+//! equal bits.
 
 use trix_sim::Observer;
 use trix_time::Time;
@@ -65,8 +70,8 @@ const RHO_REL: f64 = 1e-13;
 /// Relative off-diagonal threshold for the one-sided Jacobi sweep.
 const JACOBI_REL: f64 = 1e-15;
 
-/// Hard cap on Jacobi sweeps (converges in a handful on the
-/// near-arrowhead cores this module produces).
+/// Hard cap on Jacobi sweeps (converges in a handful on the pivoted
+/// triangular factors of the near-arrowhead cores this module produces).
 const MAX_SWEEPS: usize = 64;
 
 /// Margin multiplier of the deterministic roundoff allowance folded into
@@ -102,30 +107,93 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
     s
 }
 
-/// One-sided Jacobi orthogonalization of the column-major `rows × cols`
-/// matrix `a`, accumulating the right rotations into the column-major
-/// `cols × cols` matrix `v` (initialized to the identity here).
+/// Singular values and right singular vectors of the column-major
+/// `rows × cols` core `k` (`rows ≥ cols`), which it overwrites.
 ///
-/// On return the columns of `a` are mutually orthogonal to relative
-/// tolerance [`JACOBI_REL`]; `a_in = a_out · vᵀ`, so `v`'s columns are
-/// the right singular vectors and the column norms of `a_out` the
-/// singular values. Sweep order and thresholds are fixed, so the
-/// factorization is bit-deterministic in its input.
-fn jacobi_orthogonalize(a: &mut [f64], v: &mut [f64], rows: usize, cols: usize) {
-    debug_assert_eq!(a.len(), rows * cols);
-    debug_assert_eq!(v.len(), cols * cols);
-    v.fill(0.0);
+/// Three steps, none of which forms a rotation matrix:
+///
+/// 1. Householder QR with column pivoting, `K·Π = Q·R`, each step
+///    pivoting on the trailing column of largest remaining norm (the
+///    first on ties); `Q` is applied to the trailing columns and never
+///    formed.
+/// 2. One-sided Jacobi on the square `Rᵀ` (column `i` is row `i` of
+///    `R`), in the cyclic `(p, q)` order, until a sweep rotates no pair
+///    by [`JACOBI_REL`] (at most [`MAX_SWEEPS`]). The squared column
+///    norms are recomputed at the start of each sweep and carried
+///    across it by the rotation's own update (`α − tγ`, `β + tγ`), so a
+///    pair costs one dot and one rotation. Pivoting grades `R`'s rows,
+///    so `Rᵀ`'s columns start nearly orthogonal.
+/// 3. `Rᵀ·J = Y` with orthogonal columns gives `R = J·Σ·Xᵀ` with
+///    `σ_j = ‖y_j‖` and `x_j = y_j/σ_j`, so `K = (Q·J)·Σ·(Π·X)ᵀ`.
+///
+/// Returns `σ` (one per column of `K`, unsorted) and the column-major
+/// `cols × cols` matrix `V = Π·X`, whose column `j` belongs to `σ_j`; a
+/// column with `σ_j = 0` stays zero. Jacobi on `Kᵀ` directly would not
+/// do: when `K` has more rows than columns, `Kᵀ`'s surplus columns never
+/// become orthogonal and their normalized columns are no basis. Pivot
+/// order, sweep order and thresholds are fixed, so the result is
+/// bit-deterministic in its input.
+fn core_svd(k: &mut [f64], rows: usize, cols: usize) -> (Vec<f64>, Vec<f64>) {
+    debug_assert_eq!(k.len(), rows * cols);
+    debug_assert!(rows >= cols);
+    let mut perm: Vec<usize> = (0..cols).collect();
     for j in 0..cols {
-        v[j * cols + j] = 1.0;
+        let trailing = |c: usize| {
+            let col = &k[c * rows + j..(c + 1) * rows];
+            dot(col, col)
+        };
+        let (mut piv, mut best) = (j, trailing(j));
+        for c in j + 1..cols {
+            let n2 = trailing(c);
+            if n2 > best {
+                (piv, best) = (c, n2);
+            }
+        }
+        if best == 0.0 {
+            // Every trailing column is zero: so are R's remaining rows.
+            break;
+        }
+        if piv != j {
+            let (left, right) = k.split_at_mut(piv * rows);
+            left[j * rows..(j + 1) * rows].swap_with_slice(&mut right[..rows]);
+            perm.swap(j, piv);
+        }
+        let (head, tail) = k.split_at_mut((j + 1) * rows);
+        let x = &mut head[j * rows + j..];
+        let norm = best.sqrt();
+        let alpha = if x[0] >= 0.0 { -norm } else { norm };
+        // H = I − v·vᵀ/(−α·v₀) with v = x − α·e₀ maps x to α·e₀.
+        x[0] -= alpha;
+        let scale = alpha * x[0];
+        for c in 0..cols - j - 1 {
+            let y = &mut tail[c * rows + j..(c + 1) * rows];
+            let f = dot(x, y) / scale;
+            for (yi, &vi) in y.iter_mut().zip(x.iter()) {
+                *yi += f * vi;
+            }
+        }
+        x[0] = alpha;
     }
+
+    // Rᵀ, column-major: column i holds R[i][i..] (R's upper triangle).
+    let mut y = vec![0.0; cols * cols];
+    for i in 0..cols {
+        for c in i..cols {
+            y[i * cols + c] = k[c * rows + i];
+        }
+    }
+    let mut norms2 = vec![0.0; cols];
     for _ in 0..MAX_SWEEPS {
+        for (j, n2) in norms2.iter_mut().enumerate() {
+            let col = &y[j * cols..(j + 1) * cols];
+            *n2 = dot(col, col);
+        }
         let mut rotated = false;
         for p in 0..cols.saturating_sub(1) {
             for q in p + 1..cols {
-                let (cp, rest) = a[p * rows..].split_at_mut(rows);
-                let cq = &mut rest[(q - p - 1) * rows..(q - p) * rows];
-                let alpha = dot(cp, cp);
-                let beta = dot(cq, cq);
+                let (cp, rest) = y[p * cols..].split_at_mut(cols);
+                let cq = &mut rest[(q - p - 1) * cols..(q - p) * cols];
+                let (alpha, beta) = (norms2[p], norms2[q]);
                 let gamma = dot(cp, cq);
                 if gamma == 0.0 || gamma.abs() <= JACOBI_REL * (alpha * beta).sqrt() {
                     continue;
@@ -138,18 +206,13 @@ fn jacobi_orthogonalize(a: &mut [f64], v: &mut [f64], rows: usize, cols: usize) 
                 };
                 let c = 1.0 / (1.0 + t * t).sqrt();
                 let s = c * t;
-                for i in 0..rows {
-                    let (x, y) = (cp[i], cq[i]);
-                    cp[i] = c * x - s * y;
-                    cq[i] = s * x + c * y;
+                for (x, z) in cp.iter_mut().zip(cq.iter_mut()) {
+                    let (a, b) = (*x, *z);
+                    *x = c * a - s * b;
+                    *z = s * a + c * b;
                 }
-                let (vp, vrest) = v[p * cols..].split_at_mut(cols);
-                let vq = &mut vrest[(q - p - 1) * cols..(q - p) * cols];
-                for i in 0..cols {
-                    let (x, y) = (vp[i], vq[i]);
-                    vp[i] = c * x - s * y;
-                    vq[i] = s * x + c * y;
-                }
+                norms2[p] = alpha - t * gamma;
+                norms2[q] = beta + t * gamma;
                 rotated = true;
             }
         }
@@ -157,6 +220,19 @@ fn jacobi_orthogonalize(a: &mut [f64], v: &mut [f64], rows: usize, cols: usize) 
             break;
         }
     }
+
+    let mut sigma = vec![0.0; cols];
+    let mut v = vec![0.0; cols * cols];
+    for (j, s) in sigma.iter_mut().enumerate() {
+        let col = &y[j * cols..(j + 1) * cols];
+        *s = dot(col, col).sqrt();
+        if *s > 0.0 {
+            for (i, &yi) in col.iter().enumerate() {
+                v[j * cols + perm[i]] = yi / *s;
+            }
+        }
+    }
+    (sigma, v)
 }
 
 /// Streaming rank-`r` incremental POD sketch of the pulse-front matrix.
@@ -228,7 +304,7 @@ impl PodSketch {
     pub fn new(g: &LayeredGraph, rank: usize) -> Self {
         assert!(rank > 0, "PodSketch rank must be positive");
         let cols = g.width();
-        // Panel size trades the Jacobi core against flush frequency: each
+        // Panel size trades the core SVD against flush frequency: each
         // flush factors an (r + b_p)-column core whose cost grows superlinearly
         // in the panel, so at high ranks half-rank panels are cheaper per row
         // even though they flush twice as often.  The floor of 8 keeps small
@@ -298,7 +374,7 @@ impl PodSketch {
 
     /// The incremental update: project the pending block on the current
     /// basis, orthonormalize the residuals, re-diagonalize the small
-    /// core by one-sided Jacobi, truncate to rank, and accumulate the
+    /// core ([`core_svd`]), truncate to rank, and accumulate the
     /// truncated Frobenius mass into the certificate.
     fn flush_block(&mut self) {
         let b = self.pending_rows;
@@ -366,7 +442,7 @@ impl PodSketch {
         let bp = established.len();
 
         // Core matrix K = [[diag(σ), 0], [P, L]] — (m+b) × (m+bp),
-        // column-major — and its one-sided Jacobi factorization.
+        // column-major — and its singular value decomposition.
         let (kr, kc) = (m + b, m + bp);
         let mut kmat = vec![0.0; kr * kc];
         for j in 0..m {
@@ -380,30 +456,26 @@ impl PodSketch {
                 kmat[(m + epos) * kr + m + i] = lower[i * b + epos];
             }
         }
-        let mut vmat = vec![0.0; kc * kc];
-        jacobi_orthogonalize(&mut kmat, &mut vmat, kr, kc);
+        let (sigma, vmat) = core_svd(&mut kmat, kr, kc);
 
-        // Singular values = column norms, sorted descending
-        // (deterministic index tiebreak); keep at most `max_rank`
-        // strictly positive ones. `total_cmp` so a non-finite pulse time
-        // (NaN propagates into the norms) degrades the sketch instead of
-        // panicking the run — and stays deterministic either way.
+        // Singular values sorted descending (deterministic index
+        // tiebreak); keep at most `max_rank` strictly positive ones.
+        // `total_cmp` so a non-finite pulse time (NaN propagates into
+        // the spectrum) degrades the sketch instead of panicking the run
+        // — and stays deterministic either way.
         let mut order: Vec<usize> = (0..kc).collect();
-        let norms: Vec<f64> = (0..kc)
-            .map(|j| dot(&kmat[j * kr..(j + 1) * kr], &kmat[j * kr..(j + 1) * kr]).sqrt())
-            .collect();
-        order.sort_by(|&i, &j| norms[j].total_cmp(&norms[i]).then(i.cmp(&j)));
+        order.sort_by(|&i, &j| sigma[j].total_cmp(&sigma[i]).then(i.cmp(&j)));
         let kept: Vec<usize> = order
             .iter()
             .copied()
             .take(self.max_rank)
-            .filter(|&j| norms[j] > 0.0)
+            .filter(|&j| sigma[j] > 0.0)
             .collect();
         // `order` is sorted descending with zeros at the tail, so the
         // dropped mass is exactly everything past the kept prefix.
         let mut dropped2 = gs_drop2;
         for &j in order.iter().skip(kept.len()) {
-            dropped2 += norms[j] * norms[j];
+            dropped2 += sigma[j] * sigma[j];
         }
         self.discarded += dropped2.sqrt();
 
@@ -435,7 +507,7 @@ impl PodSketch {
             }
         }
         self.basis = new_basis;
-        self.sv = kept.iter().map(|&j| norms[j]).collect();
+        self.sv = kept.iter().map(|&j| sigma[j]).collect();
         self.pending.clear();
         self.pending_norms.clear();
         self.pending_rows = 0;
@@ -601,6 +673,7 @@ impl PodSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use trix_topology::BaseGraph;
 
     fn grid(width: usize, layers: usize) -> LayeredGraph {
@@ -617,6 +690,178 @@ mod tests {
 
     fn frob_residual(snap: &PodSnapshot, rows: &[Vec<f64>]) -> f64 {
         rows.iter().map(|r| snap.residual_sq(r)).sum::<f64>().sqrt()
+    }
+
+    /// The accumulating one-sided Jacobi that [`core_svd`] replaced, kept
+    /// as its oracle: rotates the columns of the column-major
+    /// `rows × cols` core `k` until they are orthogonal, accumulating the
+    /// rotations into `V`; `σ` are the final column norms.
+    fn reference_core_svd(k: &[f64], rows: usize, cols: usize) -> (Vec<f64>, Vec<f64>) {
+        let mut a = k.to_vec();
+        let mut v = vec![0.0; cols * cols];
+        for j in 0..cols {
+            v[j * cols + j] = 1.0;
+        }
+        for _ in 0..MAX_SWEEPS {
+            let mut rotated = false;
+            for p in 0..cols.saturating_sub(1) {
+                for q in p + 1..cols {
+                    let (cp, rest) = a[p * rows..].split_at_mut(rows);
+                    let cq = &mut rest[(q - p - 1) * rows..(q - p) * rows];
+                    let alpha = dot(cp, cp);
+                    let beta = dot(cq, cq);
+                    let gamma = dot(cp, cq);
+                    if gamma == 0.0 || gamma.abs() <= JACOBI_REL * (alpha * beta).sqrt() {
+                        continue;
+                    }
+                    let zeta = (beta - alpha) / (2.0 * gamma);
+                    let t = if zeta >= 0.0 {
+                        1.0 / (zeta + (1.0 + zeta * zeta).sqrt())
+                    } else {
+                        1.0 / (zeta - (1.0 + zeta * zeta).sqrt())
+                    };
+                    let c = 1.0 / (1.0 + t * t).sqrt();
+                    let s = c * t;
+                    for i in 0..rows {
+                        let (x, y) = (cp[i], cq[i]);
+                        cp[i] = c * x - s * y;
+                        cq[i] = s * x + c * y;
+                    }
+                    let (vp, vrest) = v[p * cols..].split_at_mut(cols);
+                    let vq = &mut vrest[(q - p - 1) * cols..(q - p) * cols];
+                    for i in 0..cols {
+                        let (x, y) = (vp[i], vq[i]);
+                        vp[i] = c * x - s * y;
+                        vq[i] = s * x + c * y;
+                    }
+                    rotated = true;
+                }
+            }
+            if !rotated {
+                break;
+            }
+        }
+        let sigma = (0..cols)
+            .map(|j| dot(&a[j * rows..(j + 1) * rows], &a[j * rows..(j + 1) * rows]).sqrt())
+            .collect();
+        (sigma, v)
+    }
+
+    /// A core shaped like a flush's, `[[diag σ, 0], [P, L]]`
+    /// (`(m+b) × (m+bp)`, column-major): `σ` descending and graded from
+    /// 1e8 to 1e-3, `P` random with entries of every magnitude in that
+    /// range, `L` random lower-triangular; `zero_rows` rows of `[P, L]`
+    /// zeroed and, if `dup`, one column copied onto another.
+    fn flush_core(
+        seed: u64,
+        (m, b, bp): (usize, usize, usize),
+        zero_rows: usize,
+        dup: bool,
+    ) -> Vec<f64> {
+        let (kr, kc) = (m + b, m + bp);
+        let mut draw = {
+            let mut i = seed.wrapping_mul(1 << 20);
+            move || {
+                i += 1;
+                synth(i)
+            }
+        };
+        let mut k = vec![0.0; kr * kc];
+        for j in 0..m {
+            let grade = if m > 1 {
+                j as f64 / (m - 1) as f64
+            } else {
+                0.0
+            };
+            k[j * kr + j] = 1e8 * 1e-11f64.powf(grade);
+            for i in 0..b {
+                let magnitude = 10f64.powf(-3.0 + 11.0 * draw());
+                k[j * kr + m + i] = (2.0 * draw() - 1.0) * magnitude;
+            }
+        }
+        for e in 0..bp {
+            for i in e..b {
+                k[(m + e) * kr + m + i] = 2.0 * draw() - 1.0;
+            }
+        }
+        for _ in 0..zero_rows.min(b) {
+            let i = m + (draw() * b as f64) as usize;
+            for j in 0..kc {
+                k[j * kr + i] = 0.0;
+            }
+        }
+        if dup && kc >= 2 {
+            let from = (draw() * kc as f64) as usize;
+            let to = (from + 1 + (draw() * (kc - 1) as f64) as usize) % kc;
+            k.copy_within(from * kr..(from + 1) * kr, to * kr);
+        }
+        k
+    }
+
+    proptest! {
+        /// `core_svd` on flush-shaped cores (`m = 0`, `bp < b`, zero rows,
+        /// duplicated columns and the all-zero core among them): `V`'s
+        /// columns with `σ_j > 0` are orthonormal, `‖K·v_j‖ = σ_j`,
+        /// `Σσ² = ‖K‖_F²`, and the spectrum is the accumulating Jacobi's,
+        /// each to roundoff.
+        #[test]
+        fn core_svd_is_an_svd_with_the_reference_spectrum(
+            seed in any::<u64>(),
+            m in 0usize..=16,
+            b in 1usize..=8,
+            short in 0usize..=3,
+            zero_rows in 0usize..=2,
+            dup in any::<bool>(),
+            zero_core in 0u8..16,
+        ) {
+            let bp = b.saturating_sub(short);
+            let (kr, kc) = (m + b, m + bp);
+            let mut k = flush_core(seed, (m, b, bp), zero_rows, dup);
+            if zero_core == 0 {
+                k.fill(0.0);
+            }
+            let (sigma, v) = core_svd(&mut k.clone(), kr, kc);
+            let (mut reference, _) = reference_core_svd(&k, kr, kc);
+            prop_assert_eq!(sigma.len(), kc);
+            let n = kc as f64;
+            let energy = dot(&k, &k);
+            let tol = 64.0 * n * f64::EPSILON * energy.sqrt();
+            let col = |j: usize| &v[j * kc..(j + 1) * kc];
+            for (j, &s) in sigma.iter().enumerate() {
+                prop_assert!(s.is_finite() && s >= 0.0, "sigma[{}] = {}", j, s);
+                if s == 0.0 {
+                    prop_assert!(col(j).iter().all(|&x| x == 0.0), "column {} not zero", j);
+                    continue;
+                }
+                for (i, &si) in sigma.iter().enumerate() {
+                    if si > 0.0 {
+                        let want = if i == j { 1.0 } else { 0.0 };
+                        let d = dot(col(i), col(j));
+                        prop_assert!((d - want).abs() <= 1e-13 * n, "VᵀV[{}][{}] = {}", i, j, d);
+                    }
+                }
+                let kv: Vec<f64> = (0..kr)
+                    .map(|r| (0..kc).map(|c| k[c * kr + r] * col(j)[c]).sum())
+                    .collect();
+                let kv_norm = dot(&kv, &kv).sqrt();
+                prop_assert!((kv_norm - s).abs() <= tol, "‖K·v_{}‖ = {} against σ = {}", j, kv_norm, s);
+            }
+            let sum2: f64 = sigma.iter().map(|s| s * s).sum();
+            prop_assert!(
+                (sum2 - energy).abs() <= 64.0 * n * f64::EPSILON * energy,
+                "Σσ² = {} against ‖K‖_F² = {}", sum2, energy
+            );
+            let mut sorted = sigma.clone();
+            sorted.sort_by(|a, b| b.total_cmp(a));
+            reference.sort_by(|a, b| b.total_cmp(a));
+            let smax = sorted.first().copied().unwrap_or(0.0);
+            for (i, (s, r)) in sorted.iter().zip(&reference).enumerate() {
+                prop_assert!(
+                    (s - r).abs() <= 64.0 * n * f64::EPSILON * smax,
+                    "σ_{} = {} against the reference {}", i, s, r
+                );
+            }
+        }
     }
 
     #[test]
@@ -741,6 +986,24 @@ mod tests {
         // Spectrum is sorted descending.
         for pair in snap.singular_values.windows(2) {
             assert!(pair[0] >= pair[1]);
+        }
+    }
+
+    #[test]
+    fn non_finite_rows_give_a_non_finite_certificate() {
+        let g = grid(6, 3);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300] {
+            let mut sk = PodSketch::new(&g, 4);
+            for i in 0..20u64 {
+                let mut row: Vec<f64> = (0..6).map(|v| 5.0 * synth(i * 6 + v)).collect();
+                if i == 7 {
+                    row[2] = bad;
+                }
+                sk.push_row(&row);
+            }
+            sk.finish();
+            let bound = sk.error_bound();
+            assert!(!bound.is_finite(), "entry {bad}: error bound {bound}");
         }
     }
 
