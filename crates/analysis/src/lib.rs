@@ -48,6 +48,6 @@ pub use plot::ascii_chart;
 pub use potential::{observation_4_2_holds, psi, xi};
 pub use skew::{
     full_local_skew, global_skew, inter_layer_skew, intra_layer_skew, max_intra_layer_skew,
-    pair_skew, skew_by_layer,
+    skew_by_layer,
 };
 pub use table::{fmt_f64, Summary, Table};

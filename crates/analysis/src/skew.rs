@@ -20,7 +20,7 @@
 use trix_obs::defs::{self, MaskedRows, SkewPairs};
 use trix_sim::PulseTrace;
 use trix_time::Duration;
-use trix_topology::{LayeredGraph, NodeId};
+use trix_topology::LayeredGraph;
 
 /// Pulse `k`'s row of `layer`, masked: faulty and unfired nodes drop out.
 fn masked(trace: &PulseTrace, k: usize, layer: usize) -> MaskedRows {
@@ -57,7 +57,7 @@ pub fn intra_layer_skew(
     k: usize,
     layer: usize,
 ) -> Option<Duration> {
-    intra(&SkewPairs::new(g.base().csr()), trace, k, layer)
+    intra(&SkewPairs::new(g.base()), trace, k, layer)
 }
 
 /// Inter-layer local skew `L_{ℓ,ℓ+1}`: worst
@@ -69,7 +69,7 @@ pub fn inter_layer_skew(
     k: usize,
     layer: usize,
 ) -> Option<Duration> {
-    inter(g, &SkewPairs::new(g.base().csr()), trace, k, layer)
+    inter(g, &SkewPairs::new(g.base()), trace, k, layer)
 }
 
 /// The maximum intra-layer skew over all layers and the given pulses —
@@ -79,7 +79,7 @@ pub fn max_intra_layer_skew(
     trace: &PulseTrace,
     k_range: core::ops::Range<usize>,
 ) -> Duration {
-    let pairs = SkewPairs::new(g.base().csr());
+    let pairs = SkewPairs::new(g.base());
     let mut worst = Duration::ZERO;
     for k in k_range {
         for layer in 0..g.layer_count() {
@@ -103,7 +103,7 @@ pub fn full_local_skew(
     trace: &PulseTrace,
     k_range: core::ops::Range<usize>,
 ) -> Duration {
-    let pairs = SkewPairs::new(g.base().csr());
+    let pairs = SkewPairs::new(g.base());
     let mut worst = max_intra_layer_skew(g, trace, k_range.clone());
     for k in k_range {
         for layer in 0..g.layer_count() {
@@ -130,22 +130,10 @@ pub fn global_skew(
 /// Per-layer intra-layer skew series for one pulse (a "figure" series:
 /// skew as a function of depth).
 pub fn skew_by_layer(g: &LayeredGraph, trace: &PulseTrace, k: usize) -> Vec<Option<f64>> {
-    let pairs = SkewPairs::new(g.base().csr());
+    let pairs = SkewPairs::new(g.base());
     (0..g.layer_count())
         .map(|l| intra(&pairs, trace, k, l).map(|d| d.as_f64()))
         .collect()
-}
-
-/// The pulse-time difference between a specific adjacent pair (diagnostic
-/// helper for targeted experiments).
-///
-/// Like every metric here it covers correct nodes only: `None` when either
-/// endpoint is faulty or did not fire in pulse `k`.
-pub fn pair_skew(trace: &PulseTrace, k: usize, a: NodeId, b: NodeId) -> Option<Duration> {
-    if trace.is_faulty(a) || trace.is_faulty(b) {
-        return None;
-    }
-    Some((trace.time(k, a)? - trace.time(k, b)?).abs())
 }
 
 #[cfg(test)]
@@ -218,29 +206,5 @@ mod tests {
         assert_eq!(full_local_skew(&g, &trace, 0..2), Duration::from(3.0));
         let series = skew_by_layer(&g, &trace, 0);
         assert_eq!(series, vec![Some(3.0); 3]);
-    }
-
-    #[test]
-    fn pair_skew_simple() {
-        let (g, trace) = setup();
-        assert_eq!(
-            pair_skew(&trace, 0, g.node(0, 2), g.node(2, 2)),
-            Some(Duration::from(2.0))
-        );
-    }
-
-    #[test]
-    fn pair_skew_excludes_faulty_endpoints() {
-        let (g, mut trace) = setup();
-        let (a, b) = (g.node(0, 2), g.node(2, 2));
-        trace.set_faulty(b);
-        // The faulty node's nominal time is still recorded.
-        assert!(trace.time(0, b).is_some());
-        assert_eq!(pair_skew(&trace, 0, a, b), None);
-        assert_eq!(pair_skew(&trace, 0, b, a), None);
-        assert_eq!(
-            pair_skew(&trace, 0, a, g.node(1, 2)),
-            Some(Duration::from(1.0))
-        );
     }
 }

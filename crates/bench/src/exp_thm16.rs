@@ -7,50 +7,20 @@
 //!
 //! *Workload:* event-driven runs with every grid node's state randomly
 //! scrambled and spurious messages in flight, with and without a
-//! permanent silent fault. Stabilization is detected per node as the
-//! first broadcast after which all inter-pulse gaps stay within `κ` of
-//! `Λ`; we report the worst node's stabilization pulse count against the
-//! `layer_count + D` budget (one grid sweep — the `Θ(√n)` witness in the
-//! square layout).
+//! permanent silent fault. Stabilization is detected per node
+//! ([`theory::stabilization_pulse`]) as the first broadcast after which
+//! all inter-pulse gaps stay within `κ` of `Λ`; we report the worst
+//! node's stabilization pulse count against the `layer_count + D` budget
+//! (one grid sweep — the `Θ(√n)` witness in the square layout).
 
 use crate::common::{square_grid, standard_params};
 use crate::suite::{kv, scenario_seeds, Scenario, ScenarioResult};
 use crate::Scale;
 use std::collections::HashSet;
 use trix_analysis::{fmt_f64, theory, Table};
-use trix_core::GridNodeConfig;
 use trix_faults::scrambled_network;
 use trix_sim::{Rng, StaticEnvironment};
 use trix_time::Time;
-
-/// Index of the first pulse after which all gaps stay within `tol` of
-/// `lambda` (requires at least 3 stable trailing gaps; `None` if never).
-///
-/// The last `DRAIN_GAPS` inter-pulse gaps are ignored: once the clock
-/// source stops, the pipeline drains and the final couple of iterations
-/// at every node run with missing next-diagonal inputs, degrading their
-/// timing by design (a shutdown boundary effect, not an instability).
-pub fn stabilization_pulse(times: &[Time], lambda: f64, tol: f64) -> Option<usize> {
-    const DRAIN_GAPS: usize = 3;
-    if times.len() < DRAIN_GAPS + 4 {
-        return None;
-    }
-    let gaps: Vec<f64> = times.windows(2).map(|w| (w[1] - w[0]).as_f64()).collect();
-    let end = gaps.len() - DRAIN_GAPS;
-    let mut first_stable = end;
-    for i in (0..end).rev() {
-        if (gaps[i] - lambda).abs() <= tol {
-            first_stable = i;
-        } else {
-            break;
-        }
-    }
-    if end - first_stable >= 3 {
-        Some(first_stable)
-    } else {
-        None
-    }
-}
 
 /// Runs the self-stabilization experiment over grid widths. A row that
 /// is not within its pulse budget (or never stabilizes) is a violation.
@@ -76,15 +46,13 @@ pub fn run(widths: &[usize], seeds: &[u64]) -> ScenarioResult {
             for &seed in seeds {
                 let mut rng = Rng::seed_from(seed ^ 0x16);
                 let env = StaticEnvironment::random(&g, p.d(), p.u(), p.theta(), &mut rng);
-                let cfg = GridNodeConfig::standard(p, g.base().diameter());
                 let permanent: HashSet<_> = if with_fault {
                     [g.node(w / 2, 1)].into_iter().collect()
                 } else {
                     HashSet::new()
                 };
                 let pulses = (2 * budget + 10) as u64;
-                let mut net =
-                    scrambled_network(&g, &p, &env, cfg, pulses, 40, &permanent, &mut rng);
+                let mut net = scrambled_network(&g, &p, &env, pulses, 40, &permanent, &mut rng);
                 net.run(Time::from(
                     (pulses as f64 + 4.0) * p.lambda().as_f64()
                         + g.layer_count() as f64 * p.lambda().as_f64(),
@@ -97,7 +65,11 @@ pub fn run(widths: &[usize], seeds: &[u64]) -> ScenarioResult {
                             continue;
                         }
                         let times = &by_node[net.index.engine_id(node)];
-                        let s = stabilization_pulse(times, p.lambda().as_f64(), p.kappa().as_f64());
+                        let s = theory::stabilization_pulse(
+                            times,
+                            p.lambda().as_f64(),
+                            p.kappa().as_f64(),
+                        );
                         worst = match (worst, s) {
                             (Some(a), Some(b)) => Some(a.max(b)),
                             _ => None,
@@ -246,35 +218,6 @@ mod tests {
     fn scrambled_state_with_inverted_extremes_stabilizes() {
         let r = run(&[6], &[0xe55d_45f8_9bf6_23a1]);
         assert_eq!(r.table.len(), 2);
-    }
-
-    #[test]
-    fn stabilization_detector() {
-        let lambda = 10.0;
-        let times: Vec<Time> = [
-            0.0,
-            7.0,
-            20.0,
-            30.0,
-            40.0,
-            50.0,
-            60.0,
-            70.0,
-            80.0,
-            63.0 + 30.0,
-        ]
-        .iter()
-        .map(|&t| Time::from(t))
-        .collect();
-        // Gaps: 7, 13, 10, 10, 10, 10, 10, 10, 13 — the last 3 gaps are
-        // drain (ignored); stable from index 2.
-        assert_eq!(stabilization_pulse(&times, lambda, 0.5), Some(2));
-        // Never stable:
-        let bad: Vec<Time> = [0.0, 5.0, 11.0, 18.0, 26.0, 33.0, 41.0, 48.0, 56.0]
-            .iter()
-            .map(|&t| Time::from(t))
-            .collect();
-        assert_eq!(stabilization_pulse(&bad, lambda, 0.5), None);
     }
 
     #[test]

@@ -84,7 +84,9 @@ pub struct GridNetwork {
 }
 
 impl GridNetwork {
-    /// Builds a deployment of `g` with the given environment.
+    /// Builds a deployment of `g` with the given environment. Every grid
+    /// node runs [`GridNodeConfig::standard`] for `params` and `g`'s
+    /// diameter.
     ///
     /// * `source_pulses` — how many pulses the clock source emits;
     /// * `rng` — used for the layer-0 chain link delays (drawn from
@@ -100,22 +102,12 @@ impl GridNetwork {
         g: &LayeredGraph,
         params: &Params,
         env: &StaticEnvironment,
-        cfg: GridNodeConfig,
         source_pulses: u64,
         rng: &mut Rng,
         override_node: impl FnMut(NodeId, &NodeWiring) -> Option<Box<dyn Node>>,
     ) -> Self {
         let chain = Layer0Line::chain_for_line(g.width());
-        Self::build_with_chain(
-            g,
-            params,
-            env,
-            cfg,
-            source_pulses,
-            rng,
-            &chain,
-            override_node,
-        )
+        Self::build_with_chain(g, params, env, source_pulses, rng, &chain, override_node)
     }
 
     /// As [`GridNetwork::build`], but with an explicit layer-0 parent
@@ -128,19 +120,18 @@ impl GridNetwork {
     ///
     /// Panics if the environment does not match `g` or `chain` is not
     /// one parent slot per base node.
-    #[allow(clippy::too_many_arguments)] // build's signature + the chain
     #[allow(clippy::needless_range_loop)] // v indexes the parallel `chain` table
     pub fn build_with_chain(
         g: &LayeredGraph,
         params: &Params,
         env: &StaticEnvironment,
-        cfg: GridNodeConfig,
         source_pulses: u64,
         rng: &mut Rng,
         chain: &[Option<usize>],
         mut override_node: impl FnMut(NodeId, &NodeWiring) -> Option<Box<dyn Node>>,
     ) -> Self {
         assert_eq!(chain.len(), g.width(), "one chain parent per base node");
+        let cfg = GridNodeConfig::standard(*params, g.base().diameter());
         let index = GridIndex {
             width: g.width(),
             layer_count: g.layer_count(),
@@ -276,8 +267,7 @@ mod tests {
         let g = LayeredGraph::new(BaseGraph::line_with_replicated_ends(5), 4);
         let mut rng = Rng::seed_from(11);
         let env = StaticEnvironment::random(&g, p.d(), p.u(), p.theta(), &mut rng);
-        let cfg = GridNodeConfig::standard(p, g.base().diameter());
-        let mut net = GridNetwork::build(&g, &p, &env, cfg, 24, &mut rng, |_, _| None);
+        let mut net = GridNetwork::build(&g, &p, &env, 24, &mut rng, |_, _| None);
         net.run(Time::from(1e9));
         let by_node = net.broadcasts_by_node();
         let lambda = p.lambda().as_f64();
@@ -344,10 +334,9 @@ mod tests {
         let g = LayeredGraph::new(torus, 4);
         let mut rng = Rng::seed_from(23);
         let env = StaticEnvironment::random(&g, p.d(), p.u(), p.theta(), &mut rng);
-        let cfg = GridNodeConfig::standard(p, g.base().diameter());
         let chain = Layer0Line::chain_for_graph(g.base());
         let mut net =
-            GridNetwork::build_with_chain(&g, &p, &env, cfg, 24, &mut rng, &chain, |_, _| None);
+            GridNetwork::build_with_chain(&g, &p, &env, 24, &mut rng, &chain, |_, _| None);
         net.run(Time::from(1e9));
         let by_node = net.broadcasts_by_node();
         let lambda = p.lambda().as_f64();

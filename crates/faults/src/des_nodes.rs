@@ -2,7 +2,7 @@
 //! event-driven engine.
 
 use std::collections::HashMap;
-use trix_core::{GradientTrixNode, GridNetwork, GridNodeConfig, Params};
+use trix_core::{GradientTrixNode, GridNetwork, Params};
 use trix_sim::{Node, NodeApi, Rng, StaticEnvironment};
 use trix_time::{Duration, LocalTime, Time};
 use trix_topology::{LayeredGraph, NodeId};
@@ -153,19 +153,17 @@ impl Node for BabblingDesNode {
 /// Permanently faulty positions can additionally be supplied through
 /// `permanent`: those get a [`SilentDesNode`] (self-stabilization must
 /// work *in the presence of* permanent faults, Appendix C).
-#[allow(clippy::too_many_arguments)] // experiment-facing constructor; a config struct would obscure the knobs
 pub fn scrambled_network(
     g: &LayeredGraph,
     params: &Params,
     env: &StaticEnvironment,
-    cfg: GridNodeConfig,
     source_pulses: u64,
     spurious: usize,
     permanent: &std::collections::HashSet<NodeId>,
     rng: &mut Rng,
 ) -> GridNetwork {
     let mut scramble_rng = rng.fork(0xDEAD);
-    let mut net = GridNetwork::build(g, params, env, cfg, source_pulses, rng, |id, wiring| {
+    let mut net = GridNetwork::build(g, params, env, source_pulses, rng, |id, wiring| {
         if permanent.contains(&id) {
             return Some(Box::new(SilentDesNode));
         }
@@ -202,7 +200,6 @@ pub fn crash_recover_network(
     g: &LayeredGraph,
     params: &Params,
     env: &StaticEnvironment,
-    cfg: GridNodeConfig,
     source_pulses: u64,
     rejoins: &HashMap<NodeId, LocalTime>,
     rng: &mut Rng,
@@ -211,7 +208,6 @@ pub fn crash_recover_network(
         g,
         params,
         env,
-        cfg,
         source_pulses,
         rejoins,
         Duration::ZERO,
@@ -229,12 +225,10 @@ pub fn crash_recover_network(
 /// Each arrival's scramble seed derives deterministically from `rng`
 /// and its sorted position, so the run is a pure function of the
 /// inputs, exactly like [`crash_recover_network`].
-#[allow(clippy::too_many_arguments)] // crash_recover_network's signature + the staleness knob
 pub fn arrival_network(
     g: &LayeredGraph,
     params: &Params,
     env: &StaticEnvironment,
-    cfg: GridNodeConfig,
     source_pulses: u64,
     arrivals: &HashMap<NodeId, LocalTime>,
     stale_age: Duration,
@@ -244,7 +238,6 @@ pub fn arrival_network(
         g,
         params,
         env,
-        cfg,
         source_pulses,
         arrivals,
         stale_age,
@@ -261,7 +254,6 @@ fn rejoining_network(
     g: &LayeredGraph,
     params: &Params,
     env: &StaticEnvironment,
-    cfg: GridNodeConfig,
     source_pulses: u64,
     joins: &HashMap<NodeId, LocalTime>,
     stale_age: Duration,
@@ -275,7 +267,7 @@ fn rejoining_network(
         .into_iter()
         .map(|n| (n, seed_rng.next_u64()))
         .collect();
-    GridNetwork::build(g, params, env, cfg, source_pulses, rng, |id, wiring| {
+    GridNetwork::build(g, params, env, source_pulses, rng, |id, wiring| {
         let join_at = *joins.get(&id)?;
         if id.layer == 0 {
             return None; // layer 0 runs Algorithm 2; campaigns and churn target grid nodes
@@ -321,8 +313,7 @@ mod tests {
         let g = LayeredGraph::new(BaseGraph::line_with_replicated_ends(4), 4);
         let mut rng = Rng::seed_from(77);
         let env = StaticEnvironment::random(&g, p.d(), p.u(), p.theta(), &mut rng);
-        let cfg = GridNodeConfig::standard(p, g.base().diameter());
-        let mut net = scrambled_network(&g, &p, &env, cfg, 30, 25, &HashSet::new(), &mut rng);
+        let mut net = scrambled_network(&g, &p, &env, 30, 25, &HashSet::new(), &mut rng);
         net.run(Time::from(1e9));
         let by_node = net.broadcasts_by_node();
         let lambda = p.lambda().as_f64();
@@ -359,8 +350,7 @@ mod tests {
         let g = LayeredGraph::new(BaseGraph::line_with_replicated_ends(5), 4);
         let mut rng = Rng::seed_from(3);
         let env = StaticEnvironment::random(&g, p.d(), p.u(), p.theta(), &mut rng);
-        let cfg = GridNodeConfig::standard(p, g.base().diameter());
-        let mut net = GridNetwork::build(&g, &p, &env, cfg, 24, &mut rng, |_, _| None);
+        let mut net = GridNetwork::build(&g, &p, &env, 24, &mut rng, |_, _| None);
         net.run(Time::from(1e9));
         let by_node = net.broadcasts_by_node();
         let reference = 12.0 * p.lambda().as_f64();
@@ -405,12 +395,11 @@ mod tests {
         for seed in 0..12u64 {
             let mut rng = Rng::seed_from(seed);
             let env = StaticEnvironment::random(&g, p.d(), p.u(), p.theta(), &mut rng);
-            let cfg = GridNodeConfig::standard(p, g.base().diameter());
             let node = g.node(2, 2);
             let rejoins: std::collections::HashMap<_, _> = [(node, LocalTime::from(6.0 * lambda))]
                 .into_iter()
                 .collect();
-            let mut net = crash_recover_network(&g, &p, &env, cfg, 30, &rejoins, &mut rng);
+            let mut net = crash_recover_network(&g, &p, &env, 30, &rejoins, &mut rng);
             net.run(Time::from(40.0 * lambda));
             let by_node = net.broadcasts_by_node();
             let pulses = &by_node[net.index.engine_id(node)];
@@ -447,12 +436,11 @@ mod tests {
         let lambda = p.lambda().as_f64();
         let mut rng = Rng::seed_from(21);
         let env = StaticEnvironment::random(&g, p.d(), p.u(), p.theta(), &mut rng);
-        let cfg = GridNodeConfig::standard(p, g.base().diameter());
         let node = g.node(3, 1);
         let rejoins: std::collections::HashMap<_, _> = [(node, LocalTime::from(8.0 * lambda))]
             .into_iter()
             .collect();
-        let mut net = crash_recover_network(&g, &p, &env, cfg, 30, &rejoins, &mut rng);
+        let mut net = crash_recover_network(&g, &p, &env, 30, &rejoins, &mut rng);
         net.run(Time::from(40.0 * lambda));
         let by_node = net.broadcasts_by_node();
         for layer in 1..g.layer_count() {
@@ -490,13 +478,12 @@ mod tests {
         let lambda = p.lambda().as_f64();
         let mut rng = Rng::seed_from(9);
         let env = StaticEnvironment::random(&g, p.d(), p.u(), p.theta(), &mut rng);
-        let cfg = GridNodeConfig::standard(p, g.base().diameter());
         let node = g.node(1, 2);
         let arrivals: std::collections::HashMap<_, _> = [(node, LocalTime::from(7.0 * lambda))]
             .into_iter()
             .collect();
         let stale_age = Duration::from(5.0 * lambda);
-        let mut net = arrival_network(&g, &p, &env, cfg, 30, &arrivals, stale_age, &mut rng);
+        let mut net = arrival_network(&g, &p, &env, 30, &arrivals, stale_age, &mut rng);
         net.run(Time::from(40.0 * lambda));
         let by_node = net.broadcasts_by_node();
         let pulses = &by_node[net.index.engine_id(node)];
@@ -525,10 +512,9 @@ mod tests {
         let g = LayeredGraph::new(BaseGraph::line_with_replicated_ends(4), 4);
         let mut rng = Rng::seed_from(13);
         let env = StaticEnvironment::random(&g, p.d(), p.u(), p.theta(), &mut rng);
-        let cfg = GridNodeConfig::standard(p, g.base().diameter());
         let dead = g.node(2, 1);
         let permanent: HashSet<_> = [dead].into_iter().collect();
-        let mut net = scrambled_network(&g, &p, &env, cfg, 30, 10, &permanent, &mut rng);
+        let mut net = scrambled_network(&g, &p, &env, 30, 10, &permanent, &mut rng);
         net.run(Time::from(1e9));
         let by_node = net.broadcasts_by_node();
         assert!(

@@ -24,7 +24,7 @@
 use crate::streaming::{Histogram, RunningStat};
 use trix_sim::Observer;
 use trix_time::Time;
-use trix_topology::{CsrGraph, LayeredGraph, NodeId};
+use trix_topology::{BaseGraph, LayeredGraph, NodeId};
 
 /// Plain-data snapshot of a completed [`FaultClassSkew`] run: one
 /// max/mean/sample-count triple per fault class.
@@ -87,9 +87,11 @@ impl FaultClassStats {
 /// and the healthy aggregate equals the plain intra-layer fold.
 #[derive(Clone, Debug)]
 pub struct FaultClassSkew {
-    /// The base graph's adjacency (not `BaseGraph`'s distance matrix,
-    /// which the monitor never reads).
-    base: CsrGraph,
+    /// The base graph, read for its adjacency only. A clone carries the
+    /// distance matrix if the source graph has built one; none of the
+    /// monitor's callers queries distances on the graphs they simulate,
+    /// so the clone holds `O(n + m)` state.
+    base: BaseGraph,
     width: usize,
     layer_count: usize,
     faulty: Vec<bool>,
@@ -110,7 +112,7 @@ impl FaultClassSkew {
         let n = g.node_count();
         let hist = Histogram::new(1.0, crate::StreamingSkew::DEFAULT_HIST_BINS);
         Self {
-            base: g.base().csr().clone(),
+            base: g.base().clone(),
             width: g.width(),
             layer_count: g.layer_count(),
             faulty: vec![false; n],
@@ -194,7 +196,7 @@ impl Observer for FaultClassSkew {
     }
 
     /// Ends every earlier pulse, then folds each intra-layer edge of the
-    /// row into its class's maximum, edges in [`CsrGraph::edges`] order.
+    /// row into its class's maximum, edges in [`BaseGraph::edges`] order.
     fn on_pulse_row(&mut self, k: usize, layer: u32, row: &[Option<Time>]) {
         debug_assert!(!self.finished, "pulse after finish()");
         debug_assert!(k >= self.cur_k, "pulse emissions must be pulse-major");

@@ -13,7 +13,7 @@
 //! mask of nodes that are faulty or did not fire, and the folds skip every
 //! pair with a cleared endpoint, exactly as the paper restricts skew to
 //! correct nodes. The pairs come from [`SkewPairs`], flat lists built once
-//! from the base graph's CSR.
+//! from the base graph's adjacency.
 //!
 //! The folds are branch-free. `|Δ|` has its sign bit clear, so
 //! `Duration`'s [`f64::total_cmp`] order on it is the unsigned order of
@@ -24,13 +24,13 @@
 //! is bit-identical to a fold of `Duration::max` over the same pairs.
 
 use trix_time::{Duration, Time};
-use trix_topology::CsrGraph;
+use trix_topology::BaseGraph;
 
 /// The node pairs the skew folds visit, flattened once from a base
-/// graph's CSR adjacency.
+/// graph's adjacency.
 #[derive(Clone, Debug)]
 pub struct SkewPairs {
-    /// Base-graph edges `(a, b)` with `a < b`, in [`CsrGraph::edges`]
+    /// Base-graph edges `(a, b)` with `a < b`, in [`BaseGraph::edges`]
     /// order: the pairs of `L_ℓ`.
     edges: Vec<[u32; 2]>,
     /// `(v, x)` for every `x` of `v`'s closed neighbourhood `{v} ∪ N(v)`,
@@ -41,7 +41,7 @@ pub struct SkewPairs {
 
 impl SkewPairs {
     /// Flattens the pairs of `base`.
-    pub fn new(base: &CsrGraph) -> Self {
+    pub fn new(base: &BaseGraph) -> Self {
         let pair = |a: usize, b: usize| [a as u32, b as u32];
         let edges = base.edges().map(|(a, b)| pair(a, b)).collect();
         let closed = (0..base.node_count())
@@ -186,10 +186,9 @@ pub fn layer_spread(row: MaskedRow<'_>) -> Option<Duration> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trix_topology::BaseGraph;
 
     fn cycle_pairs() -> SkewPairs {
-        SkewPairs::new(BaseGraph::cycle(4).csr())
+        SkewPairs::new(&BaseGraph::cycle(4))
     }
 
     /// Masked rows of the cycle's width from per-position times, none

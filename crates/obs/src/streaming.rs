@@ -269,7 +269,7 @@ impl StreamingSkew {
     pub fn with_histogram(g: &LayeredGraph, bin_width: f64, bin_count: usize) -> Self {
         let hist = Histogram::new(bin_width, bin_count);
         Self {
-            pairs: defs::SkewPairs::new(g.base().csr()),
+            pairs: defs::SkewPairs::new(g.base()),
             width: g.width(),
             faulty: vec![false; g.node_count()],
             front: defs::MaskedRows::new(g.width(), g.layer_count()),

@@ -160,7 +160,7 @@ fn check_layers(
     let (upper_rows, lower_rows) = (masked(upper), masked(lower));
     let (up, lo) = (lookup(g, upper, faulty_at), lookup(g, lower, faulty_at));
     let adj = adjacency(g);
-    let pairs = SkewPairs::new(g.base().csr());
+    let pairs = SkewPairs::new(g.base());
     for layer in 0..layers {
         let row = upper_rows.row(layer);
         if let Ok(want) = brute_intra(&adj, layer as u32, &up) {

@@ -107,7 +107,7 @@ struct Batch {
 }
 
 fn batch_fold(g: &LayeredGraph, trace: &PulseTrace, pulses: usize) -> Batch {
-    let pairs = defs::SkewPairs::new(g.base().csr());
+    let pairs = defs::SkewPairs::new(g.base());
     let row = |k: usize, layer: usize| {
         let mut rows = defs::MaskedRows::new(g.width(), 1);
         rows.set(0, trace.row(k, layer), trace.faulty_row(layer));

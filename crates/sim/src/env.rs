@@ -92,29 +92,6 @@ impl StaticEnvironment {
         Self::new(g, delays, clocks)
     }
 
-    /// Builds an environment from closures over edge and node indices
-    /// (useful for adversarial patterns).
-    pub fn from_fn(
-        g: &LayeredGraph,
-        mut delay_fn: impl FnMut(EdgeId) -> Duration,
-        mut clock_fn: impl FnMut(NodeId) -> AffineClock,
-    ) -> Self {
-        let delays = (0..g.edge_count()).map(|e| delay_fn(EdgeId(e))).collect();
-        let clocks = (0..g.node_count())
-            .map(|i| clock_fn(g.node_at(i)))
-            .collect();
-        Self::new(g, delays, clocks)
-    }
-
-    /// Overwrites the delay of one edge (for targeted adversarial setups).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the edge index is out of range.
-    pub fn set_delay(&mut self, e: EdgeId, delay: Duration) {
-        self.delays[e.0] = delay;
-    }
-
     /// The per-edge delays.
     pub fn delays(&self) -> &[Duration] {
         &self.delays
@@ -221,21 +198,12 @@ mod tests {
     }
 
     #[test]
-    fn set_delay_overrides() {
-        let g = graph();
-        let mut env = StaticEnvironment::nominal(&g, Duration::from(10.0));
-        env.set_delay(EdgeId(0), Duration::from(9.0));
-        assert_eq!(env.delay(5, EdgeId(0)), Duration::from(9.0));
-    }
-
-    #[test]
     fn static_environment_exposes_pulse_invariant_clocks() {
         let g = graph();
-        let env = StaticEnvironment::from_fn(
-            &g,
-            |_| Duration::from(10.0),
-            |n| AffineClock::with_rate(1.0 + g.node_index(n) as f64 * 1e-6),
-        );
+        let clocks = (0..g.node_count())
+            .map(|i| AffineClock::with_rate(1.0 + i as f64 * 1e-6))
+            .collect();
+        let env = StaticEnvironment::new(&g, vec![Duration::from(10.0); g.edge_count()], clocks);
         let cache = env.pulse_invariant_clocks().expect("static clocks");
         for n in g.nodes() {
             for k in [0, 3, 17] {
@@ -245,18 +213,6 @@ mod tests {
         // Per-pulse environments keep the default (no cache).
         let per_pulse = SequenceEnvironment::new(vec![env.clone()]);
         assert!(per_pulse.pulse_invariant_clocks().is_none());
-    }
-
-    #[test]
-    fn from_fn_covers_every_edge_and_node() {
-        let g = graph();
-        let env = StaticEnvironment::from_fn(
-            &g,
-            |e| Duration::from(e.0 as f64 + 1.0),
-            |n| AffineClock::with_rate(1.0 + n.layer as f64 * 1e-5),
-        );
-        assert_eq!(env.delay(0, EdgeId(4)), Duration::from(5.0));
-        assert!(env.clock(0, g.node(0, 3)).rate() > env.clock(0, g.node(0, 0)).rate());
     }
 
     #[test]

@@ -124,14 +124,6 @@ impl Rng {
         assert!((0.0..=1.0).contains(&p), "probability out of range");
         self.next_f64() < p
     }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.usize_below(i + 1);
-            items.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -195,16 +187,5 @@ mod tests {
             seen[rng.usize_below(10)] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = Rng::seed_from(3);
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(v, (0..50).collect::<Vec<_>>(), "shuffle should move things");
     }
 }

@@ -1,6 +1,5 @@
 //! Base graphs `H` (paper §2, Figure 2).
 
-use crate::CsrGraph;
 use std::sync::OnceLock;
 
 /// A simple, connected, undirected base graph `H = (V, E)`.
@@ -12,24 +11,45 @@ use std::sync::OnceLock;
 /// [`BaseGraph::min_degree`] and [`BaseGraph::validate_for_gcs`] make the
 /// requirement checkable.
 ///
-/// Nodes are identified by `usize` indices `0..node_count()`. Structurally
-/// this is a [`CsrGraph`] (sorted rows, so iteration order — and therefore
-/// every simulation — is deterministic) plus the all-pairs distance matrix
-/// that the ancestor-cone queries ([`crate::distance_ancestors`]) need in
-/// their inner loop. The matrix is built by the first
-/// [`BaseGraph::distance`] call, so graphs that are only simulated never
-/// pay its `O(n²)` memory. Equality compares the graphs, not whether the
-/// matrix has been built.
+/// Nodes are `usize` indices `0..node_count()`. The graph is stored in
+/// compressed-sparse-row form: two flat arrays, row offsets and the
+/// concatenated neighbor lists, each row sorted, so neighbor iteration —
+/// and therefore every simulation driven by this graph — is deterministic
+/// by construction. The diameter is computed at construction. The
+/// all-pairs distance matrix that the ancestor-cone queries
+/// ([`crate::distance_ancestors`]) need in their inner loop is built by
+/// the first [`BaseGraph::distance`] call, so graphs that are only
+/// simulated keep `O(n + m)` state and never pay its `O(n²)` memory.
+/// Equality compares the graphs, not whether the matrix has been built.
+///
+/// # Examples
+///
+/// ```
+/// use trix_topology::BaseGraph;
+///
+/// let g = BaseGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
+/// assert_eq!(g.node_count(), 4);
+/// assert_eq!(g.edge_count(), 4);
+/// assert_eq!(g.neighbors(0), &[1, 3]);
+/// assert_eq!(g.diameter(), 2);
+/// assert_eq!(g.distance(0, 2), 2);
+/// ```
 #[derive(Clone, Debug)]
 pub struct BaseGraph {
-    csr: CsrGraph,
+    /// Row bounds: node `v`'s neighbors are
+    /// `targets[offsets[v] .. offsets[v + 1]]`.
+    offsets: Vec<usize>,
+    /// Concatenated neighbor lists, sorted within each row.
+    targets: Vec<usize>,
+    /// The diameter, computed once at construction.
+    diameter: u32,
     /// All-pairs hop distances, row-major, filled on first use.
     distances: OnceLock<Vec<u32>>,
 }
 
 impl PartialEq for BaseGraph {
     fn eq(&self, other: &Self) -> bool {
-        self.csr == other.csr
+        self.offsets == other.offsets && self.targets == other.targets
     }
 }
 
@@ -38,23 +58,121 @@ impl Eq for BaseGraph {}
 impl BaseGraph {
     /// Builds a base graph from an undirected edge list over `n` nodes.
     ///
-    /// Self-loops and duplicate edges are rejected.
+    /// Self-loops and duplicate edges are rejected; the graph must be
+    /// connected (the layered synchronization DAG of a disconnected base
+    /// graph would fall apart into independent components with unbounded
+    /// mutual skew). No distances are computed here: the first
+    /// [`BaseGraph::distance`] call builds the all-pairs matrix.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0`, an endpoint is out of range, an edge is a
     /// self-loop or duplicated, or the graph is disconnected.
     pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Self {
-        Self::from_csr(CsrGraph::from_edges(n, edges))
+        assert!(n > 0, "base graph must have at least one node");
+        let mut adjacency = vec![Vec::new(); n];
+        for &(a, b) in edges {
+            assert!(a < n && b < n, "edge endpoint out of range: ({a}, {b})");
+            assert_ne!(a, b, "self-loops are not allowed");
+            adjacency[a].push(b);
+            adjacency[b].push(a);
+        }
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut targets = Vec::with_capacity(2 * edges.len());
+        offsets.push(0);
+        for list in &mut adjacency {
+            list.sort_unstable();
+            let len_before = list.len();
+            list.dedup();
+            assert_eq!(len_before, list.len(), "duplicate edge in base graph");
+            targets.extend_from_slice(list);
+            offsets.push(targets.len());
+        }
+        let mut g = Self {
+            offsets,
+            targets,
+            diameter: 0,
+            distances: OnceLock::new(),
+        };
+        g.diameter = g.compute_diameter().expect("base graph must be connected");
+        g
     }
 
-    /// Wraps an already-validated [`CsrGraph`]. No distances are computed
-    /// here: the first [`BaseGraph::distance`] call builds the all-pairs
-    /// matrix.
-    pub fn from_csr(csr: CsrGraph) -> Self {
-        Self {
-            csr,
-            distances: OnceLock::new(),
+    /// Exact diameter by bit-parallel multi-source BFS (MS-BFS, Then et
+    /// al., PVLDB 8(4), 2014); `None` if the graph is disconnected.
+    ///
+    /// Sources run in batches of 64 that share one traversal. Bit `i` of
+    /// `seen[v]` says source `first + i` has reached `v`; `visit[v]`
+    /// holds the bits that reached `v` at the current level, and only
+    /// nodes with such bits sit on the `frontier` list. A level step
+    /// pushes each frontier node's bits to the neighbors that lack them.
+    /// The diameter is the last level at which any bit was new, and a
+    /// node missing a bit once its batch is done is unreachable from
+    /// that source.
+    fn compute_diameter(&self) -> Option<u32> {
+        let n = self.node_count();
+        let mut seen = vec![0u64; n];
+        let mut visit = vec![0u64; n];
+        let mut visit_next = vec![0u64; n];
+        let mut frontier = Vec::with_capacity(n);
+        let mut next = Vec::with_capacity(n);
+        let mut diameter = 0u32;
+        for first in (0..n).step_by(64) {
+            let batch = (n - first).min(64);
+            let all = u64::MAX >> (64 - batch);
+            seen.fill(0);
+            for i in 0..batch {
+                seen[first + i] = 1 << i;
+                visit[first + i] = 1 << i;
+                frontier.push(first + i);
+            }
+            let mut level = 0u32;
+            while !frontier.is_empty() {
+                for &v in &frontier {
+                    let bits = std::mem::take(&mut visit[v]);
+                    for &w in self.neighbors(v) {
+                        let new = bits & !seen[w];
+                        if new != 0 {
+                            if visit_next[w] == 0 {
+                                next.push(w);
+                            }
+                            visit_next[w] |= new;
+                            seen[w] |= new;
+                        }
+                    }
+                }
+                std::mem::swap(&mut visit, &mut visit_next);
+                std::mem::swap(&mut frontier, &mut next);
+                next.clear();
+                if !frontier.is_empty() {
+                    level += 1;
+                }
+            }
+            if seen.iter().any(|&s| s != all) {
+                return None;
+            }
+            diameter = diameter.max(level);
+        }
+        Some(diameter)
+    }
+
+    /// BFS from `src` into `dist` (all `u32::MAX` on entry). Each node
+    /// enters `queue` at most once, so a `Vec` read from the front by
+    /// index is the FIFO.
+    fn bfs_into(&self, src: usize, dist: &mut [u32], queue: &mut Vec<usize>) {
+        dist[src] = 0;
+        queue.clear();
+        queue.push(src);
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
+            let du = dist[u];
+            for &w in self.neighbors(u) {
+                if dist[w] == u32::MAX {
+                    dist[w] = du + 1;
+                    queue.push(w);
+                }
+            }
         }
     }
 
@@ -140,23 +258,16 @@ impl BaseGraph {
         Self::from_edges(n, &edges)
     }
 
-    /// The underlying CSR representation (no distance matrix) — what the
-    /// family generators in [`crate::families`] produce and what
-    /// memory-conscious consumers should hold.
-    #[inline]
-    pub fn csr(&self) -> &CsrGraph {
-        &self.csr
-    }
-
     /// Number of nodes `|V|`.
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.csr.node_count()
+        self.offsets.len() - 1
     }
 
     /// Number of undirected edges `|E|`.
+    #[inline]
     pub fn edge_count(&self) -> usize {
-        self.csr.edge_count()
+        self.targets.len() / 2
     }
 
     /// Sorted neighbors of `v`.
@@ -166,23 +277,59 @@ impl BaseGraph {
     /// Panics if `v` is out of range.
     #[inline]
     pub fn neighbors(&self, v: usize) -> &[usize] {
-        self.csr.neighbors(v)
+        &self.targets[self.offsets[v]..self.offsets[v + 1]]
     }
 
     /// Degree of `v`.
     #[inline]
     pub fn degree(&self, v: usize) -> usize {
-        self.csr.degree(v)
+        self.offsets[v + 1] - self.offsets[v]
     }
 
     /// Minimum degree over all nodes.
     pub fn min_degree(&self) -> usize {
-        self.csr.min_degree()
+        (0..self.node_count())
+            .map(|v| self.degree(v))
+            .min()
+            .unwrap_or(0)
     }
 
     /// Maximum degree over all nodes.
     pub fn max_degree(&self) -> usize {
-        self.csr.max_degree()
+        (0..self.node_count())
+            .map(|v| self.degree(v))
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// The diameter `D` of `H`.
+    #[inline]
+    pub fn diameter(&self) -> u32 {
+        self.diameter
+    }
+
+    /// Iterates over all undirected edges `(a, b)` with `a < b`.
+    pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (0..self.node_count()).flat_map(move |a| {
+            self.neighbors(a)
+                .iter()
+                .filter(move |&&b| a < b)
+                .map(move |&b| (a, b))
+        })
+    }
+
+    /// Single-source BFS hop distances from `src` (`O(n)` memory, computed
+    /// on demand; unlike [`BaseGraph::distance`], it builds no matrix).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` is out of range.
+    pub fn bfs_distances(&self, src: usize) -> Vec<u32> {
+        assert!(src < self.node_count(), "source out of range");
+        let mut dist = vec![u32::MAX; self.node_count()];
+        let mut queue = Vec::with_capacity(self.node_count());
+        self.bfs_into(src, &mut dist, &mut queue);
+        dist
     }
 
     /// Hop distance `d(v, w)` in `H`.
@@ -210,16 +357,10 @@ impl BaseGraph {
             let mut matrix = vec![u32::MAX; n * n];
             let mut queue = Vec::with_capacity(n);
             for (src, row) in matrix.chunks_exact_mut(n).enumerate() {
-                self.csr.bfs_into(src, row, &mut queue);
+                self.bfs_into(src, row, &mut queue);
             }
             matrix
         })
-    }
-
-    /// The diameter `D` of `H`.
-    #[inline]
-    pub fn diameter(&self) -> u32 {
-        self.csr.diameter()
     }
 
     /// Checks the paper's structural requirement (§2): connected, minimum
@@ -236,11 +377,6 @@ impl BaseGraph {
             ));
         }
         Ok(())
-    }
-
-    /// Iterates over all undirected edges `(a, b)` with `a < b`.
-    pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.csr.edges()
     }
 }
 
@@ -358,13 +494,13 @@ mod tests {
     #[test]
     fn distance_matrix_is_built_on_first_use() {
         let a = BaseGraph::cycle(9);
-        let b = BaseGraph::from_csr(a.csr().clone());
+        let b = BaseGraph::cycle(9);
         assert!(a.distances.get().is_none(), "construction builds no matrix");
         assert_eq!(a.distance(0, 4), 4);
         assert!(a.distances.get().is_some(), "first query builds it");
         for v in 0..a.node_count() {
             let row: Vec<u32> = (0..a.node_count()).map(|w| a.distance(v, w)).collect();
-            assert_eq!(row, a.csr().bfs_distances(v));
+            assert_eq!(row, a.bfs_distances(v));
         }
         // Equality and clones see the graph, not the cache.
         assert!(b.distances.get().is_none());
@@ -410,24 +546,28 @@ mod tests {
     }
 
     #[test]
-    fn csr_roundtrip_preserves_structure() {
-        let g = BaseGraph::line_with_replicated_ends(5);
-        let rebuilt = BaseGraph::from_csr(g.csr().clone());
-        assert_eq!(g, rebuilt);
-        assert_eq!(g.csr().diameter(), g.diameter());
-        assert_eq!(g.csr().edge_count(), g.edge_count());
-        for v in 0..g.node_count() {
-            assert_eq!(g.csr().neighbors(v), g.neighbors(v));
-            assert_eq!(g.csr().bfs_distances(v)[0], g.distance(v, 0));
-        }
-    }
-
-    #[test]
     fn adjacency_is_sorted_for_determinism() {
         let g = BaseGraph::from_edges(4, &[(3, 0), (0, 2), (2, 1), (1, 3), (0, 1)]);
         for v in 0..4 {
             let ns = g.neighbors(v);
             assert!(ns.windows(2).all(|w| w[0] < w[1]));
         }
+    }
+
+    #[test]
+    fn bfs_distances_match_structure() {
+        let g = BaseGraph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
+        let d = g.bfs_distances(0);
+        assert_eq!(d, vec![0, 1, 2, 3, 2, 1]);
+        assert_eq!(g.diameter(), 3);
+    }
+
+    #[test]
+    fn single_node_graph_is_degenerate_but_valid() {
+        let g = BaseGraph::from_edges(1, &[]);
+        assert_eq!(g.node_count(), 1);
+        assert_eq!(g.edge_count(), 0);
+        assert_eq!(g.diameter(), 0);
+        assert!(g.neighbors(0).is_empty());
     }
 }

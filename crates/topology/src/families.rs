@@ -1,11 +1,11 @@
 //! Deterministic base-graph family generators.
 //!
-//! Every generator lowers to the [`CsrGraph`](crate::CsrGraph) core via
-//! [`BaseGraph`] and returns a [`Family`]: the graph plus a **versioned
-//! topology descriptor** that experiment records stamp into
-//! `BENCH_*.json` (the schema-v6 `topology` field), so trajectory tooling
-//! can group skew envelopes by graph shape the way it groups fault
-//! records by campaign.
+//! Every generator lowers its edge list to a [`BaseGraph`] (sorted CSR
+//! rows, validated by [`BaseGraph::from_edges`]) and returns a
+//! [`Family`]: the graph plus a **versioned topology descriptor** that
+//! experiment records stamp into `BENCH_*.json` (the schema-v6
+//! `topology` field), so trajectory tooling can group skew envelopes by
+//! graph shape the way it groups fault records by campaign.
 //!
 //! The generator contract (see ARCHITECTURE.md, *Topology guide*) has
 //! three clauses, all enforced structurally:

@@ -259,13 +259,6 @@ impl LayeredGraph {
         }
     }
 
-    /// Convenience constructor for the paper's square-grid setting: base
-    /// graph = line with replicated ends of length `width`, and `width`
-    /// layers.
-    pub fn square(width: usize) -> Self {
-        Self::new(BaseGraph::line_with_replicated_ends(width), width)
-    }
-
     /// The base graph `H`.
     #[inline]
     pub fn base(&self) -> &BaseGraph {
@@ -605,7 +598,9 @@ mod tests {
 
     #[test]
     fn square_helper() {
-        let g = LayeredGraph::square(8);
+        // The paper's square setting: a line of 8 with replicated ends,
+        // 8 layers.
+        let g = LayeredGraph::new(BaseGraph::line_with_replicated_ends(8), 8);
         assert_eq!(g.layer_count(), 8);
         assert_eq!(g.width(), 10);
         assert_eq!(g.base().diameter(), 7);

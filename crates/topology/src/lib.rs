@@ -14,12 +14,12 @@
 //!
 //! This crate provides:
 //!
-//! * [`CsrGraph`] — the general compressed-sparse-row core every topology
-//!   family lowers to (sorted rows, diameter at construction);
-//! * [`BaseGraph`] — a `CsrGraph` plus the all-pairs distance matrix
-//!   (built by the first [`BaseGraph::distance`] query), with
-//!   constructors ([`BaseGraph::line_with_replicated_ends`],
-//!   [`BaseGraph::cycle`], [`BaseGraph::path`], [`BaseGraph::from_edges`]);
+//! * [`BaseGraph`] — the one graph type every topology family lowers to:
+//!   compressed-sparse-row adjacency (sorted rows), the diameter computed
+//!   at construction, and the all-pairs distance matrix built by the first
+//!   [`BaseGraph::distance`] query; with constructors
+//!   ([`BaseGraph::line_with_replicated_ends`], [`BaseGraph::cycle`],
+//!   [`BaseGraph::path`], [`BaseGraph::from_edges`]);
 //! * [`families`] — deterministic generators for tori, hypercubes, seeded
 //!   random-geometric graphs, sparse interleaved pods, and two-tier
 //!   supernode overlays, each stamped with a versioned topology descriptor;
@@ -66,13 +66,11 @@
 
 mod ancestors;
 mod base;
-mod csr;
 pub mod families;
 mod hex;
 mod layered;
 
 pub use ancestors::{distance_ancestors, distance_k_faulty, max_k_faulty};
 pub use base::BaseGraph;
-pub use csr::CsrGraph;
 pub use hex::{HexGrid, HexNodeId};
 pub use layered::{chunk_partition, EdgeId, InEdge, InEdgeCsr, LayeredGraph, NodeId};

@@ -1,7 +1,7 @@
 //! Property tests for graph invariants.
 
 use proptest::prelude::*;
-use trix_topology::{distance_ancestors, families, BaseGraph, CsrGraph, LayeredGraph};
+use trix_topology::{distance_ancestors, families, BaseGraph, LayeredGraph};
 
 /// SplitMix64 step — drives the random graphs from one proptest seed
 /// (the topology crate has no RNG dependency by design).
@@ -14,7 +14,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 /// Reference diameter: one BFS per source, `max_src max_v d(src, v)`.
-fn per_source_diameter(g: &CsrGraph) -> u32 {
+fn per_source_diameter(g: &BaseGraph) -> u32 {
     (0..g.node_count())
         .flat_map(|src| g.bfs_distances(src))
         .max()
@@ -22,7 +22,7 @@ fn per_source_diameter(g: &CsrGraph) -> u32 {
 }
 
 /// Node counts at and next to the edges of the 64-source batches that
-/// `CsrGraph`'s bit-parallel diameter runs in.
+/// `BaseGraph`'s bit-parallel diameter runs in.
 const BATCH_EDGE_SIZES: [usize; 14] = [
     1, 2, 63, 64, 65, 127, 128, 129, 191, 192, 193, 255, 256, 257,
 ];
@@ -63,7 +63,7 @@ fn random_connected(n: usize, window: usize, chords: usize, seed: u64) -> Vec<(u
 fn stray_component_in_last_partial_batch_is_rejected() {
     let mut edges: Vec<(usize, usize)> = (1..128).map(|v| (v - 1, v)).collect();
     edges.push((128, 129));
-    let _ = CsrGraph::from_edges(130, &edges);
+    let _ = BaseGraph::from_edges(130, &edges);
 }
 
 proptest! {
@@ -101,7 +101,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let n = if at_batch_edge { BATCH_EDGE_SIZES[edge_size] } else { size };
-        let g = CsrGraph::from_edges(n, &random_connected(n, 1 << window_log, chords, seed));
+        let g = BaseGraph::from_edges(n, &random_connected(n, 1 << window_log, chords, seed));
         prop_assert_eq!(g.diameter(), per_source_diameter(&g), "n={}", n);
     }
 
@@ -169,10 +169,10 @@ proptest! {
             let (a, b) = (make(which), make(which));
             prop_assert_eq!(&a, &b, "family {} must be reproducible", which);
             let g = a.graph();
-            prop_assert_eq!(g.csr(), b.graph().csr());
+            prop_assert!(g == b.graph());
             prop_assert!(g.validate_for_gcs().is_ok(), "family {}", which);
             prop_assert!(g.diameter() >= 1);
-            prop_assert_eq!(g.diameter(), per_source_diameter(g.csr()), "family {}", which);
+            prop_assert_eq!(g.diameter(), per_source_diameter(g), "family {}", which);
             for v in 0..g.node_count() {
                 let ns = g.neighbors(v);
                 prop_assert!(ns.windows(2).all(|w| w[0] < w[1]), "sorted rows");

@@ -10,7 +10,8 @@
 //! cargo run --release --example self_stabilization
 //! ```
 
-use gradient_trix::core::{GridNodeConfig, Params};
+use gradient_trix::analysis::theory;
+use gradient_trix::core::Params;
 use gradient_trix::faults::scrambled_network;
 use gradient_trix::sim::{Rng, StaticEnvironment};
 use gradient_trix::time::{Duration, Time};
@@ -22,7 +23,6 @@ fn main() {
     let grid = LayeredGraph::new(BaseGraph::line_with_replicated_ends(6), 6);
     let mut rng = Rng::seed_from(1);
     let env = StaticEnvironment::random(&grid, params.d(), params.u(), params.theta(), &mut rng);
-    let cfg = GridNodeConfig::standard(params, grid.base().diameter());
 
     let dead = grid.node(3, 2);
     let permanent: HashSet<_> = [dead].into_iter().collect();
@@ -31,52 +31,40 @@ fn main() {
         grid.node_count()
     );
 
-    let source_pulses = 30;
+    let budget = theory::thm_1_6_pulse_budget(grid.base().diameter(), grid.layer_count());
+    let source_pulses = (2 * budget + 10) as u64;
     let mut net = scrambled_network(
         &grid,
         &params,
         &env,
-        cfg,
         source_pulses,
         50, // spurious in-flight messages
         &permanent,
         &mut rng,
     );
-    net.run(Time::from(
-        (source_pulses as f64 + grid.layer_count() as f64 + 4.0) * params.lambda().as_f64(),
-    ));
+    // Stop at the source's last pulse, before the pipeline drains.
+    let lambda = params.lambda().as_f64();
+    net.run(Time::from(source_pulses as f64 * lambda));
 
     let by_node = net.broadcasts_by_node();
-    let lambda = params.lambda().as_f64();
     let tol = params.kappa().as_f64();
     println!("\nper-layer worst stabilization pulse (gaps settle to Λ ± κ):");
     for layer in 1..grid.layer_count() {
-        let mut worst = 0usize;
-        for v in 0..grid.width() {
-            let node = grid.node(v, layer);
-            if permanent.contains(&node) {
-                continue;
-            }
-            let times = &by_node[net.index.engine_id(node)];
-            let gaps: Vec<f64> = times.windows(2).map(|w| (w[1] - w[0]).as_f64()).collect();
-            // First index after which gaps stay within tolerance
-            // (ignoring the shutdown drain at the very end).
-            let end = gaps.len().saturating_sub(3);
-            let mut first = end;
-            for i in (0..end).rev() {
-                if (gaps[i] - lambda).abs() <= tol {
-                    first = i;
-                } else {
-                    break;
-                }
-            }
-            worst = worst.max(first);
+        let worst = (0..grid.width())
+            .map(|v| grid.node(v, layer))
+            .filter(|node| !permanent.contains(node))
+            .map(|node| {
+                let times = &by_node[net.index.engine_id(node)];
+                theory::stabilization_pulse(times, lambda, tol)
+            })
+            .try_fold(0, |worst, s| s.map(|s| worst.max(s)));
+        match worst {
+            Some(worst) => println!("  layer {layer}: stabilized by pulse {worst}"),
+            None => println!("  layer {layer}: never stabilized"),
         }
-        println!("  layer {layer}: stabilized by pulse {worst}");
     }
     println!(
-        "\nevents processed: {}; Theorem 1.6 budget (layers + D): {}",
+        "\nevents processed: {}; Theorem 1.6 budget (layers + D): {budget}",
         net.des.events_processed(),
-        grid.layer_count() + grid.base().diameter() as usize
     );
 }

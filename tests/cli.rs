@@ -1,6 +1,7 @@
 //! The `trix` binary's usage errors: an unknown command, an unknown
 //! flag, an unparsable flag value or one out of range exits with code 2
-//! before any simulation runs, and a well-formed run exits 0.
+//! before any simulation runs, and a well-formed run exits 0. `trix
+//! stabilize` reports a layer that does not settle as never stabilized.
 
 use std::process::{Command, Output};
 
@@ -58,4 +59,29 @@ fn well_formed_commands_exit_0() {
         assert_eq!(out.status.code(), Some(0), "trix {args:?}");
         assert!(!out.stdout.is_empty(), "trix {args:?} printed nothing");
     }
+}
+
+fn stabilize_stdout(args: &[&str]) -> String {
+    let out = trix(&[&["stabilize"][..], args].concat());
+    assert_eq!(out.status.code(), Some(0), "trix stabilize {args:?}");
+    String::from_utf8(out.stdout).expect("utf-8 output")
+}
+
+/// Dead nodes at columns 0 and 2 of layer 1 are adjacent, so the
+/// placement is not 1-local and the layers below do not settle.
+#[test]
+fn stabilize_reports_unsettled_layers_as_never() {
+    let stdout = stabilize_stdout(&["--width", "8", "--seed", "1", "--dead", "8"]);
+    assert!(stdout.contains("never"), "{stdout}");
+}
+
+/// A fault-free width-12 grid settles on every layer: the run stops at
+/// the source's last pulse, before the drain that reaches further back
+/// than the detector's ignored gaps at this width.
+#[test]
+fn stabilize_fault_free_wide_grid_settles_everywhere() {
+    let stdout = stabilize_stdout(&["--width", "12", "--seed", "2"]);
+    assert!(!stdout.contains("never"), "{stdout}");
+    let settled = stdout.matches("stabilized by pulse").count();
+    assert_eq!(settled, 11, "{stdout}");
 }

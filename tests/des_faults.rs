@@ -2,7 +2,7 @@
 //! babbling nodes (spurious pulses at arbitrary rates) and silent nodes
 //! inside a live grid.
 
-use gradient_trix::core::{GridNetwork, GridNodeConfig, Params};
+use gradient_trix::core::{GridNetwork, Params};
 use gradient_trix::faults::{arrival_network, BabblingDesNode, SilentDesNode};
 use gradient_trix::sim::{Node, Rng, StaticEnvironment};
 use gradient_trix::time::{Duration, LocalTime, Time};
@@ -20,8 +20,7 @@ fn build_and_run(
     let g = LayeredGraph::new(BaseGraph::line_with_replicated_ends(5), 5);
     let mut rng = Rng::seed_from(seed);
     let env = StaticEnvironment::random(&g, p.d(), p.u(), p.theta(), &mut rng);
-    let cfg = GridNodeConfig::standard(p, g.base().diameter());
-    let mut net = GridNetwork::build(&g, &p, &env, cfg, 24, &mut rng, |id, _| fault(id));
+    let mut net = GridNetwork::build(&g, &p, &env, 24, &mut rng, |id, _| fault(id));
     net.des.set_max_events(2_000_000);
     net.run(Time::from(1e9));
     (g, net, p)
@@ -171,7 +170,6 @@ fn new_arrivals_with_stale_state_resync_without_extreme_inversion() {
     for seed in 0..14u64 {
         let mut rng = Rng::seed_from(seed);
         let env = StaticEnvironment::random(&g, p.d(), p.u(), p.theta(), &mut rng);
-        let cfg = GridNodeConfig::standard(p, g.base().diameter());
         // Two arrivals in different columns and layers, both booting
         // from snapshots 5Λ stale relative to their join instant.
         let late = g.node(2, 2);
@@ -183,7 +181,7 @@ fn new_arrivals_with_stale_state_resync_without_extreme_inversion() {
         .into_iter()
         .collect();
         let stale_age = p.lambda() * 5.0;
-        let mut net = arrival_network(&g, &p, &env, cfg, 30, &arrivals, stale_age, &mut rng);
+        let mut net = arrival_network(&g, &p, &env, 30, &arrivals, stale_age, &mut rng);
         net.des.set_max_events(2_000_000);
         net.run(Time::from(40.0 * lambda));
         let by_node = net.broadcasts_by_node();
@@ -228,9 +226,8 @@ fn event_cap_protects_against_runaway_babblers() {
     let g = LayeredGraph::new(BaseGraph::line_with_replicated_ends(4), 4);
     let mut rng = Rng::seed_from(1);
     let env = StaticEnvironment::random(&g, p.d(), p.u(), p.theta(), &mut rng);
-    let cfg = GridNodeConfig::standard(p, g.base().diameter());
     let bad = g.node(2, 1);
-    let mut net = GridNetwork::build(&g, &p, &env, cfg, 10, &mut rng, |id, _| {
+    let mut net = GridNetwork::build(&g, &p, &env, 10, &mut rng, |id, _| {
         (id == bad).then(|| {
             // Pathologically fast babbler.
             Box::new(BabblingDesNode::new(Duration::from(1.0), Duration::ZERO)) as Box<dyn Node>

@@ -2,7 +2,7 @@
 //! executions on both engines — the foundation for reproducible
 //! experiments.
 
-use gradient_trix::core::{GradientTrixRule, GridNetwork, GridNodeConfig, Layer0Line, Params};
+use gradient_trix::core::{GradientTrixRule, GridNetwork, Layer0Line, Params};
 use gradient_trix::faults::{
     arrival_network, crash_recover_network, ChurnCampaign, ChurnSchedule, FaultBehavior,
     FaultCampaign, FaultSchedule,
@@ -77,8 +77,7 @@ fn des_is_bit_reproducible() {
     let run = || {
         let mut rng = Rng::seed_from(5);
         let env = StaticEnvironment::random(&g, p.d(), p.u(), p.theta(), &mut rng);
-        let cfg = GridNodeConfig::standard(p, g.base().diameter());
-        let mut net = GridNetwork::build(&g, &p, &env, cfg, 12, &mut rng, |_, _| None);
+        let mut net = GridNetwork::build(&g, &p, &env, 12, &mut rng, |_, _| None);
         net.run(Time::from(1e9));
         net.des
             .broadcasts()
@@ -149,8 +148,7 @@ fn seeded_scenario_traces_are_bit_identical() {
         // DES engine over the same seed.
         let mut rng = Rng::seed_from(0x5EED_2025);
         let env = StaticEnvironment::random(&g, p.d(), p.u(), p.theta(), &mut rng);
-        let cfg = GridNodeConfig::standard(p, g.base().diameter());
-        let mut net = GridNetwork::build(&g, &p, &env, cfg, 6, &mut rng, |_, _| None);
+        let mut net = GridNetwork::build(&g, &p, &env, 6, &mut rng, |_, _| None);
         net.run(Time::from(1e9));
         for b in net.des.broadcasts() {
             mix(&mut h, b.node as u64);
@@ -220,12 +218,11 @@ fn seeded_campaign_traces_are_bit_identical() {
         let small = LayeredGraph::new(BaseGraph::line_with_replicated_ends(4), 4);
         let mut rng = Rng::seed_from(0xCA3B_A167);
         let env = StaticEnvironment::random(&small, p.d(), p.u(), p.theta(), &mut rng);
-        let cfg = GridNodeConfig::standard(p, small.base().diameter());
         let rejoins: std::collections::HashMap<_, _> =
             [(small.node(2, 2), LocalTime::from(5.0 * p.lambda().as_f64()))]
                 .into_iter()
                 .collect();
-        let mut net = crash_recover_network(&small, &p, &env, cfg, 12, &rejoins, &mut rng);
+        let mut net = crash_recover_network(&small, &p, &env, 12, &rejoins, &mut rng);
         net.run(Time::from(1e9));
         for b in net.des.broadcasts() {
             mix(&mut h, b.node as u64);
@@ -283,13 +280,12 @@ fn seeded_churn_traces_are_bit_identical() {
         let small = LayeredGraph::new(BaseGraph::line_with_replicated_ends(4), 4);
         let mut rng = Rng::seed_from(0xC4A2_2026);
         let env = StaticEnvironment::random(&small, p.d(), p.u(), p.theta(), &mut rng);
-        let cfg = GridNodeConfig::standard(p, small.base().diameter());
         let arrivals: std::collections::HashMap<_, _> =
             [(small.node(2, 2), LocalTime::from(6.0 * p.lambda().as_f64()))]
                 .into_iter()
                 .collect();
         let stale = p.lambda() * 4.0;
-        let mut net = arrival_network(&small, &p, &env, cfg, 12, &arrivals, stale, &mut rng);
+        let mut net = arrival_network(&small, &p, &env, 12, &arrivals, stale, &mut rng);
         net.run(Time::from(1e9));
         for b in net.des.broadcasts() {
             mix(&mut h, b.node as u64);

@@ -5,8 +5,7 @@ use gradient_trix::analysis::{
     full_local_skew, global_skew, intra_layer_skew, max_intra_layer_skew, psi, theory,
 };
 use gradient_trix::core::{
-    check_gcs_conditions, check_pulse_interval, GradientTrixRule, GridNetwork, GridNodeConfig,
-    Layer0Line, Params,
+    check_gcs_conditions, check_pulse_interval, GradientTrixRule, GridNetwork, Layer0Line, Params,
 };
 use gradient_trix::sim::{run_dataflow, CorrectSends, Rng, StaticEnvironment};
 use gradient_trix::time::{Duration, Time};
@@ -131,8 +130,7 @@ fn des_and_dataflow_agree_on_steady_state_period() {
     let df_skew = max_intra_layer_skew(&g, &trace, 4..6);
 
     // DES.
-    let cfg = GridNodeConfig::standard(p, g.base().diameter());
-    let mut net = GridNetwork::build(&g, &p, &env, cfg, 20, &mut rng, |_, _| None);
+    let mut net = GridNetwork::build(&g, &p, &env, 20, &mut rng, |_, _| None);
     net.run(Time::from(1e9));
     let by_node = net.broadcasts_by_node();
     // Nearest-pulse skew around a mid-run reference.
