@@ -11,8 +11,7 @@
 //!   `trix_obs::PodSketch` snapshot: dominant skew modes, per-mode
 //!   spatial origin, wave-velocity estimates, and the *measured*
 //!   reconstruction error the sketch's certificate must dominate;
-//! * [`Table`] / [`Summary`] — result rendering for the experiment
-//!   harness.
+//! * [`Table`] — result rendering for the experiment harness.
 //!
 //! # Examples
 //!
@@ -50,4 +49,4 @@ pub use skew::{
     full_local_skew, global_skew, inter_layer_skew, intra_layer_skew, max_intra_layer_skew,
     skew_by_layer,
 };
-pub use table::{fmt_f64, Summary, Table};
+pub use table::{fmt_f64, Table};

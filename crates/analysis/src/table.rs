@@ -3,46 +3,6 @@
 
 use std::fmt::Write as _;
 
-/// Summary statistics of a sample.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Summary {
-    /// Smallest value.
-    pub min: f64,
-    /// Largest value.
-    pub max: f64,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Median (50th percentile).
-    pub p50: f64,
-    /// 95th percentile.
-    pub p95: f64,
-    /// Sample count.
-    pub count: usize,
-}
-
-impl Summary {
-    /// Computes summary statistics.
-    ///
-    /// Returns `None` for an empty sample.
-    pub fn of(values: impl IntoIterator<Item = f64>) -> Option<Self> {
-        let mut v: Vec<f64> = values.into_iter().collect();
-        if v.is_empty() {
-            return None;
-        }
-        v.sort_by(f64::total_cmp);
-        let count = v.len();
-        let pct = |q: f64| v[(q * (count - 1) as f64).round() as usize];
-        Some(Self {
-            min: v[0],
-            max: v[count - 1],
-            mean: v.iter().sum::<f64>() / count as f64,
-            p50: pct(0.50),
-            p95: pct(0.95),
-            count,
-        })
-    }
-}
-
 /// A simple markdown table builder used by the experiment harness to print
 /// paper-style result tables.
 ///
@@ -177,18 +137,6 @@ pub fn fmt_f64(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn summary_statistics() {
-        let s = Summary::of((1..=100).map(|i| i as f64)).unwrap();
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 100.0);
-        assert_eq!(s.mean, 50.5);
-        assert_eq!(s.p50, 51.0); // round(0.5·99) = index 50
-        assert_eq!(s.p95, 95.0);
-        assert_eq!(s.count, 100);
-        assert!(Summary::of(std::iter::empty()).is_none());
-    }
 
     #[test]
     fn markdown_rendering() {

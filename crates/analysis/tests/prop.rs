@@ -1,7 +1,7 @@
 //! Property tests for the analysis metrics.
 
 use proptest::prelude::*;
-use trix_analysis::{global_skew, intra_layer_skew, psi, Summary};
+use trix_analysis::{global_skew, intra_layer_skew, psi};
 use trix_core::Params;
 use trix_sim::PulseTrace;
 use trix_time::{Duration, Time};
@@ -66,15 +66,5 @@ proptest! {
         let psi0 = psi(&g, &trace, &p, 0, 0, 0).unwrap();
         let global = global_skew(&g, &trace, 0, 0).unwrap();
         prop_assert!((psi0 - global).abs().as_f64() < 1e-9);
-    }
-
-    /// Summary statistics are internally consistent.
-    #[test]
-    fn summary_is_consistent(values in proptest::collection::vec(-1e6f64..1e6, 1..200)) {
-        let s = Summary::of(values.iter().copied()).unwrap();
-        prop_assert!(s.min <= s.p50 && s.p50 <= s.max);
-        prop_assert!(s.min <= s.mean && s.mean <= s.max);
-        prop_assert!(s.p50 <= s.p95 || (s.p95 - s.p50).abs() < 1e-12);
-        prop_assert_eq!(s.count, values.len());
     }
 }

@@ -328,7 +328,6 @@ pub fn run(point: &SweepPoint, seeds: &[u64], sim_threads: usize) -> ScenarioRes
             &mut (&mut skew, &mut classes),
         );
         skew.finish();
-        classes.finish();
         snaps.push(skew.snapshot());
         class_snaps.push(classes.snapshot());
     }

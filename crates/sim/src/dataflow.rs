@@ -19,7 +19,7 @@
 
 use crate::{Environment, Observer};
 use trix_time::{AffineClock, Time};
-use trix_topology::{EdgeId, InEdgeCsr, LayeredGraph, NodeId};
+use trix_topology::{EdgeId, LayeredGraph, NodeId};
 
 /// A per-node pulse-forwarding decision rule.
 ///
@@ -329,13 +329,11 @@ pub fn run_dataflow_observed(
             obs.on_faulty(n);
         }
     }
-    let csr = g.in_edge_csr();
-    let clocks = env.pulse_invariant_clocks();
     // Nominal pulse times of the layer currently feeding (`prev`, layer
     // ℓ−1) and the layer being computed (`cur`, layer ℓ), iteration `k`.
     let mut prev: Vec<Option<Time>> = vec![None; g.width()];
     let mut cur: Vec<Option<Time>> = vec![None; g.width()];
-    let mut scratch: Vec<Option<Time>> = Vec::with_capacity(csr.max_in_degree());
+    let mut scratch: Vec<Option<Time>> = Vec::with_capacity(g.base().max_degree());
     for k in 0..pulses {
         for (v, slot) in prev.iter_mut().enumerate() {
             *slot = sends
@@ -349,8 +347,6 @@ pub fn run_dataflow_observed(
                 env,
                 rule,
                 sends,
-                &csr,
-                clocks,
                 k,
                 layer,
                 0,
@@ -371,17 +367,16 @@ pub fn run_dataflow_observed(
 ///
 /// This is the shared inner loop of the serial and parallel drivers: a
 /// pure function of `prev` (the full layer-`ℓ−1` row) per column, so any
-/// partition into chunks computes bit-identical times. All edge lookups
-/// go through the precomputed [`InEdgeCsr`]; `scratch` is the caller's
-/// reusable neighbor-arrival buffer (no per-node allocation).
+/// partition into chunks computes bit-identical times. Column `w`'s
+/// predecessors are its base-graph row and its edges the block at
+/// [`LayeredGraph::in_edge_block`]; `scratch` is the caller's reusable
+/// neighbor-arrival buffer (no per-node allocation).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn eval_layer_chunk(
     g: &LayeredGraph,
     env: &impl Environment,
     rule: &impl PulseRule,
     sends: &impl SendModel,
-    csr: &InEdgeCsr,
-    clocks: Option<&[AffineClock]>,
     k: usize,
     layer: usize,
     lo: usize,
@@ -401,25 +396,19 @@ pub(crate) fn eval_layer_chunk(
             *slot = None;
             continue;
         }
-        let row = csr.in_edges(w);
+        let block = boundary_base + g.in_edge_block(w);
         let own = sends
             .send_time(NodeId::new(w as u32, sender_layer), k, prev[w], target)
-            .map(|t| t + env.delay(k, EdgeId(boundary_base + row[0].edge as usize)));
+            .map(|t| t + env.delay(k, EdgeId(block)));
         scratch.clear();
-        for entry in &row[1..] {
-            let sender = NodeId::new(entry.pred, sender_layer);
+        for (i, &x) in g.base().neighbors(w).iter().enumerate() {
+            let sender = NodeId::new(x as u32, sender_layer);
             let arrival = sends
-                .send_time(sender, k, prev[entry.pred as usize], target)
-                .map(|t| t + env.delay(k, EdgeId(boundary_base + entry.edge as usize)));
+                .send_time(sender, k, prev[x], target)
+                .map(|t| t + env.delay(k, EdgeId(block + 1 + i)));
             scratch.push(arrival);
         }
-        *slot = match clocks {
-            Some(cache) => rule.pulse_time(target, k, own, scratch, &cache[layer * g.width() + w]),
-            None => {
-                let clock = env.clock(k, target);
-                rule.pulse_time(target, k, own, scratch, &clock)
-            }
-        };
+        *slot = rule.pulse_time(target, k, own, scratch, &env.clock(k, target));
     }
 }
 
@@ -502,8 +491,9 @@ pub fn run_dataflow_parallel(
 mod tests {
     use super::*;
     use crate::StaticEnvironment;
+    use std::cell::RefCell;
     use trix_time::Duration;
-    use trix_topology::BaseGraph;
+    use trix_topology::{families, BaseGraph};
 
     /// Fires at max(arrivals) + 1.
     struct MaxPlusOne;
@@ -742,6 +732,57 @@ mod tests {
             3,
             &mut crate::NullObserver,
         );
+    }
+
+    /// A static environment that records every delay and clock query.
+    struct Recording<'a> {
+        inner: &'a StaticEnvironment,
+        delays: RefCell<Vec<(usize, EdgeId)>>,
+        clocks: RefCell<Vec<(usize, NodeId)>>,
+    }
+
+    impl Environment for Recording<'_> {
+        fn delay(&self, k: usize, e: EdgeId) -> Duration {
+            self.delays.borrow_mut().push((k, e));
+            self.inner.delay(k, e)
+        }
+
+        fn clock(&self, k: usize, node: NodeId) -> AffineClock {
+            self.clocks.borrow_mut().push((k, node));
+            self.inner.clock(k, node)
+        }
+    }
+
+    /// The serial driver reads each target's in-edges in `predecessors`
+    /// order, own edge first, and asks for the target's own clock: on the
+    /// paper's line and on a supernode overlay, whose hubs (degree 8) and
+    /// leaves (degree 2) give blocks of mixed sizes.
+    #[test]
+    fn driver_queries_each_targets_predecessor_edges_in_order() {
+        for base in [
+            BaseGraph::line_with_replicated_ends(6),
+            families::supernode_overlay(4, 3).into_graph(),
+        ] {
+            let g = LayeredGraph::new(base, 4);
+            let inner = StaticEnvironment::nominal(&g, Duration::from(10.0));
+            let env = Recording {
+                inner: &inner,
+                delays: RefCell::default(),
+                clocks: RefCell::default(),
+            };
+            let layer0 = OffsetLayer0::synchronized(50.0, g.width());
+            let mut obs = crate::NullObserver;
+            run_dataflow_observed(&g, &env, &layer0, &MaxPlusOne, &CorrectSends, 2, &mut obs);
+            let targets: Vec<(usize, NodeId)> = (0..2)
+                .flat_map(|k| g.nodes().filter(|n| n.layer > 0).map(move |n| (k, n)))
+                .collect();
+            let edges: Vec<(usize, EdgeId)> = targets
+                .iter()
+                .flat_map(|&(k, n)| g.predecessors(n).map(move |(_, e)| (k, e)))
+                .collect();
+            assert_eq!(env.delays.into_inner(), edges);
+            assert_eq!(env.clocks.into_inner(), targets);
+        }
     }
 
     #[test]

@@ -25,19 +25,6 @@ pub trait Environment {
     /// clocks because a node's decision in one iteration only uses local
     /// time *differences* within that iteration.
     fn clock(&self, k: usize, node: NodeId) -> AffineClock;
-
-    /// Pulse-invariant per-node clock table, if this environment has one.
-    ///
-    /// When `Some(clocks)`, `clocks[layer · width + v]` must equal
-    /// [`Environment::clock`]`(k, (v, layer))` for **every** `k`. The
-    /// dataflow executors use this to cache the snapshot per node instead
-    /// of calling `clock` once per (node, pulse) — for
-    /// [`StaticEnvironment`] (clocks fixed for the whole execution, the
-    /// paper's core model) the table is just its clock vector. Per-pulse
-    /// environments keep the `None` default and take the virtual call.
-    fn pulse_invariant_clocks(&self) -> Option<&[AffineClock]> {
-        None
-    }
 }
 
 /// The static environment of the paper's core analysis: per-edge delays and
@@ -112,11 +99,6 @@ impl Environment for StaticEnvironment {
     #[inline]
     fn clock(&self, _k: usize, node: NodeId) -> AffineClock {
         self.clocks[node.layer as usize * self.width + node.v as usize]
-    }
-
-    #[inline]
-    fn pulse_invariant_clocks(&self) -> Option<&[AffineClock]> {
-        Some(&self.clocks)
     }
 }
 
@@ -195,24 +177,6 @@ mod tests {
         let a = StaticEnvironment::random(&g, d, u, 1.01, &mut Rng::seed_from(2));
         let b = StaticEnvironment::random(&g, d, u, 1.01, &mut Rng::seed_from(2));
         assert_eq!(a.delays(), b.delays());
-    }
-
-    #[test]
-    fn static_environment_exposes_pulse_invariant_clocks() {
-        let g = graph();
-        let clocks = (0..g.node_count())
-            .map(|i| AffineClock::with_rate(1.0 + i as f64 * 1e-6))
-            .collect();
-        let env = StaticEnvironment::new(&g, vec![Duration::from(10.0); g.edge_count()], clocks);
-        let cache = env.pulse_invariant_clocks().expect("static clocks");
-        for n in g.nodes() {
-            for k in [0, 3, 17] {
-                assert_eq!(cache[g.node_index(n)], env.clock(k, n));
-            }
-        }
-        // Per-pulse environments keep the default (no cache).
-        let per_pulse = SequenceEnvironment::new(vec![env.clone()]);
-        assert!(per_pulse.pulse_invariant_clocks().is_none());
     }
 
     #[test]

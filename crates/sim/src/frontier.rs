@@ -10,12 +10,15 @@
 //! and tracks, per chunk, a frontier of *published steps*, where step
 //! `s = k · layer_count + ℓ` totally orders the `(pulse, layer)` grid.
 //! A worker may evaluate its chunk at step `s` as soon as the chunks
-//! covering its in-edge boundary (a `O(1)`-column set for the paper's
-//! bounded-degree base graphs, precomputed from
-//! [`trix_topology::InEdgeCsr::boundary_preds`]) have published step
-//! `s − 1` — no global barrier, stragglers only block their immediate
-//! downstream neighbors, and independent chunks pipeline freely across
-//! layers *and* pulses.
+//! covering its in-edge boundary have published step `s − 1` — no global
+//! barrier, stragglers only block their immediate downstream neighbors,
+//! and independent chunks pipeline freely across layers *and* pulses.
+//! Every layer boundary is a copy of the base graph, so a chunk's
+//! boundary is read off the base graph's rows once per run
+//! ([`trix_topology::boundary_preds`]): the columns
+//! outside the chunk that are neighbors of a column inside it (an
+//! `O(1)`-column set for the paper's bounded-degree base graphs, none
+//! for a full-width chunk).
 //!
 //! # Publication protocol
 //!
@@ -65,7 +68,7 @@ use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 use trix_time::Time;
-use trix_topology::{chunk_partition, InEdgeCsr, LayeredGraph, NodeId};
+use trix_topology::{boundary_preds, chunk_partition, BaseGraph, LayeredGraph, NodeId};
 
 /// Worker count a `threads == 0` knob resolves to when
 /// [`std::thread::available_parallelism`] fails (unsupported platform,
@@ -273,7 +276,7 @@ struct ChunkPlan {
     deps: Vec<(usize, usize, Vec<usize>)>,
 }
 
-fn build_plans(csr: &InEdgeCsr, bounds: &[(usize, usize)]) -> Vec<ChunkPlan> {
+fn build_plans(base: &BaseGraph, bounds: &[(usize, usize)]) -> Vec<ChunkPlan> {
     // All chunks except possibly the last have the same (ceil) size, so
     // a column's owning chunk is an index division away.
     let size = bounds[0].1 - bounds[0].0;
@@ -282,8 +285,7 @@ fn build_plans(csr: &InEdgeCsr, bounds: &[(usize, usize)]) -> Vec<ChunkPlan> {
         .enumerate()
         .map(|(chunk, &(lo, hi))| {
             let mut deps: Vec<(usize, usize, Vec<usize>)> = Vec::new();
-            for pred in csr.boundary_preds(lo, hi) {
-                let col = pred as usize;
+            for col in boundary_preds(base, lo, hi) {
                 let owner = col / size;
                 match deps.last_mut() {
                     Some((d, _, cols)) if *d == owner => cols.push(col),
@@ -322,14 +324,12 @@ pub(crate) fn run_frontier(
     // serves all of them, for any base graph a family generator produced.
     let width = g.width();
     let layer_count = g.layer_count();
-    let csr = g.in_edge_csr();
-    let clocks = env.pulse_invariant_clocks();
     // The partition is canonical and never influences results (each
     // column is a pure function of the previous row), only load balance;
     // it may yield fewer chunks than requested workers (degenerate
     // widths), in which case we spawn exactly one worker per chunk.
     let bounds = chunk_partition(width, workers);
-    let plans = build_plans(&csr, &bounds);
+    let plans = build_plans(g.base(), &bounds);
     let progress = Progress::new(&bounds);
     let total_steps = (pulses * layer_count) as i64;
     let panic_payload: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
@@ -339,7 +339,7 @@ pub(crate) fn run_frontier(
     };
     std::thread::scope(|scope| {
         for plan in &plans {
-            let (progress, report, csr) = (&progress, &report, &csr);
+            let (progress, report) = (&progress, &report);
             scope.spawn(move || {
                 // One `catch_unwind` around the whole worker: any panic
                 // in rule/env/sends/layer0 code aborts the run and the
@@ -354,7 +354,7 @@ pub(crate) fn run_frontier(
                         let mut view: Vec<Option<Time>> = vec![None; width];
                         let mut out: Vec<Option<Time>> = vec![None; plan.hi - plan.lo];
                         let mut scratch: Vec<Option<Time>> =
-                            Vec::with_capacity(csr.max_in_degree());
+                            Vec::with_capacity(g.base().max_degree());
                         for k in 0..pulses {
                             for layer in 0..layer_count {
                                 let step = (k * layer_count + layer) as i64;
@@ -383,8 +383,6 @@ pub(crate) fn run_frontier(
                                         env,
                                         rule,
                                         sends,
-                                        csr,
-                                        clocks,
                                         k,
                                         layer,
                                         plan.lo,
@@ -450,31 +448,41 @@ mod tests {
         }
     }
 
+    /// Each plan lists, grouped by owning chunk and in ascending order,
+    /// exactly the columns a brute-force scan of the base graph's rows
+    /// finds: outside the chunk and adjacent to a column inside it. A
+    /// full-width chunk and the one chunk of a 1-wide graph depend on
+    /// nothing and may free-run through every layer.
     #[test]
     fn plans_cover_every_external_pred() {
-        let g = LayeredGraph::new(trix_topology::BaseGraph::line_with_replicated_ends(11), 3);
-        let csr = g.in_edge_csr();
-        let bounds = chunk_partition(g.width(), 4);
-        let plans = build_plans(&csr, &bounds);
-        assert_eq!(plans.len(), bounds.len());
-        for plan in &plans {
-            let mut seen: Vec<usize> = Vec::new();
-            for (dep, dep_lo, cols) in &plan.deps {
-                assert_ne!(*dep, plan.chunk, "own chunk never a dep");
-                assert_eq!(bounds[*dep].0, *dep_lo);
-                for &col in cols {
+        for (base, chunks) in [
+            (BaseGraph::line_with_replicated_ends(11), 4),
+            (BaseGraph::cycle(6), 3),
+            (BaseGraph::cycle(6), 1),
+            (BaseGraph::from_edges(1, &[]), 8),
+        ] {
+            let bounds = chunk_partition(base.node_count(), chunks);
+            let plans = build_plans(&base, &bounds);
+            assert_eq!(plans.len(), bounds.len());
+            for plan in &plans {
+                let mut seen: Vec<usize> = Vec::new();
+                for (dep, dep_lo, cols) in &plan.deps {
+                    assert_ne!(*dep, plan.chunk, "own chunk never a dep");
                     let (lo, hi) = bounds[*dep];
-                    assert!(col >= lo && col < hi, "column owned by its dep chunk");
-                    seen.push(col);
+                    assert_eq!(lo, *dep_lo);
+                    assert!(cols.iter().all(|&c| c >= lo && c < hi), "owned by dep");
+                    seen.extend(cols);
                 }
+                let inside = plan.lo..plan.hi;
+                let expected: Vec<usize> = (0..base.node_count())
+                    .filter(|c| !inside.contains(c))
+                    .filter(|c| inside.clone().any(|w| base.neighbors(w).contains(c)))
+                    .collect();
+                assert_eq!(seen, expected);
             }
-            seen.sort_unstable();
-            let expected: Vec<usize> = csr
-                .boundary_preds(plan.lo, plan.hi)
-                .into_iter()
-                .map(|p| p as usize)
-                .collect();
-            assert_eq!(seen, expected);
+            if bounds.len() == 1 {
+                assert!(plans[0].deps.is_empty(), "a full-width chunk free-runs");
+            }
         }
     }
 }

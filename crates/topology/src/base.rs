@@ -280,6 +280,17 @@ impl BaseGraph {
         &self.targets[self.offsets[v]..self.offsets[v + 1]]
     }
 
+    /// Where `v`'s row starts in the concatenated neighbor lists: the
+    /// summed degrees of nodes `0 .. v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v > node_count()`.
+    #[inline]
+    pub(crate) fn row_start(&self, v: usize) -> usize {
+        self.offsets[v]
+    }
+
     /// Degree of `v`.
     #[inline]
     pub fn degree(&self, v: usize) -> usize {

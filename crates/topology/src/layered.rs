@@ -28,142 +28,6 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// One in-edge of a target column in the [`InEdgeCsr`] table.
-///
-/// `pred` is the predecessor's base-graph column; `edge` is the edge's
-/// dense index *within one layer boundary* — the global [`EdgeId`] of the
-/// edge into `(w, ℓ)` is `boundary_base + edge` where `boundary_base =
-/// (ℓ − 1) · edges_per_boundary()`. Both fields are `u32` so an entry is
-/// 8 bytes and a whole row fits in a cache line for degree-3 columns.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct InEdge {
-    /// Predecessor base-graph column.
-    pub pred: u32,
-    /// Edge index within a single layer boundary.
-    pub edge: u32,
-}
-
-/// Flattened per-target in-edge table of one layer boundary, in CSR
-/// layout.
-///
-/// The boundary between any two consecutive layers is identical (every
-/// layer is a copy of the base graph), so one table serves the whole
-/// layered graph: each dataflow driver builds it once per run and the
-/// inner loop becomes a contiguous scan instead of re-deriving
-/// [`LayeredGraph::own_in_edge`] / [`LayeredGraph::neighbor_in_edge`] and
-/// re-pushing neighbor lists per node.
-///
-/// Row `w` (see [`InEdgeCsr::in_edges`]) lists the in-edges of every copy
-/// `(w, ℓ≥1)`: slot 0 is the "own" edge from `(w, ℓ−1)`, slots `1..` the
-/// neighbor edges in sorted base-graph neighbor order — exactly the order
-/// [`LayeredGraph::predecessors`] yields.
-///
-/// For the parallel drivers, [`InEdgeCsr::boundary_preds`] **is the
-/// scheduling contract**: a column chunk may advance to layer `ℓ` exactly
-/// when every column it returns has published layer `ℓ − 1`. The frontier
-/// driver precomputes these per-chunk dependency lists and tracks per-chunk
-/// progress against them; there is no global layer barrier anymore.
-///
-/// # Examples
-///
-/// ```
-/// use trix_topology::{BaseGraph, EdgeId, LayeredGraph};
-///
-/// let g = LayeredGraph::new(BaseGraph::cycle(5), 4);
-/// let csr = g.in_edge_csr();
-/// let row = csr.in_edges(2);
-/// assert_eq!(row[0].pred, 2); // own edge first
-/// let target = g.node(2, 3);
-/// let boundary_base = 2 * g.edges_per_boundary();
-/// assert_eq!(
-///     g.own_in_edge(target),
-///     EdgeId(boundary_base + row[0].edge as usize)
-/// );
-/// ```
-#[derive(Clone, Debug)]
-pub struct InEdgeCsr {
-    /// Row bounds: column `w`'s entries are
-    /// `entries[offsets[w] .. offsets[w + 1]]`.
-    offsets: Vec<u32>,
-    entries: Vec<InEdge>,
-}
-
-impl InEdgeCsr {
-    fn build(g: &LayeredGraph) -> Self {
-        let width = g.width();
-        let mut offsets = Vec::with_capacity(width + 1);
-        let mut entries = Vec::with_capacity(g.edges_per_boundary());
-        offsets.push(0);
-        for w in 0..width {
-            let block = g.in_edge_offsets[w];
-            entries.push(InEdge {
-                pred: w as u32,
-                edge: block as u32,
-            });
-            for (slot, &x) in g.base.neighbors(w).iter().enumerate() {
-                entries.push(InEdge {
-                    pred: x as u32,
-                    edge: (block + 1 + slot) as u32,
-                });
-            }
-            offsets.push(entries.len() as u32);
-        }
-        Self { offsets, entries }
-    }
-
-    /// The in-edges of every copy of base column `w` on layers ≥ 1: own
-    /// edge first, then sorted neighbors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` is out of range.
-    #[inline]
-    pub fn in_edges(&self, w: usize) -> &[InEdge] {
-        &self.entries[self.offsets[w] as usize..self.offsets[w + 1] as usize]
-    }
-
-    /// Number of columns (the graph's width).
-    #[inline]
-    pub fn width(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Largest in-degree over all columns (scratch-buffer sizing).
-    pub fn max_in_degree(&self) -> usize {
-        self.offsets
-            .windows(2)
-            .map(|w| (w[1] - w[0]) as usize)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// The *external* predecessor columns of the contiguous column chunk
-    /// `lo .. hi`: every base column outside the chunk that some column
-    /// inside it reads across a layer boundary, sorted and deduplicated.
-    ///
-    /// Because every layer boundary is the same copy of the base graph,
-    /// one answer serves all layers — this is the chunk's in-edge
-    /// boundary that a frontier scheduler must see published before it
-    /// can advance the chunk to the next layer. For the paper's
-    /// degree-≤4 base graphs the result has `O(1)` entries regardless of
-    /// chunk size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi` or `hi` exceeds the width.
-    pub fn boundary_preds(&self, lo: usize, hi: usize) -> Vec<u32> {
-        assert!(lo < hi && hi <= self.width(), "chunk out of range");
-        let mut out: Vec<u32> = (lo..hi)
-            .flat_map(|w| self.in_edges(w))
-            .map(|e| e.pred)
-            .filter(|&p| (p as usize) < lo || p as usize >= hi)
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-}
-
 /// Splits the column range `0 .. width` into at most `chunks` contiguous,
 /// **non-empty** ranges of near-equal (ceil) size.
 ///
@@ -196,13 +60,39 @@ pub fn chunk_partition(width: usize, chunks: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
+/// The *external* predecessor columns of the column chunk `lo .. hi`:
+/// every column outside the chunk that is a base-graph neighbor of a
+/// column inside it, sorted and deduplicated. Every layer boundary is a
+/// copy of `base`, so a chunk may compute layer `ℓ` once each of these
+/// columns has published layer `ℓ − 1`.
+///
+/// # Examples
+///
+/// ```
+/// use trix_topology::{boundary_preds, BaseGraph};
+///
+/// let base = BaseGraph::cycle(6);
+/// assert_eq!(boundary_preds(&base, 0, 3), vec![3, 5]);
+/// assert!(boundary_preds(&base, 0, 6).is_empty()); // full width
+/// ```
+pub fn boundary_preds(base: &BaseGraph, lo: usize, hi: usize) -> Vec<usize> {
+    let mut out: Vec<usize> = (lo..hi)
+        .flat_map(|w| base.neighbors(w))
+        .copied()
+        .filter(|&p| p < lo || p >= hi)
+        .collect();
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
 /// Dense index of a directed edge of the layered graph.
 ///
 /// Edge indices are stable and contiguous: they index per-edge state such as
 /// link delays. The edge from `(v, ℓ)` to `(w, ℓ+1)` is addressed at its
 /// *target*: each target node owns a contiguous block of in-edge slots, with
 /// slot 0 the "own" edge from `(w, ℓ)` and slots `1..` the neighbor edges in
-/// sorted neighbor order.
+/// sorted neighbor order (see [`LayeredGraph::in_edge_block`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EdgeId(pub usize);
 
@@ -227,11 +117,6 @@ pub struct EdgeId(pub usize);
 pub struct LayeredGraph {
     base: BaseGraph,
     layer_count: usize,
-    /// Per base node `w`: offset of its in-edge block within one layer
-    /// boundary. Block size is `1 + deg(w)`.
-    in_edge_offsets: Vec<usize>,
-    /// Total number of directed edges between two consecutive layers.
-    edges_per_boundary: usize,
 }
 
 impl LayeredGraph {
@@ -245,18 +130,7 @@ impl LayeredGraph {
     /// Panics if `layer_count == 0`.
     pub fn new(base: BaseGraph, layer_count: usize) -> Self {
         assert!(layer_count >= 1, "need at least one layer");
-        let mut in_edge_offsets = Vec::with_capacity(base.node_count());
-        let mut acc = 0usize;
-        for w in 0..base.node_count() {
-            in_edge_offsets.push(acc);
-            acc += 1 + base.degree(w);
-        }
-        Self {
-            base,
-            layer_count,
-            in_edge_offsets,
-            edges_per_boundary: acc,
-        }
+        Self { base, layer_count }
     }
 
     /// The base graph `H`.
@@ -286,13 +160,14 @@ impl LayeredGraph {
     /// Total number of directed edges `|E_G|`.
     #[inline]
     pub fn edge_count(&self) -> usize {
-        self.layer_count.saturating_sub(1) * self.edges_per_boundary
+        self.layer_count.saturating_sub(1) * self.edges_per_boundary()
     }
 
-    /// Number of directed edges between two consecutive layers.
+    /// Number of directed edges between two consecutive layers, `n + 2m`:
+    /// one own edge per column and both directions of every base edge.
     #[inline]
     pub fn edges_per_boundary(&self) -> usize {
-        self.edges_per_boundary
+        self.width() + 2 * self.base.edge_count()
     }
 
     /// The node `(v, layer)`.
@@ -339,16 +214,49 @@ impl LayeredGraph {
         1 + self.base.degree(v)
     }
 
+    /// Offset of the in-edge block of every copy `(w, ℓ ≥ 1)` within one
+    /// layer boundary. The block is `w`'s base-graph row with the own edge
+    /// in front: slot 0 is the edge from `(w, ℓ − 1)`, slot `1 + i` the
+    /// edge from `w`'s `i`-th sorted neighbor. The blocks of columns
+    /// `0 .. w` hold `w` own edges and, in the base graph's concatenated
+    /// rows, the neighbor edges that precede `w`'s row, so
+    /// `in_edge_block(width())` is [`LayeredGraph::edges_per_boundary`].
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use trix_topology::{BaseGraph, EdgeId, LayeredGraph};
+    ///
+    /// let g = LayeredGraph::new(BaseGraph::cycle(5), 4);
+    /// assert_eq!(g.in_edge_block(2), 6); // columns 0 and 1 own 3 slots each
+    /// let target = g.node(2, 3);
+    /// let boundary_base = 2 * g.edges_per_boundary();
+    /// assert_eq!(g.own_in_edge(target), EdgeId(boundary_base + 6));
+    /// assert_eq!(g.neighbor_in_edge(target, 1), EdgeId(boundary_base + 8));
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w > width()`.
+    #[inline]
+    pub fn in_edge_block(&self, w: usize) -> usize {
+        self.base.row_start(w) + w
+    }
+
     /// The edge from `(w, ℓ-1)` to `(w, ℓ)` ("own" edge, slot 0 of the
     /// target's in-edge block).
     ///
     /// # Panics
     ///
-    /// Panics if `target.layer == 0`.
+    /// Panics if `target.layer == 0` or `target.v` is out of range.
     pub fn own_in_edge(&self, target: NodeId) -> EdgeId {
         assert!(target.layer > 0, "layer-0 nodes have no in-edges in G");
+        assert!(
+            (target.v as usize) < self.width(),
+            "base node index out of range"
+        );
         let boundary = (target.layer - 1) as usize;
-        EdgeId(boundary * self.edges_per_boundary + self.in_edge_offsets[target.v as usize])
+        EdgeId(boundary * self.edges_per_boundary() + self.in_edge_block(target.v as usize))
     }
 
     /// The edge from neighbor `(x, ℓ-1)` to `(w, ℓ)`, where `x` is the
@@ -358,29 +266,12 @@ impl LayeredGraph {
     ///
     /// Panics if `target.layer == 0` or `slot ≥ deg_H(w)`.
     pub fn neighbor_in_edge(&self, target: NodeId, slot: usize) -> EdgeId {
-        assert!(target.layer > 0, "layer-0 nodes have no in-edges in G");
+        let own = self.own_in_edge(target);
         assert!(
             slot < self.base.degree(target.v as usize),
             "neighbor slot out of range"
         );
-        let boundary = (target.layer - 1) as usize;
-        EdgeId(
-            boundary * self.edges_per_boundary + self.in_edge_offsets[target.v as usize] + 1 + slot,
-        )
-    }
-
-    /// Builds the flattened [`InEdgeCsr`] in-edge table (one boundary's
-    /// worth; see its docs for how global [`EdgeId`]s are reconstructed).
-    ///
-    /// For parallel execution, the table's [`InEdgeCsr::boundary_preds`]
-    /// defines the cross-chunk dependency contract: a chunk `lo .. hi`
-    /// may compute layer `ℓ` once every column in
-    /// `boundary_preds(lo, hi)` has published layer `ℓ − 1`. A chunk with
-    /// no external predecessors (e.g. the single chunk of a width-1
-    /// graph, or a full-width chunk) depends on nothing outside itself
-    /// and may free-run through all layers.
-    pub fn in_edge_csr(&self) -> InEdgeCsr {
-        InEdgeCsr::build(self)
+        EdgeId(own.0 + 1 + slot)
     }
 
     /// Predecessors of a node: `(v, ℓ-1)` first, then `(x, ℓ-1)` for each
@@ -510,30 +401,6 @@ mod tests {
         assert!(seen.iter().all(|&s| s), "all edge ids must be covered");
     }
 
-    /// The CSR table reproduces `predecessors`/`own_in_edge`/
-    /// `neighbor_in_edge` exactly, on every layer boundary.
-    #[test]
-    fn in_edge_csr_matches_predecessor_iteration() {
-        for g in [sample(), LayeredGraph::new(BaseGraph::cycle(4), 3)] {
-            let csr = g.in_edge_csr();
-            assert_eq!(csr.width(), g.width());
-            for n in g.nodes().filter(|n| n.layer > 0) {
-                let boundary_base = (n.layer as usize - 1) * g.edges_per_boundary();
-                let row = csr.in_edges(n.v as usize);
-                assert_eq!(row.len(), g.in_degree(n.v as usize));
-                let preds: Vec<_> = g.predecessors(n).collect();
-                for (entry, (p, e)) in row.iter().zip(&preds) {
-                    assert_eq!(entry.pred, p.v);
-                    assert_eq!(EdgeId(boundary_base + entry.edge as usize), *e);
-                }
-            }
-            assert_eq!(
-                csr.max_in_degree(),
-                (0..g.width()).map(|w| g.in_degree(w)).max().unwrap()
-            );
-        }
-    }
-
     #[test]
     fn chunk_partition_tiles_exactly() {
         // Degenerate shapes the schedulers must survive: width 1, prime
@@ -558,41 +425,34 @@ mod tests {
     #[test]
     fn boundary_preds_are_external_sorted_and_complete() {
         for g in [sample(), LayeredGraph::new(BaseGraph::cycle(6), 3)] {
-            let csr = g.in_edge_csr();
             for (lo, hi) in chunk_partition(g.width(), 3) {
-                let preds = csr.boundary_preds(lo, hi);
+                let preds = boundary_preds(g.base(), lo, hi);
                 // Sorted, deduplicated, strictly external.
                 assert!(preds.windows(2).all(|w| w[0] < w[1]));
-                assert!(preds.iter().all(|&p| (p as usize) < lo || p as usize >= hi));
+                assert!(preds.iter().all(|&p| p < lo || p >= hi));
                 // Complete: every external in-edge pred appears.
                 for w in lo..hi {
-                    for e in csr.in_edges(w) {
-                        let p = e.pred as usize;
+                    for (p, _) in g.predecessors(g.node(w, 1)) {
+                        let p = p.v as usize;
                         if p < lo || p >= hi {
-                            assert!(preds.contains(&e.pred));
+                            assert!(preds.contains(&p));
                         }
                     }
                 }
             }
             // A full-width chunk has no external boundary.
-            assert!(csr.boundary_preds(0, g.width()).is_empty());
+            assert!(boundary_preds(g.base(), 0, g.width()).is_empty());
         }
     }
 
-    /// The documented boundary contract on a 1-wide graph: the single
-    /// full-width chunk has no external predecessors, so a frontier
-    /// scheduler may free-run it through every layer.
     #[test]
     fn boundary_preds_on_one_wide_graph_are_empty() {
         let g = LayeredGraph::new(BaseGraph::from_edges(1, &[]), 4);
         assert_eq!(g.width(), 1);
-        let csr = g.in_edge_csr();
-        assert_eq!(csr.width(), 1);
         // The only in-edge of (0, ℓ) is its own edge from (0, ℓ−1).
-        let row = csr.in_edges(0);
-        assert_eq!(row.len(), 1);
-        assert_eq!(row[0].pred, 0);
-        assert!(csr.boundary_preds(0, 1).is_empty());
+        let preds: Vec<_> = g.predecessors(g.node(0, 1)).collect();
+        assert_eq!(preds, vec![(g.node(0, 0), g.own_in_edge(g.node(0, 1)))]);
+        assert!(boundary_preds(g.base(), 0, 1).is_empty());
         assert_eq!(chunk_partition(1, 8), vec![(0, 1)]);
     }
 
@@ -618,5 +478,14 @@ mod tests {
     fn own_in_edge_rejects_layer_zero() {
         let g = sample();
         let _ = g.own_in_edge(g.node(0, 0));
+    }
+
+    /// Column `width` would read one past the last block, which is the
+    /// next boundary's first edge.
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn own_in_edge_rejects_column_past_the_width() {
+        let g = sample();
+        let _ = g.own_in_edge(NodeId::new(g.width() as u32, 1));
     }
 }

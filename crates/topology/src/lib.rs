@@ -23,10 +23,12 @@
 //! * [`families`] — deterministic generators for tori, hypercubes, seeded
 //!   random-geometric graphs, sparse interleaved pods, and two-tier
 //!   supernode overlays, each stamped with a versioned topology descriptor;
-//! * [`LayeredGraph`] — the DAG `G`, with stable edge indices for per-edge
-//!   delay assignment, its flat in-edge table [`InEdgeCsr`], and
-//!   [`chunk_partition`], the column chunking the parallel dataflow
-//!   engine plans against;
+//! * [`LayeredGraph`] — the DAG `G`, a base graph and a layer count, with
+//!   stable edge indices for per-edge delay assignment (each column's
+//!   in-edge block is its base-graph row with the own edge in front,
+//!   [`LayeredGraph::in_edge_block`]), plus [`chunk_partition`] and
+//!   [`boundary_preds`], the column chunks the parallel dataflow engine
+//!   plans against and the outside columns each chunk waits on;
 //! * distance-δ ancestor enumeration and the *distance-δ k-faulty*
 //!   classification (Definitions 4.32/4.33), used by the Theorem 1.3
 //!   experiments;
@@ -73,4 +75,4 @@ mod layered;
 pub use ancestors::{distance_ancestors, distance_k_faulty, max_k_faulty};
 pub use base::BaseGraph;
 pub use hex::{HexGrid, HexNodeId};
-pub use layered::{chunk_partition, EdgeId, InEdge, InEdgeCsr, LayeredGraph, NodeId};
+pub use layered::{boundary_preds, chunk_partition, EdgeId, LayeredGraph, NodeId};

@@ -15,7 +15,9 @@ use gradient_trix::analysis::{
 };
 use gradient_trix::baselines::{split_delay_env, NaiveTrixRule};
 use gradient_trix::core::{check_pulse_interval, GradientTrixRule, Layer0Line, Params};
-use gradient_trix::faults::{sample_one_local, scrambled_network, FaultBehavior, FaultCampaign};
+use gradient_trix::faults::{
+    is_one_local, sample_one_local, scrambled_network, FaultBehavior, FaultCampaign,
+};
 use gradient_trix::sim::{run_dataflow, CorrectSends, OffsetLayer0, Rng, StaticEnvironment};
 use gradient_trix::time::{Duration, Time};
 use gradient_trix::topology::{BaseGraph, LayeredGraph, NodeId};
@@ -258,6 +260,9 @@ fn cmd_stabilize(args: &Args) {
         spurious,
         permanent.len()
     );
+    if !is_one_local(&g, &permanent) {
+        println!("the dead set is not 1-local, so it lies outside Theorem 1.6's fault model");
+    }
     let by_node = net.broadcasts_by_node();
     for layer in 1..g.layer_count() {
         let worst = (0..g.width())

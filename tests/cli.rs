@@ -68,11 +68,17 @@ fn stabilize_stdout(args: &[&str]) -> String {
 }
 
 /// Dead nodes at columns 0 and 2 of layer 1 are adjacent, so the
-/// placement is not 1-local and the layers below do not settle.
+/// placement is not 1-local and the layers below do not settle; the
+/// command says the placement leaves the fault model. Two dead nodes on
+/// layers 1 and 2 are 1-local, and it says nothing.
 #[test]
 fn stabilize_reports_unsettled_layers_as_never() {
+    const OUTSIDE: &str = "not 1-local";
     let stdout = stabilize_stdout(&["--width", "8", "--seed", "1", "--dead", "8"]);
     assert!(stdout.contains("never"), "{stdout}");
+    assert!(stdout.contains(OUTSIDE), "{stdout}");
+    let stdout = stabilize_stdout(&["--width", "8", "--seed", "1", "--dead", "2"]);
+    assert!(!stdout.contains(OUTSIDE), "{stdout}");
 }
 
 /// A fault-free width-12 grid settles on every layer: the run stops at

@@ -1,12 +1,12 @@
 //! Allocation guard for the serial hot path.
 //!
 //! A `run_dataflow_observed` pass with `GradientTrixRule` and the
-//! streaming skew monitor allocates only per run: the in-edge table, the
-//! two rows and the neighbor scratch buffer. Nothing is allocated per
-//! rule evaluation or per pulse, so a pass of 8 pulses makes exactly as
-//! many heap allocations as a pass of 4. That holds on a grid, a torus
-//! and a supernode overlay whose hubs have in-degree 18, and for sends
-//! gated by a fault campaign or a churn campaign.
+//! streaming skew monitor allocates only per run: the two rows and the
+//! neighbor scratch buffer. Nothing is allocated per rule evaluation or
+//! per pulse, so a pass of 8 pulses makes exactly as many heap
+//! allocations as a pass of 4. That holds on a grid, a torus and a
+//! supernode overlay whose hubs have in-degree 18, and for sends gated
+//! by a fault campaign or a churn campaign.
 //!
 //! The test binary installs a counting global allocator that forwards to
 //! the system allocator and counts only the allocations of the thread
