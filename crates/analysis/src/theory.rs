@@ -1,10 +1,13 @@
 //! The paper's proven bounds as executable formulas, for
 //! measured-vs-predicted columns in every experiment table, and the
-//! stabilization detector ([`stabilization_pulse`]) that Theorem 1.6's
-//! budget is checked with.
+//! stabilization detector ([`stabilization_pulse`], per layer
+//! [`layer_stabilization_pulse`]) that Theorem 1.6's budget is checked
+//! with.
 
-use trix_core::Params;
+use std::collections::HashSet;
+use trix_core::{GridIndex, Params};
 use trix_time::{Duration, Time};
+use trix_topology::{LayeredGraph, NodeId};
 
 /// Theorem 1.1: fault-free intra-layer local skew bound `4κ(2 + log₂ D)`.
 pub fn thm_1_1_bound(params: &Params, diameter: u32) -> Duration {
@@ -81,6 +84,26 @@ pub fn stabilization_pulse(times: &[Time], lambda: f64, tol: f64) -> Option<usiz
     } else {
         None
     }
+}
+
+/// The worst [`stabilization_pulse`], gaps within `κ` of `Λ`, over the
+/// nodes of `layer` outside `dead`; `None` if any of them never
+/// stabilizes. `by_node` holds each engine node's broadcast times, as
+/// `GridNetwork::broadcasts_by_node` returns them, indexed by `index`.
+pub fn layer_stabilization_pulse(
+    params: &Params,
+    g: &LayeredGraph,
+    index: GridIndex,
+    by_node: &[Vec<Time>],
+    layer: usize,
+    dead: &HashSet<NodeId>,
+) -> Option<usize> {
+    let (lambda, kappa) = (params.lambda().as_f64(), params.kappa().as_f64());
+    (0..g.width())
+        .map(|v| g.node(v, layer))
+        .filter(|node| !dead.contains(node))
+        .map(|node| stabilization_pulse(&by_node[index.engine_id(node)], lambda, kappa))
+        .try_fold(0, |worst, s| s.map(|s| worst.max(s)))
 }
 
 /// The naive-TRIX worst case (LW20 / Figure 1 left): local skew `u·ℓ` at

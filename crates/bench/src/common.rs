@@ -175,11 +175,7 @@ pub fn merge_snapshots(snaps: &[SkewStats]) -> SkewStats {
 /// histogram bins of `κ/2` (so the paper's `O(κ log D)` regime spans the
 /// first handful of bins).
 pub fn streaming_monitor(g: &LayeredGraph, p: &Params) -> StreamingSkew {
-    StreamingSkew::with_histogram(
-        g,
-        p.kappa().as_f64() / 2.0,
-        StreamingSkew::DEFAULT_HIST_BINS,
-    )
+    StreamingSkew::new(g, p.kappa().as_f64() / 2.0)
 }
 
 /// Runs Gradient TRIX under an explicit environment (adversarial setups).

@@ -71,14 +71,6 @@ impl TopoClass {
             TopoClass::Torus => "torus",
         }
     }
-
-    fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "grid" => TopoClass::Grid,
-            "torus" => TopoClass::Torus,
-            _ => return None,
-        })
-    }
 }
 
 /// The schedule-mix axis of the sweep.
@@ -104,15 +96,6 @@ impl ChurnClass {
             ChurnClass::Flicker => "flicker",
             ChurnClass::Mix => "mix",
         }
-    }
-
-    fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "resident" => ChurnClass::Resident,
-            "flicker" => ChurnClass::Flicker,
-            "mix" => ChurnClass::Mix,
-            _ => return None,
-        })
     }
 }
 
@@ -142,6 +125,18 @@ impl SweepPoint {
             self.topo.name(),
             self.width
         )
+    }
+
+    /// The params stamped into the benchmark record: the point's fields,
+    /// in declaration order.
+    pub fn params(&self) -> Vec<(String, String)> {
+        vec![
+            kv("topo", self.topo.name()),
+            kv("width", self.width),
+            kv("pulses", self.pulses),
+            kv("rate_pct", self.rate_pct),
+            kv("pattern", self.pattern.name()),
+        ]
     }
 }
 
@@ -358,38 +353,37 @@ pub fn rates(scale: Scale) -> &'static [u32] {
     }
 }
 
-/// The point list of one deployment: closed-world control, flicker at
-/// each rate, then the schedule mix at the top rate.
-fn points_for(scale: Scale, topo: TopoClass, width: usize) -> Vec<SweepPoint> {
-    let pulses = 4;
-    let point = |rate_pct, pattern| SweepPoint {
-        topo,
-        width,
-        pulses,
-        rate_pct,
-        pattern,
-    };
-    let mut out = vec![point(0, ChurnClass::Resident)];
-    for &r in rates(scale) {
-        out.push(point(r, ChurnClass::Flicker));
+/// The sweep's points in scenario order: the grid widths, then the torus
+/// dimensions, each with the closed-world control, flicker at each rate,
+/// then the schedule mix at the top rate.
+pub fn points(scale: Scale) -> Vec<SweepPoint> {
+    let grids = grid_widths(scale).iter().map(|&w| (TopoClass::Grid, w));
+    let tori = torus_dims(scale).iter().map(|&dim| (TopoClass::Torus, dim));
+    let top = *rates(scale).last().unwrap();
+    let mut out = Vec::new();
+    for (topo, width) in grids.chain(tori) {
+        let point = |rate_pct, pattern| SweepPoint {
+            topo,
+            width,
+            pulses: 4,
+            rate_pct,
+            pattern,
+        };
+        out.push(point(0, ChurnClass::Resident));
+        for &r in rates(scale) {
+            out.push(point(r, ChurnClass::Flicker));
+        }
+        out.push(point(top, ChurnClass::Mix));
     }
-    out.push(point(*rates(scale).last().unwrap(), ChurnClass::Mix));
     out
 }
 
 /// Scenario decomposition: one scenario per sweep point. Each scenario
-/// stamps its churn descriptor (schema v8) — and, on the torus leg, its
-/// topology descriptor — into its record and threads `--sim-threads`
-/// into the dataflow driver.
+/// stamps its params and churn descriptor (schema v8) — and, on the
+/// torus leg, its topology descriptor — into its record and threads
+/// `--sim-threads` into the dataflow driver.
 pub fn scenarios(scale: Scale, base_seed: u64, sim_threads: usize) -> Vec<Scenario> {
-    let mut points = Vec::new();
-    for &w in grid_widths(scale) {
-        points.extend(points_for(scale, TopoClass::Grid, w));
-    }
-    for &dim in torus_dims(scale) {
-        points.extend(points_for(scale, TopoClass::Torus, dim));
-    }
-    points
+    points(scale)
         .into_iter()
         .enumerate()
         .map(|(i, point)| {
@@ -399,13 +393,7 @@ pub fn scenarios(scale: Scale, base_seed: u64, sim_threads: usize) -> Vec<Scenar
             let scenario = Scenario::new(
                 "exp_churn",
                 point.descriptor(),
-                vec![
-                    kv("topo", point.topo.name()),
-                    kv("width", point.width),
-                    kv("pulses", point.pulses),
-                    kv("rate_pct", point.rate_pct),
-                    kv("pattern", point.pattern.name()),
-                ],
+                point.params(),
                 &seeds,
                 move || run(&point, &job_seeds, sim_threads),
             )
@@ -417,25 +405,6 @@ pub fn scenarios(scale: Scale, base_seed: u64, sim_threads: usize) -> Vec<Scenar
             }
         })
         .collect()
-}
-
-/// Reconstructs a sweep point from a benchmark record's params — the
-/// replay hook `tests/streaming_equivalence.rs` uses to re-run churn
-/// scenarios through the full-trace path.
-pub fn point_from_params(params: &[(String, String)]) -> Option<SweepPoint> {
-    let get = |key: &str| {
-        params
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    };
-    Some(SweepPoint {
-        topo: TopoClass::parse(get("topo")?)?,
-        width: get("width")?.parse().ok()?,
-        pulses: get("pulses")?.parse().ok()?,
-        rate_pct: get("rate_pct")?.parse().ok()?,
-        pattern: ChurnClass::parse(get("pattern")?)?,
-    })
 }
 
 #[cfg(test)]
@@ -464,20 +433,14 @@ mod tests {
         for s in scenarios(Scale::Smoke, 0, 1) {
             assert_eq!(s.experiment(), "exp_churn");
         }
-        for topo in [TopoClass::Grid, TopoClass::Torus] {
-            let width = match topo {
-                TopoClass::Grid => 12,
-                TopoClass::Torus => 6,
-            };
-            for point in points_for(Scale::Smoke, topo, width) {
-                let result = run(&point, &[3], 1);
-                assert!(
-                    result.violations.is_empty(),
-                    "{}: {:?}",
-                    point.descriptor(),
-                    result.violations
-                );
-            }
+        for point in points(Scale::Smoke) {
+            let result = run(&point, &[3], 1);
+            assert!(
+                result.violations.is_empty(),
+                "{}: {:?}",
+                point.descriptor(),
+                result.violations
+            );
         }
     }
 
@@ -555,9 +518,8 @@ mod tests {
         assert_eq!(streamed.max_inter, max_inter);
     }
 
-    /// The point's campaign is a pure function of `(g, point, seed)`,
-    /// and the sweep point round-trips through its benchmark params —
-    /// the properties the record replay rests on.
+    /// The point's deployment and campaign are pure functions of
+    /// `(g, point, seed)` — the property the record replay rests on.
     #[test]
     fn campaigns_reconstruct_from_params() {
         let point = SweepPoint {
@@ -567,14 +529,6 @@ mod tests {
             rate_pct: 10,
             pattern: ChurnClass::Mix,
         };
-        let params = vec![
-            kv("topo", point.topo.name()),
-            kv("width", point.width),
-            kv("pulses", point.pulses),
-            kv("rate_pct", point.rate_pct),
-            kv("pattern", point.pattern.name()),
-        ];
-        assert_eq!(point_from_params(&params), Some(point));
         let (g, topology) = deployment(&point);
         assert!(topology.expect("torus leg").starts_with("v1 torus"));
         let (a, b) = (campaign_for(&g, &point, 9), campaign_for(&g, &point, 9));

@@ -66,7 +66,7 @@ pub enum BehaviorClass {
     /// pseudo-random half of the pulses ([`FaultSchedule::Flaky`]).
     Flaky,
     /// Crash–recover: silent for the middle half of the run, nominal
-    /// before and after ([`FaultSchedule::CrashRecover`]).
+    /// before and after (a silent [`FaultSchedule::Window`]).
     CrashRecover,
 }
 
@@ -79,16 +79,6 @@ impl BehaviorClass {
             BehaviorClass::Flaky => "flaky",
             BehaviorClass::CrashRecover => "crash-recover",
         }
-    }
-
-    fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "silent" => BehaviorClass::Silent,
-            "shift" => BehaviorClass::Shift,
-            "flaky" => BehaviorClass::Flaky,
-            "crash-recover" => BehaviorClass::CrashRecover,
-            _ => return None,
-        })
     }
 }
 
@@ -122,16 +112,6 @@ impl PatternClass {
             PatternClass::Cluster => "cluster",
         }
     }
-
-    fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "iid" => PatternClass::Iid,
-            "ramp" => PatternClass::Ramp,
-            "wave" => PatternClass::Wave,
-            "cluster" => PatternClass::Cluster,
-            _ => return None,
-        })
-    }
 }
 
 /// One point of the density × behavior × pattern sweep.
@@ -162,6 +142,18 @@ impl SweepPoint {
             self.behavior.name(),
             self.width
         )
+    }
+
+    /// The params stamped into the benchmark record: the point's fields,
+    /// in declaration order.
+    pub fn params(&self) -> Vec<(String, String)> {
+        vec![
+            kv("width", self.width),
+            kv("pulses", self.pulses),
+            kv("density_centi", self.density_centi),
+            kv("behavior", self.behavior.name()),
+            kv("pattern", self.pattern.name()),
+        ]
     }
 
     fn sampling_probability(&self, g: &LayeredGraph) -> f64 {
@@ -226,9 +218,10 @@ pub fn campaign_for(g: &LayeredGraph, point: &SweepPoint, seed: u64) -> FaultCam
                 let mut flaky_rng = rng.fork(7);
                 FaultCampaign::from_schedules(sorted.into_iter().enumerate().map(|(i, n)| {
                     let schedule = match point.behavior {
-                        BehaviorClass::CrashRecover => FaultSchedule::CrashRecover {
-                            down_from,
-                            down_until,
+                        BehaviorClass::CrashRecover => FaultSchedule::Window {
+                            from: down_from,
+                            until: down_until,
+                            behavior: behavior_at(point.behavior, i, kappa),
                         },
                         BehaviorClass::Flaky => FaultSchedule::Flaky {
                             behavior: behavior_at(point.behavior, i, kappa),
@@ -406,38 +399,39 @@ pub fn behaviors(scale: Scale) -> &'static [BehaviorClass] {
     }
 }
 
-/// The point list of one width: fault-free control, the density ×
-/// behavior grid under iid placement, then one ramp, one wave, and one
-/// clustered-column campaign at the top density.
-fn points_for_width(scale: Scale, width: usize) -> Vec<SweepPoint> {
-    let pulses = 4;
-    let point = |density_centi, behavior, pattern| SweepPoint {
-        width,
-        pulses,
-        density_centi,
-        behavior,
-        pattern,
-    };
+/// The sweep's points in scenario order. Per width: the fault-free
+/// control, the density × behavior grid under iid placement, then one
+/// ramp, one wave, and one clustered-column campaign at the top density.
+pub fn points(scale: Scale) -> Vec<SweepPoint> {
     let top = *densities(scale).last().unwrap();
-    let mut out = vec![point(0, BehaviorClass::Silent, PatternClass::Iid)];
-    for &c in densities(scale) {
-        for &b in behaviors(scale) {
-            out.push(point(c, b, PatternClass::Iid));
+    let mut out = Vec::new();
+    for &width in widths(scale) {
+        let point = |density_centi, behavior, pattern| SweepPoint {
+            width,
+            pulses: 4,
+            density_centi,
+            behavior,
+            pattern,
+        };
+        out.push(point(0, BehaviorClass::Silent, PatternClass::Iid));
+        for &c in densities(scale) {
+            for &b in behaviors(scale) {
+                out.push(point(c, b, PatternClass::Iid));
+            }
         }
+        out.push(point(top, BehaviorClass::Shift, PatternClass::Ramp));
+        out.push(point(top, BehaviorClass::Silent, PatternClass::Wave));
+        out.push(point(top, BehaviorClass::Shift, PatternClass::Cluster));
     }
-    out.push(point(top, BehaviorClass::Shift, PatternClass::Ramp));
-    out.push(point(top, BehaviorClass::Silent, PatternClass::Wave));
-    out.push(point(top, BehaviorClass::Shift, PatternClass::Cluster));
     out
 }
 
 /// Scenario decomposition: one scenario per sweep point. Each scenario
-/// stamps its campaign descriptor into its record (schema v4) and
-/// threads `--sim-threads` into the dataflow driver.
+/// stamps its params and campaign descriptor into its record (schema v4)
+/// and threads `--sim-threads` into the dataflow driver.
 pub fn scenarios(scale: Scale, base_seed: u64, sim_threads: usize) -> Vec<Scenario> {
-    widths(scale)
-        .iter()
-        .flat_map(|&w| points_for_width(scale, w))
+    points(scale)
+        .into_iter()
         .enumerate()
         .map(|(i, point)| {
             let seeds = scenario_seeds(base_seed, "exp_fault_sweep", i as u64, scale.seed_count());
@@ -445,13 +439,7 @@ pub fn scenarios(scale: Scale, base_seed: u64, sim_threads: usize) -> Vec<Scenar
             Scenario::new(
                 "exp_fault_sweep",
                 point.descriptor(),
-                vec![
-                    kv("width", point.width),
-                    kv("pulses", point.pulses),
-                    kv("density_centi", point.density_centi),
-                    kv("behavior", point.behavior.name()),
-                    kv("pattern", point.pattern.name()),
-                ],
+                point.params(),
                 &seeds,
                 move || run(&point, &job_seeds, sim_threads),
             )
@@ -459,25 +447,6 @@ pub fn scenarios(scale: Scale, base_seed: u64, sim_threads: usize) -> Vec<Scenar
             .with_campaign(point.descriptor())
         })
         .collect()
-}
-
-/// Reconstructs a sweep point from a benchmark record's params — the
-/// replay hook `tests/streaming_equivalence.rs` uses to re-run campaign
-/// scenarios through the full-trace path.
-pub fn point_from_params(params: &[(String, String)]) -> Option<SweepPoint> {
-    let get = |key: &str| {
-        params
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    };
-    Some(SweepPoint {
-        width: get("width")?.parse().ok()?,
-        pulses: get("pulses")?.parse().ok()?,
-        density_centi: get("density_centi")?.parse().ok()?,
-        behavior: BehaviorClass::parse(get("behavior")?)?,
-        pattern: PatternClass::parse(get("pattern")?)?,
-    })
 }
 
 #[cfg(test)]
@@ -507,7 +476,7 @@ mod tests {
         for s in scenarios(Scale::Smoke, 0, 1) {
             assert_eq!(s.experiment(), "exp_fault_sweep");
         }
-        for point in points_for_width(Scale::Smoke, 12) {
+        for point in points(Scale::Smoke) {
             let result = run(&point, &[3], 1);
             assert!(
                 result.violations.is_empty(),
@@ -607,14 +576,6 @@ mod tests {
             behavior: BehaviorClass::Flaky,
             pattern: PatternClass::Ramp,
         };
-        let params = vec![
-            kv("width", point.width),
-            kv("pulses", point.pulses),
-            kv("density_centi", point.density_centi),
-            kv("behavior", point.behavior.name()),
-            kv("pattern", point.pattern.name()),
-        ];
-        assert_eq!(point_from_params(&params), Some(point));
         let g = grid(point.width, point.width);
         let (a, b) = (campaign_for(&g, &point, 9), campaign_for(&g, &point, 9));
         assert_eq!(a.faulty_nodes(), b.faulty_nodes());

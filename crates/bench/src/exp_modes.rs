@@ -64,16 +64,6 @@ impl Workload {
             Workload::Supernode => "supernode",
         }
     }
-
-    fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "grid" => Workload::Grid,
-            "wave" => Workload::Wave,
-            "torus" => Workload::Torus,
-            "supernode" => Workload::Supernode,
-            _ => return None,
-        })
-    }
 }
 
 /// One `(workload, rank)` point of the sweep.
@@ -143,6 +133,18 @@ impl SweepPoint {
                 self.rank
             ),
         }
+    }
+
+    /// The params stamped into the benchmark record: the point's fields,
+    /// in declaration order.
+    pub fn params(&self) -> Vec<(String, String)> {
+        vec![
+            kv("workload", self.workload.name()),
+            kv("a", self.a),
+            kv("b", self.b),
+            kv("rank", self.rank),
+            kv("pulses", self.pulses),
+        ]
     }
 }
 
@@ -365,9 +367,9 @@ pub fn points(scale: Scale) -> Vec<SweepPoint> {
 }
 
 /// Scenario decomposition: one scenario per `(workload, rank)` point.
-/// Wave points stamp their campaign descriptor and family points their
-/// topology descriptor, and every point threads `--sim-threads` into
-/// the dataflow driver.
+/// Every point stamps its params, wave points their campaign descriptor
+/// and family points their topology descriptor, and every point threads
+/// `--sim-threads` into the dataflow driver.
 pub fn scenarios(scale: Scale, base_seed: u64, sim_threads: usize) -> Vec<Scenario> {
     points(scale)
         .into_iter()
@@ -378,13 +380,7 @@ pub fn scenarios(scale: Scale, base_seed: u64, sim_threads: usize) -> Vec<Scenar
             let scenario = Scenario::new(
                 "exp_modes",
                 point.label(),
-                vec![
-                    kv("workload", point.workload.name()),
-                    kv("a", point.a),
-                    kv("b", point.b),
-                    kv("rank", point.rank),
-                    kv("pulses", point.pulses),
-                ],
+                point.params(),
                 &seeds,
                 move || run(&point, &job_seeds, sim_threads),
             )
@@ -398,25 +394,6 @@ pub fn scenarios(scale: Scale, base_seed: u64, sim_threads: usize) -> Vec<Scenar
             }
         })
         .collect()
-}
-
-/// Reconstructs a sweep point from a benchmark record's params — the
-/// replay hook `tests/streaming_equivalence.rs` uses to re-run sketch
-/// scenarios through the full-trace path.
-pub fn point_from_params(params: &[(String, String)]) -> Option<SweepPoint> {
-    let get = |key: &str| {
-        params
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    };
-    Some(SweepPoint {
-        workload: Workload::parse(get("workload")?)?,
-        a: get("a")?.parse().ok()?,
-        b: get("b")?.parse().ok()?,
-        rank: get("rank")?.parse().ok()?,
-        pulses: get("pulses")?.parse().ok()?,
-    })
 }
 
 #[cfg(test)]
@@ -484,20 +461,10 @@ mod tests {
         }
     }
 
-    /// Points round-trip through record params (the replay hook), and
-    /// the scenario list is the point list, in order.
+    /// The scenario list is the point list, in order (the record replay
+    /// walks the points beside the records).
     #[test]
     fn params_round_trip_and_scenarios_follow_points() {
-        for point in points(Scale::Quick) {
-            let params = vec![
-                kv("workload", point.workload.name()),
-                kv("a", point.a),
-                kv("b", point.b),
-                kv("rank", point.rank),
-                kv("pulses", point.pulses),
-            ];
-            assert_eq!(point_from_params(&params), Some(point));
-        }
         let scenarios = scenarios(Scale::Smoke, 0, 1);
         assert_eq!(scenarios.len(), points(Scale::Smoke).len());
         for (s, point) in scenarios.iter().zip(points(Scale::Smoke)) {

@@ -38,9 +38,10 @@ impl Layer0Source for DisturbedLayer0 {
     }
 }
 
-/// Runs the recovery experiment: skew by layer after a block disturbance
-/// of `amplitude_kappas·κ`.
-pub fn run(width: usize, layers: usize, amplitude_kappas: f64) -> Table {
+/// Intra-layer skew by layer (`None` where a layer has no pair) of one
+/// pulse on a nominal `width × layers` grid whose layer 0 pulses columns
+/// `0..width/2` late by `amplitude_kappas·κ`.
+pub fn disturbed_series(width: usize, layers: usize, amplitude_kappas: f64) -> Vec<Option<f64>> {
     let p: Params = standard_params();
     let g = grid(width, layers);
     let env = StaticEnvironment::nominal(&g, p.d());
@@ -51,40 +52,23 @@ pub fn run(width: usize, layers: usize, amplitude_kappas: f64) -> Table {
     };
     let rule = GradientTrixRule::new(p);
     let trace = run_dataflow(&g, &env, &layer0, &rule, &CorrectSends, 1);
-    let series = skew_by_layer(&g, &trace, 0);
+    skew_by_layer(&g, &trace, 0)
+}
 
+/// Runs the recovery experiment: skew by layer after a block disturbance
+/// of `amplitude_kappas·κ`.
+pub fn run(width: usize, layers: usize, amplitude_kappas: f64) -> Table {
+    let series = disturbed_series(width, layers, amplitude_kappas);
     let mut table = Table::new(
         "Thm 4.26 — gradient recovery after a block disturbance (skew by layer)",
         &["layer", "skew", "skew/κ"],
     );
-    let kappa = p.kappa().as_f64();
+    let kappa = standard_params().kappa().as_f64();
     for (layer, s) in series.iter().enumerate() {
         let s = s.unwrap_or(f64::NAN);
         table.row_values(&[layer.to_string(), fmt_f64(s), fmt_f64(s / kappa)]);
     }
     table
-}
-
-/// Layers needed until the skew falls below `target_kappas·κ`.
-pub fn recovery_depth(
-    width: usize,
-    layers: usize,
-    amplitude_kappas: f64,
-    target_kappas: f64,
-) -> Option<usize> {
-    let p: Params = standard_params();
-    let g = grid(width, layers);
-    let env = StaticEnvironment::nominal(&g, p.d());
-    let layer0 = DisturbedLayer0 {
-        inner: OffsetLayer0::synchronized(p.lambda().as_f64(), g.width()),
-        block: g.width() / 2,
-        amplitude: amplitude_kappas * p.kappa().as_f64(),
-    };
-    let rule = GradientTrixRule::new(p);
-    let trace = run_dataflow(&g, &env, &layer0, &rule, &CorrectSends, 1);
-    let series = skew_by_layer(&g, &trace, 0);
-    let target = target_kappas * p.kappa().as_f64();
-    series.iter().position(|s| s.is_some_and(|s| s <= target))
 }
 
 /// Scenario decomposition for the sweep runner: one deterministic
@@ -109,26 +93,23 @@ pub fn scenarios(scale: Scale, _base_seed: u64) -> Vec<Scenario> {
 mod tests {
     use super::*;
 
+    /// Layers needed until the skew falls below `target_kappas·κ`.
+    fn recovery_depth(
+        width: usize,
+        layers: usize,
+        amplitude_kappas: f64,
+        target_kappas: f64,
+    ) -> Option<usize> {
+        let target = target_kappas * standard_params().kappa().as_f64();
+        disturbed_series(width, layers, amplitude_kappas)
+            .iter()
+            .position(|s| s.is_some_and(|s| s <= target))
+    }
+
     #[test]
     fn disturbance_decays_with_depth() {
-        let p = standard_params();
-        let k = p.kappa().as_f64();
-        let g = grid(12, 40);
-        let env = StaticEnvironment::nominal(&g, p.d());
-        let layer0 = DisturbedLayer0 {
-            inner: OffsetLayer0::synchronized(p.lambda().as_f64(), g.width()),
-            block: g.width() / 2,
-            amplitude: 20.0 * k,
-        };
-        let trace = run_dataflow(
-            &g,
-            &env,
-            &layer0,
-            &GradientTrixRule::new(p),
-            &CorrectSends,
-            1,
-        );
-        let series = skew_by_layer(&g, &trace, 0);
+        let k = standard_params().kappa().as_f64();
+        let series = disturbed_series(12, 40, 20.0);
         let at0 = series[0].unwrap();
         let at_end = series[39].unwrap();
         assert!(at0 >= 19.0 * k, "disturbance visible at layer 0: {at0}");

@@ -8,8 +8,9 @@
 //! *Workload:* event-driven runs with every grid node's state randomly
 //! scrambled and spurious messages in flight, with and without a
 //! permanent silent fault. Stabilization is detected per node
-//! ([`theory::stabilization_pulse`]) as the first broadcast after which
-//! all inter-pulse gaps stay within `κ` of `Λ`; we report the worst
+//! ([`theory::stabilization_pulse`], taken worst per layer by
+//! [`theory::layer_stabilization_pulse`]) as the first broadcast after
+//! which all inter-pulse gaps stay within `κ` of `Λ`; we report the worst
 //! node's stabilization pulse count against the `layer_count + D` budget
 //! (one grid sweep — the `Θ(√n)` witness in the square layout).
 
@@ -59,22 +60,10 @@ pub fn run(widths: &[usize], seeds: &[u64]) -> ScenarioResult {
                 ));
                 let by_node = net.broadcasts_by_node();
                 for layer in 1..g.layer_count() {
-                    for v in 0..g.width() {
-                        let node = g.node(v, layer);
-                        if permanent.contains(&node) {
-                            continue;
-                        }
-                        let times = &by_node[net.index.engine_id(node)];
-                        let s = theory::stabilization_pulse(
-                            times,
-                            p.lambda().as_f64(),
-                            p.kappa().as_f64(),
-                        );
-                        worst = match (worst, s) {
-                            (Some(a), Some(b)) => Some(a.max(b)),
-                            _ => None,
-                        };
-                    }
+                    let s = theory::layer_stabilization_pulse(
+                        &p, &g, net.index, &by_node, layer, &permanent,
+                    );
+                    worst = worst.zip(s).map(|(a, b)| a.max(b));
                 }
             }
             let (cell, ok) = match worst {

@@ -24,8 +24,9 @@
 //! (`topology` field, schema v6), and
 //! `tests/parallel_determinism.rs` pins `BENCH_exp_topology.json`
 //! byte-identical across `--threads` and `--sim-threads` values.
-//! `tests/streaming_equivalence.rs` replays the records through the
-//! full-trace path via [`point_from_params`] and [`layered`].
+//! `tests/streaming_equivalence.rs` walks [`points`] beside the records,
+//! checks each record's params and label against its point, and replays
+//! it through the full-trace path on [`layered`].
 
 use crate::common::{
     merge_snapshots, run_gradient_trix_streaming_graph, standard_params, streaming_monitor,
@@ -71,17 +72,6 @@ impl FamilyClass {
             FamilyClass::Supernode => "supernode",
         }
     }
-
-    fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "torus" => FamilyClass::Torus,
-            "hypercube" => FamilyClass::Hypercube,
-            "geometric" => FamilyClass::Geometric,
-            "pods" => FamilyClass::Pods,
-            "supernode" => FamilyClass::Supernode,
-            _ => return None,
-        })
-    }
 }
 
 /// One `(family, size)` point of the sweep. `a` and `b` are the
@@ -113,6 +103,22 @@ impl SweepPoint {
             FamilyClass::Pods => families::octopus_pods(self.a, self.b),
             FamilyClass::Supernode => families::supernode_overlay(self.a, self.b),
         }
+    }
+
+    /// The scenario label, also the table's family cell.
+    pub fn label(&self) -> String {
+        format!("{} a={} b={}", self.family.name(), self.a, self.b)
+    }
+
+    /// The params stamped into the benchmark record: the point's fields,
+    /// in declaration order.
+    pub fn params(&self) -> Vec<(String, String)> {
+        vec![
+            kv("family", self.family.name()),
+            kv("a", self.a),
+            kv("b", self.b),
+            kv("pulses", self.pulses),
+        ]
     }
 }
 
@@ -186,7 +192,7 @@ pub fn run(point: &SweepPoint, seeds: &[u64], sim_threads: usize) -> ScenarioRes
         &HEADERS,
     );
     table.row_values(&[
-        format!("{} a={} b={}", point.family.name(), point.a, point.b),
+        point.label(),
         g.width().to_string(),
         g.base().edge_count().to_string(),
         format!("{}..{}", g.base().min_degree(), g.base().max_degree()),
@@ -260,9 +266,9 @@ pub fn points(scale: Scale) -> Vec<SweepPoint> {
 }
 
 /// Scenario decomposition: one scenario per `(family, size)` point.
-/// Each scenario stamps its versioned topology descriptor into its
-/// record (schema v6) and threads `--sim-threads` into the dataflow
-/// driver.
+/// Each scenario stamps its params and versioned topology descriptor
+/// into its record (schema v6) and threads `--sim-threads` into the
+/// dataflow driver.
 pub fn scenarios(scale: Scale, base_seed: u64, sim_threads: usize) -> Vec<Scenario> {
     points(scale)
         .into_iter()
@@ -273,13 +279,8 @@ pub fn scenarios(scale: Scale, base_seed: u64, sim_threads: usize) -> Vec<Scenar
             let descriptor = point.build().descriptor().to_owned();
             Scenario::new(
                 "exp_topology",
-                format!("{} a={} b={}", point.family.name(), point.a, point.b),
-                vec![
-                    kv("family", point.family.name()),
-                    kv("a", point.a),
-                    kv("b", point.b),
-                    kv("pulses", point.pulses),
-                ],
+                point.label(),
+                point.params(),
                 &seeds,
                 move || run(&point, &job_seeds, sim_threads),
             )
@@ -287,24 +288,6 @@ pub fn scenarios(scale: Scale, base_seed: u64, sim_threads: usize) -> Vec<Scenar
             .with_topology(descriptor)
         })
         .collect()
-}
-
-/// Reconstructs a sweep point from a benchmark record's params — the
-/// replay hook `tests/streaming_equivalence.rs` uses to re-run topology
-/// scenarios through the full-trace path.
-pub fn point_from_params(params: &[(String, String)]) -> Option<SweepPoint> {
-    let get = |key: &str| {
-        params
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    };
-    Some(SweepPoint {
-        family: FamilyClass::parse(get("family")?)?,
-        a: get("a")?.parse().ok()?,
-        b: get("b")?.parse().ok()?,
-        pulses: get("pulses")?.parse().ok()?,
-    })
 }
 
 #[cfg(test)]
@@ -365,17 +348,10 @@ mod tests {
     }
 
     /// The descriptor stamped into the scenario equals the one the run
-    /// would compute, and the point round-trips through record params.
+    /// would compute: building a point's family is deterministic.
     #[test]
     fn descriptors_and_params_round_trip() {
         for point in points(Scale::Quick) {
-            let params = vec![
-                kv("family", point.family.name()),
-                kv("a", point.a),
-                kv("b", point.b),
-                kv("pulses", point.pulses),
-            ];
-            assert_eq!(point_from_params(&params), Some(point));
             let (a, b) = (point.build(), point.build());
             assert_eq!(a.descriptor(), b.descriptor());
             assert!(a.descriptor().starts_with("v1 "));

@@ -51,6 +51,14 @@ pub enum FaultSchedule {
     /// Faulty for the whole run (a static assignment).
     Always(FaultBehavior),
     /// Faulty exactly during pulses `from..until`, correct elsewhere.
+    ///
+    /// With [`FaultBehavior::Silent`] this is crash–recover: nothing is
+    /// sent on any out-edge while the window is open, and the node sends
+    /// nominally before and after. In the dataflow model recovery is
+    /// clean by construction, since the node's nominal time is always
+    /// defined. The event-driven twin, [`crate::RejoiningDesNode`], models
+    /// the interesting part: rejoining with *arbitrary* post-reboot state
+    /// that the Algorithm 4 sanitization must absorb.
     Window {
         /// First faulty pulse.
         from: usize,
@@ -58,20 +66,6 @@ pub enum FaultSchedule {
         until: usize,
         /// Behavior while the window is active.
         behavior: FaultBehavior,
-    },
-    /// Crash–recover: silent during pulses `down_from..down_until`
-    /// (nothing is sent on any out-edge), nominal before and after.
-    ///
-    /// In the dataflow model recovery is clean by construction — the
-    /// node's nominal time is always defined. The event-driven twin,
-    /// [`crate::RejoiningDesNode`], models the interesting part:
-    /// rejoining with *arbitrary* post-reboot state that the Algorithm 4
-    /// sanitization must absorb.
-    CrashRecover {
-        /// First silent pulse.
-        down_from: usize,
-        /// One past the last silent pulse.
-        down_until: usize,
     },
     /// Intermittent/flaky fault: each pulse independently misbehaves with
     /// probability `activity`, decided by hashing `(seed, node, pulse)` —
@@ -92,10 +86,6 @@ impl FaultSchedule {
         match self {
             FaultSchedule::Always(_) => true,
             FaultSchedule::Window { from, until, .. } => (*from..*until).contains(&k),
-            FaultSchedule::CrashRecover {
-                down_from,
-                down_until,
-            } => (*down_from..*down_until).contains(&k),
             FaultSchedule::Flaky { activity, seed, .. } => {
                 let mut state =
                     seed ^ (node.v as u64) << 40 ^ (node.layer as u64) << 20 ^ (k as u64);
@@ -121,7 +111,6 @@ impl FaultSchedule {
             FaultSchedule::Always(b)
             | FaultSchedule::Window { behavior: b, .. }
             | FaultSchedule::Flaky { behavior: b, .. } => b.send_time(node, k, nominal, target),
-            FaultSchedule::CrashRecover { .. } => None,
         }
     }
 
@@ -155,7 +144,7 @@ impl FaultSchedule {
 /// let crash = NodeId::new(2, 3);
 /// let flaky = NodeId::new(5, 4);
 /// let campaign = FaultCampaign::from_schedules([
-///     (crash, FaultSchedule::CrashRecover { down_from: 1, down_until: 3 }),
+///     (crash, FaultSchedule::Window { from: 1, until: 3, behavior: FaultBehavior::Silent }),
 ///     (flaky, FaultSchedule::Flaky {
 ///         behavior: FaultBehavior::Shift(Duration::from(4.0)),
 ///         activity: 0.5,
@@ -374,9 +363,10 @@ mod tests {
 
     #[test]
     fn crash_recover_is_silent_then_nominal() {
-        let s = FaultSchedule::CrashRecover {
-            down_from: 1,
-            down_until: 3,
+        let s = FaultSchedule::Window {
+            from: 1,
+            until: 3,
+            behavior: FaultBehavior::Silent,
         };
         let t = Some(Time::from(7.0));
         assert_eq!(s.send_time(n(0, 1), 0, t, n(0, 2)), t);
@@ -481,9 +471,10 @@ mod tests {
         assert!(c.all_static());
         assert!(!FaultCampaign::from_schedules([(
             n(1, 1),
-            FaultSchedule::CrashRecover {
-                down_from: 0,
-                down_until: 1
+            FaultSchedule::Window {
+                from: 0,
+                until: 1,
+                behavior: FaultBehavior::Silent,
             }
         )])
         .all_static());

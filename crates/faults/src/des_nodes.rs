@@ -26,8 +26,8 @@ const JOIN_TAG: u64 = u64::MAX;
 
 /// A grid node that is silent until a local join time, then a
 /// [`GradientTrixNode`] waking up with **arbitrary state**: the DES twin
-/// of [`crate::FaultSchedule::CrashRecover`] and of the arrival half of a
-/// [`crate::ChurnSchedule::JoinAt`] event.
+/// of a silent [`crate::FaultSchedule::Window`] (crash–recover) and of the
+/// arrival half of a [`crate::ChurnSchedule::JoinAt`] event.
 ///
 /// The dataflow model's crash–recover is clean by construction (the
 /// nominal time is always well-defined); the event-driven engine models
@@ -192,7 +192,7 @@ pub fn scrambled_network(
 /// Builds a [`GridNetwork`] in which the grid nodes listed in `rejoins`
 /// start crashed and rejoin — with scrambled state — at the given local
 /// times: the event-driven half of a crash–recover fault campaign
-/// (the dataflow half is [`crate::FaultSchedule::CrashRecover`]).
+/// (the dataflow half is a silent [`crate::FaultSchedule::Window`]).
 ///
 /// Each rejoiner's scramble seed derives deterministically from `rng` and
 /// its sorted position, so the run is a pure function of the inputs.

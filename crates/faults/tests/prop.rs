@@ -81,9 +81,10 @@ fn random_campaign(g: &LayeredGraph, density: f64, pulses: usize, seed: u64) -> 
                 until: pulses,
                 behavior,
             },
-            2 => FaultSchedule::CrashRecover {
-                down_from: i % pulses.max(1),
-                down_until: pulses,
+            2 => FaultSchedule::Window {
+                from: i % pulses.max(1),
+                until: pulses,
+                behavior: FaultBehavior::Silent,
             },
             _ => FaultSchedule::Flaky {
                 behavior,
@@ -243,9 +244,10 @@ fn random_schedule(rng: &mut Rng) -> FaultSchedule {
             until,
             behavior,
         },
-        2 => FaultSchedule::CrashRecover {
-            down_from: from,
-            down_until: until,
+        2 => FaultSchedule::Window {
+            from,
+            until,
+            behavior: FaultBehavior::Silent,
         },
         _ => FaultSchedule::Flaky {
             behavior,

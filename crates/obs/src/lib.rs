@@ -12,8 +12,8 @@
 //!
 //! * [`StreamingSkew`] — incremental intra-layer, inter-layer, and global
 //!   skew over the dataflow stream. Retains only the current pulse front
-//!   (`O(nodes)`), folds per-pulse maxima into running
-//!   max/sum/count/histogram aggregates, and is **bit-identical** to the
+//!   (`O(nodes)`), folds each finished pulse's maxima straight into the
+//!   fields of its [`SkewStats`] record, and is **bit-identical** to the
 //!   post-hoc `trix_analysis::skew` results because both delegate to the
 //!   shared definitions in [`defs`].
 //! * [`PodSketch`] — a rank-`r` incremental SVD/POD sketch of the
@@ -79,13 +79,15 @@
 //! let g = LayeredGraph::new(BaseGraph::cycle(4), 3);
 //! let env = StaticEnvironment::nominal(&g, Duration::from(10.0));
 //! let layer0 = OffsetLayer0::new(20.0, vec![0.0, 1.0, 2.0, 3.0]);
-//! let mut skew = StreamingSkew::new(&g);
+//! // Intra-layer histogram bins one time unit wide.
+//! let mut skew = StreamingSkew::new(&g, 1.0);
 //! run_dataflow_observed(&g, &env, &layer0, &FixedLag, &CorrectSends, 2, &mut skew);
 //! skew.finish();
+//! let stats = skew.snapshot();
 //! // The staggered layer-0 offsets propagate unchanged: worst adjacent
 //! // gap is the wraparound pair (0, 3).
-//! assert_eq!(skew.max_intra_layer_skew(), Duration::from(3.0));
-//! assert_eq!(skew.pulses(), 2);
+//! assert_eq!(stats.max_intra, 3.0);
+//! assert_eq!(stats.pulses, 2);
 //! ```
 //!
 //! Observers compose as tuples — one driver pass feeds any number of
@@ -97,7 +99,7 @@
 //! use trix_topology::{BaseGraph, LayeredGraph};
 //!
 //! let g = LayeredGraph::new(BaseGraph::cycle(4), 2);
-//! let mut skew = StreamingSkew::new(&g);
+//! let mut skew = StreamingSkew::new(&g, 1.0);
 //! let mut sketch = PodSketch::new(&g, 2);
 //! {
 //!     // The tuple observer fans every row out to both members.
@@ -109,7 +111,7 @@
 //! }
 //! skew.finish();
 //! sketch.finish();
-//! assert_eq!(skew.pulses(), 1);
+//! assert_eq!(skew.snapshot().pulses, 1);
 //! assert_eq!(sketch.snapshot().rows, 2);
 //! ```
 
@@ -125,7 +127,7 @@ mod streaming;
 pub use attributed::{FaultClassSkew, FaultClassStats};
 pub use pipeline::PipelinedSketch;
 pub use sketch::{PodSketch, PodSnapshot};
-pub use streaming::{Histogram, RunningStat, SkewStats, StreamingSkew};
+pub use streaming::{SkewStats, StreamingSkew};
 
 // Re-export the hook surface so observer implementors need only this
 // crate; the trait itself lives in `trix-sim`, next to the engines that

@@ -5,8 +5,9 @@
 //! metrics incrementally. It retains **one pulse front**: the latest row
 //! of each layer, masked once as it arrives, and the pulse it holds
 //! (`O(nodes)`). Each row is folded once, on arrival, into the maxima of
-//! its pulse, and each finished pulse's maxima go into running
-//! `max`/`sum`/`count` aggregates plus a fixed-bin histogram. Peak memory
+//! its pulse, and each finished pulse's maxima go straight into the
+//! fields of the [`SkewStats`] record: three maxima, the intra-layer sum
+//! and a fixed-bin intra-layer histogram, and the pulse count. Peak memory
 //! is `O(nodes)` — independent of the pulse count — versus the
 //! `O(nodes × pulses)` of a full [`trix_sim::PulseTrace`], which is what
 //! lets `exp_scale` sweep grids an order of magnitude wider than the
@@ -23,101 +24,6 @@ use crate::defs;
 use trix_sim::Observer;
 use trix_time::{Duration, Time};
 use trix_topology::{LayeredGraph, NodeId};
-
-/// A fixed-bin histogram over non-negative samples.
-///
-/// Bin `i` counts samples in `[i·w, (i+1)·w)`; the last bin additionally
-/// absorbs everything beyond the covered range (overflow bin), so the
-/// total count always equals the number of recorded samples.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Histogram {
-    bin_width: f64,
-    bins: Vec<u64>,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bin_count` bins of width `bin_width`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `bin_width > 0` and `bin_count > 0`.
-    pub fn new(bin_width: f64, bin_count: usize) -> Self {
-        assert!(bin_width > 0.0, "bin width must be positive");
-        assert!(bin_count > 0, "need at least one bin");
-        Self {
-            bin_width,
-            bins: vec![0; bin_count],
-        }
-    }
-
-    fn record(&mut self, v: f64) {
-        let i = ((v / self.bin_width) as usize).min(self.bins.len() - 1);
-        self.bins[i] += 1;
-    }
-
-    /// The per-bin counts.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// The bin width.
-    pub fn bin_width(&self) -> f64 {
-        self.bin_width
-    }
-}
-
-/// Running aggregate of a non-negative sample stream: max, sum, count,
-/// and a [`Histogram`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct RunningStat {
-    max: f64,
-    sum: f64,
-    count: u64,
-    hist: Histogram,
-}
-
-impl RunningStat {
-    pub(crate) fn new(hist: Histogram) -> Self {
-        Self {
-            max: 0.0,
-            sum: 0.0,
-            count: 0,
-            hist,
-        }
-    }
-
-    pub(crate) fn record(&mut self, v: f64) {
-        self.max = self.max.max(v);
-        self.sum += v;
-        self.count += 1;
-        self.hist.record(v);
-    }
-
-    /// Largest recorded sample (`0` when empty — matching the
-    /// `Duration::ZERO` fold the batch analyzer starts from).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Mean of the recorded samples (`0` when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// The sample histogram.
-    pub fn histogram(&self) -> &Histogram {
-        &self.hist
-    }
-}
 
 /// A plain-data snapshot of a completed [`StreamingSkew`] run — what the
 /// benchmark records persist (`skew` object of the v2 `BENCH_*.json`
@@ -205,15 +111,14 @@ impl SkewStats {
 /// the dataflow pulse stream.
 ///
 /// Feed it to [`trix_sim::run_dataflow_observed`], then call
-/// [`StreamingSkew::finish`] once the run returns; the accessors mirror
-/// `trix_analysis::skew`'s batch results bit for bit:
+/// [`StreamingSkew::finish`] once the run returns and read
+/// [`StreamingSkew::snapshot`]. Its maxima equal `trix_analysis::skew`'s
+/// batch results bit for bit:
 ///
-/// * [`max_intra_layer_skew`](Self::max_intra_layer_skew) ==
-///   `max_intra_layer_skew(g, trace, 0..pulses)`;
-/// * [`full_local_skew`](Self::full_local_skew) ==
-///   `full_local_skew(g, trace, 0..pulses)`;
-/// * [`max_global_skew`](Self::max_global_skew) == the fold of
-///   `global_skew(g, trace, k, ℓ)` over all pulses and layers.
+/// * `max_intra` == `max_intra_layer_skew(g, trace, 0..pulses)`;
+/// * `max_full` == `full_local_skew(g, trace, 0..pulses)`;
+/// * `max_global` == the fold of `global_skew(g, trace, k, ℓ)` over all
+///   pulses and layers.
 ///
 /// The monitor consumes whole rows through [`Observer::on_pulse_row`],
 /// the hook both dataflow drivers emit through; its
@@ -223,7 +128,9 @@ impl SkewStats {
 /// one pulse front, the latest row of each layer, and folds each row
 /// once, when it arrives: `L_ℓ` and the spread over the row itself, and
 /// `L_{ℓ,ℓ+1}` against layer `ℓ+1`'s row if that still holds pulse
-/// `k−1`.
+/// `k−1`. Each finished pulse's maxima then go straight into the
+/// [`SkewStats`] fields: the intra-layer maximum, sum and histogram, the
+/// inter-layer and global maxima, and the pulse count.
 #[derive(Clone, Debug)]
 pub struct StreamingSkew {
     pairs: defs::SkewPairs,
@@ -240,10 +147,18 @@ pub struct StreamingSkew {
     pulse_global: Option<Duration>,
     pulse_inter: Option<Duration>,
     finished: bool,
+    /// The finished pulses' folds; `0` while there are none, matching
+    /// the `Duration::ZERO` fold the batch analyzer starts from.
+    max_intra: f64,
+    sum_intra: f64,
+    max_inter: f64,
+    max_global: f64,
     pulses: u64,
-    intra: RunningStat,
-    inter: RunningStat,
-    global: RunningStat,
+    bin_width: f64,
+    /// Histogram of the per-pulse intra-layer maxima: bin `i` counts
+    /// `[i·w, (i+1)·w)`, and the last bin also takes everything beyond,
+    /// so the mass is the intra sample count.
+    hist_intra: [u64; StreamingSkew::HIST_BINS],
 }
 
 /// Folds `s` into a running maximum.
@@ -254,20 +169,17 @@ fn fold_max(acc: &mut Option<Duration>, s: Option<Duration>) {
 }
 
 impl StreamingSkew {
-    /// Default intra-histogram shape: 16 bins of one abstract time unit
-    /// (picoseconds under the standard experiment parameters).
-    pub const DEFAULT_HIST_BINS: usize = 16;
+    /// Number of bins of the intra-layer histogram.
+    pub const HIST_BINS: usize = 16;
 
-    /// Creates a monitor for executions of `g` with the default
-    /// histogram.
-    pub fn new(g: &LayeredGraph) -> Self {
-        Self::with_histogram(g, 1.0, Self::DEFAULT_HIST_BINS)
-    }
-
-    /// Creates a monitor with an explicit histogram shape (applied to all
-    /// three statistics).
-    pub fn with_histogram(g: &LayeredGraph, bin_width: f64, bin_count: usize) -> Self {
-        let hist = Histogram::new(bin_width, bin_count);
+    /// Creates a monitor for executions of `g` whose intra-layer
+    /// histogram has [`Self::HIST_BINS`] bins of width `bin_width`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `bin_width > 0`.
+    pub fn new(g: &LayeredGraph, bin_width: f64) -> Self {
+        assert!(bin_width > 0.0, "bin width must be positive");
         Self {
             pairs: defs::SkewPairs::new(g.base()),
             width: g.width(),
@@ -279,10 +191,13 @@ impl StreamingSkew {
             pulse_global: None,
             pulse_inter: None,
             finished: false,
+            max_intra: 0.0,
+            sum_intra: 0.0,
+            max_inter: 0.0,
+            max_global: 0.0,
             pulses: 0,
-            intra: RunningStat::new(hist.clone()),
-            inter: RunningStat::new(hist.clone()),
-            global: RunningStat::new(hist),
+            bin_width,
+            hist_intra: [0; Self::HIST_BINS],
         }
     }
 
@@ -290,13 +205,16 @@ impl StreamingSkew {
     /// and counts it.
     fn end_pulse(&mut self) {
         if let Some(s) = self.pulse_intra.take() {
-            self.intra.record(s.as_f64());
+            let s = s.as_f64();
+            self.max_intra = self.max_intra.max(s);
+            self.sum_intra += s;
+            self.hist_intra[((s / self.bin_width) as usize).min(Self::HIST_BINS - 1)] += 1;
         }
         if let Some(s) = self.pulse_global.take() {
-            self.global.record(s.as_f64());
+            self.max_global = self.max_global.max(s.as_f64());
         }
         if let Some(s) = self.pulse_inter.take() {
-            self.inter.record(s.as_f64());
+            self.max_inter = self.max_inter.max(s.as_f64());
         }
         self.pulses += 1;
     }
@@ -346,48 +264,6 @@ impl StreamingSkew {
         }
     }
 
-    /// Number of finalized pulses.
-    pub fn pulses(&self) -> u64 {
-        self.pulses
-    }
-
-    /// Worst intra-layer skew so far (== the batch
-    /// `max_intra_layer_skew` after [`StreamingSkew::finish`]).
-    pub fn max_intra_layer_skew(&self) -> Duration {
-        Duration::from(self.intra.max())
-    }
-
-    /// Worst inter-layer skew so far.
-    pub fn max_inter_layer_skew(&self) -> Duration {
-        Duration::from(self.inter.max())
-    }
-
-    /// The full local skew `L` so far (== the batch `full_local_skew`
-    /// after [`StreamingSkew::finish`]).
-    pub fn full_local_skew(&self) -> Duration {
-        self.max_intra_layer_skew().max(self.max_inter_layer_skew())
-    }
-
-    /// Worst same-layer global skew so far.
-    pub fn max_global_skew(&self) -> Duration {
-        Duration::from(self.global.max())
-    }
-
-    /// Running aggregate of the per-pulse intra-layer maxima.
-    pub fn intra(&self) -> &RunningStat {
-        &self.intra
-    }
-
-    /// Running aggregate of the per-pulse-pair inter-layer maxima.
-    pub fn inter(&self) -> &RunningStat {
-        &self.inter
-    }
-
-    /// Running aggregate of the per-pulse global-skew maxima.
-    pub fn global(&self) -> &RunningStat {
-        &self.global
-    }
-
     /// Plain-data snapshot of the completed run.
     ///
     /// # Panics
@@ -399,15 +275,22 @@ impl StreamingSkew {
             self.finished,
             "call StreamingSkew::finish() before snapshot()"
         );
+        let samples: u64 = self.hist_intra.iter().sum();
         SkewStats {
-            max_intra: self.intra.max(),
-            max_inter: self.inter.max(),
-            max_full: self.full_local_skew().as_f64(),
-            max_global: self.global.max(),
-            mean_intra: self.intra.mean(),
+            max_intra: self.max_intra,
+            max_inter: self.max_inter,
+            max_full: Duration::from(self.max_intra)
+                .max(Duration::from(self.max_inter))
+                .as_f64(),
+            max_global: self.max_global,
+            mean_intra: if samples == 0 {
+                0.0
+            } else {
+                self.sum_intra / samples as f64
+            },
             pulses: self.pulses,
-            hist_bin_width: self.intra.histogram().bin_width(),
-            hist_intra: self.intra.histogram().bins().to_vec(),
+            hist_bin_width: self.bin_width,
+            hist_intra: self.hist_intra.to_vec(),
         }
     }
 }
@@ -437,32 +320,34 @@ mod tests {
     #[test]
     fn streaming_matches_hand_computed_folds() {
         let g = LayeredGraph::new(BaseGraph::cycle(4), 3);
-        let mut s = StreamingSkew::new(&g);
+        let mut s = StreamingSkew::new(&g, 1.0);
         for k in 0..2usize {
             feed_pulse(&mut s, &g, k, |n| {
                 k as f64 * 100.0 + n.layer as f64 * 10.0 + n.v as f64
             });
         }
         s.finish();
+        let snap = s.snapshot();
         // Intra: worst cycle edge (0, 3) → 3, every pulse and layer.
-        assert_eq!(s.max_intra_layer_skew(), Duration::from(3.0));
+        assert_eq!(snap.max_intra, 3.0);
         // Global: same spread (3) — max over v within a layer.
-        assert_eq!(s.max_global_skew(), Duration::from(3.0));
+        assert_eq!(snap.max_global, 3.0);
         // Inter: |t^{k+1}_{v,ℓ} − t^k_{w,ℓ+1}| = |100 − 10 + v − w| = 93
         // at the wraparound (v=3, w=0).
-        assert_eq!(s.max_inter_layer_skew(), Duration::from(93.0));
-        assert_eq!(s.full_local_skew(), Duration::from(93.0));
-        // Two pulses finalized; intra recorded per pulse, inter per pair.
-        assert_eq!(s.pulses(), 2);
-        assert_eq!(s.intra().count(), 2);
-        assert_eq!(s.inter().count(), 1);
-        assert_eq!(s.intra().mean(), 3.0);
+        assert_eq!(snap.max_inter, 93.0);
+        assert_eq!(snap.max_full, 93.0);
+        // Two pulses finalized, each with one intra sample of 3.
+        assert_eq!(snap.pulses, 2);
+        assert_eq!(snap.mean_intra, 3.0);
+        let mut bins = [0; StreamingSkew::HIST_BINS];
+        bins[3] = 2;
+        assert_eq!(snap.hist_intra, bins);
     }
 
     #[test]
     fn faulty_nodes_are_excluded() {
         let g = LayeredGraph::new(BaseGraph::cycle(4), 2);
-        let mut s = StreamingSkew::new(&g);
+        let mut s = StreamingSkew::new(&g, 1.0);
         s.on_faulty(g.node(3, 1));
         // Node (3, 1) is an extreme outlier; the monitor must ignore it
         // entirely.
@@ -474,20 +359,22 @@ mod tests {
             }
         });
         s.finish();
+        let snap = s.snapshot();
         // Remaining worst: layer 0 wraparound edge (0, 3) → 3; layer 1
         // without node 3: edges (0,1), (1,2) → 1.
-        assert_eq!(s.max_intra_layer_skew(), Duration::from(3.0));
-        assert_eq!(s.max_global_skew(), Duration::from(3.0));
+        assert_eq!(snap.max_intra, 3.0);
+        assert_eq!(snap.max_global, 3.0);
     }
 
     /// A layer's slot two pulses old never pairs with the current pulse.
     /// Row `(1, 1)` is missing, so when `(2, 0)` arrives layer 1's slot
     /// still holds pulse 0: pulse 2's `L_{0,1}` must stay empty rather
-    /// than read `|t^2_{v,0} − t^0_{w,1}|`, up to 192.
+    /// than read `|t^2_{v,0} − t^0_{w,1}|`, up to 192, which would raise
+    /// the inter-layer maximum.
     #[test]
     fn stale_rows_do_not_pair() {
         let g = LayeredGraph::new(BaseGraph::cycle(3), 3);
-        let mut s = StreamingSkew::new(&g);
+        let mut s = StreamingSkew::new(&g, 1.0);
         for k in 0..3usize {
             for layer in 0..3u32 {
                 if (k, layer) == (1, 1) {
@@ -504,11 +391,12 @@ mod tests {
             }
         }
         s.finish();
-        assert_eq!(s.pulses(), 3);
+        let snap = s.snapshot();
+        assert_eq!(snap.pulses, 3);
         // Pulse 1 pairs (1, 0) with (0, 1), pulse 2 pairs (2, 1) with
         // (1, 2); each reads 100 − 10 + (v − w), at most 92.
-        assert_eq!(s.inter().count(), 2);
-        assert_eq!(s.max_inter_layer_skew(), Duration::from(92.0));
+        assert_eq!(snap.max_inter, 92.0);
+        assert_eq!(snap.max_full, 92.0);
     }
 
     /// Rows need `(k, layer)`-major order; a layer 1 row before the
@@ -518,24 +406,35 @@ mod tests {
     #[should_panic(expected = "front-row-major")]
     fn row_path_rejects_layers_out_of_order() {
         let g = LayeredGraph::new(BaseGraph::cycle(3), 2);
-        let mut s = StreamingSkew::new(&g);
+        let mut s = StreamingSkew::new(&g, 1.0);
         let row = [Some(Time::ZERO); 3];
         s.on_pulse_row(0, 1, &row);
         s.on_pulse_row(0, 0, &row);
     }
 
+    /// Per-pulse intra maxima `3·s_k` (the 4-cycle's wraparound edge
+    /// under `t = k·100 + v·s_k`) land in bins of width 0.5; `7.6` fills
+    /// the last of the 16 bins and `77` lies far past it, so the last
+    /// bin holds both and the mass still equals the pulse count.
     #[test]
     fn histogram_clamps_overflow_into_last_bin() {
-        let mut h = Histogram::new(0.5, 4);
-        for v in [0.0, 0.4, 0.6, 1.9, 77.0] {
-            h.record(v);
+        let g = LayeredGraph::new(BaseGraph::cycle(4), 2);
+        let mut s = StreamingSkew::new(&g, 0.5);
+        let maxima = [0.0, 0.4, 0.6, 1.9, 7.6, 77.0];
+        for (k, m) in maxima.into_iter().enumerate() {
+            feed_pulse(&mut s, &g, k, |n| k as f64 * 100.0 + n.v as f64 * m / 3.0);
         }
-        assert_eq!(h.bins(), &[2, 1, 0, 2]);
+        s.finish();
+        let snap = s.snapshot();
+        let mut bins = [0; StreamingSkew::HIST_BINS];
+        (bins[0], bins[1], bins[3], bins[15]) = (2, 1, 1, 2);
+        assert_eq!(snap.hist_intra, bins);
+        assert_eq!(snap.pulses, maxima.len() as u64);
     }
 
     /// Three pulses of `t = k·100 + ℓ·10 + v·scale` on a 4-cycle.
     fn scaled_run(g: &LayeredGraph, scale: f64, bin_width: f64) -> SkewStats {
-        let mut s = StreamingSkew::with_histogram(g, bin_width, 16);
+        let mut s = StreamingSkew::new(g, bin_width);
         for k in 0..3usize {
             feed_pulse(&mut s, g, k, |n| {
                 k as f64 * 100.0 + n.layer as f64 * 10.0 + n.v as f64 * scale
@@ -585,17 +484,18 @@ mod tests {
     #[should_panic(expected = "finish()")]
     fn snapshot_requires_finish() {
         let g = LayeredGraph::new(BaseGraph::cycle(3), 2);
-        let _ = StreamingSkew::new(&g).snapshot();
+        let _ = StreamingSkew::new(&g, 1.0).snapshot();
     }
 
     #[test]
     fn empty_run_snapshots_zeroes() {
         let g = LayeredGraph::new(BaseGraph::cycle(3), 2);
-        let mut s = StreamingSkew::new(&g);
+        let mut s = StreamingSkew::new(&g, 1.0);
         s.finish();
         let snap = s.snapshot();
         assert_eq!(snap.pulses, 0);
         assert_eq!(snap.max_full, 0.0);
         assert_eq!(snap.mean_intra, 0.0);
+        assert_eq!(snap.hist_intra, [0; StreamingSkew::HIST_BINS]);
     }
 }

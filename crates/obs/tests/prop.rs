@@ -70,43 +70,14 @@ impl SendModel for Silence {
     }
 }
 
-/// Running `max`/`sum`/`count` of one statistic, recorded the way
-/// `RunningStat` records it.
-#[derive(Default)]
-struct Fold {
-    max: f64,
-    sum: f64,
-    count: u64,
-}
+/// Bin width of the monitors under test: 16 bins cover `[0, 4)`, so the
+/// lattice skews fill several bins and the largest overflow.
+const BIN_WIDTH: f64 = 0.25;
 
-impl Fold {
-    fn record(&mut self, s: Option<Duration>) {
-        if let Some(s) = s {
-            self.max = self.max.max(s.as_f64());
-            self.sum += s.as_f64();
-            self.count += 1;
-        }
-    }
-
-    fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-}
-
-/// Batch recomputation of everything `StreamingSkew` folds, from a full
-/// trace, in the same pulse order.
-#[derive(Default)]
-struct Batch {
-    intra: Fold,
-    inter: Fold,
-    global: Fold,
-}
-
-fn batch_fold(g: &LayeredGraph, trace: &PulseTrace, pulses: usize) -> Batch {
+/// Batch recomputation of the [`SkewStats`] record `StreamingSkew` folds,
+/// from a full trace over pulses `0..pulses`, in the same pulse order. The
+/// mean divides by its own count of pulses with an intra-layer sample.
+fn batch_fold(g: &LayeredGraph, trace: &PulseTrace, pulses: usize) -> SkewStats {
     let pairs = defs::SkewPairs::new(g.base());
     let row = |k: usize, layer: usize| {
         let mut rows = defs::MaskedRows::new(g.width(), 1);
@@ -117,7 +88,9 @@ fn batch_fold(g: &LayeredGraph, trace: &PulseTrace, pulses: usize) -> Batch {
         (Some(a), Some(s)) => Some(a.max(s)),
         (a, s) => a.or(s),
     };
-    let mut out = Batch::default();
+    let (mut max_intra, mut sum_intra, mut count_intra) = (0.0f64, 0.0f64, 0u64);
+    let (mut max_inter, mut max_global) = (0.0f64, 0.0f64);
+    let mut hist_intra = vec![0u64; StreamingSkew::HIST_BINS];
     for k in 0..pulses {
         let (mut intra, mut global, mut inter) = (None, None, None);
         for layer in 0..g.layer_count() {
@@ -132,29 +105,53 @@ fn batch_fold(g: &LayeredGraph, trace: &PulseTrace, pulses: usize) -> Batch {
                 );
             }
         }
-        out.intra.record(intra);
-        out.global.record(global);
-        out.inter.record(inter);
+        if let Some(s) = intra.map(Duration::as_f64) {
+            max_intra = max_intra.max(s);
+            sum_intra += s;
+            count_intra += 1;
+            hist_intra[((s / BIN_WIDTH) as usize).min(StreamingSkew::HIST_BINS - 1)] += 1;
+        }
+        if let Some(s) = global {
+            max_global = max_global.max(s.as_f64());
+        }
+        if let Some(s) = inter {
+            max_inter = max_inter.max(s.as_f64());
+        }
     }
-    out
+    SkewStats {
+        max_intra,
+        max_inter,
+        max_full: max_intra.max(max_inter),
+        max_global,
+        mean_intra: if count_intra == 0 {
+            0.0
+        } else {
+            sum_intra / count_intra as f64
+        },
+        pulses: pulses as u64,
+        hist_bin_width: BIN_WIDTH,
+        hist_intra,
+    }
 }
 
-/// Checks a finished monitor against the batch fold bit for bit: the
-/// three maxima, means and sample counts.
-fn assert_matches_batch(stream: &StreamingSkew, batch: &Batch) -> Result<(), TestCaseError> {
-    for (name, got, want) in [
-        ("intra", stream.intra(), &batch.intra),
-        ("inter", stream.inter(), &batch.inter),
-        ("global", stream.global(), &batch.global),
-    ] {
-        prop_assert_eq!(got.max().to_bits(), want.max.to_bits(), "{} max", name);
-        prop_assert_eq!(got.mean().to_bits(), want.mean().to_bits(), "{} mean", name);
-        prop_assert_eq!(got.count(), want.count, "{} count", name);
-    }
-    prop_assert_eq!(
-        stream.full_local_skew().as_f64().to_bits(),
-        batch.intra.max.max(batch.inter.max).to_bits()
-    );
+/// Checks a finished monitor's snapshot against the batch fold bit for
+/// bit: every `SkewStats` field, the floats by their bits.
+fn assert_matches_batch(stream: &StreamingSkew, batch: &SkewStats) -> Result<(), TestCaseError> {
+    let got = stream.snapshot();
+    let floats = |s: &SkewStats| {
+        [
+            s.max_intra,
+            s.max_inter,
+            s.max_full,
+            s.max_global,
+            s.mean_intra,
+            s.hist_bin_width,
+        ]
+        .map(f64::to_bits)
+    };
+    prop_assert_eq!(floats(&got), floats(batch));
+    prop_assert_eq!(got.pulses, batch.pulses);
+    prop_assert_eq!(&got.hist_intra, &batch.hist_intra);
     Ok(())
 }
 
@@ -295,7 +292,7 @@ proptest! {
         let bad = g.node(rng.usize_below(g.width()), 1 + rng.usize_below(g.layer_count() - 1));
 
         // One run, two observers: the full trace and the streaming monitor.
-        let mut pair = (PulseTrace::new(&g, pulses), StreamingSkew::new(&g));
+        let mut pair = (PulseTrace::new(&g, pulses), StreamingSkew::new(&g, BIN_WIDTH));
         if fault {
             run_dataflow_observed(&g, &env, &layer0, &MaxPlus, &Silence(bad), pulses, &mut pair);
         } else {
@@ -303,18 +300,18 @@ proptest! {
         }
         let (trace, mut stream) = pair;
         stream.finish();
-        // Bit-identical folds — no tolerance.
+        // Bit-identical folds, every pulse counted — no tolerance.
         assert_matches_batch(&stream, &batch_fold(&g, &trace, pulses))?;
-        prop_assert_eq!(stream.pulses(), pulses as u64);
     }
 
     /// Synthetic row streams with whole rows and whole pulses missing: a
     /// layer's slot then often holds a row two or more pulses old, which
     /// must not enter `L_{ℓ,ℓ+1}`. Times sit on a lattice offset by pulse
-    /// and layer, so a stale row changes the inter-layer maxima and
-    /// counts. The monitor equals the batch fold over the same matrix
-    /// written into a `PulseTrace`, bit for bit, and counts the pulses up
-    /// to the last one with an emission.
+    /// and layer, so a stale pair reads a larger inter-layer skew than any
+    /// true pair and raises the maximum. The monitor equals the batch fold
+    /// over the same matrix written into a `PulseTrace`, bit for bit,
+    /// counting the pulses up to the last one with an emission (the
+    /// pulses after it add no sample).
     #[test]
     fn synthetic_streams_with_missing_rows_equal_batch(
         seed in any::<u64>(),
@@ -331,11 +328,11 @@ proptest! {
         let mut rng = Rng::seed_from(seed);
         let (trace, faulty_nodes, last_pulse) =
             synthetic_trace(&g, &mut rng, pulses, (row_gap, pulse_gap, missing, faulty));
-        let mut stream = StreamingSkew::new(&g);
+        let mut stream = StreamingSkew::new(&g, BIN_WIDTH);
         replay(&mut stream, &g, &trace, &faulty_nodes);
         stream.finish();
-        assert_matches_batch(&stream, &batch_fold(&g, &trace, pulses))?;
-        prop_assert_eq!(stream.pulses(), last_pulse.map_or(0, |k| k as u64 + 1));
+        let counted = last_pulse.map_or(0, |k| k + 1);
+        assert_matches_batch(&stream, &batch_fold(&g, &trace, counted))?;
     }
 
     /// The fault-class monitor, which folds each row on arrival, equals
@@ -394,7 +391,7 @@ proptest! {
                 );
                 let offsets = (0..g.width()).map(|_| rng.f64_in(0.0, 3.0)).collect();
                 let layer0 = OffsetLayer0::new(25.0, offsets);
-                let mut s = StreamingSkew::new(&g);
+                let mut s = StreamingSkew::new(&g, 1.0);
                 run_dataflow_observed(&g, &env, &layer0, &MaxPlus, &CorrectSends, pulses, &mut s);
                 s.finish();
                 s.snapshot()
@@ -440,12 +437,12 @@ proptest! {
             &mut rng,
         );
         let layer0 = OffsetLayer0::synchronized(25.0, g.width());
-        let mut s = StreamingSkew::with_histogram(&g, 0.25, 8);
+        let mut s = StreamingSkew::new(&g, BIN_WIDTH);
         run_dataflow_observed(&g, &env, &layer0, &MaxPlus, &CorrectSends, pulses, &mut s);
         s.finish();
-        let mass: u64 = s.intra().histogram().bins().iter().sum();
-        prop_assert_eq!(mass, s.intra().count());
-        prop_assert_eq!(s.pulses(), pulses as u64);
+        let snap = s.snapshot();
+        prop_assert_eq!(snap.hist_intra.iter().sum::<u64>(), snap.pulses);
+        prop_assert_eq!(snap.pulses, pulses as u64);
     }
 
     /// Engine-independence of the sketch: the serial and frontier engines

@@ -47,17 +47,11 @@ fn main() {
     net.run(Time::from(source_pulses as f64 * lambda));
 
     let by_node = net.broadcasts_by_node();
-    let tol = params.kappa().as_f64();
     println!("\nper-layer worst stabilization pulse (gaps settle to Λ ± κ):");
     for layer in 1..grid.layer_count() {
-        let worst = (0..grid.width())
-            .map(|v| grid.node(v, layer))
-            .filter(|node| !permanent.contains(node))
-            .map(|node| {
-                let times = &by_node[net.index.engine_id(node)];
-                theory::stabilization_pulse(times, lambda, tol)
-            })
-            .try_fold(0, |worst, s| s.map(|s| worst.max(s)));
+        let worst = theory::layer_stabilization_pulse(
+            &params, &grid, net.index, &by_node, layer, &permanent,
+        );
         match worst {
             Some(worst) => println!("  layer {layer}: stabilized by pulse {worst}"),
             None => println!("  layer {layer}: never stabilized"),

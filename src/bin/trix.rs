@@ -265,15 +265,7 @@ fn cmd_stabilize(args: &Args) {
     }
     let by_node = net.broadcasts_by_node();
     for layer in 1..g.layer_count() {
-        let worst = (0..g.width())
-            .map(|v| g.node(v, layer))
-            .filter(|node| !permanent.contains(node))
-            .map(|node| {
-                let times = &by_node[net.index.engine_id(node)];
-                theory::stabilization_pulse(times, lambda, p.kappa().as_f64())
-            })
-            .try_fold(0, |worst, s| s.map(|s| worst.max(s)));
-        match worst {
+        match theory::layer_stabilization_pulse(&p, &g, net.index, &by_node, layer, &permanent) {
             Some(worst) => println!("layer {layer:>2}: stabilized by pulse {worst}"),
             None => println!("layer {layer:>2}: never stabilized"),
         }

@@ -180,9 +180,10 @@ fn seeded_campaign_traces_are_bit_identical() {
         ),
         (
             g.node(6, 4),
-            FaultSchedule::CrashRecover {
-                down_from: 1,
-                down_until: 3,
+            FaultSchedule::Window {
+                from: 1,
+                until: 3,
+                behavior: FaultBehavior::Silent,
             },
         ),
         (

@@ -83,7 +83,7 @@ fn pass_allocations(g: &LayeredGraph, sends: &impl SendModel, pulses: usize) -> 
     run_dataflow_observed(g, &env, &layer0, &rule, sends, pulses, &mut skew);
     skew.finish();
     let allocs = ALLOCS.with(|n| n.replace(None)).expect("counting was on");
-    assert_eq!(skew.pulses(), pulses as u64);
+    assert_eq!(skew.snapshot().pulses, pulses as u64);
     allocs
 }
 

@@ -3,12 +3,12 @@
 //! The streaming experiments' contract: every statistic the streaming
 //! skew observer records must be **bit-identical** to what the post-hoc
 //! analyzer (`trix_analysis::skew` over a full `PulseTrace`) computes for
-//! the same workload — for any `--threads` value. This test replays every
-//! record of the smoke-scale suite that carries streaming statistics from
-//! its *benchmark record alone* (params + derived seeds), re-runs it
-//! through the classic trace-backed path, recomputes all skew statistics
-//! batch-style, and compares `SkewStats` with `==` on the raw `f64`s —
-//! no tolerance.
+//! the same workload — for any `--threads` value. This test walks each
+//! streaming experiment's smoke-scale sweep points beside its records, in
+//! order: every record must carry its point's params and label, and each
+//! of its seeds is re-run through the classic trace-backed path, with all
+//! skew statistics recomputed batch-style and compared as `SkewStats`
+//! with `==` on the raw `f64`s — no tolerance.
 
 use gradient_trix::analysis::{global_skew, inter_layer_skew, intra_layer_skew};
 use gradient_trix::core::GradientTrixRule;
@@ -21,7 +21,10 @@ use trix_bench::common::{
     standard_params, streaming_monitor,
 };
 use trix_bench::json::BenchRecord;
-use trix_bench::{exp_churn, exp_fault_sweep, exp_modes, exp_topology, run_suite, Scale};
+use trix_bench::suite::Fnv;
+use trix_bench::{
+    exp_churn, exp_fault_sweep, exp_modes, exp_scale, exp_topology, run_suite, Scale,
+};
 
 /// Batch recomputation of a [`SkewStats`] snapshot from a full trace,
 /// folding in the same pulse order as the streaming monitor. `sends` is
@@ -52,12 +55,12 @@ fn post_hoc_graph_stats(
 }
 
 fn post_hoc_stats_from_trace(g: &LayeredGraph, pulses: usize, trace: &PulseTrace) -> SkewStats {
-    let p = standard_params();
     // The suite's standard monitor shape (κ/2 bins): recompute the
     // histogram the same way the observer bins per-pulse maxima.
-    let reference = streaming_monitor(g, &p);
-    let bin_width = reference.intra().histogram().bin_width();
-    let bin_count = reference.intra().histogram().bins().len();
+    let mut reference = streaming_monitor(g, &standard_params());
+    reference.finish();
+    let shape = reference.snapshot();
+    let (bin_width, bin_count) = (shape.hist_bin_width, shape.hist_intra.len());
 
     let mut max_intra = 0.0f64;
     let mut max_inter = 0.0f64;
@@ -115,6 +118,36 @@ fn param(record: &BenchRecord, key: &str) -> Option<usize> {
         .and_then(|(_, v)| v.parse().ok())
 }
 
+/// Asserts the record's statistics equal the merged post-hoc replay of
+/// each of its seeds.
+fn assert_replays(record: &BenchRecord, replay: impl Fn(u64) -> SkewStats) {
+    let snaps: Vec<SkewStats> = record.seeds.iter().map(|&seed| replay(seed)).collect();
+    assert_eq!(
+        Some(&merge_snapshots(&snaps)),
+        record.skew.as_ref(),
+        "{}/{}: streaming stats differ from post-hoc analysis",
+        record.experiment,
+        record.scenario
+    );
+}
+
+/// Walks `points` beside `records` in order: each record carries its
+/// point's params and label, then `replay` checks its statistics.
+fn walk<P>(
+    records: &[&BenchRecord],
+    points: &[P],
+    params: impl Fn(&P) -> Vec<(String, String)>,
+    label: impl Fn(&P) -> String,
+    replay: impl Fn(&BenchRecord, &P),
+) {
+    assert_eq!(records.len(), points.len(), "one record per sweep point");
+    for (record, point) in records.iter().zip(points) {
+        assert_eq!(record.params, params(point), "{}", record.scenario);
+        assert_eq!(record.scenario, label(point));
+        replay(record, point);
+    }
+}
+
 #[test]
 fn suite_streaming_stats_equal_post_hoc_for_any_thread_count() {
     let base_seed = 0x0b5e_2017;
@@ -134,16 +167,13 @@ fn suite_streaming_stats_equal_post_hoc_for_any_thread_count() {
 
     // Streaming statistics come from exactly the five streaming
     // experiments, in suite order.
-    let streamed: Vec<(&BenchRecord, &SkewStats)> = serial
+    let streamed: Vec<&BenchRecord> = serial
         .report
         .records
         .iter()
-        .filter_map(|r| Some((r, r.skew.as_ref()?)))
+        .filter(|r| r.skew.is_some())
         .collect();
-    let mut experiments: Vec<&str> = streamed
-        .iter()
-        .map(|(r, _)| r.experiment.as_str())
-        .collect();
+    let mut experiments: Vec<&str> = streamed.iter().map(|r| r.experiment.as_str()).collect();
     experiments.dedup();
     assert_eq!(
         experiments,
@@ -155,93 +185,128 @@ fn suite_streaming_stats_equal_post_hoc_for_any_thread_count() {
             "exp_churn"
         ]
     );
-
-    // Every such record replays bit-identically through the full-trace
-    // path.
-    for (record, recorded) in streamed {
-        let pulses = param(record, "pulses").expect("pulses param");
-        let snaps: Vec<SkewStats> = record
-            .seeds
-            .iter()
-            .map(|&seed| {
-                if record.experiment == "exp_modes" {
-                    // POD-sketch scenarios (schema v7) stamp the
-                    // workload axis in params: rebuild the identical
-                    // deployment and adversary, then replay the skew leg
-                    // through the trace-backed path. (The sketch leg is
-                    // pinned by `sketch_certificate_holds_on_full_trace_grids`
-                    // below.)
-                    let point = exp_modes::point_from_params(&record.params)
-                        .expect("sweep point from params");
-                    let g = point.layered();
-                    return match point.workload {
-                        exp_modes::Workload::Grid => {
-                            post_hoc_stats(&g, pulses, seed, &CorrectSends)
-                        }
-                        exp_modes::Workload::Wave => {
-                            let campaign =
-                                exp_fault_sweep::campaign_for(&g, &point.wave_point(), seed);
-                            post_hoc_stats(&g, pulses, seed, &campaign)
-                        }
-                        exp_modes::Workload::Torus | exp_modes::Workload::Supernode => {
-                            post_hoc_graph_stats(&g, pulses, seed, &CorrectSends)
-                        }
-                    };
-                }
-                if record.experiment == "exp_churn" {
-                    // Churn scenarios (schema v8 stamps the membership
-                    // descriptor): reconstruct the identical campaign
-                    // from the record's params and replay through the
-                    // trace-backed path — the line source on the grid
-                    // leg, the BFS-forest source on the torus leg.
-                    assert!(record.churn.is_some(), "churn records are stamped");
-                    let point = exp_churn::point_from_params(&record.params).expect("sweep point");
-                    let (g, topology) = exp_churn::deployment(&point);
-                    assert_eq!(record.topology.is_some(), topology.is_some());
-                    let campaign = exp_churn::campaign_for(&g, &point, seed);
-                    return match point.topo {
-                        exp_churn::TopoClass::Grid => post_hoc_stats(&g, pulses, seed, &campaign),
-                        exp_churn::TopoClass::Torus => {
-                            post_hoc_graph_stats(&g, pulses, seed, &campaign)
-                        }
-                    };
-                }
-                if record.experiment == "exp_topology" {
-                    // Family scenarios (schema v6 stamps the versioned
-                    // topology descriptor): rebuild the identical graph
-                    // from the record's params and replay through the
-                    // graph-generic trace-backed path.
-                    assert!(record.topology.is_some(), "topology records are stamped");
-                    let point = exp_topology::point_from_params(&record.params)
-                        .expect("sweep point from params");
-                    let g = exp_topology::layered(&point);
-                    return post_hoc_graph_stats(&g, pulses, seed, &CorrectSends);
-                }
-                // exp_scale and exp_fault_sweep: square grids.
-                let width = param(record, "width").expect("width param");
-                let g = grid(width, width);
-                if record.experiment == "exp_fault_sweep" {
-                    // Campaign scenarios (schema v4 stamps the
-                    // descriptor): reconstruct the identical adversary
-                    // from the record's params and replay the faulty run
-                    // through the trace-backed path.
-                    assert!(record.campaign.is_some(), "campaign records are stamped");
-                    let point = exp_fault_sweep::point_from_params(&record.params)
-                        .expect("sweep point from params");
-                    let campaign = exp_fault_sweep::campaign_for(&g, &point, seed);
-                    post_hoc_stats(&g, pulses, seed, &campaign)
-                } else {
-                    post_hoc_stats(&g, pulses, seed, &CorrectSends)
-                }
-            })
-            .collect();
-        let expected = merge_snapshots(&snaps);
-        assert_eq!(
-            &expected, recorded,
-            "{}/{}: streaming stats differ from post-hoc analysis",
-            record.experiment, record.scenario
-        );
+    // Labels and params are the records' schema, and each sweep writes
+    // them from its points, which the walks below compare with
+    // themselves. Pin them, so a renamed key or a reworded label fails
+    // here and not only in a byte diff against an earlier build.
+    let mut schema = Fnv::new();
+    for record in &streamed {
+        schema.write_str(&record.experiment);
+        schema.write_str(&record.scenario);
+        for (key, value) in &record.params {
+            schema.write_str(key);
+            schema.write_str(value);
+        }
     }
+    assert_eq!(
+        schema.finish(),
+        0xb260_e86a_f9d5_cd7b,
+        "the streamed records' labels or params moved"
+    );
+    let records = |experiment: &str| -> Vec<&BenchRecord> {
+        streamed
+            .iter()
+            .copied()
+            .filter(|r| r.experiment == experiment)
+            .collect()
+    };
+
+    // exp_scale: fault-free square grids, one per width.
+    let widths = exp_scale::widths(Scale::Smoke);
+    let scale = records("exp_scale");
+    assert_eq!(scale.len(), widths.len());
+    for (record, &width) in scale.into_iter().zip(widths) {
+        assert_eq!(param(record, "width"), Some(width));
+        let pulses = param(record, "pulses").expect("pulses param");
+        let g = grid(width, width);
+        assert_replays(record, |seed| {
+            post_hoc_stats(&g, pulses, seed, &CorrectSends)
+        });
+    }
+
+    // Campaign scenarios (schema v4 stamps the descriptor): rebuild the
+    // identical adversary from the point and replay the faulty run
+    // through the trace-backed path.
+    walk(
+        &records("exp_fault_sweep"),
+        &exp_fault_sweep::points(Scale::Smoke),
+        exp_fault_sweep::SweepPoint::params,
+        exp_fault_sweep::SweepPoint::descriptor,
+        |record, point| {
+            assert_eq!(record.campaign, Some(point.descriptor()));
+            let g = grid(point.width, point.width);
+            assert_replays(record, |seed| {
+                let campaign = exp_fault_sweep::campaign_for(&g, point, seed);
+                post_hoc_stats(&g, point.pulses, seed, &campaign)
+            });
+        },
+    );
+
+    // Family scenarios (schema v6 stamps the versioned topology
+    // descriptor): rebuild the identical graph and replay through the
+    // graph-generic trace-backed path.
+    walk(
+        &records("exp_topology"),
+        &exp_topology::points(Scale::Smoke),
+        exp_topology::SweepPoint::params,
+        exp_topology::SweepPoint::label,
+        |record, point| {
+            assert!(record.topology.is_some(), "topology records are stamped");
+            let g = exp_topology::layered(point);
+            assert_replays(record, |seed| {
+                post_hoc_graph_stats(&g, point.pulses, seed, &CorrectSends)
+            });
+        },
+    );
+
+    // POD-sketch scenarios (schema v7): rebuild the identical deployment
+    // and adversary, then replay the skew leg through the trace-backed
+    // path. (The sketch leg is pinned by
+    // `sketch_certificate_holds_on_full_trace_grids` below.)
+    walk(
+        &records("exp_modes"),
+        &exp_modes::points(Scale::Smoke),
+        exp_modes::SweepPoint::params,
+        exp_modes::SweepPoint::label,
+        |record, point| {
+            let g = point.layered();
+            assert_replays(record, |seed| match point.workload {
+                exp_modes::Workload::Grid => post_hoc_stats(&g, point.pulses, seed, &CorrectSends),
+                exp_modes::Workload::Wave => {
+                    let campaign = exp_fault_sweep::campaign_for(&g, &point.wave_point(), seed);
+                    post_hoc_stats(&g, point.pulses, seed, &campaign)
+                }
+                exp_modes::Workload::Torus | exp_modes::Workload::Supernode => {
+                    post_hoc_graph_stats(&g, point.pulses, seed, &CorrectSends)
+                }
+            });
+        },
+    );
+
+    // Churn scenarios (schema v8 stamps the membership descriptor):
+    // reconstruct the identical campaign and replay through the
+    // trace-backed path — the line source on the grid leg, the
+    // BFS-forest source on the torus leg.
+    walk(
+        &records("exp_churn"),
+        &exp_churn::points(Scale::Smoke),
+        exp_churn::SweepPoint::params,
+        exp_churn::SweepPoint::descriptor,
+        |record, point| {
+            assert_eq!(record.churn, Some(point.descriptor()));
+            let (g, topology) = exp_churn::deployment(point);
+            assert_eq!(record.topology, topology);
+            assert_replays(record, |seed| {
+                let campaign = exp_churn::campaign_for(&g, point, seed);
+                match point.topo {
+                    exp_churn::TopoClass::Grid => post_hoc_stats(&g, point.pulses, seed, &campaign),
+                    exp_churn::TopoClass::Torus => {
+                        post_hoc_graph_stats(&g, point.pulses, seed, &campaign)
+                    }
+                }
+            });
+        },
+    );
 }
 
 /// The POD sketch's error certificate holds against ground truth: on
