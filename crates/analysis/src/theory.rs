@@ -1,13 +1,8 @@
 //! The paper's proven bounds as executable formulas, for
-//! measured-vs-predicted columns in every experiment table, and the
-//! stabilization detector ([`stabilization_pulse`], per layer
-//! [`layer_stabilization_pulse`]) that Theorem 1.6's budget is checked
-//! with.
+//! measured-vs-predicted columns in every experiment table.
 
-use std::collections::HashSet;
-use trix_core::{GridIndex, Params};
-use trix_time::{Duration, Time};
-use trix_topology::{LayeredGraph, NodeId};
+use trix_core::Params;
+use trix_time::Duration;
 
 /// Theorem 1.1: fault-free intra-layer local skew bound `4κ(2 + log₂ D)`.
 pub fn thm_1_1_bound(params: &Params, diameter: u32) -> Duration {
@@ -52,58 +47,6 @@ pub fn psi_level_bound(params: &Params, diameter: u32, s: u32) -> Duration {
 /// grid plus the layer-0 line, both `Θ(√n)` in the square layout).
 pub fn thm_1_6_pulse_budget(diameter: u32, layer_count: usize) -> usize {
     layer_count + diameter as usize
-}
-
-/// Index of the first pulse after which all gaps stay within `tol` of
-/// `lambda` (requires at least 3 stable trailing gaps; `None` if never).
-///
-/// The last `DRAIN_GAPS` inter-pulse gaps are ignored: once the clock
-/// source stops, the pipeline drains and the final couple of iterations
-/// at every node run with missing next-diagonal inputs, degrading their
-/// timing by design (a shutdown boundary effect, not an instability).
-/// The drain reaches back 3 gaps at widths up to 8 and further on wider
-/// grids, so a run to be judged here either stays at those widths or
-/// stops at the source's last pulse.
-pub fn stabilization_pulse(times: &[Time], lambda: f64, tol: f64) -> Option<usize> {
-    const DRAIN_GAPS: usize = 3;
-    if times.len() < DRAIN_GAPS + 4 {
-        return None;
-    }
-    let gaps: Vec<f64> = times.windows(2).map(|w| (w[1] - w[0]).as_f64()).collect();
-    let end = gaps.len() - DRAIN_GAPS;
-    let mut first_stable = end;
-    for i in (0..end).rev() {
-        if (gaps[i] - lambda).abs() <= tol {
-            first_stable = i;
-        } else {
-            break;
-        }
-    }
-    if end - first_stable >= 3 {
-        Some(first_stable)
-    } else {
-        None
-    }
-}
-
-/// The worst [`stabilization_pulse`], gaps within `κ` of `Λ`, over the
-/// nodes of `layer` outside `dead`; `None` if any of them never
-/// stabilizes. `by_node` holds each engine node's broadcast times, as
-/// `GridNetwork::broadcasts_by_node` returns them, indexed by `index`.
-pub fn layer_stabilization_pulse(
-    params: &Params,
-    g: &LayeredGraph,
-    index: GridIndex,
-    by_node: &[Vec<Time>],
-    layer: usize,
-    dead: &HashSet<NodeId>,
-) -> Option<usize> {
-    let (lambda, kappa) = (params.lambda().as_f64(), params.kappa().as_f64());
-    (0..g.width())
-        .map(|v| g.node(v, layer))
-        .filter(|node| !dead.contains(node))
-        .map(|node| stabilization_pulse(&by_node[index.engine_id(node)], lambda, kappa))
-        .try_fold(0, |worst, s| s.map(|s| worst.max(s)))
 }
 
 /// The naive-TRIX worst case (LW20 / Figure 1 left): local skew `u·ℓ` at
@@ -158,34 +101,5 @@ mod tests {
         assert_eq!(hex_fault_penalty(&p), p.d());
         assert_eq!(thm_1_6_pulse_budget(8, 10), 18);
         assert!(cor_4_24_global_bound(&p, 10) > cor_4_23_psi1_bound(&p, 10));
-    }
-
-    #[test]
-    fn stabilization_detector() {
-        let lambda = 10.0;
-        let times: Vec<Time> = [
-            0.0,
-            7.0,
-            20.0,
-            30.0,
-            40.0,
-            50.0,
-            60.0,
-            70.0,
-            80.0,
-            63.0 + 30.0,
-        ]
-        .iter()
-        .map(|&t| Time::from(t))
-        .collect();
-        // Gaps: 7, 13, 10, 10, 10, 10, 10, 10, 13 — the last 3 gaps are
-        // drain (ignored); stable from index 2.
-        assert_eq!(stabilization_pulse(&times, lambda, 0.5), Some(2));
-        // Never stable:
-        let bad: Vec<Time> = [0.0, 5.0, 11.0, 18.0, 26.0, 33.0, 41.0, 48.0, 56.0]
-            .iter()
-            .map(|&t| Time::from(t))
-            .collect();
-        assert_eq!(stabilization_pulse(&bad, lambda, 0.5), None);
     }
 }

@@ -410,7 +410,6 @@ pub fn scenarios(scale: Scale, base_seed: u64, sim_threads: usize) -> Vec<Scenar
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trix_analysis::{inter_layer_skew, intra_layer_skew};
 
     #[test]
     fn control_point_holds_the_exact_thm_1_1_bound() {
@@ -467,55 +466,6 @@ mod tests {
             assert_eq!(serial.skew, sharded.skew);
             assert_eq!(serial.violations, sharded.violations);
         }
-    }
-
-    /// The streaming statistics replay bit-identically through the
-    /// classic full-trace path: same seed derivation, same campaign,
-    /// post-hoc analysis over the materialized (membership-masked)
-    /// trace.
-    #[test]
-    fn streaming_stats_equal_full_trace_replay() {
-        let p = standard_params();
-        let point = SweepPoint {
-            topo: TopoClass::Grid,
-            width: 10,
-            pulses: 3,
-            rate_pct: 10,
-            pattern: ChurnClass::Flicker,
-        };
-        let (g, _) = deployment(&point);
-        let seed = 11;
-        let rule = GradientTrixRule::new(p);
-        let campaign = campaign_for(&g, &point, seed);
-        let mut skew = streaming_monitor(&g, &p);
-        crate::common::run_gradient_trix_streaming(
-            &g,
-            &p,
-            &rule,
-            &campaign,
-            point.pulses,
-            seed,
-            1,
-            &mut skew,
-        );
-        skew.finish();
-        let streamed = skew.snapshot();
-        let (trace, _) =
-            crate::common::run_gradient_trix(&g, &p, &rule, &campaign, point.pulses, seed);
-        let mut max_intra = 0.0f64;
-        let mut max_inter = 0.0f64;
-        for k in 0..point.pulses {
-            for layer in 0..g.layer_count() {
-                if let Some(s) = intra_layer_skew(&g, &trace, k, layer) {
-                    max_intra = max_intra.max(s.as_f64());
-                }
-                if let Some(s) = inter_layer_skew(&g, &trace, k, layer) {
-                    max_inter = max_inter.max(s.as_f64());
-                }
-            }
-        }
-        assert_eq!(streamed.max_intra, max_intra);
-        assert_eq!(streamed.max_inter, max_inter);
     }
 
     /// The point's deployment and campaign are pure functions of

@@ -452,7 +452,6 @@ pub fn scenarios(scale: Scale, base_seed: u64, sim_threads: usize) -> Vec<Scenar
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trix_analysis::{global_skew, inter_layer_skew, intra_layer_skew};
     use trix_sim::SendModel;
 
     #[test]
@@ -511,58 +510,6 @@ mod tests {
             assert_eq!(serial.skew, sharded.skew);
             assert_eq!(serial.violations, sharded.violations);
         }
-    }
-
-    /// The streaming statistics replay bit-identically through the
-    /// classic full-trace path: same seed derivation, same campaign,
-    /// post-hoc analysis over the reconstructed trace.
-    #[test]
-    fn streaming_stats_equal_full_trace_replay() {
-        let p = standard_params();
-        let point = SweepPoint {
-            width: 10,
-            pulses: 3,
-            density_centi: 100,
-            behavior: BehaviorClass::CrashRecover,
-            pattern: PatternClass::Iid,
-        };
-        let g = grid(point.width, point.width);
-        let seed = 11;
-        let rule = GradientTrixRule::new(p);
-        let campaign = campaign_for(&g, &point, seed);
-        assert!(campaign.fault_count() > 0, "want a non-trivial campaign");
-        // Streaming run.
-        let mut skew = streaming_monitor(&g, &p);
-        crate::common::run_gradient_trix_streaming(
-            &g,
-            &p,
-            &rule,
-            &campaign,
-            point.pulses,
-            seed,
-            1,
-            &mut skew,
-        );
-        skew.finish();
-        let streamed = skew.snapshot();
-        // Full-trace replay with the reconstructed campaign.
-        let (trace, _) =
-            crate::common::run_gradient_trix(&g, &p, &rule, &campaign, point.pulses, seed);
-        let mut max_intra = 0.0f64;
-        let mut max_inter = 0.0f64;
-        for k in 0..point.pulses {
-            for layer in 0..g.layer_count() {
-                if let Some(s) = intra_layer_skew(&g, &trace, k, layer) {
-                    max_intra = max_intra.max(s.as_f64());
-                }
-                if let Some(s) = inter_layer_skew(&g, &trace, k, layer) {
-                    max_inter = max_inter.max(s.as_f64());
-                }
-                let _ = global_skew(&g, &trace, k, layer);
-            }
-        }
-        assert_eq!(streamed.max_intra, max_intra);
-        assert_eq!(streamed.max_inter, max_inter);
     }
 
     /// The point's campaign is a pure function of `(g, point, seed)` —

@@ -13,7 +13,7 @@
 
 use crate::{ClockSourceNode, Layer0Line};
 use crate::{GradientTrixNode, GridNodeConfig, LineForwarderNode, Params};
-use trix_sim::{Des, Environment, Link, Node, Rng, StaticEnvironment};
+use trix_sim::{converged_from, Des, Environment, Link, Node, Rng, StaticEnvironment};
 use trix_time::{Duration, Time};
 use trix_topology::{LayeredGraph, NodeId};
 
@@ -234,6 +234,28 @@ impl GridNetwork {
             out[b.node].push(b.time);
         }
         out
+    }
+
+    /// Each layer's worst [`converged_from`] over its nodes, against
+    /// `twin`, the same deployment run from a clean state: the broadcast
+    /// from which every node of the layer has joined its twin for good,
+    /// or `None` if some node never does. Positions silent in both runs
+    /// converge at 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `twin` deploys a different grid shape.
+    pub fn convergence_by_layer(&self, twin: &GridNetwork) -> Vec<Option<usize>> {
+        assert_eq!(self.index, twin.index, "the twin must deploy the same grid");
+        let (run, twin) = (self.broadcasts_by_node(), twin.broadcasts_by_node());
+        let width = self.index.width;
+        (0..self.index.layer_count)
+            .map(|layer| {
+                (1 + layer * width..1 + (layer + 1) * width)
+                    .map(|engine| converged_from(&run[engine], &twin[engine]))
+                    .try_fold(0, |worst, s| s.map(|s| worst.max(s)))
+            })
+            .collect()
     }
 }
 

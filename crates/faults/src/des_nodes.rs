@@ -1,7 +1,7 @@
 //! Faulty node state machines and transient corruption for the
 //! event-driven engine.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use trix_core::{GradientTrixNode, GridNetwork, Params};
 use trix_sim::{Node, NodeApi, Rng, StaticEnvironment};
 use trix_time::{Duration, LocalTime, Time};
@@ -145,25 +145,51 @@ impl Node for BabblingDesNode {
     }
 }
 
-/// Builds a [`GridNetwork`] whose grid nodes (layers ≥ 1) all start from
-/// randomly corrupted state, and injects `spurious` in-flight messages —
-/// the Theorem 1.6 self-stabilization workload ("transient faults may
-/// result in an arbitrary state of the system's constituent components").
+/// Where each layer of a scrambled deployment self-stabilizes (Theorem
+/// 1.6, "transient faults may result in an arbitrary state of the
+/// system's constituent components"): every grid node (layers ≥ 1)
+/// starts from randomly corrupted state and `spurious` messages are in
+/// flight at time 0. Positions in `permanent` get a [`SilentDesNode`]
+/// (self-stabilization must work *in the presence of* permanent faults,
+/// Appendix C).
 ///
-/// Permanently faulty positions can additionally be supplied through
-/// `permanent`: those get a [`SilentDesNode`] (self-stabilization must
-/// work *in the presence of* permanent faults, Appendix C).
-pub fn scrambled_network(
+/// The clean twin shares the environment, the layer-0 chain delays and
+/// the silent nodes, with no scramble and no spurious messages. Both run
+/// until the event queue drains, and the result is
+/// [`GridNetwork::convergence_by_layer`], indexed by layer: the broadcast
+/// from which every node of the layer has joined its twin bit for bit,
+/// `None` if one never does. The source emits `2·(layers + D) + 10`
+/// pulses, twice Theorem 1.6's `layers + D` budget and then some, so a
+/// node that joins anywhere near the budget joins before the source
+/// stops.
+pub fn scrambled_convergence(
     g: &LayeredGraph,
     params: &Params,
     env: &StaticEnvironment,
-    source_pulses: u64,
     spurious: usize,
-    permanent: &std::collections::HashSet<NodeId>,
+    permanent: &HashSet<NodeId>,
     rng: &mut Rng,
-) -> GridNetwork {
+) -> Vec<Option<usize>> {
+    let (run, twin) = scrambled_runs(g, params, env, spurious, permanent, rng);
+    run.convergence_by_layer(&twin)
+}
+
+/// [`scrambled_convergence`]'s scrambled run and clean twin, both drained.
+fn scrambled_runs(
+    g: &LayeredGraph,
+    params: &Params,
+    env: &StaticEnvironment,
+    spurious: usize,
+    permanent: &HashSet<NodeId>,
+    rng: &mut Rng,
+) -> (GridNetwork, GridNetwork) {
+    let source_pulses = 2 * (g.layer_count() + g.base().diameter() as usize) as u64 + 10;
+    // The chain delays are the only draws the twin shares: taken from
+    // `rng` by the build, after the scramble stream forks and before the
+    // injection stream does.
+    let mut twin_rng = rng.clone();
     let mut scramble_rng = rng.fork(0xDEAD);
-    let mut net = GridNetwork::build(g, params, env, source_pulses, rng, |id, wiring| {
+    let mut run = GridNetwork::build(g, params, env, source_pulses, rng, |id, wiring| {
         if permanent.contains(&id) {
             return Some(Box::new(SilentDesNode));
         }
@@ -184,9 +210,16 @@ pub fn scrambled_network(
         let to_engine = 1 + inject_rng.usize_below(g.node_count());
         let from_engine = 1 + inject_rng.usize_below(g.node_count());
         let at = Time::from(inject_rng.f64_in(0.0, params.d().as_f64()));
-        net.des.inject_delivery(to_engine, from_engine, at);
+        run.des.inject_delivery(to_engine, from_engine, at);
     }
-    net
+    let mut twin = GridNetwork::build(g, params, env, source_pulses, &mut twin_rng, |id, _| {
+        permanent
+            .contains(&id)
+            .then(|| Box::new(SilentDesNode) as Box<dyn Node>)
+    });
+    run.run(Time::INFINITY);
+    twin.run(Time::INFINITY);
+    (run, twin)
 }
 
 /// Builds a [`GridNetwork`] in which the grid nodes listed in `rejoins`
@@ -286,13 +319,35 @@ fn rejoining_network(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
     use trix_sim::Des;
     use trix_time::AffineClock;
     use trix_topology::BaseGraph;
 
     fn params() -> Params {
         Params::with_standard_lambda(Duration::from(2000.0), Duration::from(1.0), 1.0001)
+    }
+
+    /// The all-correct deployment a faulty one built from `rng` is
+    /// compared with, drained: the build draws its layer-0 chain delays
+    /// from `rng` exactly as the faulty build does.
+    fn clean_twin(
+        g: &LayeredGraph,
+        p: &Params,
+        env: &StaticEnvironment,
+        source_pulses: u64,
+        mut rng: Rng,
+    ) -> GridNetwork {
+        let mut twin = GridNetwork::build(g, p, env, source_pulses, &mut rng, |_, _| None);
+        twin.run(Time::INFINITY);
+        twin
+    }
+
+    fn assert_joins_twin(net: &GridNetwork, twin: &GridNetwork, what: &str) {
+        let layers = net.convergence_by_layer(twin);
+        assert!(
+            layers.iter().all(Option::is_some),
+            "{what}: a layer never joins its clean twin: {layers:?}"
+        );
     }
 
     #[test]
@@ -313,11 +368,8 @@ mod tests {
         let g = LayeredGraph::new(BaseGraph::line_with_replicated_ends(4), 4);
         let mut rng = Rng::seed_from(77);
         let env = StaticEnvironment::random(&g, p.d(), p.u(), p.theta(), &mut rng);
-        let mut net = scrambled_network(&g, &p, &env, 30, 25, &HashSet::new(), &mut rng);
-        net.run(Time::from(1e9));
+        let (net, twin) = scrambled_runs(&g, &p, &env, 25, &HashSet::new(), &mut rng);
         let by_node = net.broadcasts_by_node();
-        let lambda = p.lambda().as_f64();
-        // Every grid node must eventually settle into Λ-periodic pulsing.
         for layer in 1..g.layer_count() {
             for v in 0..g.width() {
                 let pulses = &by_node[net.index.engine_id(g.node(v, layer))];
@@ -326,16 +378,10 @@ mod tests {
                     "node ({v},{layer}) stalled: {} pulses",
                     pulses.len()
                 );
-                let tail = &pulses[pulses.len() - 6..pulses.len() - 1];
-                for w in tail.windows(2) {
-                    let gap = (w[1] - w[0]).as_f64();
-                    assert!(
-                        (gap - lambda).abs() < p.kappa().as_f64(),
-                        "node ({v},{layer}) did not stabilize: gap {gap}"
-                    );
-                }
             }
         }
+        // Every node ends up pulsing exactly as it would from a clean start.
+        assert_joins_twin(&net, &twin, "scrambled");
     }
 
     /// On a clean-start fault-free deployment, corresponding fires of
@@ -386,7 +432,8 @@ mod tests {
     /// across many scramble seeds this includes recorded reception
     /// extremes that a genuine early pulse inverts — and the Algorithm 4
     /// sanitization must absorb every one of them (no `correction()`
-    /// panic) while the node re-synchronizes into Λ-periodic pulsing.
+    /// panic) while the node re-synchronizes: it, and every node
+    /// downstream of the outage, joins the never-crashed twin.
     #[test]
     fn crash_recover_rejoins_with_sanitized_extremes_and_resyncs() {
         let p = params();
@@ -396,11 +443,12 @@ mod tests {
             let mut rng = Rng::seed_from(seed);
             let env = StaticEnvironment::random(&g, p.d(), p.u(), p.theta(), &mut rng);
             let node = g.node(2, 2);
-            let rejoins: std::collections::HashMap<_, _> = [(node, LocalTime::from(6.0 * lambda))]
+            let rejoins: HashMap<_, _> = [(node, LocalTime::from(6.0 * lambda))]
                 .into_iter()
                 .collect();
+            let twin = clean_twin(&g, &p, &env, 30, rng.clone());
             let mut net = crash_recover_network(&g, &p, &env, 30, &rejoins, &mut rng);
-            net.run(Time::from(40.0 * lambda));
+            net.run(Time::INFINITY);
             let by_node = net.broadcasts_by_node();
             let pulses = &by_node[net.index.engine_id(node)];
             // Dead until rejoin…
@@ -408,27 +456,21 @@ mod tests {
                 pulses.iter().all(|t| t.as_f64() >= 6.0 * lambda),
                 "seed {seed}: pulse before rejoin: {pulses:?}"
             );
-            // …then re-synchronized: a healthy tail of Λ-periodic pulses.
+            // …then re-synchronized with the grid that never lost it.
             assert!(
                 pulses.len() >= 8,
                 "seed {seed}: rejoined node stalled with {} pulses",
                 pulses.len()
             );
-            let tail = &pulses[pulses.len() - 5..pulses.len() - 1];
-            for w in tail.windows(2) {
-                let gap = (w[1] - w[0]).as_f64();
-                assert!(
-                    (gap - lambda).abs() < 2.0 * p.kappa().as_f64(),
-                    "seed {seed}: rejoined node did not re-sync, gap {gap}"
-                );
-            }
+            assert_joins_twin(&net, &twin, &format!("seed {seed}"));
         }
     }
 
     /// The crash window is invisible to the rest of the grid's liveness:
     /// every other node keeps pulsing through the outage and after the
     /// rejoin (the node's successors ride their remaining predecessors,
-    /// exactly like a permanent silent fault — but here the hole heals).
+    /// exactly like a permanent silent fault — but here the hole heals,
+    /// and every node joins the never-crashed twin).
     #[test]
     fn grid_rides_through_a_crash_recover_outage() {
         let p = params();
@@ -437,11 +479,12 @@ mod tests {
         let mut rng = Rng::seed_from(21);
         let env = StaticEnvironment::random(&g, p.d(), p.u(), p.theta(), &mut rng);
         let node = g.node(3, 1);
-        let rejoins: std::collections::HashMap<_, _> = [(node, LocalTime::from(8.0 * lambda))]
+        let rejoins: HashMap<_, _> = [(node, LocalTime::from(8.0 * lambda))]
             .into_iter()
             .collect();
+        let twin = clean_twin(&g, &p, &env, 30, rng.clone());
         let mut net = crash_recover_network(&g, &p, &env, 30, &rejoins, &mut rng);
-        net.run(Time::from(40.0 * lambda));
+        net.run(Time::INFINITY);
         let by_node = net.broadcasts_by_node();
         for layer in 1..g.layer_count() {
             for v in 0..g.width() {
@@ -455,22 +498,16 @@ mod tests {
                     "node ({v},{layer}) stalled during the outage: {} pulses",
                     pulses.len()
                 );
-                let tail = &pulses[pulses.len() - 6..pulses.len() - 1];
-                for w in tail.windows(2) {
-                    let gap = (w[1] - w[0]).as_f64();
-                    assert!(
-                        (gap - lambda).abs() < 2.0 * p.kappa().as_f64(),
-                        "node ({v},{layer}): gap {gap}"
-                    );
-                }
             }
         }
+        assert_joins_twin(&net, &twin, "ride-through");
     }
 
     /// A new arrival boots from a stale scrambled snapshot — recorded
     /// reception extremes an epoch in the past — and must still splice
-    /// into the running grid: no pulse before the join time, then a
-    /// Λ-periodic tail once Algorithm 4 has sanitized the stale state.
+    /// into the running grid: no pulse before the join time, then, once
+    /// Algorithm 4 has sanitized the stale state, the pulses of a grid in
+    /// which it had always been present.
     #[test]
     fn new_arrival_boots_stale_and_splices_in() {
         let p = params();
@@ -479,12 +516,13 @@ mod tests {
         let mut rng = Rng::seed_from(9);
         let env = StaticEnvironment::random(&g, p.d(), p.u(), p.theta(), &mut rng);
         let node = g.node(1, 2);
-        let arrivals: std::collections::HashMap<_, _> = [(node, LocalTime::from(7.0 * lambda))]
+        let arrivals: HashMap<_, _> = [(node, LocalTime::from(7.0 * lambda))]
             .into_iter()
             .collect();
         let stale_age = Duration::from(5.0 * lambda);
+        let twin = clean_twin(&g, &p, &env, 30, rng.clone());
         let mut net = arrival_network(&g, &p, &env, 30, &arrivals, stale_age, &mut rng);
-        net.run(Time::from(40.0 * lambda));
+        net.run(Time::INFINITY);
         let by_node = net.broadcasts_by_node();
         let pulses = &by_node[net.index.engine_id(node)];
         assert!(
@@ -496,14 +534,7 @@ mod tests {
             "arrival stalled: {} pulses",
             pulses.len()
         );
-        let tail = &pulses[pulses.len() - 5..pulses.len() - 1];
-        for w in tail.windows(2) {
-            let gap = (w[1] - w[0]).as_f64();
-            assert!(
-                (gap - lambda).abs() < 2.0 * p.kappa().as_f64(),
-                "arrival did not sync into the grid: gap {gap}"
-            );
-        }
+        assert_joins_twin(&net, &twin, "arrival");
     }
 
     #[test]
@@ -514,14 +545,12 @@ mod tests {
         let env = StaticEnvironment::random(&g, p.d(), p.u(), p.theta(), &mut rng);
         let dead = g.node(2, 1);
         let permanent: HashSet<_> = [dead].into_iter().collect();
-        let mut net = scrambled_network(&g, &p, &env, 30, 10, &permanent, &mut rng);
-        net.run(Time::from(1e9));
+        let (net, twin) = scrambled_runs(&g, &p, &env, 10, &permanent, &mut rng);
         let by_node = net.broadcasts_by_node();
         assert!(
             by_node[net.index.engine_id(dead)].is_empty(),
             "silent node must not pulse"
         );
-        let lambda = p.lambda().as_f64();
         for layer in 1..g.layer_count() {
             for v in 0..g.width() {
                 let node = g.node(v, layer);
@@ -534,15 +563,9 @@ mod tests {
                     "node ({v},{layer}) stalled with {} pulses",
                     pulses.len()
                 );
-                let tail = &pulses[pulses.len() - 5..pulses.len() - 1];
-                for w in tail.windows(2) {
-                    let gap = (w[1] - w[0]).as_f64();
-                    assert!(
-                        (gap - lambda).abs() < 2.0 * p.kappa().as_f64(),
-                        "node ({v},{layer}): gap {gap}"
-                    );
-                }
             }
         }
+        // The twin keeps the same node silent.
+        assert_joins_twin(&net, &twin, "scrambled, one permanent fault");
     }
 }

@@ -22,11 +22,12 @@
 //!   driving the engines through the `SendModel::is_member` hook
 //!   (absent nodes are masked per pulse, never ever-excluded);
 //! * [`SilentDesNode`] / [`BabblingDesNode`] / [`RejoiningDesNode`] /
-//!   [`scrambled_network`] / [`crash_recover_network`] /
-//!   [`arrival_network`] — event-driven
-//!   fault machinery for the self-stabilization experiments
-//!   (Theorem 1.6), the DES half of crash–recover campaigns, and
-//!   stale-state new arrivals.
+//!   [`crash_recover_network`] / [`arrival_network`] — event-driven
+//!   fault machinery for the DES half of crash–recover campaigns and
+//!   stale-state new arrivals;
+//! * [`scrambled_convergence`] — the Theorem 1.6 self-stabilization
+//!   measurement: a scrambled deployment has stabilized where it joins
+//!   its clean twin bit for bit ([`trix_sim::converged_from`]).
 //!
 //! # Examples
 //!
@@ -56,7 +57,7 @@ pub use behavior::FaultBehavior;
 pub use campaign::{FaultCampaign, FaultSchedule};
 pub use churn::{ChurnCampaign, ChurnSchedule};
 pub use des_nodes::{
-    arrival_network, crash_recover_network, scrambled_network, BabblingDesNode, RejoiningDesNode,
-    SilentDesNode,
+    arrival_network, crash_recover_network, scrambled_convergence, BabblingDesNode,
+    RejoiningDesNode, SilentDesNode,
 };
 pub use placement::{clustered_column, is_one_local, sample_iid, sample_one_local};

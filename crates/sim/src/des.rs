@@ -10,7 +10,9 @@
 //!
 //! Determinism: events are ordered by `(time, sequence-number)`, where the
 //! sequence number is assigned at scheduling time, so executions are
-//! bit-reproducible.
+//! bit-reproducible. That makes [`converged_from`] exact: a run from a
+//! corrupted state has stabilized where it joins its clean twin bit for
+//! bit.
 //!
 //! The event loop is allocation-lean in steady state: pending events are
 //! compact 32-byte entries in a deterministic binary-heap queue (popped
@@ -211,6 +213,38 @@ pub struct Broadcast {
     pub node: usize,
     /// Real time of the broadcast.
     pub time: Time,
+}
+
+/// The index in `run` of the first broadcast of the longest common
+/// suffix of two broadcast-time sequences, compared by `f64` bits: where
+/// a run from a corrupted state joins `twin`, the same deployment run
+/// from a clean state, for good. Two equal sequences (two empty ones
+/// included) converge at 0, and a twin that never broadcasts is joined
+/// after the run's last broadcast (`run.len()`). Otherwise sequences
+/// that end differently never converge (`None`): the run still differed
+/// from its twin when it ended.
+///
+/// # Examples
+///
+/// ```
+/// use trix_sim::converged_from;
+/// use trix_time::Time;
+///
+/// let t = |xs: &[f64]| xs.iter().map(|&x| Time::from(x)).collect::<Vec<_>>();
+/// let twin = t(&[10.0, 20.0, 30.0]);
+/// assert_eq!(converged_from(&t(&[3.0, 9.0, 20.0, 30.0]), &twin), Some(2));
+/// assert_eq!(converged_from(&t(&[10.0, 20.0, 31.0]), &twin), None);
+/// assert_eq!(converged_from(&[], &[]), Some(0));
+/// assert_eq!(converged_from(&t(&[3.0]), &[]), Some(1));
+/// ```
+pub fn converged_from(run: &[Time], twin: &[Time]) -> Option<usize> {
+    let common = run
+        .iter()
+        .rev()
+        .zip(twin.iter().rev())
+        .take_while(|(a, b)| a.as_f64().to_bits() == b.as_f64().to_bits())
+        .count();
+    (common > 0 || twin.is_empty()).then(|| run.len() - common)
 }
 
 /// The discrete-event engine.
@@ -732,6 +766,23 @@ mod tests {
         assert_eq!(*log.borrow(), vec!["pulse", "timer"]);
         assert_eq!(des.events_processed(), 2);
         assert_eq!(des.broadcasts().len(), 1);
+    }
+
+    #[test]
+    fn converged_from_reads_the_common_suffix_bit_for_bit() {
+        let t = |xs: &[f64]| xs.iter().map(|&x| Time::from(x)).collect::<Vec<_>>();
+        let twin = t(&[10.0, 20.0, 30.0]);
+        assert_eq!(converged_from(&twin, &twin), Some(0));
+        assert_eq!(converged_from(&t(&[20.0, 30.0]), &twin), Some(0));
+        assert_eq!(
+            converged_from(&t(&[1.0, 2.0, 15.0, 20.0, 30.0]), &twin),
+            Some(3)
+        );
+        assert_eq!(converged_from(&t(&[10.0, 21.0, 30.0]), &twin), Some(2));
+        assert_eq!(converged_from(&t(&[10.0, 20.0, 31.0]), &twin), None);
+        assert_eq!(converged_from(&t(&[0.0]), &t(&[-0.0])), None);
+        assert_eq!(converged_from(&[], &twin), None);
+        assert_eq!(converged_from(&twin, &[]), Some(3));
     }
 
     #[test]

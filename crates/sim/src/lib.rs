@@ -50,7 +50,7 @@ pub use dataflow::{
     run_dataflow, run_dataflow_observed, run_dataflow_parallel, CorrectSends, Layer0Source,
     OffsetLayer0, PulseRule, PulseTrace, SendModel,
 };
-pub use des::{Broadcast, Des, Link, Node, NodeApi};
+pub use des::{converged_from, Broadcast, Des, Link, Node, NodeApi};
 pub use env::{Environment, SequenceEnvironment, StaticEnvironment};
 pub use frontier::{detected_parallelism, DetectedParallelism, FALLBACK_WORKERS};
 pub use observer::{NullObserver, Observer};

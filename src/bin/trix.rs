@@ -16,10 +16,10 @@ use gradient_trix::analysis::{
 use gradient_trix::baselines::{split_delay_env, NaiveTrixRule};
 use gradient_trix::core::{check_pulse_interval, GradientTrixRule, Layer0Line, Params};
 use gradient_trix::faults::{
-    is_one_local, sample_one_local, scrambled_network, FaultBehavior, FaultCampaign,
+    is_one_local, sample_one_local, scrambled_convergence, FaultBehavior, FaultCampaign,
 };
 use gradient_trix::sim::{run_dataflow, CorrectSends, OffsetLayer0, Rng, StaticEnvironment};
-use gradient_trix::time::{Duration, Time};
+use gradient_trix::time::Duration;
 use gradient_trix::topology::{BaseGraph, LayeredGraph, NodeId};
 use std::{fmt::Display, str::FromStr};
 
@@ -248,12 +248,7 @@ fn cmd_stabilize(args: &Args) {
         .map(|i| g.node((2 + 4 * i) % g.width(), 1 + i % (width - 1)))
         .collect();
     let budget = theory::thm_1_6_pulse_budget(g.base().diameter(), g.layer_count());
-    let source_pulses = (2 * budget + 10) as u64;
-    let mut net = scrambled_network(&g, &p, &env, source_pulses, spurious, &permanent, &mut rng);
-    // Stop at the source's last pulse: on wide grids the drain after it
-    // distorts more trailing gaps than the detector ignores.
-    let lambda = p.lambda().as_f64();
-    net.run(Time::from(source_pulses as f64 * lambda));
+    let layers = scrambled_convergence(&g, &p, &env, spurious, &permanent, &mut rng);
     println!(
         "scrambled {}-node grid with {} spurious messages and {} dead nodes",
         g.node_count(),
@@ -263,9 +258,8 @@ fn cmd_stabilize(args: &Args) {
     if !is_one_local(&g, &permanent) {
         println!("the dead set is not 1-local, so it lies outside Theorem 1.6's fault model");
     }
-    let by_node = net.broadcasts_by_node();
-    for layer in 1..g.layer_count() {
-        match theory::layer_stabilization_pulse(&p, &g, net.index, &by_node, layer, &permanent) {
+    for (layer, worst) in layers.iter().enumerate().skip(1) {
+        match worst {
             Some(worst) => println!("layer {layer:>2}: stabilized by pulse {worst}"),
             None => println!("layer {layer:>2}: never stabilized"),
         }

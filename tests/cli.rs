@@ -1,7 +1,8 @@
 //! The `trix` binary's usage errors: an unknown command, an unknown
 //! flag, an unparsable flag value or one out of range exits with code 2
 //! before any simulation runs, and a well-formed run exits 0. `trix
-//! stabilize` reports a layer that does not settle as never stabilized.
+//! stabilize` says when its dead set leaves Theorem 1.6's fault model,
+//! and a fault-free grid settles on every layer.
 
 use std::process::{Command, Output};
 
@@ -68,22 +69,19 @@ fn stabilize_stdout(args: &[&str]) -> String {
 }
 
 /// Dead nodes at columns 0 and 2 of layer 1 are adjacent, so the
-/// placement is not 1-local and the layers below do not settle; the
-/// command says the placement leaves the fault model. Two dead nodes on
-/// layers 1 and 2 are 1-local, and it says nothing.
+/// placement is not 1-local; the command says the placement leaves the
+/// fault model. Two dead nodes on layers 1 and 2 are 1-local, and it
+/// says nothing.
 #[test]
-fn stabilize_reports_unsettled_layers_as_never() {
+fn stabilize_says_when_the_dead_set_is_not_one_local() {
     const OUTSIDE: &str = "not 1-local";
     let stdout = stabilize_stdout(&["--width", "8", "--seed", "1", "--dead", "8"]);
-    assert!(stdout.contains("never"), "{stdout}");
     assert!(stdout.contains(OUTSIDE), "{stdout}");
     let stdout = stabilize_stdout(&["--width", "8", "--seed", "1", "--dead", "2"]);
     assert!(!stdout.contains(OUTSIDE), "{stdout}");
 }
 
-/// A fault-free width-12 grid settles on every layer: the run stops at
-/// the source's last pulse, before the drain that reaches further back
-/// than the detector's ignored gaps at this width.
+/// A fault-free width-12 grid settles on every layer.
 #[test]
 fn stabilize_fault_free_wide_grid_settles_everywhere() {
     let stdout = stabilize_stdout(&["--width", "12", "--seed", "2"]);
