@@ -3,8 +3,9 @@
 //! HEX fires a node when it has received pulses from **two** of its four
 //! in-neighbors — two on the previous layer, two on the same layer (see
 //! [`trix_topology::HexGrid`]). Firing propagates both down-layer and
-//! along the layer, so pulse times are solved with a time-ordered
-//! relaxation (a Dijkstra-style sweep) rather than layer by layer.
+//! along the layer, so a pulse cannot be solved layer by layer; it runs on
+//! the discrete-event engine [`trix_sim::Des`], one private `HexNode`
+//! state machine per grid node, and is read from [`Des::broadcasts`].
 //!
 //! The paper's Figure 1 (right) highlights HEX's weakness: if a node's
 //! previous-layer in-neighbor crashes, the node must wait for an
@@ -12,55 +13,80 @@
 //! uncertainty `u`) to its firing time — hence the `d + O(u²D/d)` local
 //! skew of DFL+16 versus Gradient TRIX's `O(κ log D)`.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
-use trix_sim::Rng;
-use trix_time::{Duration, Time};
-use trix_topology::{HexGrid, HexNodeId};
+use std::collections::HashSet;
+use trix_sim::{Des, Link, Node, NodeApi, Rng};
+use trix_time::{AffineClock, Duration, LocalTime, Time};
+use trix_topology::{HexGrid, NodeId};
 
-/// Per-directed-link delays for a HEX grid.
-#[derive(Clone, Debug, Default)]
+/// Per-directed-link delays for a HEX grid: the out-links of every node,
+/// indexed by [`HexGrid::node_index`], in [`HexGrid::out_neighbors`]
+/// order — the lists [`run_hex_pulse`] hands the engine.
+#[derive(Clone, Debug)]
 pub struct HexEnvironment {
-    delays: HashMap<(HexNodeId, HexNodeId), Duration>,
-    default: Duration,
+    links: Vec<Vec<Link>>,
 }
 
 impl HexEnvironment {
-    /// All links share the fixed delay `d`.
-    pub fn fixed(d: Duration) -> Self {
+    /// All links of `grid` share the fixed delay `d`.
+    pub fn fixed(grid: &HexGrid, d: Duration) -> Self {
         assert!(d > Duration::ZERO, "delay must be positive");
-        Self {
-            delays: HashMap::new(),
-            default: d,
-        }
+        Self::with_delays(grid, || d)
     }
 
-    /// Uniformly random delays in `[d−u, d]` for every link of `grid`.
+    /// Uniformly random delays in `[d−u, d]` for every link of `grid`,
+    /// drawn in [`HexGrid::nodes`] × [`HexGrid::out_neighbors`] order.
     pub fn random(grid: &HexGrid, d: Duration, u: Duration, rng: &mut Rng) -> Self {
         assert!(u >= Duration::ZERO && u < d, "need 0 <= u < d");
-        let mut delays = HashMap::new();
-        for from in grid.nodes() {
-            for to in grid.out_neighbors(from) {
-                delays.insert(
-                    (from, to),
-                    Duration::from(rng.f64_in(d.as_f64() - u.as_f64(), d.as_f64())),
-                );
+        Self::with_delays(grid, || {
+            Duration::from(rng.f64_in(d.as_f64() - u.as_f64(), d.as_f64()))
+        })
+    }
+
+    fn with_delays(grid: &HexGrid, mut delay: impl FnMut() -> Duration) -> Self {
+        let links = grid
+            .nodes()
+            .map(|from| {
+                grid.out_neighbors(from)
+                    .into_iter()
+                    .map(|to| Link {
+                        to: grid.node_index(to),
+                        delay: delay(),
+                    })
+                    .collect()
+            })
+            .collect();
+        Self { links }
+    }
+}
+
+/// One HEX node on the engine.
+enum HexNode {
+    /// Layer 0: fires on a start timer at its layer-0 time.
+    Source(Time),
+    /// Any other layer: broadcasts on its second reception.
+    Relay { received: u8 },
+    /// Crashed: never fires.
+    Crashed,
+}
+
+impl Node for HexNode {
+    fn on_start(&mut self, api: &mut NodeApi<'_>) {
+        if let HexNode::Source(t) = *self {
+            api.set_timer_local(LocalTime::from(t.as_f64()), 0);
+        }
+    }
+
+    fn on_pulse(&mut self, _from: usize, api: &mut NodeApi<'_>) {
+        if let HexNode::Relay { received } = self {
+            *received += 1;
+            if *received == 2 {
+                api.broadcast();
             }
         }
-        Self { delays, default: d }
     }
 
-    /// Overrides one link's delay.
-    pub fn set(&mut self, from: HexNodeId, to: HexNodeId, delay: Duration) {
-        self.delays.insert((from, to), delay);
-    }
-
-    /// The delay of a link.
-    pub fn delay(&self, from: HexNodeId, to: HexNodeId) -> Duration {
-        self.delays
-            .get(&(from, to))
-            .copied()
-            .unwrap_or(self.default)
+    fn on_timer(&mut self, _tag: u64, api: &mut NodeApi<'_>) {
+        api.broadcast();
     }
 }
 
@@ -74,7 +100,7 @@ pub struct HexPulse {
 impl HexPulse {
     /// Firing time of a node (`None` if it never collected two pulses or
     /// is faulty).
-    pub fn time(&self, n: HexNodeId) -> Option<Time> {
+    pub fn time(&self, n: NodeId) -> Option<Time> {
         self.times[self.grid.node_index(n)]
     }
 
@@ -102,11 +128,15 @@ impl HexPulse {
 ///
 /// `layer0[i]` is the externally supplied firing time of node `(i, 0)`;
 /// `faulty` nodes never fire (crash faults — the failure mode Figure 1
-/// discusses).
+/// discusses). The pulse runs on one [`Des`] with perfect clocks, engine
+/// node `HexGrid::node_index(n)` for grid node `n`, and `env`'s links;
+/// every processed event counts in `trix_sim::metrics`.
 ///
 /// # Panics
 ///
-/// Panics if `layer0.len() != grid.width()`.
+/// Panics if `layer0.len() != grid.width()`, if a layer-0 time is
+/// negative, `-0.0` included (the engine starts at time 0), or if `env`
+/// was built for a grid of another size.
 ///
 /// # Examples
 ///
@@ -116,7 +146,7 @@ impl HexPulse {
 /// use trix_topology::HexGrid;
 ///
 /// let grid = HexGrid::new(6, 4);
-/// let env = HexEnvironment::fixed(Duration::from(10.0));
+/// let env = HexEnvironment::fixed(&grid, Duration::from(10.0));
 /// let layer0: Vec<Time> = vec![Time::ZERO; 6];
 /// let pulse = run_hex_pulse(&grid, &env, &layer0, &Default::default());
 /// // With uniform delays each layer fires exactly d later.
@@ -126,70 +156,42 @@ pub fn run_hex_pulse(
     grid: &HexGrid,
     env: &HexEnvironment,
     layer0: &[Time],
-    faulty: &HashSet<HexNodeId>,
+    faulty: &HashSet<NodeId>,
 ) -> HexPulse {
     assert_eq!(layer0.len(), grid.width(), "one layer-0 time per column");
-
-    #[derive(PartialEq, Eq)]
-    struct Arrival {
-        at: Time,
-        seq: u64,
-        to: HexNodeId,
-    }
-    impl Ord for Arrival {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            (self.at, self.seq).cmp(&(other.at, other.seq))
+    assert!(
+        layer0.iter().all(|&t| t >= Time::ZERO),
+        "layer-0 times must not be negative"
+    );
+    assert_eq!(
+        env.links.len(),
+        grid.node_count(),
+        "environment built for another grid"
+    );
+    let mut des = Des::new(vec![AffineClock::PERFECT; grid.node_count()]);
+    for (from, links) in env.links.iter().enumerate() {
+        for &link in links {
+            des.add_link(from, link);
         }
     }
-    impl PartialOrd for Arrival {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
+    let mut nodes: Vec<Box<dyn Node>> = grid
+        .nodes()
+        .map(|n| -> Box<dyn Node> {
+            Box::new(if faulty.contains(&n) {
+                HexNode::Crashed
+            } else if n.layer == 0 {
+                HexNode::Source(layer0[n.v as usize])
+            } else {
+                HexNode::Relay { received: 0 }
+            })
+        })
+        .collect();
+    des.run(&mut nodes, Time::INFINITY);
+
+    let mut times = vec![None; grid.node_count()];
+    for b in des.broadcasts() {
+        times[b.node] = Some(b.time);
     }
-
-    let mut times: Vec<Option<Time>> = vec![None; grid.node_count()];
-    let mut received: Vec<u8> = vec![0; grid.node_count()];
-    let mut heap: BinaryHeap<Reverse<Arrival>> = BinaryHeap::new();
-    let mut seq = 0u64;
-
-    let fire = |node: HexNodeId,
-                at: Time,
-                times: &mut Vec<Option<Time>>,
-                heap: &mut BinaryHeap<Reverse<Arrival>>,
-                seq: &mut u64| {
-        let idx = grid.node_index(node);
-        if times[idx].is_some() {
-            return;
-        }
-        times[idx] = Some(at);
-        for to in grid.out_neighbors(node) {
-            heap.push(Reverse(Arrival {
-                at: at + env.delay(node, to),
-                seq: *seq,
-                to,
-            }));
-            *seq += 1;
-        }
-    };
-
-    for (i, &t) in layer0.iter().enumerate() {
-        let node = grid.node(i, 0);
-        if !faulty.contains(&node) {
-            fire(node, t, &mut times, &mut heap, &mut seq);
-        }
-    }
-
-    while let Some(Reverse(arrival)) = heap.pop() {
-        let idx = grid.node_index(arrival.to);
-        if times[idx].is_some() || faulty.contains(&arrival.to) {
-            continue;
-        }
-        received[idx] += 1;
-        if received[idx] == 2 {
-            fire(arrival.to, arrival.at, &mut times, &mut heap, &mut seq);
-        }
-    }
-
     HexPulse {
         grid: grid.clone(),
         times,
@@ -203,7 +205,7 @@ mod tests {
     #[test]
     fn uniform_delays_give_zero_skew() {
         let grid = HexGrid::new(8, 5);
-        let env = HexEnvironment::fixed(Duration::from(10.0));
+        let env = HexEnvironment::fixed(&grid, Duration::from(10.0));
         let layer0 = vec![Time::ZERO; 8];
         let pulse = run_hex_pulse(&grid, &env, &layer0, &HashSet::new());
         for layer in 1..5 {
@@ -223,7 +225,7 @@ mod tests {
         // an in-layer pulse, adding ~d to their firing time.
         let grid = HexGrid::new(8, 5);
         let d = Duration::from(10.0);
-        let env = HexEnvironment::fixed(d);
+        let env = HexEnvironment::fixed(&grid, d);
         let layer0 = vec![Time::ZERO; 8];
         let crashed: HashSet<_> = [grid.node(3, 2)].into_iter().collect();
         let pulse = run_hex_pulse(&grid, &env, &layer0, &crashed);
@@ -277,7 +279,24 @@ mod tests {
     #[should_panic(expected = "one layer-0 time per column")]
     fn rejects_wrong_layer0_width() {
         let grid = HexGrid::new(8, 3);
-        let env = HexEnvironment::fixed(Duration::from(1.0));
+        let env = HexEnvironment::fixed(&grid, Duration::from(1.0));
         let _ = run_hex_pulse(&grid, &env, &[Time::ZERO; 3], &HashSet::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "layer-0 times must not be negative")]
+    fn rejects_negative_layer0_time() {
+        let grid = HexGrid::new(3, 2);
+        let env = HexEnvironment::fixed(&grid, Duration::from(1.0));
+        let layer0 = [Time::ZERO, Time::from(-0.0), Time::ZERO];
+        let _ = run_hex_pulse(&grid, &env, &layer0, &HashSet::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "environment built for another grid")]
+    fn rejects_environment_of_another_grid() {
+        let grid = HexGrid::new(8, 3);
+        let env = HexEnvironment::fixed(&HexGrid::new(8, 2), Duration::from(1.0));
+        let _ = run_hex_pulse(&grid, &env, &[Time::ZERO; 8], &HashSet::new());
     }
 }

@@ -7,13 +7,15 @@
 //!   split of [`split_delay_env`].
 //! * [`run_hex_pulse`] — the DFL+16 HEX scheme: fires on the second of
 //!   four in-pulses (two from the previous layer, two in-layer); a crashed
-//!   previous-layer neighbor costs a full message delay `d` of skew.
+//!   previous-layer neighbor costs a full message delay `d` of skew. Each
+//!   pulse runs on the discrete-event engine `trix_sim::Des`, so its
+//!   events count in `trix_sim::metrics` like every other simulation's.
 //! * [`run_lynch_welch`] — the WL88 algorithm on a complete graph
 //!   (Table 1's first rows): `O(1)` skew, `f < n/3` Byzantine tolerance,
 //!   but full connectivity — the trade-off Gradient TRIX escapes.
 //!
-//! Both are complete re-implementations (no artifacts exist), specified
-//! from the descriptions in this paper's §1 and the cited works.
+//! All three are complete re-implementations (no artifacts exist),
+//! specified from the descriptions in this paper's §1 and the cited works.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

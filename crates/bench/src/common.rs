@@ -101,33 +101,13 @@ pub fn run_gradient_trix_streaming(
     run_dataflow_parallel(g, &env, &layer0, rule, sends, pulses, sim_threads, obs);
 }
 
-/// Runs Gradient TRIX on an **arbitrary connected base graph**: identical
-/// seed derivation to [`run_gradient_trix`] (env from `fork(1)`, layer 0
-/// from `fork(2)`), but layer 0 comes from the BFS-forest source
-/// ([`Layer0Line::random_for_graph`]) instead of the Appendix-A line —
-/// the line's hop chain `v−1 → v` is only meaningful on
-/// `line_with_replicated_ends`. The two sources draw differently even on
-/// line graphs (the forest roots at node 0), so the grid experiments
-/// keep [`run_gradient_trix`] and their pinned fingerprints; this is the
-/// entry point for the topology-family sweep (`exp_topology`).
-pub fn run_gradient_trix_graph(
-    g: &LayeredGraph,
-    params: &Params,
-    rule: &GradientTrixRule,
-    sends: &impl SendModel,
-    pulses: usize,
-    seed: u64,
-) -> (PulseTrace, StaticEnvironment) {
-    let (env, layer0) = graph_inputs(g, params, seed);
-    let trace = run_dataflow(g, &env, &layer0, rule, sends, pulses);
-    (trace, env)
-}
-
-/// Streaming counterpart of [`run_gradient_trix_graph`]: the
-/// graph-generic workload of [`run_gradient_trix_streaming`] — same seed
-/// derivation, BFS-forest layer 0, `O(width)` driver state — with
-/// `sim_threads` sharding exactly as there (the emission stream is
-/// bit-identical for every value).
+/// [`run_gradient_trix_streaming`] on an **arbitrary connected base
+/// graph**: the same seed derivation and `O(width)` driver state, but
+/// layer 0 comes from [`graph_inputs`]' BFS-forest source — the line's
+/// hop chain `v−1 → v` is only meaningful on `line_with_replicated_ends`
+/// — with `sim_threads` sharding exactly as there (the emission stream
+/// is bit-identical for every value). `exp_topology` and the torus leg
+/// of `exp_churn` stream through it.
 #[allow(clippy::too_many_arguments)] // mirrors the engine signature + the thread knob
 pub fn run_gradient_trix_streaming_graph(
     g: &LayeredGraph,
@@ -176,21 +156,6 @@ pub fn merge_snapshots(snaps: &[SkewStats]) -> SkewStats {
 /// first handful of bins).
 pub fn streaming_monitor(g: &LayeredGraph, p: &Params) -> StreamingSkew {
     StreamingSkew::new(g, p.kappa().as_f64() / 2.0)
-}
-
-/// Runs Gradient TRIX under an explicit environment (adversarial setups).
-pub fn run_gradient_trix_with_env(
-    g: &LayeredGraph,
-    params: &Params,
-    rule: &GradientTrixRule,
-    env: &StaticEnvironment,
-    sends: &impl SendModel,
-    pulses: usize,
-    seed: u64,
-) -> PulseTrace {
-    let mut layer0_rng = Rng::seed_from(seed).fork(2);
-    let layer0 = Layer0Line::random_for_line(params, g.width(), &mut layer0_rng);
-    run_dataflow(g, env, &layer0, rule, sends, pulses)
 }
 
 #[cfg(test)]

@@ -45,7 +45,7 @@ use trix_topology::LayeredGraph;
 /// Empirical fault-tolerance factor for spread-out 1-local campaigns:
 /// measured skew must stay within this multiple of the Theorem 1.1
 /// fault-free bound — the Theorem 1.3 "no exponential pile-up" shape
-/// check, with the same constant `exp_thm13` uses.
+/// check, which `exp_thm13` and `exp_thm14` judge against too.
 pub const FAULT_FACTOR: f64 = 3.0;
 
 /// Shift magnitude (in κ) used by the timing-lie behaviors.

@@ -163,7 +163,7 @@ mod tests {
     fn hex_crash_penalty_is_a_full_delay() {
         let p = standard_params();
         let grid = HexGrid::new(8, 6);
-        let env = HexEnvironment::fixed(p.d());
+        let env = HexEnvironment::fixed(&grid, p.d());
         let layer0 = vec![Time::ZERO; 8];
         let crashed: HashSet<_> = [grid.node(4, 3)].into_iter().collect();
         let healthy = run_hex_pulse(&grid, &env, &layer0, &HashSet::new());
@@ -172,6 +172,14 @@ mod tests {
         let f = faulty.local_skew(4).unwrap();
         assert_eq!(h, trix_time::Duration::ZERO);
         assert_eq!(f, p.d(), "crash must cost one full delay");
+    }
+
+    /// Pins the smoke and quick `fig1_hex` table: any moved HEX firing
+    /// time changes it.
+    #[test]
+    fn hex_crash_table_is_pinned() {
+        let t = run_hex_crash(8, 6);
+        assert_eq!(crate::suite::table_fingerprint(&t), 0x3ab8_7f5b_4ccc_fadc);
     }
 
     #[test]

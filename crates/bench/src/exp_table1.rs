@@ -167,6 +167,14 @@ mod tests {
         );
     }
 
+    /// Pins the smoke `table1` row, whose HEX column runs one crashed
+    /// pulse on a 10-wide grid.
+    #[test]
+    fn table_is_pinned() {
+        let t = run(&[8]);
+        assert_eq!(crate::suite::table_fingerprint(&t), 0xdd38_d983_5c4f_96b2);
+    }
+
     #[test]
     fn table_renders() {
         let t = run(&[8, 12]);

@@ -7,13 +7,13 @@
 //! split-delay environment. Reports the worst intra-layer skew across all
 //! layers and pulses against the bound.
 
-use crate::common::{run_gradient_trix, run_gradient_trix_with_env, square_grid, standard_params};
+use crate::common::{line_inputs, run_gradient_trix, square_grid, standard_params};
 use crate::suite::{kv, scenario_seeds, Scenario, ScenarioResult};
 use crate::Scale;
 use trix_analysis::{fmt_f64, max_intra_layer_skew, theory, Table};
 use trix_baselines::split_delay_env;
 use trix_core::GradientTrixRule;
-use trix_sim::CorrectSends;
+use trix_sim::{run_dataflow, CorrectSends};
 
 /// Runs the Theorem 1.1 experiment over the given grid widths. The bound
 /// is the condition oracle: a width whose worst skew exceeds it is a
@@ -43,8 +43,8 @@ pub fn run(widths: &[usize], pulses: usize, seeds: &[u64]) -> ScenarioResult {
             worst = worst.max(max_intra_layer_skew(&g, &trace, 0..pulses).as_f64());
         }
         let adv_env = split_delay_env(&g, p.d(), p.u());
-        let adv_trace =
-            run_gradient_trix_with_env(&g, &p, &rule, &adv_env, &CorrectSends, pulses, 7);
+        let (_, layer0) = line_inputs(&g, &p, 7);
+        let adv_trace = run_dataflow(&g, &adv_env, &layer0, &rule, &CorrectSends, pulses);
         let adv = max_intra_layer_skew(&g, &adv_trace, 0..pulses).as_f64();
         let bound = theory::thm_1_1_bound(&p, d).as_f64();
         let measured = worst.max(adv);
@@ -114,7 +114,8 @@ mod tests {
         let rule = GradientTrixRule::new(p);
         let g = square_grid(16);
         let env = split_delay_env(&g, p.d(), p.u());
-        let trace = run_gradient_trix_with_env(&g, &p, &rule, &env, &CorrectSends, 3, 1);
+        let (_, layer0) = line_inputs(&g, &p, 1);
+        let trace = run_dataflow(&g, &env, &layer0, &rule, &CorrectSends, 3);
         let skew = max_intra_layer_skew(&g, &trace, 0..3);
         assert!(skew <= theory::thm_1_1_bound(&p, g.base().diameter()));
     }

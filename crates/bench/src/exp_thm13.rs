@@ -9,10 +9,15 @@
 //! *Workload:* square grids of increasing size, `p = c·n^{-0.55}`, fault
 //! behaviors cycling through silent / late / early / two-faced. Reports
 //! measured skew (worst seed), the fault-free baseline, the `O(κ log D)`
-//! reference line, and the max distance-δ k-faulty value.
+//! reference line, and the max distance-δ k-faulty value. The oracle
+//! is the Theorem 1.3 shape check `exp_fault_sweep` runs: a measured L
+//! above [`FAULT_FACTOR`]× the Theorem 1.1 bound is a violation. The
+//! k-faulty column is reported, not checked: Observation 4.34 holds
+//! asymptotically, and these grids are far from that regime.
 
 use crate::common::{run_gradient_trix, square_grid, standard_params};
-use crate::suite::{kv, scenario_seeds, Scenario};
+use crate::exp_fault_sweep::FAULT_FACTOR;
+use crate::suite::{kv, scenario_seeds, Scenario, ScenarioResult};
 use crate::Scale;
 use trix_analysis::{fmt_f64, max_intra_layer_skew, theory, Table};
 use trix_core::GradientTrixRule;
@@ -41,8 +46,10 @@ pub fn behavior_mix(
     }))
 }
 
-/// Runs the Theorem 1.3 experiment over grid widths.
-pub fn run(widths: &[usize], c: f64, pulses: usize, seeds: &[u64]) -> Table {
+/// Runs the Theorem 1.3 experiment over grid widths. A width whose
+/// worst-seed L exceeds [`FAULT_FACTOR`]× the Theorem 1.1 bound is a
+/// violation.
+pub fn run(widths: &[usize], c: f64, pulses: usize, seeds: &[u64]) -> ScenarioResult {
     let p = standard_params();
     let rule = GradientTrixRule::new(p);
     let mut table = Table::new(
@@ -58,6 +65,7 @@ pub fn run(widths: &[usize], c: f64, pulses: usize, seeds: &[u64]) -> Table {
             "max k-faulty (≤2 expected)",
         ],
     );
+    let mut violations = Vec::new();
     for &w in widths {
         let g = square_grid(w);
         let n = g.node_count() as f64;
@@ -82,6 +90,14 @@ pub fn run(widths: &[usize], c: f64, pulses: usize, seeds: &[u64]) -> Table {
         }
         let (ff_trace, _) = run_gradient_trix(&g, &p, &rule, &CorrectSends, pulses, 1);
         let fault_free = max_intra_layer_skew(&g, &ff_trace, 0..pulses).as_f64();
+        let bound = FAULT_FACTOR * theory::thm_1_1_bound(&p, d).as_f64();
+        if worst > bound {
+            violations.push(format!(
+                "width {w}: L {worst} (worst of {} seeds) exceeds {FAULT_FACTOR}× \
+                 the Thm 1.1 bound, {bound}",
+                seeds.len()
+            ));
+        }
         table.row_values(&[
             w.to_string(),
             (n as usize).to_string(),
@@ -89,11 +105,11 @@ pub fn run(widths: &[usize], c: f64, pulses: usize, seeds: &[u64]) -> Table {
             fmt_f64(fault_total as f64 / seeds.len() as f64),
             fmt_f64(worst),
             fmt_f64(fault_free),
-            fmt_f64(3.0 * theory::thm_1_1_bound(&p, d).as_f64()),
+            fmt_f64(bound),
             worst_k.to_string(),
         ]);
     }
-    table
+    ScenarioResult::checked(table, violations)
 }
 
 /// Scenario decomposition for the sweep runner: one scenario per grid
@@ -138,10 +154,10 @@ mod tests {
                 let model = behavior_mix(positions, p.kappa());
                 let (trace, _) = run_gradient_trix(&g, &p, &rule, &model, 3, seed);
                 let skew = max_intra_layer_skew(&g, &trace, 0..3);
-                // Shape check: within a constant factor (3x) of the
+                // Shape check: within a constant factor of the
                 // fault-free bound, i.e. still O(κ log D), nowhere near
                 // the 5^f explosion.
-                let reference = theory::thm_1_1_bound(&p, d) * 3.0;
+                let reference = theory::thm_1_1_bound(&p, d) * FAULT_FACTOR;
                 assert!(
                     skew <= reference,
                     "w={w} seed={seed}: {skew} vs {reference}"
@@ -172,7 +188,8 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        let t = run(&[12], 0.4, 2, &[0, 1]);
-        assert_eq!(t.len(), 1);
+        let r = run(&[12], 0.4, 2, &[0, 1]);
+        assert_eq!(r.table.len(), 1);
+        assert!(r.violations.is_empty(), "{:?}", r.violations);
     }
 }

@@ -8,9 +8,14 @@
 //! per-pulse behavior changes, (ii) link-delay variation up to
 //! `n^{-1/2}·u·log D` per pulse, and (iii) clock-speed variation up to
 //! `n^{-1/2}·(ϑ−1)·log D` per pulse.
+//!
+//! The oracle is the Theorem 1.3 shape check `exp_fault_sweep` runs: a
+//! row whose L exceeds [`FAULT_FACTOR`]× the Theorem 1.1 bound is a
+//! violation.
 
 use crate::common::{run_gradient_trix, square_grid, standard_params};
-use crate::suite::{kv, scenario_seeds, Scenario};
+use crate::exp_fault_sweep::FAULT_FACTOR;
+use crate::suite::{kv, scenario_seeds, Scenario, ScenarioResult};
 use crate::Scale;
 use trix_analysis::{fmt_f64, full_local_skew, theory, Table};
 use trix_core::{GradientTrixRule, Layer0Line, Params};
@@ -103,14 +108,15 @@ fn drifting_environment(
 }
 
 /// Runs both variants and reports full local skew vs the reference line.
-pub fn run(width: usize, pulses: usize, seeds: &[u64]) -> Table {
+/// A row above the reference is a violation.
+pub fn run(width: usize, pulses: usize, seeds: &[u64]) -> ScenarioResult {
     let p = standard_params();
     let rule = GradientTrixRule::new(p);
     let g = square_grid(width);
     let n = g.node_count() as f64;
     let prob = 0.4 * n.powf(-0.55);
     let d = g.base().diameter();
-    let reference = 3.0 * theory::thm_1_1_bound(&p, d).as_f64();
+    let reference = FAULT_FACTOR * theory::thm_1_1_bound(&p, d).as_f64();
 
     let mut table = Table::new(
         "Thm 1.4 / Cor 1.5 — full local skew L (intra + inter-layer)",
@@ -122,18 +128,12 @@ pub fn run(width: usize, pulses: usize, seeds: &[u64]) -> Table {
             "reference 3·4κ(2+log₂D)",
         ],
     );
+    let mut violations = Vec::new();
     for &seed in seeds {
         // Theorem 1.4: static faults, static environment.
         let model = static_faults(&g, prob, p.kappa(), seed);
         let (trace, _) = run_gradient_trix(&g, &p, &rule, &model, pulses, seed);
-        let skew = full_local_skew(&g, &trace, 1..pulses);
-        table.row_values(&[
-            "Thm 1.4 (static)".into(),
-            seed.to_string(),
-            model.all_static().to_string(),
-            fmt_f64(skew.as_f64()),
-            fmt_f64(reference),
-        ]);
+        let thm14 = (model.all_static(), full_local_skew(&g, &trace, 1..pulses));
 
         // Corollary 1.5: restless faults + drifting delays/clocks.
         let model = cor15_faults(&g, prob, p.kappa(), seed);
@@ -141,16 +141,28 @@ pub fn run(width: usize, pulses: usize, seeds: &[u64]) -> Table {
         let mut layer0_rng = Rng::seed_from(seed).fork(2);
         let layer0 = Layer0Line::random_for_line(&p, g.width(), &mut layer0_rng);
         let trace = run_dataflow(&g, &env, &layer0, &rule, &model, pulses);
-        let skew = full_local_skew(&g, &trace, 1..pulses);
-        table.row_values(&[
-            "Cor 1.5 (drift)".into(),
-            seed.to_string(),
-            model.all_static().to_string(),
-            fmt_f64(skew.as_f64()),
-            fmt_f64(reference),
-        ]);
+        let cor15 = (model.all_static(), full_local_skew(&g, &trace, 1..pulses));
+
+        for (variant, (all_static, skew)) in
+            [("Thm 1.4 (static)", thm14), ("Cor 1.5 (drift)", cor15)]
+        {
+            let skew = skew.as_f64();
+            if skew > reference {
+                violations.push(format!(
+                    "{variant}, width {width}, seed {seed}: L {skew} exceeds {FAULT_FACTOR}× \
+                     the Thm 1.1 bound, {reference}"
+                ));
+            }
+            table.row_values(&[
+                variant.into(),
+                seed.to_string(),
+                all_static.to_string(),
+                fmt_f64(skew),
+                fmt_f64(reference),
+            ]);
+        }
     }
-    table
+    ScenarioResult::checked(table, violations)
 }
 
 /// Scenario decomposition for the sweep runner: one scenario (static vs
@@ -182,7 +194,7 @@ mod tests {
         assert!(model.all_static());
         let (trace, _) = run_gradient_trix(&g, &p, &rule, &model, 6, 3);
         let skew = full_local_skew(&g, &trace, 1..6);
-        let reference = theory::thm_1_1_bound(&p, g.base().diameter()) * 3.0;
+        let reference = theory::thm_1_1_bound(&p, g.base().diameter()) * FAULT_FACTOR;
         assert!(skew <= reference, "{skew} vs {reference}");
     }
 
@@ -223,7 +235,8 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        let t = run(10, 3, &[0]);
-        assert_eq!(t.len(), 2);
+        let r = run(10, 3, &[0]);
+        assert_eq!(r.table.len(), 2);
+        assert!(r.violations.is_empty(), "{:?}", r.violations);
     }
 }

@@ -149,18 +149,15 @@ pub fn run_layer0(width: usize, seeds: &[u64]) -> Table {
 }
 
 /// Scenario decomposition for the sweep runner: one scenario per scrambled
-/// grid width, plus the layer-0 line stabilization check.
-///
-/// The event-driven scenarios are the most expensive in the suite, so they
-/// cap at two seeds even at full scale (matching the historical harness).
+/// grid width, each over the scale's seed count, plus the layer-0 line
+/// stabilization check.
 pub fn scenarios(scale: Scale, base_seed: u64) -> Vec<Scenario> {
     let widths = scale.pick(&[4usize][..], &[4][..], &[4, 6, 8, 12, 16, 24][..]);
-    let des_seeds = scale.seed_count().min(2);
     let mut out: Vec<Scenario> = widths
         .iter()
         .enumerate()
         .map(|(i, &w)| {
-            let seeds = scenario_seeds(base_seed, "thm16", i as u64, des_seeds);
+            let seeds = scenario_seeds(base_seed, "thm16", i as u64, scale.seed_count());
             let job_seeds = seeds.clone();
             Scenario::new(
                 "thm16",

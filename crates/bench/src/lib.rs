@@ -192,19 +192,15 @@ mod tests {
             "oracle violations: {:?}",
             outcome.violations
         );
-        // Every record carries rows; simulation-backed ones count events
-        // (pure-topology/offset experiments like fig23 and lem_a1 don't
-        // simulate).
+        // Every record carries rows, and counts events exactly when it
+        // simulates: only the pure-topology and offset experiments
+        // (fig23, lem_a1) do not.
         for r in &outcome.report.records {
-            assert!(r.rows > 0, "{}: no rows", r.experiment);
+            let id = format!("{}/{}", r.experiment, r.scenario);
+            assert!(r.rows > 0, "{id}: no rows");
+            let simulates = !["fig23", "lem_a1"].contains(&r.experiment.as_str());
+            assert_eq!(r.events > 0, simulates, "{id}: {} events", r.events);
         }
-        let simulated = outcome
-            .report
-            .records
-            .iter()
-            .filter(|r| r.events > 0)
-            .count();
-        assert!(simulated >= outcome.report.records.len() / 2);
     }
 
     #[test]

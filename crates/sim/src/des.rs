@@ -4,9 +4,11 @@
 //! executions; this engine covers everything it cannot: arbitrary initial
 //! states (self-stabilization, Theorem 1.6), spurious in-flight messages,
 //! babbling faulty nodes, and protocols with intra-layer communication
-//! (HEX). Nodes are state machines implementing [`Node`]; the engine owns
-//! the hardware clocks and the link topology, delivers pulse messages after
-//! per-link delays, and fires timers that nodes request in *local* time.
+//! (the HEX baseline in `trix-baselines`, whose nodes fire on their
+//! second reception); it is the workspace's one event loop. Nodes are
+//! state machines implementing [`Node`]; the engine owns the hardware
+//! clocks and the link topology, delivers pulse messages after per-link
+//! delays, and fires timers that nodes request in *local* time.
 //!
 //! Determinism: events are ordered by `(time, sequence-number)`, where the
 //! sequence number is assigned at scheduling time, so executions are

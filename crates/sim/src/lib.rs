@@ -10,7 +10,8 @@
 //!   only on the previous layer's same-iteration pulses, Lemma B.1);
 //! * [`Des`] — a discrete-event engine for everything the dataflow model
 //!   cannot express: arbitrary initial states (self-stabilization),
-//!   spurious messages, babbling faults, intra-layer links (HEX).
+//!   spurious messages, babbling faults, intra-layer links (the HEX
+//!   baseline, `trix_baselines::run_hex_pulse`, runs each pulse on it).
 //!
 //! Shared infrastructure: a deterministic [`Rng`] (SplitMix64 +
 //! Xoshiro256**), [`Environment`] implementations assigning delays and

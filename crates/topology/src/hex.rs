@@ -1,10 +1,10 @@
 //! The HEX grid topology of Dolev, Függer, Lenzen, Perner, Schmid
 //! (DFL+16), used as a baseline (paper Table 1, Figure 1 right).
 //!
-//! HEX arranges nodes in layers of fixed width. Each node `(ℓ, i)` with
+//! HEX arranges nodes in layers of fixed width. Each node `(i, ℓ)` with
 //! `ℓ ≥ 1` has **four** in-neighbors: two on the *previous* layer —
-//! `(ℓ−1, i)` and `(ℓ−1, i−1)` — and two on the *same* layer — `(ℓ, i−1)`
-//! and `(ℓ, i+1)`. A node fires its pulse when it has received the pulse
+//! `(i, ℓ−1)` and `(i−1, ℓ−1)` — and two on the *same* layer — `(i−1, ℓ)`
+//! and `(i+1, ℓ)`. A node fires its pulse when it has received the pulse
 //! from **two** distinct in-neighbors. Layers wrap around (a honeycomb on a
 //! cylinder), matching the original paper's construction.
 //!
@@ -13,25 +13,15 @@
 //! neighbor forces a node to wait for an in-layer pulse, incurring a skew of
 //! a full message delay `d` rather than the uncertainty `u`.
 
-use core::fmt;
-
-/// Identifier of a HEX node `(layer, i)`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct HexNodeId {
-    /// Layer index.
-    pub layer: u32,
-    /// Position within the layer.
-    pub i: u32,
-}
-
-impl fmt::Display for HexNodeId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "hex({}, {})", self.layer, self.i)
-    }
-}
+use crate::NodeId;
 
 /// A HEX grid with `width` nodes per layer (wrapping) and `layer_count`
 /// layers.
+///
+/// Nodes are [`NodeId`]s, with the position `i` within its layer as `v`.
+/// [`HexGrid::node_index`] numbers them densely in `(layer, i)` order,
+/// the order of [`HexGrid::nodes`]; the HEX baseline uses it as the
+/// discrete-event engine's node index.
 ///
 /// # Examples
 ///
@@ -41,6 +31,7 @@ impl fmt::Display for HexNodeId {
 /// let g = HexGrid::new(8, 5);
 /// let n = g.node(3, 2);
 /// assert_eq!(g.in_neighbors(n).len(), 4);
+/// assert_eq!(g.node_index(n), 2 * 8 + 3);
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HexGrid {
@@ -83,86 +74,56 @@ impl HexGrid {
     /// # Panics
     ///
     /// Panics if out of range.
-    pub fn node(&self, i: usize, layer: usize) -> HexNodeId {
+    pub fn node(&self, i: usize, layer: usize) -> NodeId {
         assert!(i < self.width && layer < self.layer_count, "out of range");
-        HexNodeId {
-            layer: layer as u32,
-            i: i as u32,
-        }
+        NodeId::new(i as u32, layer as u32)
     }
 
     /// Dense index for per-node state vectors.
     #[inline]
-    pub fn node_index(&self, n: HexNodeId) -> usize {
-        n.layer as usize * self.width + n.i as usize
+    pub fn node_index(&self, n: NodeId) -> usize {
+        n.layer as usize * self.width + n.v as usize
     }
 
     /// The four in-neighbors of a node on layer ≥ 1; two on the previous
     /// layer, two on the same layer. Layer-0 nodes have none (driven
     /// externally).
-    pub fn in_neighbors(&self, n: HexNodeId) -> Vec<HexNodeId> {
+    pub fn in_neighbors(&self, n: NodeId) -> Vec<NodeId> {
         if n.layer == 0 {
             return Vec::new();
         }
         let w = self.width as u32;
-        let i = n.i;
+        let left = (n.v + w - 1) % w;
         vec![
-            HexNodeId {
-                layer: n.layer - 1,
-                i,
-            },
-            HexNodeId {
-                layer: n.layer - 1,
-                i: (i + w - 1) % w,
-            },
-            HexNodeId {
-                layer: n.layer,
-                i: (i + w - 1) % w,
-            },
-            HexNodeId {
-                layer: n.layer,
-                i: (i + 1) % w,
-            },
+            NodeId::new(n.v, n.layer - 1),
+            NodeId::new(left, n.layer - 1),
+            NodeId::new(left, n.layer),
+            NodeId::new((n.v + 1) % w, n.layer),
         ]
     }
 
     /// Out-neighbors: mirror image of [`HexGrid::in_neighbors`].
-    pub fn out_neighbors(&self, n: HexNodeId) -> Vec<HexNodeId> {
+    pub fn out_neighbors(&self, n: NodeId) -> Vec<NodeId> {
         let w = self.width as u32;
+        let right = (n.v + 1) % w;
         let mut out = Vec::with_capacity(4);
         // Same-layer broadcasts go both ways; layer 0 is externally driven
         // and consumes no in-layer pulses, so it has none.
         if n.layer > 0 {
-            out.push(HexNodeId {
-                layer: n.layer,
-                i: (n.i + w - 1) % w,
-            });
-            out.push(HexNodeId {
-                layer: n.layer,
-                i: (n.i + 1) % w,
-            });
+            out.push(NodeId::new((n.v + w - 1) % w, n.layer));
+            out.push(NodeId::new(right, n.layer));
         }
         if (n.layer as usize) + 1 < self.layer_count {
-            out.push(HexNodeId {
-                layer: n.layer + 1,
-                i: n.i,
-            });
-            out.push(HexNodeId {
-                layer: n.layer + 1,
-                i: (n.i + 1) % w,
-            });
+            out.push(NodeId::new(n.v, n.layer + 1));
+            out.push(NodeId::new(right, n.layer + 1));
         }
         out
     }
 
     /// Iterates over all nodes in (layer, i) order.
-    pub fn nodes(&self) -> impl Iterator<Item = HexNodeId> + '_ {
-        (0..self.layer_count).flat_map(move |l| {
-            (0..self.width).map(move |i| HexNodeId {
-                layer: l as u32,
-                i: i as u32,
-            })
-        })
+    pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        (0..self.layer_count as u32)
+            .flat_map(move |l| (0..self.width as u32).map(move |i| NodeId::new(i, l)))
     }
 }
 

@@ -74,5 +74,5 @@ mod layered;
 
 pub use ancestors::{distance_ancestors, distance_k_faulty, max_k_faulty};
 pub use base::BaseGraph;
-pub use hex::{HexGrid, HexNodeId};
+pub use hex::HexGrid;
 pub use layered::{boundary_preds, chunk_partition, EdgeId, LayeredGraph, NodeId};

@@ -13,11 +13,11 @@
 use gradient_trix::analysis::{global_skew, inter_layer_skew, intra_layer_skew};
 use gradient_trix::core::GradientTrixRule;
 use gradient_trix::obs::{PodSketch, SkewStats};
-use gradient_trix::sim::{CorrectSends, PulseTrace, SendModel};
+use gradient_trix::sim::{run_dataflow, CorrectSends, PulseTrace, SendModel};
 use gradient_trix::time::Time;
 use gradient_trix::topology::{LayeredGraph, NodeId};
 use trix_bench::common::{
-    grid, merge_snapshots, run_gradient_trix, run_gradient_trix_graph, run_gradient_trix_streaming,
+    graph_inputs, grid, merge_snapshots, run_gradient_trix, run_gradient_trix_streaming,
     standard_params, streaming_monitor,
 };
 use trix_bench::json::BenchRecord;
@@ -38,9 +38,9 @@ fn post_hoc_stats(g: &LayeredGraph, pulses: usize, seed: u64, sends: &impl SendM
 }
 
 /// [`post_hoc_stats`] for `exp_topology`, `exp_modes`, and torus-leg
-/// `exp_churn` records: same batch recomputation, but the trace comes
-/// from the graph-generic runner (BFS-forest layer 0) — the source the
-/// family sweeps stream with. `sends` is `CorrectSends` for fault-free
+/// `exp_churn` records: same batch recomputation, but the trace runs on
+/// `graph_inputs` (BFS-forest layer 0) — the inputs the family sweeps
+/// stream with. `sends` is `CorrectSends` for fault-free
 /// sweeps and the reconstructed `ChurnCampaign` for `exp_churn`.
 fn post_hoc_graph_stats(
     g: &LayeredGraph,
@@ -50,7 +50,8 @@ fn post_hoc_graph_stats(
 ) -> SkewStats {
     let p = standard_params();
     let rule = GradientTrixRule::new(p);
-    let (trace, _) = run_gradient_trix_graph(g, &p, &rule, sends, pulses, seed);
+    let (env, layer0) = graph_inputs(g, &p, seed);
+    let trace = run_dataflow(g, &env, &layer0, &rule, sends, pulses);
     post_hoc_stats_from_trace(g, pulses, &trace)
 }
 
